@@ -10,8 +10,6 @@ from .simplicial import (
     carried_by,
     check_carrier_map,
     check_simplicial_chromatic,
-    close_faces,
-    star,
 )
 from .subdivision import (
     BarycentricPoint,
@@ -22,7 +20,6 @@ from .subdivision import (
     diameter_Dk,
     geometric_containment,
     partial_chr_step,
-    stable_complex,
 )
 from .tasks import Task, inputless_consensus, set_agreement, validate_task
 from .models import (
@@ -50,7 +47,8 @@ from .protocol import (
     check_solves,
     extract_map,
     run,
-    synthesize_from_map,
+    synthesize_from_stable_map,
+    synthesize_from_time_map,
 )
 from .checker import (
     TimeTComplex,

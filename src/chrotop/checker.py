@@ -13,8 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import BadIndices, ChrotopError, IncompleteMap, Unsupported
-from .models import ExecutionWord, ModelSpec, RoundSchedule, Word, enumerate_prefixes
+from .errors import BadIndices, ChrotopError, Unsupported
+from .models import (
+    ExecutionWord,
+    ModelSpec,
+    RoundSchedule,
+    Word,
+    enumerate_prefixes,
+    is_excluded_limit,
+)
 from .protocol import (
     DecisionProtocol,
     Execution,
@@ -292,10 +299,7 @@ def verify_termination_certificate(
         for pt in sc.points:
             support.update(pt.weights)
         sigma_min = Simplex(v for v in base_vertices if v in support)
-        try:
-            image = delta.image(geom)
-        except IncompleteMap:
-            raise
+        image = delta.image(geom)
         if image not in task.delta(sigma_min):
             carried_ok = False
             carrier_witness = (sigma_min, sc.simplex, image)
@@ -345,37 +349,19 @@ def verify_termination_certificate(
     )
 
 
-# corner evolution matrices for the three two-process schedules, acting on
-# the pair (color-0 corner, color-1 corner) of an interval cell
-_SCHEDULE_MATRICES = {
-    ((0,), (1,)): ((Fraction(1), Fraction(0)), (Fraction(2, 3), Fraction(1, 3))),
-    ((1,), (0,)): ((Fraction(1, 3), Fraction(2, 3)), (Fraction(0), Fraction(1))),
-    ((0, 1),): ((Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 3), Fraction(1, 3))),
-}
-
-
-def _matmul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-    )
-
-
 def excluded_limit_point(base: Complex, excluded: ExecutionWord) -> BarycentricPoint:
     """Exact limit point of an eventually periodic two-process execution:
     evolve the cell corners through the stem, then take the stationary
-    combination of the cycle's corner map."""
+    combination of the cycle's corner map.  The corner map is read off the
+    cycle's own cell over the base edge: row c holds the weights of its
+    color-c vertex over the base corners."""
     base_facet = base.facets[0]
-    corners = geometric_simplex(base_facet, base)  # color order 0, 1
-    stem_blocks = tuple(s.blocks for s in excluded.stem)
-    cell = cell_of_word(base_facet, stem_blocks)
-    pts = geometric_simplex(cell, base)
-    a0 = next(p for v, p in zip(cell.vertices, pts) if v.color == 0)
-    a1 = next(p for v, p in zip(cell.vertices, pts) if v.color == 1)
-    m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    for s in excluded.cycle:
-        m = _matmul(_SCHEDULE_MATRICES[s.blocks], m)
-    alpha = m[0][1]
-    beta = m[1][0]
+    cell = cell_of_word(base_facet, tuple(s.blocks for s in excluded.stem))
+    a0, a1 = (coordinates(cell.vertex_of_color(c), base) for c in (0, 1))
+    cycle = cell_of_word(base_facet, tuple(s.blocks for s in excluded.cycle))
+    m0, m1 = (coordinates(cycle.vertex_of_color(c), base) for c in (0, 1))
+    alpha = m0.weight(base_facet.vertex_of_color(1))
+    beta = m1.weight(base_facet.vertex_of_color(0))
     pi0 = beta / (alpha + beta)
     pi1 = alpha / (alpha + beta)
     weights: dict[Vertex, Fraction] = {}
@@ -384,9 +370,6 @@ def excluded_limit_point(base: Complex, excluded: ExecutionWord) -> BarycentricP
     for v, w in a1.items:
         weights[v] = weights.get(v, Fraction(0)) + pi1 * w
     return BarycentricPoint(weights, base)
-
-
-_position = edge_position
 
 
 def _excluded_point_values(
@@ -400,11 +383,11 @@ def _excluded_point_values(
     when no stable structure approaches the point."""
     base = tsub.base
     x = excluded_limit_point(base, excluded)
-    pos_x = _position(x, base)
+    pos_x = edge_position(x, base)
     sides: dict[str, list[tuple[Fraction, int, frozenset]]] = {"left": [], "right": []}
     for sc in tsub.stable_cells(depth):
         geom = sc.geom_simplex()
-        positions = sorted(_position(p, base) for p in sc.points)
+        positions = sorted(edge_position(p, base) for p in sc.points)
         lo, hi = positions[0], positions[-1]
         at_x = frozenset(delta(v).label for v in geom if v.label == x)
         values = at_x or frozenset(delta(v).label for v in geom)
@@ -504,18 +487,15 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
     words = enumerate_prefixes(model, depth)
     if solo_left not in words or solo_right not in words:
         return None
-    from .models import is_excluded_limit
-
-    if depth > 0:
-        if is_excluded_limit(model, ExecutionWord((), (solo_left[0],))) or is_excluded_limit(
-            model, ExecutionWord((), (solo_right[0],))
-        ):
-            return None
+    if is_excluded_limit(model, ExecutionWord((), (solo_left[0],))) or is_excluded_limit(
+        model, ExecutionWord((), (solo_right[0],))
+    ):
+        return None
 
     intervals = []
     for word in words:
         cell = cell_of_word(base_facet, tuple(s.blocks for s in word))
-        positions = sorted(_position(p, base) for p in geometric_simplex(cell, base))
+        positions = sorted(edge_position(p, base) for p in geometric_simplex(cell, base))
         intervals.append((positions[0], positions[-1]))
     intervals.sort()
     components: list[tuple[Fraction, Fraction]] = []
@@ -534,7 +514,7 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
     excluded_inside = []
     for e in model.excluded:
         x = excluded_limit_point(base, e)
-        pos = _position(x, base)
+        pos = edge_position(x, base)
         if bridging[0] <= pos <= bridging[1]:
             excluded_inside.append(str(e))
     forced = [

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,15 +23,6 @@ from .render import render_dot, render_svg
 from .simplicial import Complex, Simplex, Vertex, label_string
 from .subdivision import chr_iterate, diameter_Dk
 from .tasks import Task, inputless_consensus, load_task_json, set_agreement
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("CHROTOP_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ChrotopError(f"CHROTOP_THREADS must be an integer, got {raw!r}")
-    return max(1, cap)
 
 
 def _resolve_model(ref: str) -> ModelSpec:
@@ -181,7 +171,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _threads_cap()
         return args.func(args)
     except (ChrotopError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -141,10 +141,6 @@ class ProductDistance:
     value: Fraction
     tail_bound: Fraction
 
-    @property
-    def upper(self) -> Fraction:
-        return self.value + self.tail_bound
-
 
 def product_distance(
     xs: Sequence, ys: Sequence, component_metrics: Sequence[Callable]

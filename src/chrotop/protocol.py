@@ -104,10 +104,6 @@ def execution_configurations(execution: Execution) -> list[Simplex]:
     return configs
 
 
-def execution_view(execution: Execution, color: int, t: int) -> Vertex:
-    return execution_configurations(execution)[t].vertex_of_color(color)
-
-
 def all_executions(model: ModelSpec, inputs: Complex, depth: int) -> list[Execution]:
     """Every execution shadow of the given depth: one per input simplex
     (participation and inputs) and allowed schedule word over it."""
@@ -344,14 +340,6 @@ def synthesize_from_time_map(delta_T: SimplicialMap, time_complex) -> DecisionPr
     return DecisionProtocol(f"table@{T}", decide)
 
 
-def synthesize_from_map(delta: SimplicialMap, *, tsub=None, time_complex=None, max_depth: int = 0) -> DecisionProtocol:
-    if (tsub is None) == (time_complex is None):
-        raise Unsupported("pass exactly one of tsub or time_complex")
-    if tsub is not None:
-        return synthesize_from_stable_map(delta, tsub, max_depth)
-    return synthesize_from_time_map(delta, time_complex)
-
-
 # -- decision map from a protocol ----------------------------------------------
 
 
@@ -365,10 +353,11 @@ def extract_map(protocol: DecisionProtocol, model: ModelSpec, task: Task, T: int
     from .checker import build_time_T
 
     time_complex = build_time_T(model, task, T)
+    outputs = set(task.outputs.vertices())
     mapping = {}
     for ball in time_complex.complex.vertices():
         value = None
-        for t, v in enumerate(view_chain(ball)):
+        for v in view_chain(ball):
             answer = protocol(ball.color, v)
             if answer is not None:
                 value = answer
@@ -376,7 +365,7 @@ def extract_map(protocol: DecisionProtocol, model: ModelSpec, task: Task, T: int
         if value is None:
             raise NotBoundedBy(T, ball)
         out_vertex = Vertex(ball.color, value)
-        if out_vertex not in set(task.outputs.vertices()):
+        if out_vertex not in outputs:
             raise InvalidOutput(f"decided label {value!r} has no output vertex for color {ball.color}")
         mapping[ball] = out_vertex
     return SimplicialMap(mapping)
@@ -396,9 +385,7 @@ def table_protocol(table: dict[str, object], model: ModelSpec, task: Task, T: in
         if ball_id(ball) not in table:
             raise IncompleteMap(f"decision table missing ball {ball_id(ball)}")
         mapping[ball] = Vertex(ball.color, table[ball_id(ball)])
-    proto = synthesize_from_time_map(SimplicialMap(mapping), time_complex)
-    proto.name = f"table@{T}"
-    return proto
+    return synthesize_from_time_map(SimplicialMap(mapping), time_complex)
 
 
 def builtin_protocol(name: str) -> DecisionProtocol:

@@ -30,92 +30,10 @@ def _plane_coords(point_weights, corners_2d):
     return x, y
 
 
-def render_svg(K: Complex, base: Complex, depth_of=None, size: int = 480) -> str:
-    """Draw a subdivision of a 1- or 2-dimensional base.
-
-    `depth_of` optionally maps each facet of K to a small integer used
-    to pick a fill shade (termination depth).
-    """
-    dim = base.dim
-    if dim not in (1, 2):
-        raise Unsupported(f"SVG rendering supports dimensions 1 and 2, not {dim}")
-    margin = 30.0
-    span = size - 2 * margin
-    base_vertices = base.vertices()
-    corners_2d = {}
-    if dim == 1:
-        for v in base_vertices:
-            idx = base_vertices.index(v)
-            corners_2d[v] = (margin + span * idx / max(1, len(base_vertices) - 1), size / 2)
-    else:
-        template = [(margin, size - margin), (size - margin, size - margin), (size / 2, size - margin - span * _SQRT3_OVER_2)]
-        for i, v in enumerate(base_vertices):
-            corners_2d[v] = template[i % 3]
-
-    svg = ET.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        width=f"{size}px",
-        height=f"{size}px",
-        viewBox=f"0 0 {size} {size}",
-    )
-    cells = ET.SubElement(svg, "g", attrib={"stroke": "#333333", "stroke-width": "1"})
-    for i, facet in enumerate(K.facets):
-        pts = [
-            _plane_coords(coordinates(v, base).items, corners_2d) for v in facet
-        ]
-        d = int(depth_of(facet)) if depth_of is not None else 0
-        fill = DEPTH_FILLS[d % len(DEPTH_FILLS)]
-        if len(pts) >= 3:
-            ET.SubElement(
-                cells,
-                "polygon",
-                points=" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts),
-                fill=fill,
-            )
-        elif len(pts) == 2:
-            (x1, y1), (x2, y2) = pts
-            ET.SubElement(
-                cells,
-                "line",
-                x1=_fmt(x1), y1=_fmt(y1), x2=_fmt(x2), y2=_fmt(y2),
-                attrib={"stroke": fill if depth_of is not None else "#333333", "stroke-width": "4"},
-            )
-    dots = ET.SubElement(svg, "g")
-    seen = set()
-    for facet in K.facets:
-        for v in facet:
-            if v in seen:
-                continue
-            seen.add(v)
-            x, y = _plane_coords(coordinates(v, base).items, corners_2d)
-            ET.SubElement(
-                dots,
-                "circle",
-                cx=_fmt(x), cy=_fmt(y), r="4",
-                fill=PROCESS_COLORS[v.color % len(PROCESS_COLORS)],
-            )
-    return ET.tostring(svg, encoding="unicode")
-
-
-def render_terminating_svg(tsub, depth: int, size: int = 480) -> str:
-    """Stable complex of a terminating subdivision with cells shaded by
-    the round they were terminated at."""
-    cells = tsub.stable_cells(depth)
-    if not cells:
-        raise Unsupported("no stable cells materialized yet")
-    depth_by_facet = {c.geom_simplex(): c.depth for c in cells}
-    stable = tsub.stable_complex(depth)
-
-    def depth_of(facet):
-        return depth_by_facet.get(facet, 0)
-
-    return _render_geometric(stable, tsub.base, depth_of, size)
-
-
-def _render_geometric(K: Complex, base: Complex, depth_of, size: int) -> str:
-    """Like render_svg but for complexes whose vertex labels are already
-    exact points of the base realization."""
+def _canvas(base: Complex, size: int):
+    """The `<svg>` root, its cell group and the plane position of every
+    base corner: an edge lies flat across the middle, a triangle stands
+    on its base."""
     dim = base.dim
     if dim not in (1, 2):
         raise Unsupported(f"SVG rendering supports dimensions 1 and 2, not {dim}")
@@ -137,10 +55,63 @@ def _render_geometric(K: Complex, base: Complex, depth_of, size: int) -> str:
         height=f"{size}px",
         viewBox=f"0 0 {size} {size}",
     )
-    group = ET.SubElement(svg, "g", attrib={"stroke": "#333333", "stroke-width": "1"})
+    cells = ET.SubElement(svg, "g", attrib={"stroke": "#333333", "stroke-width": "1"})
+    return svg, cells, corners_2d
+
+
+def render_svg(K: Complex, base: Complex, size: int = 480) -> str:
+    """Draw a subdivision of a 1- or 2-dimensional base."""
+    svg, cells, corners_2d = _canvas(base, size)
+    fill = DEPTH_FILLS[0]
     for facet in K.facets:
+        pts = [
+            _plane_coords(coordinates(v, base).items, corners_2d) for v in facet
+        ]
+        if len(pts) >= 3:
+            ET.SubElement(
+                cells,
+                "polygon",
+                points=" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts),
+                fill=fill,
+            )
+        elif len(pts) == 2:
+            (x1, y1), (x2, y2) = pts
+            ET.SubElement(
+                cells,
+                "line",
+                x1=_fmt(x1), y1=_fmt(y1), x2=_fmt(x2), y2=_fmt(y2),
+                attrib={"stroke": "#333333", "stroke-width": "4"},
+            )
+    dots = ET.SubElement(svg, "g")
+    seen = set()
+    for facet in K.facets:
+        for v in facet:
+            if v in seen:
+                continue
+            seen.add(v)
+            x, y = _plane_coords(coordinates(v, base).items, corners_2d)
+            ET.SubElement(
+                dots,
+                "circle",
+                cx=_fmt(x), cy=_fmt(y), r="4",
+                fill=PROCESS_COLORS[v.color % len(PROCESS_COLORS)],
+            )
+    return ET.tostring(svg, encoding="unicode")
+
+
+def render_terminating_svg(tsub, depth: int, size: int = 480) -> str:
+    """Stable complex of a terminating subdivision with cells shaded by
+    the round they were terminated at.  Its vertex labels are already
+    exact points of the base realization."""
+    cells = tsub.stable_cells(depth)
+    if not cells:
+        raise Unsupported("no stable cells materialized yet")
+    depth_by_facet = {c.geom_simplex(): c.depth for c in cells}
+    stable = tsub.stable_complex(depth)
+    svg, group, corners_2d = _canvas(tsub.base, size)
+    for facet in stable.facets:
         pts = [_plane_coords(v.label.items, corners_2d) for v in facet]
-        fill = DEPTH_FILLS[depth_of(facet) % len(DEPTH_FILLS)]
+        fill = DEPTH_FILLS[depth_by_facet.get(facet, 0) % len(DEPTH_FILLS)]
         if len(pts) >= 3:
             ET.SubElement(group, "polygon",
                           points=" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts), fill=fill)
@@ -149,7 +120,7 @@ def _render_geometric(K: Complex, base: Complex, depth_of, size: int) -> str:
             ET.SubElement(group, "line", x1=_fmt(x1), y1=_fmt(y1), x2=_fmt(x2), y2=_fmt(y2),
                           attrib={"stroke": fill, "stroke-width": "6"})
     dots = ET.SubElement(svg, "g")
-    for v in K.vertices():
+    for v in stable.vertices():
         x, y = _plane_coords(v.label.items, corners_2d)
         ET.SubElement(dots, "circle", cx=_fmt(x), cy=_fmt(y), r="4",
                       fill=PROCESS_COLORS[v.color % len(PROCESS_COLORS)])

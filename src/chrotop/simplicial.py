@@ -107,17 +107,11 @@ class Simplex:
     def issubset(self, other: "Simplex") -> bool:
         return set(self._verts) <= set(other._verts)
 
-    def union(self, other: "Simplex") -> "Simplex":
-        return Simplex(self._verts + other._verts)
-
     def vertex_of_color(self, color: int) -> Vertex:
         for v in self._verts:
             if v.color == color:
                 return v
         raise KeyError(f"no vertex of color {color} in {self!r}")
-
-    def restrict_colors(self, colors) -> "Simplex":
-        return Simplex(v for v in self._verts if v.color in colors)
 
     def faces(self) -> Iterator["Simplex"]:
         """All nonempty subsets, the simplex itself included."""
@@ -127,35 +121,27 @@ class Simplex:
                 yield Simplex(combo)
 
 
-def simplex_of(*pairs) -> Simplex:
-    """Shorthand used by tests: simplex_of((0, 'a'), (1, 'b'))."""
-    return Simplex(Vertex(c, l) for c, l in pairs)
-
-
 class Complex:
     """A finite simplicial complex given by its facets, closed under faces."""
 
     __slots__ = ("facets", "_faces", "_vertices")
 
-    def __init__(self, facets: Iterable[Simplex], _assume_maximal=False):
+    def __init__(self, facets: Iterable[Simplex]):
         facet_set = set(facets)
         if not facet_set:
             raise ValueError("a complex needs at least one facet")
-        if not _assume_maximal:
-            facet_set = {
-                f for f in facet_set
-                if not any(f is not g and f.issubset(g) for g in facet_set)
-            }
-        self.facets: tuple[Simplex, ...] = tuple(sorted(facet_set, key=lambda s: s.key))
+        # equal facets are already merged, so a facet can only be a proper
+        # face of a strictly larger one; a pure complex is never scanned
+        top = max(len(f) for f in facet_set)
+        dominated = {
+            f for f in facet_set
+            if len(f) < top and any(len(g) > len(f) and f.issubset(g) for g in facet_set)
+        }
+        self.facets: tuple[Simplex, ...] = tuple(
+            sorted(facet_set - dominated, key=lambda s: s.key)
+        )
         self._faces = None
         self._vertices = None
-
-    # -- construction ------------------------------------------------
-
-    @classmethod
-    def close_faces(cls, facets: Iterable[Simplex]) -> "Complex":
-        """The complex generated by the given simplexes."""
-        return cls(facets)
 
     # -- queries ------------------------------------------------------
 
@@ -440,11 +426,3 @@ def carried_by(delta: SimplicialMap, xi: CarrierMap, delta_map: CarrierMap, I: C
             if delta.image(tau) not in allowed:
                 return CarriedReport(False, (sigma, tau))
     return CarriedReport(True)
-
-
-def close_faces(facets: Iterable[Simplex]) -> Complex:
-    return Complex.close_faces(facets)
-
-
-def star(K: Complex, simplex: Simplex) -> Complex:
-    return K.star(simplex)

@@ -85,7 +85,7 @@ def chr_subdivision(K: Complex) -> Complex:
     facets = []
     for f in K.facets:
         facets.extend(facet_children(f).values())
-    return Complex(facets, _assume_maximal=True)
+    return Complex(facets)
 
 
 def chr_iterate(K: Complex, k: int) -> Complex:
@@ -199,10 +199,6 @@ def coordinates(v: Vertex, base: Complex) -> BarycentricPoint:
     if any(b not in base_vs for b in raw):
         raise UnknownVertex(f"{v!r} does not bottom out in the given base complex")
     return BarycentricPoint(raw, base)
-
-
-def geometric_point(v: Vertex, base: Complex) -> BarycentricPoint:
-    return coordinates(v, base)
 
 
 def geometric_distance(x: BarycentricPoint, y: BarycentricPoint) -> Fraction:
@@ -444,12 +440,6 @@ class TerminatingSubdivision:
         self.materialize(k)
         return self._levels[k].complex
 
-    def terminated_at(self, k: int) -> Complex | None:
-        """Sigma_k as a subcomplex of level k, or None when empty."""
-        self.materialize(k)
-        facets = self._levels[k].terminated_facets
-        return Complex(facets) if facets else None
-
     def materialize(self, depth: int) -> None:
         while self.max_depth_materialized < depth:
             self._deepen()
@@ -512,10 +502,6 @@ class TerminatingSubdivision:
         if not cells:
             return None
         return Complex([c.geom_simplex() for c in cells])
-
-
-def stable_complex(tsub: TerminatingSubdivision, depth: int) -> Complex | None:
-    return tsub.stable_complex(depth)
 
 
 # -- built-in policies ----------------------------------------------------

@@ -248,6 +248,15 @@ def test_excluded_limit_point_position():
     assert edge_position(solo, CONS.inputs) == 0
     mid = excluded_limit_point(CONS.inputs, ExecutionWord((), word("<->")))
     assert edge_position(mid, CONS.inputs) == Fraction(1, 2)
+    other_solo = excluded_limit_point(CONS.inputs, ExecutionWord((), word("<-")))
+    assert edge_position(other_solo, CONS.inputs) == 1
+    # the cycle -> then <- maps [0, 1] onto [2/9, 1/3], fixing 1/4; the
+    # reversed product would fix 3/4
+    two = excluded_limit_point(CONS.inputs, ExecutionWord((), word("->", "<-")))
+    assert edge_position(two, CONS.inputs) == Fraction(1, 4)
+    # the stem -> leaves [0, 1/3], whose midpoint <-> fixes
+    stemmed = excluded_limit_point(CONS.inputs, ExecutionWord(word("->"), word("<->")))
+    assert edge_position(stemmed, CONS.inputs) == Fraction(1, 6)
 
 
 # -- consensus certificates ----------------------------------------------------------

@@ -122,9 +122,3 @@ def test_model_and_task_from_json_files(tmp_path):
     code = run_cli("check", "--model", str(model_path), "--task", str(task_path),
                    "--max-depth", "3", "--out", str(tmp_path / "v.json"))
     assert code == 10
-
-
-def test_threads_env_validated(monkeypatch, capsys):
-    monkeypatch.setenv("CHROTOP_THREADS", "zebra")
-    assert run_cli("check", "--model", "m1", "--task", "consensus", "--max-depth", "1") == 2
-    assert "CHROTOP_THREADS" in capsys.readouterr().err

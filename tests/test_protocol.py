@@ -26,7 +26,6 @@ from chrotop.protocol import (
     never_protocol,
     own_input_protocol,
     run,
-    synthesize_from_map,
     synthesize_from_stable_map,
     synthesize_from_time_map,
     view_depth,
@@ -111,7 +110,7 @@ def test_invalid_output_label():
 def test_ball_rule_end_to_end_on_m1():
     ts = TerminatingSubdivision(CONS.inputs, M1_POLICY)
     delta = split_delta(ts.stable_complex(2), CONS.inputs)
-    proto = synthesize_from_map(delta, tsub=ts, max_depth=2)
+    proto = synthesize_from_stable_map(delta, ts, 2)
     assert check_solves(proto, CONS, M1, 2).status == "PASS"
     assert check_solves(proto, CONS, M1, 3).status == "PASS"
 

@@ -10,8 +10,6 @@ from chrotop.simplicial import (
     carried_by,
     check_carrier_map,
     check_simplicial_chromatic,
-    close_faces,
-    star,
 )
 from chrotop.tasks import inputless_consensus
 
@@ -21,32 +19,42 @@ C = Vertex(2, "c")
 
 
 def test_close_faces_triangle_counts():
-    K = close_faces([Simplex([A, B, C])])
+    K = Complex([Simplex([A, B, C])])
     assert len(K.facets) == 1
     assert len(K.simplexes()) == 7
     assert len(K.vertices()) == 3
 
 
 def test_close_faces_two_edges():
-    K = close_faces([Simplex([A, B]), Simplex([B, C])])
+    K = Complex([Simplex([A, B]), Simplex([B, C])])
     assert len(K.facets) == 2
     assert set(K.vertices()) == {A, B, C}
     assert len(K.simplexes()) == 5
 
 
 def test_close_faces_singleton():
-    K = close_faces([Simplex([A])])
+    K = Complex([Simplex([A])])
     assert len(K.facets) == 1
     assert K.facets[0].dim == 0
 
 
 def test_close_faces_drops_dominated_facets():
-    K = close_faces([Simplex([A, B, C]), Simplex([A, B])])
+    K = Complex([Simplex([A, B, C]), Simplex([A, B])])
     assert K.facets == (Simplex([A, B, C]),)
+    # mixed dimensions: an edge that is no face of the triangle stays
+    D = Vertex(3, "d")
+    K = Complex([Simplex([A, B, C]), Simplex([C, D])])
+    assert K.facets == (Simplex([A, B, C]), Simplex([C, D]))
+    # a vertex dominated only by an edge is dropped
+    K = Complex([Simplex([A, B, C]), Simplex([C, D]), Simplex([D])])
+    assert K.facets == (Simplex([A, B, C]), Simplex([C, D]))
+    # duplicate facets collapse to one
+    K = Complex([Simplex([C, D]), Simplex([D, C]), Simplex([A])])
+    assert K.facets == (Simplex([A]), Simplex([C, D]))
 
 
 def test_face_closure_invariant():
-    K = close_faces([Simplex([A, B, C]), Simplex([B, C])])
+    K = Complex([Simplex([A, B, C]), Simplex([B, C])])
     for s in K.simplexes():
         for f in s.faces():
             assert f in K
@@ -59,29 +67,29 @@ def test_duplicate_identity_rejected():
 
 
 def test_star_examples():
-    tri = close_faces([Simplex([A, B, C])])
-    st = star(tri, Simplex([A]))
+    tri = Complex([Simplex([A, B, C])])
+    st = tri.star(Simplex([A]))
     assert st.facets == (Simplex([A, B, C]),)
 
-    edges = close_faces([Simplex([A, B]), Simplex([B, C])])
-    assert set(star(edges, Simplex([B])).facets) == {Simplex([A, B]), Simplex([B, C])}
-    assert star(edges, Simplex([A, B])).facets == (Simplex([A, B]),)
+    edges = Complex([Simplex([A, B]), Simplex([B, C])])
+    assert set(edges.star(Simplex([B])).facets) == {Simplex([A, B]), Simplex([B, C])}
+    assert edges.star(Simplex([A, B])).facets == (Simplex([A, B]),)
 
 
 def test_star_contains_defining_simplex():
-    edges = close_faces([Simplex([A, B]), Simplex([B, C])])
+    edges = Complex([Simplex([A, B]), Simplex([B, C])])
     s = Simplex([B])
-    assert s in star(edges, s)
+    assert s in edges.star(s)
 
 
 def test_star_rejects_non_member():
-    edges = close_faces([Simplex([A, B])])
+    edges = Complex([Simplex([A, B])])
     with pytest.raises(NotASimplex):
-        star(edges, Simplex([C]))
+        edges.star(Simplex([C]))
 
 
 def test_identity_map_is_simplicial_chromatic():
-    K = close_faces([Simplex([A, B, C])])
+    K = Complex([Simplex([A, B, C])])
     report = check_simplicial_chromatic(SimplicialMap.identity(K), K, K)
     assert report.ok
 
@@ -89,9 +97,9 @@ def test_identity_map_is_simplicial_chromatic():
 def test_edge_collapse_not_simplicial():
     p0, q1 = Vertex(0, 0), Vertex(1, 1)
     q0 = Vertex(1, 0)
-    K = close_faces([Simplex([p0, q1])])
+    K = Complex([Simplex([p0, q1])])
     # codomain has the two vertices but not the edge between the images
-    L = close_faces([Simplex([p0]), Simplex([q0])])
+    L = Complex([Simplex([p0]), Simplex([q0])])
     h = SimplicialMap({p0: p0, q1: q0})
     report = check_simplicial_chromatic(h, K, L)
     assert not report.simplicial
@@ -101,8 +109,8 @@ def test_edge_collapse_not_simplicial():
 
 def test_color_change_not_chromatic():
     p, q = Vertex(0, "x"), Vertex(1, "x")
-    K = close_faces([Simplex([p])])
-    L = close_faces([Simplex([q])])
+    K = Complex([Simplex([p])])
+    L = Complex([Simplex([q])])
     report = check_simplicial_chromatic(SimplicialMap({p: q}), K, L)
     assert not report.chromatic
     assert report.witness_vertex == p
@@ -116,9 +124,9 @@ def test_consensus_delta_is_monotone_chromatic():
 
 
 def test_monotonicity_witness_reported():
-    K = close_faces([Simplex([A, B])])
-    big = close_faces([Simplex([A, B])])
-    small = close_faces([Simplex([A])])
+    K = Complex([Simplex([A, B])])
+    big = Complex([Simplex([A, B])])
+    small = Complex([Simplex([A])])
     phi = CarrierMap({Simplex([A]): big, Simplex([B]): small, Simplex([A, B]): small})
     report = check_carrier_map(phi, K, K)
     assert not report.monotone
@@ -128,15 +136,15 @@ def test_monotonicity_witness_reported():
 
 
 def test_constant_carrier_map_is_monotone():
-    K = close_faces([Simplex([A, B])])
+    K = Complex([Simplex([A, B])])
     assert check_carrier_map(CarrierMap.constant(K, K), K, K).monotone
 
 
 def test_image_outside_codomain_raises():
     from chrotop.errors import InvalidCarrier
 
-    K = close_faces([Simplex([A, B])])
-    L = close_faces([Simplex([A])])
+    K = Complex([Simplex([A, B])])
+    L = Complex([Simplex([A])])
     phi = CarrierMap({s: K for s in K.simplexes()})
     with pytest.raises(InvalidCarrier):
         check_carrier_map(phi, K, L)
@@ -182,8 +190,8 @@ def test_carried_by_solo_violation():
 def test_carried_by_single_vertex_slice():
     p = Vertex(0, "in")
     o = Vertex(0, "out")
-    I = close_faces([Simplex([p])])
-    O = close_faces([Simplex([o])])
+    I = Complex([Simplex([p])])
+    O = Complex([Simplex([o])])
     xi = CarrierMap({Simplex([p]): I})
     delta_map = CarrierMap({Simplex([p]): O})
     assert carried_by(SimplicialMap({p: o}), xi, delta_map, I).carried
@@ -198,7 +206,7 @@ def test_carried_by_undefined_vertex_raises():
 
 
 def test_json_round_trip_and_determinism():
-    K = close_faces([Simplex([A, B]), Simplex([B, C])])
+    K = Complex([Simplex([A, B]), Simplex([B, C])])
     text = K.to_json()
     assert text == K.to_json()
     K2 = Complex.from_json(text)
@@ -208,7 +216,7 @@ def test_json_round_trip_and_determinism():
 
 
 def test_facet_maximality():
-    K = close_faces([Simplex([A, B, C]), Simplex([A, B]), Simplex([A])])
+    K = Complex([Simplex([A, B, C]), Simplex([A, B]), Simplex([A])])
     for f in K.facets:
         for g in K.facets:
             assert f == g or not f.issubset(g)
