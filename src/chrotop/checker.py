@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import BadIndices, ChrotopError, Unsupported
+from .errors import BadArity, BadIndices, ChrotopError, Unsupported
 from .models import (
     ExecutionWord,
     ModelSpec,
@@ -55,7 +55,7 @@ from .subdivision import (
     geometric_distance,
     geometric_simplex,
 )
-from .tasks import Task, inputless_consensus
+from .tasks import Task, inputless_consensus, set_agreement
 
 
 # -- time-T complexes --------------------------------------------------------
@@ -125,8 +125,7 @@ def _vertex_candidates(PT: TimeTComplex, task: Task) -> dict[Vertex, list[Vertex
     }
     for sigma in task.inputs.simplexes():
         allowed = task.delta(sigma)
-        members = set(PT.xi(sigma).vertices())
-        for v in members:
+        for v in PT.xi(sigma).vertices():
             candidates[v] = [o for o in candidates[v] if Simplex([o]) in allowed]
     return candidates
 
@@ -162,14 +161,12 @@ def search_decision_map(PT: TimeTComplex, task: Task) -> Optional[SimplicialMap]
         return (len(candidates[v]), vertex_key(v))
 
     order: list[Vertex] = []
-    chosen: set[Vertex] = set()
     frontier: set[Vertex] = set()
     remaining = set(vertices)
     while remaining:
         pool = frontier & remaining
         pick = min(pool, key=rank) if pool else min(remaining, key=rank)
         order.append(pick)
-        chosen.add(pick)
         remaining.discard(pick)
         for idx in by_vertex[pick]:
             frontier.update(constraints[idx][0])
@@ -184,19 +181,20 @@ def search_decision_map(PT: TimeTComplex, task: Task) -> Optional[SimplicialMap]
                 return False
         return True
 
-    def assign(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        v = order[pos]
-        for o in candidates[v]:
+    # depth-first over `order` with one candidate iterator per vertex, no recursion
+    stack = [iter(candidates[order[0]])]
+    while stack:
+        v = order[len(stack) - 1]
+        for o in stack[-1]:
             assignment[v] = o
-            if consistent(v) and assign(pos + 1):
-                return True
+            if consistent(v):
+                if len(stack) == len(order):
+                    return SimplicialMap(assignment)
+                stack.append(iter(candidates[order[len(stack)]]))
+                break
+        else:
             del assignment[v]
-        return False
-
-    if assign(0):
-        return SimplicialMap(assignment)
+            stack.pop()
     return None
 
 
@@ -470,21 +468,21 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
     component.
 
     The depth is clamped to at least 1 so first-round restrictions enter
-    the structure; for models whose prefix constraints look at a bounded
-    number of rounds (every JSON-representable kind) the cell union is
-    identical at all larger depths, so the component analysis at the
-    stated depth is exact for the model, not an approximation.
+    the structure; that depth is reported.  A model without a custom
+    predicate (every JSON-representable kind) restricts only the first
+    round, so its depth-d cells tile its depth-1 cells and the union is
+    read off the depth-1 words; a predicate is analysed at full depth.
     """
     if model.n != 2:
         raise Unsupported("the interval certificate is specific to two processes")
     depth = max(1, depth)
-    task = inputless_consensus(2)
-    base = task.inputs
+    horizon = depth if model.predicate is not None else 1
+    base = inputless_consensus(2).inputs
     base_facet = base.facets[0]
 
-    solo_left = tuple([RoundSchedule(((0,), (1,)))] * depth)
-    solo_right = tuple([RoundSchedule(((1,), (0,)))] * depth)
-    words = enumerate_prefixes(model, depth)
+    solo_left = (RoundSchedule(((0,), (1,))),) * horizon
+    solo_right = (RoundSchedule(((1,), (0,))),) * horizon
+    words = enumerate_prefixes(model, horizon)
     if solo_left not in words or solo_right not in words:
         return None
     if is_excluded_limit(model, ExecutionWord((), (solo_left[0],))) or is_excluded_limit(
@@ -665,6 +663,10 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
     processes; set agreement gets parity evidence.  Bounded failure
     alone never claims unsolvability.
     """
+    if max_depth < 0:
+        raise Unsupported("max depth must be nonnegative")
+    if task.n != model.n:
+        raise BadArity(f"task has {task.n} processes but model {model.name} has {model.n}")
     for T in range(max_depth + 1):
         PT = build_time_T(model, task, T)
         delta = search_decision_map(PT, task)
@@ -680,12 +682,15 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
         return Verdict("solvable_bounded", max_depth, T=T, delta=delta,
                        protocol=protocol, solve_report=report)
 
-    if model.n == 2 and task.name == "consensus":
+    def shaped_like(other: Task) -> bool:  # structure, never the name
+        return (task.inputs, task.outputs, task.delta.images) == (other.inputs, other.outputs, other.delta.images)
+
+    if model.n == 2 and shaped_like(inputless_consensus(2)):
         certificate = certify_consensus_impossible(model, max_depth)
         if certificate is not None:
             return Verdict("unsolvable_certified", max_depth, certificate=certificate)
     evidence = None
-    if task.name == "set-agreement" and 2 <= model.n <= 3:
+    if 2 <= model.n <= 3 and shaped_like(set_agreement(model.n)):
         evidence = sperner_evidence(model.n, min(2, max_depth), seed=seed)
     if model.is_compact():
         return Verdict("unsolvable_at_all_depths", max_depth, evidence=evidence)

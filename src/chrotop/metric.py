@@ -16,7 +16,7 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .errors import UndeterminedDistance, Unsupported
-from .models import ExecutionWord, Word
+from .models import ExecutionWord
 
 DIFFERENT_PART_DISTANCE = Fraction(2)
 

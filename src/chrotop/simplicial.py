@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InvalidCarrier, InvalidVertex, NotASimplex
+from .errors import IncompleteMap, InvalidCarrier, InvalidVertex, NotASimplex
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,6 @@ class Vertex:
 
 def label_key(label):
     """Total order key over all label kinds, so vertices sort deterministically."""
-    if isinstance(label, bool):
-        return (0, int(label))
     if isinstance(label, int):
         return (0, label)
     if isinstance(label, str):
@@ -65,9 +63,11 @@ class Simplex:
         verts = sorted(set(vertices), key=vertex_key)
         if not verts:
             raise ValueError("empty simplex")
-        pairs = {(v.color, label_string(v.label)) for v in verts}
-        if len(pairs) != len(verts):
-            raise InvalidVertex(f"distinct vertices share a (color, label) identity: {verts}")
+        # only same-color vertices can collide; rendering labels is exponential in depth
+        if len({v.color for v in verts}) < len(verts):
+            pairs = {(v.color, label_string(v.label)) for v in verts}
+            if len(pairs) != len(verts):
+                raise InvalidVertex(f"distinct vertices share a (color, label) identity: {verts}")
         self._verts = tuple(verts)
         self.key = tuple(vertex_key(v) for v in verts)
         self._hash = hash(self.key)
@@ -251,8 +251,6 @@ class SimplicialMap:
         self.mapping = dict(mapping)
 
     def __call__(self, v: Vertex) -> Vertex:
-        from .errors import IncompleteMap
-
         try:
             return self.mapping[v]
         except KeyError:

@@ -427,7 +427,7 @@ class TerminatingSubdivision:
         self._cells: dict[tuple, Simplex] = {}
         if len(base.facets) == 1:
             self._cells[()] = base.facets[0]
-        self._push_level(base, set())
+        self._levels.append(_Level(base, set()))
         self._apply_policy(0)
 
     # -- materialization ------------------------------------------------
@@ -443,9 +443,6 @@ class TerminatingSubdivision:
     def materialize(self, depth: int) -> None:
         while self.max_depth_materialized < depth:
             self._deepen()
-
-    def _push_level(self, complex_: Complex, terminated: set) -> None:
-        self._levels.append(_Level(complex_, terminated))
 
     def _apply_policy(self, k: int) -> None:
         level = self._levels[k]
@@ -477,7 +474,7 @@ class TerminatingSubdivision:
             for schedule, child in facet_children(facet).items():
                 new_cells[word + (schedule,)] = child
         self._cells.update(new_cells)
-        self._push_level(next_complex, carried)
+        self._levels.append(_Level(next_complex, carried))
         self._apply_policy(k + 1)
 
     # -- queries ---------------------------------------------------------

@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from chrotop.errors import BadIndices, Unsupported
-from chrotop.models import ExecutionWord, builtin_model, word
+from chrotop.models import ExecutionWord, ModelSpec, RoundSchedule, builtin_model, enumerate_prefixes, word
 from chrotop.simplicial import (
     CarrierMap,
     Complex,
@@ -15,6 +16,8 @@ from chrotop.simplicial import (
 )
 from chrotop.subdivision import (
     TerminatingSubdivision,
+    cell_of_word,
+    coordinates,
     edge_position,
     policy_all_at_zero,
     prefix_policy,
@@ -148,6 +151,14 @@ def test_search_deterministic():
     a = search_decision_map(build_time_T(M1, CONS, 1), CONS)
     b = search_decision_map(build_time_T(M1, CONS, 1), CONS)
     assert a == b
+
+
+def test_search_depth_exceeds_recursion_limit():
+    # P_7 has more views than the default recursion limit; the search
+    # backtracks without recursing and finds no map
+    PT = build_time_T(IIS2, CONS, 7)
+    assert len(PT.complex.vertices()) > sys.getrecursionlimit()
+    assert search_decision_map(PT, CONS) is None
 
 
 # -- connecting maps -------------------------------------------------------------
@@ -286,6 +297,56 @@ def test_certificate_m1_absent():
 def test_solve_m1_at_depth_zero_is_not_certified():
     verdict = solve(M1, CONS, 0)
     assert verdict.kind == "unsolvable_at_all_depths"
+
+
+def reference_certificate(model, depth):
+    """The interval certificate with no shortcut: the cells of every
+    allowed depth-d word, as edge intervals, merged into components."""
+    words = enumerate_prefixes(model, depth)
+    solo = [tuple(RoundSchedule(blocks) for _ in range(depth)) for blocks in (R, L)]
+    if any(w not in words for w in solo):
+        return None
+    base = CONS.inputs
+    intervals = []
+    for w in words:
+        cell = cell_of_word(base.facets[0], tuple(s.blocks for s in w))
+        positions = [edge_position(coordinates(v, base), base) for v in cell]
+        intervals.append((min(positions), max(positions)))
+    components = []
+    for lo, hi in sorted(intervals):
+        if components and lo <= components[-1][1]:
+            components[-1][1] = max(components[-1][1], hi)
+        else:
+            components.append([lo, hi])
+    components = [tuple(c) for c in components]
+    bridging = [c for c in components if c[0] <= 0 and 1 <= c[1]]
+    if not bridging:
+        return None
+    inside = [
+        str(e) for e in model.excluded
+        if bridging[0][0] <= edge_position(excluded_limit_point(base, e), base) <= bridging[0][1]
+    ]
+    return bridging[0], components, inside
+
+
+# round 2 may not be "<->" after a first "<->": the depth-1 cells bridge
+# the edge but the depth-2 cells leave a gap, so depth 1 cannot stand in
+ROUND_TWO = ModelSpec(
+    n=2, name="round-two", kind="custom",
+    predicate=lambda participants, w: not (len(w) >= 2 and w[0].blocks == B and w[1].blocks == B),
+)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("model", [IIS2, M1, M2, ROUND_TWO], ids=lambda m: m.name)
+def test_certificate_matches_full_depth_reference(model, depth):
+    cert = certify_consensus_impossible(model, depth)
+    want = reference_certificate(model, depth)
+    if want is None:
+        assert cert is None
+    else:
+        assert cert.depth == depth
+        assert (cert.component, cert.components, cert.excluded_inside) == want
 
 
 def test_certificate_requires_two_processes():

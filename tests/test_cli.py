@@ -3,7 +3,8 @@ import json
 from chrotop import cli
 from chrotop.models import builtin_model
 from chrotop.protocol import DecisionProtocol, ball_id, extract_map, view_depth, winner_protocol
-from chrotop.tasks import inputless_consensus
+from chrotop.simplicial import CarrierMap, Complex, Simplex, Vertex
+from chrotop.tasks import Task, inputless_consensus
 
 
 def run_cli(*argv):
@@ -122,3 +123,29 @@ def test_model_and_task_from_json_files(tmp_path):
     code = run_cli("check", "--model", str(model_path), "--task", str(task_path),
                    "--max-depth", "3", "--out", str(tmp_path / "v.json"))
     assert code == 10
+
+
+def test_check_rejects_negative_depth_and_arity_mismatch(capsys):
+    assert run_cli("check", "--model", "iis2", "--task", "consensus", "--max-depth", "-1") == 2
+    assert "max depth" in capsys.readouterr().err
+    assert run_cli("check", "--model", "iis2", "--task", "consensus:3", "--max-depth", "1") == 2
+    assert "3 processes" in capsys.readouterr().err
+
+
+def test_check_dispatches_on_task_structure_not_name(tmp_path):
+    # approximate agreement on {0, h, 1}, named "consensus": no map at
+    # time 0, yet solvable at time 1, so no interval certificate applies
+    near = [(0, 0), (0, "h"), ("h", 0), ("h", "h"), ("h", 1), (1, "h"), (1, 1)]
+    outputs = Complex([Simplex([Vertex(0, a), Vertex(1, b)]) for a, b in near])
+    base = inputless_consensus(2).inputs
+    images = {s: outputs for s in base.simplexes() if len(s) == 2}
+    images.update({s: Complex([s]) for s in base.simplexes() if len(s) == 1})
+    task = Task("consensus", base, outputs, CarrierMap(images))
+    path = tmp_path / "approx.json"
+    path.write_text(json.dumps(task.to_json_obj()))
+    out0, out1 = tmp_path / "d0.json", tmp_path / "d1.json"
+    assert run_cli("check", "--model", "iis2", "--task", str(path),
+                   "--max-depth", "0", "--out", str(out0)) == 11
+    assert run_cli("check", "--model", "iis2", "--task", str(path),
+                   "--max-depth", "1", "--out", str(out1)) == 0
+    assert json.loads(out1.read_text())["T"] == 1

@@ -64,6 +64,11 @@ def test_duplicate_identity_rejected():
     # two distinct labels rendering to the same printable identity
     with pytest.raises(InvalidVertex):
         Simplex([Vertex(0, 1), Vertex(0, "1")])
+    # the collision may sit inside nested view labels
+    with pytest.raises(InvalidVertex):
+        Simplex([Vertex(0, Simplex([Vertex(0, 1)])), Vertex(0, Simplex([Vertex(0, "1")]))])
+    # vertices of different colors never collide, whatever their labels render to
+    assert len(Simplex([Vertex(0, 1), Vertex(1, "1")])) == 2
 
 
 def test_star_examples():
