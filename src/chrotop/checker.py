@@ -70,9 +70,6 @@ class TimeTComplex:
     task: Task
     executions: list[Execution]
 
-    def balls(self) -> tuple[Vertex, ...]:
-        return self.complex.vertices()
-
 
 def build_time_T(model: ModelSpec, task: Task, T: int) -> TimeTComplex:
     """Vertices are depth-T views over all allowed executions; a set of

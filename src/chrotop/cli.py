@@ -21,7 +21,7 @@ from .models import ModelSpec, builtin_model, load_model_json
 from .protocol import builtin_protocol, check_solves, table_protocol
 from .render import render_dot, render_svg
 from .simplicial import Complex, Simplex, Vertex, label_string
-from .subdivision import chr_iterate, diameter_Dk
+from .subdivision import chr_iterate, diameter
 from .tasks import Task, inputless_consensus, load_task_json, set_agreement
 
 
@@ -63,7 +63,7 @@ def cmd_subdivide(args) -> int:
     n = args.simplex + 1
     base = Complex([Simplex(Vertex(i, i) for i in range(n))])
     K = chr_iterate(base, args.k)
-    d_k = diameter_Dk(base, args.k)
+    d_k = diameter(K, base)
     print(f"facets: {len(K.facets)}")
     print(f"vertices: {len(K.vertices())}")
     print(f"D_{args.k}: {d_k}")

@@ -34,9 +34,6 @@ class ViewSequence:
     def __len__(self):
         return len(self.entries)
 
-    def truncate(self, length: int) -> "ViewSequence":
-        return ViewSequence(self.color, self.entries[:length], False)
-
 
 def view_distance(a: ViewSequence, b: ViewSequence) -> Fraction:
     """2**-T for the first index T where the views differ; 0 for equal

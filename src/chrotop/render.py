@@ -132,9 +132,10 @@ def render_dot(K: Complex) -> str:
     containment, lowest-dimensional faces at the bottom."""
     simplexes = K.simplexes()
     ids = {s: f"s{i}" for i, s in enumerate(simplexes)}
+    names = {v: f"{v.color}:{label_string(v.label)}" for v in K.vertices()}
     lines = ["digraph faceposet {", "  rankdir=BT;"]
     for s in simplexes:
-        label = "|".join(f"{v.color}:{label_string(v.label)}" for v in s)
+        label = "|".join(names[v] for v in s)
         lines.append(f'  {ids[s]} [label="{label}"];')
     for s in simplexes:
         if s.dim == 0:

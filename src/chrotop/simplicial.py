@@ -203,12 +203,10 @@ class Complex:
 
     def to_json_obj(self) -> dict:
         n = max(self.colors()) + 1
+        labels = {v: label_string(v.label) for v in self.vertices()}
         return {
             "n": n,
-            "facets": [
-                [{"color": v.color, "label": label_string(v.label)} for v in f]
-                for f in self.facets
-            ],
+            "facets": [[{"color": v.color, "label": labels[v]} for v in f] for f in self.facets],
         }
 
     def to_json(self) -> str:

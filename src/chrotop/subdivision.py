@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BaseMismatch,
@@ -110,12 +112,13 @@ def cell_of_word(base_facet: Simplex, word: Sequence[Schedule]) -> Simplex:
 class BarycentricPoint:
     """An exact point of the geometric realization of `base`.
 
-    Stored as nonnegative rational weights over base vertices that sum
-    to one and whose support spans a simplex of the base.  Hashable, so
-    it can serve as a geometric vertex identity.
+    Stored as one read-only mapping, in canonical vertex order, from base
+    vertices to nonnegative rational weights that sum to one and whose
+    support spans a simplex of the base.  Hashable, so it can serve as a
+    geometric vertex identity.
     """
 
-    __slots__ = ("items", "base", "_hash")
+    __slots__ = ("_weights", "base", "_hash")
 
     def __init__(self, weights: dict[Vertex, Fraction], base: Complex):
         items = tuple(
@@ -125,29 +128,30 @@ class BarycentricPoint:
         if sum(w for _, w in items) != 1:
             raise ValueError("barycentric weights must sum to exactly 1")
         support = Simplex(v for v, _ in items)
-        if any(v not in set(base.vertices()) for v, _ in items) or support not in base:
+        if support not in base:
             raise UnknownVertex(f"support {support!r} is not a simplex of the base")
-        self.items = items
+        self._weights = MappingProxyType(dict(items))
         self.base = base
-        self._hash = hash((self.items, base.facets))
+        self._hash = hash((items, base.facets))
 
     @property
-    def weights(self) -> dict[Vertex, Fraction]:
-        return dict(self.items)
+    def weights(self) -> Mapping[Vertex, Fraction]:
+        return self._weights
+
+    @property
+    def items(self) -> tuple[tuple[Vertex, Fraction], ...]:
+        return tuple(self._weights.items())
 
     def weight(self, v: Vertex) -> Fraction:
-        for u, w in self.items:
-            if u == v:
-                return w
-        return Fraction(0)
+        return self._weights.get(v, Fraction(0))
 
     def support(self) -> Simplex:
-        return Simplex(v for v, _ in self.items)
+        return Simplex(self._weights)
 
     def __eq__(self, other):
         return (
             isinstance(other, BarycentricPoint)
-            and self.items == other.items
+            and self._weights == other._weights
             and self.base.facets == other.base.facets
         )
 
@@ -164,17 +168,23 @@ class BarycentricPoint:
         return self.__str__()
 
 
-def _raw_coordinates(v: Vertex, memo: dict) -> dict[Vertex, Fraction]:
-    """Weights of a subdivision vertex over the base, by recursive placement.
+# Bounds the points kept alive (about 0.7 kB each over the edge).  Every
+# vertex of levels 0..9 of the subdivided edge (about 30k) or 0..4 of the
+# triangle (about 16k) fits.
+_COORDINATES_MAXSIZE = 1 << 15
+
+
+@lru_cache(maxsize=_COORDINATES_MAXSIZE)
+def coordinates(v: Vertex, base: Complex) -> BarycentricPoint:
+    """Exact barycentric coordinates of a (possibly iterated) subdivision
+    vertex relative to `base`.
 
     A vertex (p, sigma) one level up puts weight 1/(2m-1) on its own
     color's corner of sigma and 2/(2m-1) on each other corner, m = |sigma|.
+    A vertex that does not bottom out in `base` raises `UnknownVertex`.
     """
     if not isinstance(v.label, Simplex):
-        return {v: Fraction(1)}
-    got = memo.get(v)
-    if got is not None:
-        return got
+        return BarycentricPoint({v: Fraction(1)}, base)
     carrier = v.label
     m = len(carrier)
     own = Fraction(1, 2 * m - 1)
@@ -182,30 +192,16 @@ def _raw_coordinates(v: Vertex, memo: dict) -> dict[Vertex, Fraction]:
     out: dict[Vertex, Fraction] = {}
     for u in carrier:
         w = own if u.color == v.color else other
-        for b, q in _raw_coordinates(u, memo).items():
+        for b, q in coordinates(u, base).weights.items():
             out[b] = out.get(b, Fraction(0)) + w * q
-    memo[v] = out
-    return out
-
-
-_COORD_MEMO: dict[Vertex, dict[Vertex, Fraction]] = {}
-
-
-def coordinates(v: Vertex, base: Complex) -> BarycentricPoint:
-    """Exact barycentric coordinates of a (possibly iterated) subdivision
-    vertex relative to `base`."""
-    raw = _raw_coordinates(v, _COORD_MEMO)
-    base_vs = set(base.vertices())
-    if any(b not in base_vs for b in raw):
-        raise UnknownVertex(f"{v!r} does not bottom out in the given base complex")
-    return BarycentricPoint(raw, base)
+    return BarycentricPoint(out, base)
 
 
 def geometric_distance(x: BarycentricPoint, y: BarycentricPoint) -> Fraction:
     """Half the 1-norm of the weight difference; base edges have length 1."""
     if x.base.facets != y.base.facets:
         raise BaseMismatch("points live over different base complexes")
-    keys = set(x.weights) | set(y.weights)
+    keys = x.weights.keys() | y.weights.keys()
     return sum((abs(x.weight(k) - y.weight(k)) for k in keys), Fraction(0)) / 2
 
 
@@ -435,10 +431,6 @@ class TerminatingSubdivision:
     @property
     def max_depth_materialized(self) -> int:
         return len(self._levels) - 1
-
-    def level(self, k: int) -> Complex:
-        self.materialize(k)
-        return self._levels[k].complex
 
     def materialize(self, depth: int) -> None:
         while self.max_depth_materialized < depth:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import BadArity
+from .errors import BadArity, Unsupported
 from .simplicial import (
     CarrierMap,
     CarrierReport,
@@ -116,6 +116,8 @@ def validate_task(task: Task) -> TaskReport:
 
 
 def load_task_json_obj(obj: dict) -> Task:
+    if not isinstance(obj, dict):
+        raise Unsupported("a task must be a JSON object")
     inputs = Complex.from_json_obj({"facets": obj["inputs"]})
     outputs = Complex.from_json_obj({"facets": obj["outputs"]})
     images = {}

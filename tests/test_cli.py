@@ -67,6 +67,18 @@ def test_check_parse_failure_exit_two(tmp_path, capsys):
     assert run_cli("check", "--model", str(bad), "--task", "consensus") == 2
 
 
+def test_check_rejects_malformed_model_and_task_files(tmp_path, capsys):
+    bad_first = tmp_path / "first.json"
+    bad_first.write_text('{"n":2,"kind":"firstRoundRestricted","allowedFirstRounds":[[[0]]]}')
+    array = tmp_path / "array.json"
+    array.write_text('[{"n": 2}]')
+    capsys.readouterr()
+    for model, task in ((bad_first, "consensus"), (array, "consensus"), ("m1", array)):
+        assert run_cli("check", "--model", str(model), "--task", str(task), "--max-depth", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("check", "--model", "m2", "--task", "consensus", "--max-depth", "4", "--out", str(a))

@@ -113,6 +113,20 @@ def test_model_json_round_trip():
             assert enumerate_prefixes(loaded, depth) == enumerate_prefixes(model, depth)
 
 
+@pytest.mark.parametrize("obj", [
+    [{"n": 2}],
+    {"n": 0},
+    {"n": 9},
+    {"n": 2, "kind": "firstRoundRestricted", "allowedFirstRounds": [[[0]]]},
+    {"n": 2, "kind": "firstRoundRestricted", "allowedFirstRounds": [[[0], [1]], [[0], [1, 2]]]},
+    {"n": 2, "excluded": [{"stem": [], "cycle": [[[0]]]}]},
+    {"n": 2, "excluded": [{"stem": [[[0, 1, 2]]], "cycle": ["<-"]}]},
+], ids=["array", "n0", "n9", "first-round-short", "first-round-foreign", "cycle-short", "stem-foreign"])
+def test_load_rejects_malformed_models(obj):
+    with pytest.raises(Unsupported):
+        load_model_json(json.dumps(obj))
+
+
 def test_sub_participation_unrestricted():
     m1 = builtin_model("m1")
     solo = frozenset({1})

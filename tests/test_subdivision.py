@@ -150,6 +150,22 @@ def test_unknown_vertex_raises():
     v = chr_subdivision(EDGE).vertices()[0]
     with pytest.raises(UnknownVertex):
         coordinates(v, other_base)
+    # a stable-complex vertex is labeled by its point, not by a carrier
+    geometric = Vertex(v.color, coordinates(v, EDGE))
+    with pytest.raises(UnknownVertex):
+        coordinates(geometric, EDGE)
+
+
+def test_coordinates_build_each_point_once():
+    v = chr_iterate(EDGE, 2).vertices()[3]
+    pt = coordinates(v, EDGE)
+    # an equal vertex rebuilt from scratch gets the very same point
+    assert coordinates(chr_iterate(EDGE, 2).vertices()[3], EDGE) is pt
+    assert coordinates.cache_info().maxsize is not None
+    with pytest.raises(TypeError):
+        pt.weights[EDGE.vertices()[0]] = Fraction(1)
+    with pytest.raises(AttributeError):
+        pt.weights = {}
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
