@@ -27,7 +27,7 @@ from .protocol import (
     Execution,
     all_executions,
     check_solves,
-    execution_configurations,
+    shared_configurations,
     synthesize_from_time_map,
     view_ancestor,
     ball_id,
@@ -49,7 +49,7 @@ from .subdivision import (
     cell_of_word,
     chr_iterate,
     coordinates,
-    diameter_Dk,
+    diameters_Dk,
     edge_position,
     geometric_containment,
     geometric_distance,
@@ -79,10 +79,10 @@ def build_time_T(model: ModelSpec, task: Task, T: int) -> TimeTComplex:
     if T < 0:
         raise Unsupported("time must be nonnegative")
     executions = all_executions(model, task.inputs, T)
-    simplexes_by_execution: list[tuple[Execution, Simplex]] = []
-    for execution in executions:
-        final = execution_configurations(execution)[-1]
-        simplexes_by_execution.append((execution, final))
+    simplexes_by_execution = [
+        (execution, configs[-1])
+        for execution, configs in zip(executions, shared_configurations(executions))
+    ]
     complex_ = Complex([s for _, s in simplexes_by_execution])
     images: dict[Simplex, Complex] = {}
     for sigma in task.inputs.simplexes():
@@ -264,22 +264,25 @@ def verify_termination_certificate(
     base_facet = base.facets[0]
     stable_cells = tsub.stable_cells(depth)
 
-    # (a) admissibility at depth
-    uncovered = []
-    for word in enumerate_prefixes(model, depth):
-        covered = False
-        for k in range(depth + 1):
-            cell_pts = geometric_simplex(
-                cell_of_word(base_facet, tuple(s.blocks for s in word[:k])), base
+    # (a) admissibility at depth, decided once per prefix cell: a word is
+    # covered when the cell of one of its prefixes is
+    covered_cells: dict[Simplex, bool] = {}
+
+    def covered(k: int, cell: Simplex) -> bool:
+        if cell not in covered_cells:
+            cell_pts = geometric_simplex(cell, base)
+            covered_cells[cell] = any(
+                sc.depth <= k and geometric_containment(cell_pts, sc.points)
+                for sc in stable_cells
             )
-            for sc in stable_cells:
-                if sc.depth <= k and geometric_containment(cell_pts, sc.points):
-                    covered = True
-                    break
-            if covered:
-                break
-        if not covered:
-            uncovered.append(word)
+        return covered_cells[cell]
+
+    words = enumerate_prefixes(model, depth)
+    cells = shared_configurations(Execution(base_facet, word) for word in words)
+    uncovered = [
+        word for word, prefix_cells in zip(words, cells)
+        if not any(covered(k, cell) for k, cell in enumerate(prefix_cells))
+    ]
     only_excluded = bool(uncovered) and all(
         _word_is_excluded_prefix(w, model) for w in uncovered
     )
@@ -307,7 +310,7 @@ def verify_termination_certificate(
             stable_vertices[v] = max(stable_vertices.get(v, 0), sc.depth)
     continuous = True
     continuity_witness = None
-    diameters = {k: diameter_Dk(base, k) for k in range(depth + 1)}
+    diameters = diameters_Dk(base, depth)
     verts = sorted(stable_vertices, key=vertex_key)
     for v in verts:
         radius = diameters[stable_vertices[v]]

@@ -264,13 +264,16 @@ def load_model_json_obj(obj: dict) -> ModelSpec:
     """A model from its JSON object; malformed input raises `Unsupported`."""
     if not isinstance(obj, dict):
         raise Unsupported("a model must be a JSON object")
-    n = int(obj["n"])
+    try:
+        n = int(obj["n"])
+        first = obj.get("allowedFirstRounds")
+        first_rounds = tuple(RoundSchedule.parse(s) for s in first) if first is not None else None
+        excluded = tuple(ExecutionWord.parse(e) for e in obj.get("excluded", []))
+    except TypeError as exc:  # a nested value of the wrong JSON type
+        raise Unsupported(f"malformed model: {exc}") from None
     if not 1 <= n <= MAX_PROCESSES:
         raise Unsupported(f"models support 1..{MAX_PROCESSES} processes, not {n}")
     kind = obj.get("kind", "custom")
-    first = obj.get("allowedFirstRounds")
-    first_rounds = tuple(RoundSchedule.parse(s) for s in first) if first is not None else None
-    excluded = tuple(ExecutionWord.parse(e) for e in obj.get("excluded", []))
     for letter in (first_rounds or ()) + tuple(s for e in excluded for s in e.stem + e.cycle):
         if set().union(*letter.blocks) != set(range(n)):  # blocks are already disjoint
             raise Unsupported(f"round {letter} is not an ordered partition of 0..{n - 1}")

@@ -11,7 +11,8 @@ as canonical ball representatives of the view ultrametric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
     IncompleteMap,
@@ -25,7 +26,7 @@ from .simplicial import Complex, Simplex, SimplicialMap, Vertex, label_string
 from .subdivision import (
     apply_schedule,
     coordinates,
-    diameter_Dk,
+    diameters_Dk,
     geometric_distance,
 )
 from .tasks import Task
@@ -102,6 +103,32 @@ def execution_configurations(execution: Execution) -> list[Simplex]:
     for schedule in execution.word:
         configs.append(apply_schedule(configs[-1], schedule.blocks))
     return configs
+
+
+def shared_configurations(executions: Iterable[Execution]) -> Iterator[list[Simplex]]:
+    """Yield `execution_configurations` of each execution in turn.
+
+    Each configuration is one `apply_schedule` from its parent, and the
+    prefix an execution shares with the previous one keeps that
+    execution's configuration objects.  So executions in prefix order, as
+    `all_executions` and `enumerate_prefixes` list them, build every
+    (input face, schedule prefix) configuration once and share it.  Only
+    the previous path is kept: memory does not grow with the executions.
+    """
+    face, word, configs = None, (), []
+    for execution in executions:
+        if execution.face != face:
+            face, word, configs = execution.face, (), [execution.face]
+        shared = 0
+        for a, b in zip(word, execution.word):
+            if a != b:
+                break
+            shared += 1
+        configs = configs[:shared + 1]
+        for schedule in execution.word[shared:]:
+            configs.append(apply_schedule(configs[-1], schedule.blocks))
+        word = execution.word
+        yield configs
 
 
 def all_executions(model: ModelSpec, inputs: Complex, depth: int) -> list[Execution]:
@@ -199,8 +226,8 @@ def run(protocol: DecisionProtocol, model: ModelSpec, inputs: Complex, depth: in
     """Evaluate the protocol along every execution shadow of the given
     depth, checking irrevocability step by step."""
     outcomes = []
-    for execution in all_executions(model, inputs, depth):
-        configs = execution_configurations(execution)
+    executions = all_executions(model, inputs, depth)
+    for execution, configs in zip(executions, shared_configurations(executions)):
         decisions: dict[int, Optional[DecisionRecord]] = {}
         for color in sorted(execution.participants):
             record: Optional[DecisionRecord] = None
@@ -263,6 +290,10 @@ def check_solves(protocol: DecisionProtocol, task: Task, model: ModelSpec, depth
 
 # -- protocol from a decision map ---------------------------------------------
 
+# Bounds the ball-rule answers one protocol keeps, one per (color, view):
+# every view of the two-process models up to depth 7 fits.
+_BALL_ATTEMPTS_MAXSIZE = 1 << 15
+
 
 def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> DecisionProtocol:
     """Ball rule over a terminating subdivision: at round k, gather the
@@ -274,13 +305,15 @@ def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> De
     vertices and must cover every stable vertex it is asked about.
     """
     tsub.materialize(max_depth)
-    diameters = {k: diameter_Dk(tsub.base, k) for k in range(max_depth + 1)}
+    diameters = diameters_Dk(tsub.base, max_depth)
     stable_by_color: dict[int, list[Vertex]] = {}
     stable = tsub.stable_complex(max_depth)
     if stable is not None:
         for v in stable.vertices():
             stable_by_color.setdefault(v.color, []).append(v)
 
+    # a view's ball is asked for again by every later round and execution
+    @lru_cache(maxsize=_BALL_ATTEMPTS_MAXSIZE)
     def attempt(color: int, view: Vertex):
         k = min(view_depth(view), max_depth)
         point = coordinates(view, tsub.base)

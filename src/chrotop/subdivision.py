@@ -222,9 +222,22 @@ def diameter(K: Complex, base: Complex) -> Fraction:
     return best
 
 
+def diameters_Dk(base: Complex, depth: int) -> list[Fraction]:
+    """D_0..D_depth, the cell diameters of the chromatic subdivisions of
+    `base`, from one pass of `depth` subdivision rounds."""
+    if depth < 0:
+        raise Unsupported("subdivision depth must be nonnegative")
+    K = base
+    out = [diameter(K, base)]
+    for _ in range(depth):
+        K = chr_subdivision(K)
+        out.append(diameter(K, base))
+    return out
+
+
 def diameter_Dk(base: Complex, k: int) -> Fraction:
     """Diameter of the cells of the k-th chromatic subdivision of `base`."""
-    return diameter(chr_iterate(base, k), base)
+    return diameters_Dk(base, k)[-1]
 
 
 def _det(matrix: list[list[Fraction]]) -> Fraction:

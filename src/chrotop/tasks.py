@@ -118,12 +118,15 @@ def validate_task(task: Task) -> TaskReport:
 def load_task_json_obj(obj: dict) -> Task:
     if not isinstance(obj, dict):
         raise Unsupported("a task must be a JSON object")
-    inputs = Complex.from_json_obj({"facets": obj["inputs"]})
-    outputs = Complex.from_json_obj({"facets": obj["outputs"]})
-    images = {}
-    for entry in obj["delta"]:
-        simplex = Complex.from_json_obj({"facets": [entry["simplex"]]}).facets[0]
-        images[simplex] = Complex.from_json_obj({"facets": entry["image"]})
+    try:
+        inputs = Complex.from_json_obj({"facets": obj["inputs"]})
+        outputs = Complex.from_json_obj({"facets": obj["outputs"]})
+        images = {}
+        for entry in obj["delta"]:
+            simplex = Complex.from_json_obj({"facets": [entry["simplex"]]}).facets[0]
+            images[simplex] = Complex.from_json_obj({"facets": entry["image"]})
+    except TypeError as exc:  # a nested value of the wrong JSON type
+        raise Unsupported(f"malformed task: {exc}") from None
     return Task(obj.get("name", "custom"), inputs, outputs, CarrierMap(images))
 
 

@@ -13,12 +13,19 @@ from chrotop.simplicial import (
     Vertex,
     carried_by,
     check_simplicial_chromatic,
+    vertex_key,
 )
 from chrotop.subdivision import (
     TerminatingSubdivision,
+    apply_schedule,
     cell_of_word,
+    chr_iterate,
     coordinates,
+    diameter,
     edge_position,
+    geometric_containment,
+    geometric_distance,
+    geometric_simplex,
     policy_all_at_zero,
     prefix_policy,
 )
@@ -27,7 +34,10 @@ from chrotop.protocol import (
     execution_configurations,
 )
 from chrotop.tasks import Task, inputless_consensus, set_agreement
+import chrotop.protocol
 from chrotop.checker import (
+    TerminationCertificateReport,
+    _excluded_point_values,
     build_time_T,
     certify_consensus_impossible,
     connecting_map_fST,
@@ -197,6 +207,23 @@ def test_projection_consistency():
                     assert f_st(configs[t].vertex_of_color(color)) == configs[s].vertex_of_color(color)
 
 
+@pytest.mark.parametrize("model, calls", [(IIS2, 373), (M1, 252)])
+def test_time_T_build_applies_each_schedule_prefix_once(monkeypatch, model, calls):
+    # iis2 at T=5: 3+9+27+81+243 full-participation prefixes plus 5 per
+    # solo face; m1 keeps two first rounds: 2+6+18+54+162 plus 2x5.
+    # Replaying every iis2 execution from round 0 makes 5 x 245 = 1225.
+    applied = 0
+
+    def counting(facet, schedule):
+        nonlocal applied
+        applied += 1
+        return apply_schedule(facet, schedule)
+
+    monkeypatch.setattr(chrotop.protocol, "apply_schedule", counting)
+    build_time_T(model, CONS, 5)
+    assert applied == calls
+
+
 def test_connecting_map_bad_indices():
     with pytest.raises(BadIndices):
         connecting_map_fST(build_time_T(IIS2, CONS, 1), build_time_T(IIS2, CONS, 2))
@@ -250,6 +277,75 @@ def test_termination_certificate_non_simplicial_map_fails_carrier():
     report = verify_termination_certificate(ts, delta, IIS2, CONS, 0)
     assert not report.carried
     assert report.carrier_witness is not None
+
+
+def reference_termination_report(ts, delta, model, task, depth):
+    """The certificate checked word by word: every prefix cell of every
+    word rebuilt and tested afresh, D_k from the k-th subdivision."""
+    base = ts.base
+    base_facet = base.facets[0]
+    stable_cells = ts.stable_cells(depth)
+    uncovered = []
+    for w in enumerate_prefixes(model, depth):
+        cells = [cell_of_word(base_facet, tuple(s.blocks for s in w[:k])) for k in range(depth + 1)]
+        if not any(
+            sc.depth <= k and geometric_containment(geometric_simplex(cell, base), sc.points)
+            for k, cell in enumerate(cells) for sc in stable_cells
+        ):
+            uncovered.append(w)
+    only_excluded = bool(uncovered) and all(
+        any(w == e.prefix(len(w)) for e in model.excluded) for w in uncovered
+    )
+    carrier_witness = None
+    for sc in stable_cells:
+        support = {v for pt in sc.points for v in pt.weights}
+        sigma_min = Simplex(v for v in base_facet if v in support)
+        image = delta.image(sc.geom_simplex())
+        if image not in task.delta(sigma_min):
+            carrier_witness = (sigma_min, sc.simplex, image)
+            break
+    stable_depth = {}
+    for sc in stable_cells:
+        for v in sc.geom_simplex():
+            stable_depth[v] = max(stable_depth.get(v, 0), sc.depth)
+    verts = sorted(stable_depth, key=vertex_key)
+    continuity_witness = next((
+        (v, w, delta(v).label, delta(w).label)
+        for v in verts for w in verts
+        if w.color == v.color and w != v
+        and geometric_distance(v.label, w.label) <= diameter(chr_iterate(base, stable_depth[v]), base)
+        and delta(v).label != delta(w).label
+    ), None)
+    closure_witness = None
+    if model.excluded and model.n == 2:
+        for e in model.excluded:
+            verdict = _excluded_point_values(ts, delta, e, depth)
+            if verdict is not None and len(verdict["values"]) > 1:
+                closure_witness = verdict
+                break
+    return TerminationCertificateReport(
+        admissible=not uncovered,
+        uncovered=uncovered,
+        uncovered_only_excluded=only_excluded,
+        carried=carrier_witness is None,
+        carrier_witness=carrier_witness,
+        continuous=continuity_witness is None and closure_witness is None,
+        continuity_witness=continuity_witness,
+        closure_witness=closure_witness,
+    )
+
+
+@pytest.mark.parametrize("model, policy, depth", [
+    (M1, M1_POLICY, 5),
+    (M2, m2_naive_policy(5), 5),
+    (IIS2, M1_POLICY, 4),  # words through the first-round <-> cell stay uncovered
+    (IIS2, m2_naive_policy(3), 3),
+], ids=["m1-prefix-d5", "m2-naive-d5", "iis2-m1-prefix-d4", "iis2-m2-naive-d3"])
+def test_termination_certificate_matches_per_word_reference(model, policy, depth):
+    ts = TerminatingSubdivision(CONS.inputs, policy)
+    delta = split_delta(ts.stable_complex(depth), CONS.inputs)
+    report = verify_termination_certificate(ts, delta, model, CONS, depth)
+    assert report == reference_termination_report(ts, delta, model, CONS, depth)
 
 
 def test_excluded_limit_point_position():

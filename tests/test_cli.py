@@ -72,8 +72,14 @@ def test_check_rejects_malformed_model_and_task_files(tmp_path, capsys):
     bad_first.write_text('{"n":2,"kind":"firstRoundRestricted","allowedFirstRounds":[[[0]]]}')
     array = tmp_path / "array.json"
     array.write_text('[{"n": 2}]')
+    int_excluded = tmp_path / "int-excluded.json"
+    int_excluded.write_text('{"n":2,"excluded":[1]}')
+    int_delta = tmp_path / "int-delta.json"
+    int_delta.write_text(json.dumps(dict(inputless_consensus(2).to_json_obj(), delta=[1])))
     capsys.readouterr()
-    for model, task in ((bad_first, "consensus"), (array, "consensus"), ("m1", array)):
+    cases = ((bad_first, "consensus"), (array, "consensus"), ("m1", array),
+             (int_excluded, "consensus"), ("m1", int_delta))
+    for model, task in cases:
         assert run_cli("check", "--model", str(model), "--task", str(task), "--max-depth", "1") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err

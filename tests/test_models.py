@@ -121,7 +121,13 @@ def test_model_json_round_trip():
     {"n": 2, "kind": "firstRoundRestricted", "allowedFirstRounds": [[[0], [1]], [[0], [1, 2]]]},
     {"n": 2, "excluded": [{"stem": [], "cycle": [[[0]]]}]},
     {"n": 2, "excluded": [{"stem": [[[0, 1, 2]]], "cycle": ["<-"]}]},
-], ids=["array", "n0", "n9", "first-round-short", "first-round-foreign", "cycle-short", "stem-foreign"])
+    {"n": [2]},
+    {"n": 2, "allowedFirstRounds": 5},
+    {"n": 2, "allowedFirstRounds": [[0, 1]]},
+    {"n": 2, "excluded": [1]},
+    {"n": 2, "excluded": [["<->"]]},
+], ids=["array", "n0", "n9", "first-round-short", "first-round-foreign", "cycle-short", "stem-foreign",
+        "n-list", "first-rounds-int", "first-round-flat", "excluded-int", "excluded-list"])
 def test_load_rejects_malformed_models(obj):
     with pytest.raises(Unsupported):
         load_model_json(json.dumps(obj))

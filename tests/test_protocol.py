@@ -11,7 +11,11 @@ from chrotop.models import builtin_model
 from chrotop.simplicial import SimplicialMap, Vertex, carried_by, check_simplicial_chromatic
 from chrotop.subdivision import (
     TerminatingSubdivision,
+    chr_iterate,
+    coordinates,
+    diameter,
     edge_position,
+    geometric_distance,
     policy_all_at_zero,
     prefix_policy,
 )
@@ -26,8 +30,10 @@ from chrotop.protocol import (
     never_protocol,
     own_input_protocol,
     run,
+    shared_configurations,
     synthesize_from_stable_map,
     synthesize_from_time_map,
+    view_chain,
     view_depth,
     winner_protocol,
 )
@@ -115,6 +121,42 @@ def test_ball_rule_end_to_end_on_m1():
     assert check_solves(proto, CONS, M1, 3).status == "PASS"
 
 
+def reference_ball_rule(delta, ts, max_depth):
+    """The ball rule with nothing remembered between calls: every round's
+    ball is gathered afresh, with D_k from the k-th subdivision."""
+    base = ts.base
+    stable = ts.stable_complex(max_depth).vertices()
+
+    def decide(color, view):
+        for v in view_chain(view):
+            k = min(view_depth(v), max_depth)
+            radius = diameter(chr_iterate(base, k), base)
+            point = coordinates(v, base)
+            values = {
+                delta(w).label for w in stable
+                if w.color == color and geometric_distance(point, w.label) <= radius
+            }
+            if len(values) == 1:
+                return values.pop()
+        return None
+
+    return decide
+
+
+@pytest.mark.parametrize("max_depth", [2, 3])
+def test_ball_rule_matches_uncached_reference_on_every_m1_view(max_depth):
+    ts = TerminatingSubdivision(CONS.inputs, M1_POLICY)
+    delta = split_delta(ts.stable_complex(max_depth), CONS.inputs)
+    proto = synthesize_from_stable_map(delta, ts, max_depth)
+    reference = reference_ball_rule(delta, ts, max_depth)
+    views = {v for T in range(6) for v in build_time_T(M1, CONS, T).complex.vertices()}
+    for v in views:
+        assert proto(v.color, v) == reference(v.color, v)
+    # asked again, in the reverse order, the remembered answers agree
+    for v in sorted(views, key=view_depth, reverse=True):
+        assert proto(v.color, v) == reference(v.color, v)
+
+
 def test_ball_rule_constant_map_decides_at_zero():
     ts = TerminatingSubdivision(CONS.inputs, policy_all_at_zero)
     stable = ts.stable_complex(0)
@@ -185,6 +227,22 @@ def test_decision_locality_equal_views_equal_decisions():
                 if v in seen:
                     assert seen[v] == answer
                 seen[v] = answer
+
+
+@pytest.mark.parametrize("model, max_depth", [("iis2", 4), ("m1", 4), ("m2", 4), ("iis3", 2)])
+def test_shared_configurations_match_replay(model, max_depth):
+    spec = builtin_model(model)
+    inputs = inputless_consensus(spec.n).inputs
+    for depth in range(max_depth + 1):
+        executions = all_executions(spec, inputs, depth)
+        shared = list(shared_configurations(executions))
+        assert len(shared) == len(executions)
+        first_built = {}
+        for execution, configs in zip(executions, shared):
+            assert configs == execution_configurations(execution)
+            for t, config in enumerate(configs):
+                key = (execution.face, execution.word[:t])
+                assert first_built.setdefault(key, config) is config
 
 
 def test_builtin_protocol_lookup():

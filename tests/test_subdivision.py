@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from chrotop.errors import NotChromatic, UnknownVertex, UnsupportedCoarsening
+from chrotop.errors import NotChromatic, UnknownVertex, Unsupported, UnsupportedCoarsening
 from chrotop.simplicial import Complex, Simplex, Vertex
 from chrotop.subdivision import (
     TerminatingSubdivision,
@@ -11,7 +11,9 @@ from chrotop.subdivision import (
     chr_iterate,
     chr_subdivision,
     coordinates,
+    diameter,
     diameter_Dk,
+    diameters_Dk,
     edge_position,
     facet_children,
     geometric_simplex,
@@ -178,6 +180,15 @@ def test_diameters_strictly_decrease():
     assert all(a > b for a, b in zip(values, values[1:]))
     tri = [diameter_Dk(TRIANGLE, k) for k in range(3)]
     assert all(a > b for a, b in zip(tri, tri[1:]))
+
+
+@pytest.mark.parametrize("base, depth", [(EDGE, 5), (TRIANGLE, 2)])
+def test_diameter_table_matches_each_level_subdivided_afresh(base, depth):
+    table = diameters_Dk(base, depth)
+    assert table == [diameter(chr_iterate(base, k), base) for k in range(depth + 1)]
+    assert diameter_Dk(base, depth) == table[-1]
+    with pytest.raises(Unsupported):
+        diameter_Dk(base, -1)
 
 
 @pytest.mark.parametrize("base,k", [(EDGE, 1), (EDGE, 2), (EDGE, 3), (TRIANGLE, 1), (TRIANGLE, 2)])

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from chrotop.errors import BadArity
+from chrotop.errors import BadArity, Unsupported
 from chrotop.simplicial import CarrierMap, Complex, Simplex, Vertex
 from chrotop.tasks import (
     Task,
@@ -96,8 +98,6 @@ def test_broken_delta_monotonicity_witnessed():
 
 def test_json_round_trip():
     task = inputless_consensus(2)
-    import json
-
     text = json.dumps(task.to_json_obj())
     loaded = load_task_json(text)
     assert loaded.inputs.facets == task.inputs.facets
@@ -105,3 +105,16 @@ def test_json_round_trip():
     for s in task.inputs.simplexes():
         assert loaded.delta(s).facets == task.delta(s).facets
     assert validate_task(loaded).valid
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta", [1]),
+    ("delta", [{"simplex": 1, "image": []}]),
+    ("inputs", 5),
+    ("inputs", [[5]]),
+    ("outputs", [[{"color": [0], "label": "0"}]]),
+], ids=["delta-int", "delta-simplex-int", "inputs-int", "vertex-int", "color-list"])
+def test_load_rejects_nested_wrong_types(field, value):
+    obj = dict(inputless_consensus(2).to_json_obj(), **{field: value})
+    with pytest.raises(Unsupported):
+        load_task_json(json.dumps(obj))
