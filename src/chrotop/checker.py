@@ -9,8 +9,12 @@ vertices themselves.
 
 from __future__ import annotations
 
+import heapq
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
 from typing import Optional, Sequence
 
 from .errors import BadArity, BadIndices, ChrotopError, Unsupported
@@ -127,46 +131,78 @@ def _vertex_candidates(PT: TimeTComplex, task: Task) -> dict[Vertex, list[Vertex
     return candidates
 
 
+def _search_constraints(
+    PT: TimeTComplex, task: Task
+) -> tuple[list[tuple[tuple[Vertex, ...], Complex]], dict[Vertex, list[int]]]:
+    """The search's constraints, (facet vertices, allowed complex): every
+    facet of P_T maps into the outputs and every facet of xi(sigma) into
+    delta(sigma); plus, per vertex, the indices of the constraints on it."""
+    constraints = [(f.vertices, task.outputs) for f in PT.complex.facets]
+    for sigma in task.inputs.simplexes():
+        allowed = task.delta(sigma)
+        constraints.extend((g.vertices, allowed) for g in PT.xi(sigma).facets)
+    by_vertex: dict[Vertex, list[int]] = {v: [] for v in PT.complex.vertices()}
+    for idx, (verts, _) in enumerate(constraints):
+        for v in verts:
+            by_vertex[v].append(idx)
+    return constraints, by_vertex
+
+
+def _search_order(
+    vertices: Sequence[Vertex],
+    candidates: dict[Vertex, list[Vertex]],
+    constraints: list[tuple[tuple[Vertex, ...], Complex]],
+    by_vertex: dict[Vertex, list[int]],
+) -> list[Vertex]:
+    """Most-constrained-first order that walks the constraint adjacency.
+
+    Rank is (number of candidates, vertex_key), unique per vertex.  The
+    next vertex is the least-ranked unplaced vertex that shares a
+    constraint with a placed one, or else the least-ranked unplaced
+    vertex.  Each vertex gets its position in the rank order once; the
+    frontier is a heap of positions, each pushed at most once, and the
+    fallback is a cursor into the rank order.
+    """
+    ranked = sorted(vertices, key=lambda v: (len(candidates[v]), vertex_key(v)))
+    position = {v: i for i, v in enumerate(ranked)}
+    seen = [False] * len(ranked)  # placed, or waiting in the frontier heap
+    frontier: list[int] = []
+    cursor = 0
+    order: list[Vertex] = []
+    while len(order) < len(ranked):
+        if frontier:
+            i = heapq.heappop(frontier)
+        else:
+            while seen[cursor]:
+                cursor += 1
+            i = cursor
+            seen[i] = True
+        v = ranked[i]
+        order.append(v)
+        for idx in by_vertex[v]:
+            for u in constraints[idx][0]:
+                j = position[u]
+                if not seen[j]:
+                    seen[j] = True
+                    heapq.heappush(frontier, j)
+    return order
+
+
 def search_decision_map(PT: TimeTComplex, task: Task) -> Optional[SimplicialMap]:
     """Deterministic backtracking search for a chromatic simplicial map
     from the time-T complex to the outputs that is carried by delta.
 
     Vertices are assigned in a most-constrained-first order that walks
-    the facet adjacency; every partial image of a constrained simplex
-    must already be a simplex of the allowed complex, which prunes as
-    soon as an edge is complete.
+    the facet adjacency (`_search_order`, computed in
+    O(V log V + sum of constraint sizes)); every partial image of a
+    constrained simplex must already be a simplex of the allowed
+    complex, which prunes as soon as an edge is complete.
     """
-    vertices = list(PT.complex.vertices())
     candidates = _vertex_candidates(PT, task)
     if any(not c for c in candidates.values()):
         return None
-
-    constraints: list[tuple[tuple[Vertex, ...], Complex]] = []
-    for f in PT.complex.facets:
-        constraints.append((f.vertices, task.outputs))
-    for sigma in task.inputs.simplexes():
-        allowed = task.delta(sigma)
-        for g in PT.xi(sigma).facets:
-            constraints.append((g.vertices, allowed))
-
-    by_vertex: dict[Vertex, list[int]] = {v: [] for v in vertices}
-    for idx, (verts, _) in enumerate(constraints):
-        for v in verts:
-            by_vertex[v].append(idx)
-
-    def rank(v):
-        return (len(candidates[v]), vertex_key(v))
-
-    order: list[Vertex] = []
-    frontier: set[Vertex] = set()
-    remaining = set(vertices)
-    while remaining:
-        pool = frontier & remaining
-        pick = min(pool, key=rank) if pool else min(remaining, key=rank)
-        order.append(pick)
-        remaining.discard(pick)
-        for idx in by_vertex[pick]:
-            frontier.update(constraints[idx][0])
+    constraints, by_vertex = _search_constraints(PT, task)
+    order = _search_order(PT.complex.vertices(), candidates, constraints, by_vertex)
 
     assignment: dict[Vertex, Vertex] = {}
 
@@ -198,8 +234,6 @@ def search_decision_map(PT: TimeTComplex, task: Task) -> Optional[SimplicialMap]
 def enumerate_all_decision_maps(PT: TimeTComplex, task: Task) -> list[SimplicialMap]:
     """Brute-force enumeration of every valid map; for cross-checking the
     backtracking search on tiny instances."""
-    from itertools import product
-
     vertices = list(PT.complex.vertices())
     out_by_color: dict[int, list[Vertex]] = {}
     for o in task.outputs.vertices():
@@ -559,20 +593,13 @@ def sperner_evidence(n: int, k: int, seed: int = 0, sample_size: int = 2000) -> 
     total = 1
     for c in choices:
         total *= len(c)
-    facet_indices = [
-        [vertices.index(u) for u in f.vertices] for f in K.facets
-    ]
-    all_values = set(range(n))
+    index = {v: i for i, v in enumerate(vertices)}
+    # a facet is rainbow when its values are a permutation of 0..n-1
+    facet_values = [operator.itemgetter(*(index[u] for u in f.vertices)) for f in K.facets]
+    rainbow = frozenset(permutations(range(n)))
 
     def rainbow_count(assignment: Sequence[int]) -> int:
-        count = 0
-        for idx in facet_indices:
-            if {assignment[i] for i in idx} == all_values:
-                count += 1
-        return count
-
-    import random
-    from itertools import product
+        return sum(values(assignment) in rainbow for values in facet_values)
 
     min_rainbow = None
     all_odd = True

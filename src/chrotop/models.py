@@ -131,10 +131,22 @@ class ExecutionWord:
 
     @classmethod
     def parse(cls, obj) -> "ExecutionWord":
-        return cls(
-            tuple(RoundSchedule.parse(s) for s in obj["stem"]),
-            tuple(RoundSchedule.parse(s) for s in obj["cycle"]),
-        )
+        return cls(_json_rounds(obj["stem"]), _json_rounds(obj["cycle"]))
+
+
+def _json_rounds(raw) -> Word:
+    """Rounds written in JSON: a list whose entries are arrow or "0,1|2"
+    strings, or lists of lists of ints.  Anything else raises `Unsupported`
+    rather than being coerced."""
+    if not isinstance(raw, list):
+        raise Unsupported(f"rounds must be a JSON list, not {raw!r}")
+    for r in raw:
+        if not isinstance(r, str) and not (
+            isinstance(r, list)
+            and all(isinstance(b, list) and all(type(c) is int for c in b) for b in r)
+        ):
+            raise Unsupported(f"a round must be a string or a list of lists of ints, not {r!r}")
+    return tuple(RoundSchedule.parse(r) for r in raw)
 
 
 PrefixPredicate = Callable[[frozenset, Word], bool]
@@ -265,15 +277,20 @@ def load_model_json_obj(obj: dict) -> ModelSpec:
     if not isinstance(obj, dict):
         raise Unsupported("a model must be a JSON object")
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         first = obj.get("allowedFirstRounds")
-        first_rounds = tuple(RoundSchedule.parse(s) for s in first) if first is not None else None
+        first_rounds = _json_rounds(first) if first is not None else None
         excluded = tuple(ExecutionWord.parse(e) for e in obj.get("excluded", []))
-    except TypeError as exc:  # a nested value of the wrong JSON type
+    except (TypeError, KeyError, ValueError) as exc:  # a missing or malformed nested value
         raise Unsupported(f"malformed model: {exc}") from None
+    if type(n) is not int:  # a bool is an int to Python, not to JSON
+        raise Unsupported(f"model n must be an integer, not {n!r}")
     if not 1 <= n <= MAX_PROCESSES:
         raise Unsupported(f"models support 1..{MAX_PROCESSES} processes, not {n}")
     kind = obj.get("kind", "custom")
+    name = obj.get("name", kind)
+    if not isinstance(kind, str) or not isinstance(name, str):
+        raise Unsupported(f"model kind and name must be strings, not {kind!r} and {name!r}")
     for letter in (first_rounds or ()) + tuple(s for e in excluded for s in e.stem + e.cycle):
         if set().union(*letter.blocks) != set(range(n)):  # blocks are already disjoint
             raise Unsupported(f"round {letter} is not an ordered partition of 0..{n - 1}")
@@ -281,7 +298,7 @@ def load_model_json_obj(obj: dict) -> ModelSpec:
         first_rounds = None
     return ModelSpec(
         n=n,
-        name=obj.get("name", kind),
+        name=name,
         kind=kind,
         allowed_first_rounds=first_rounds,
         excluded=excluded,

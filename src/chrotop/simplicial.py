@@ -131,12 +131,20 @@ class Complex:
         if not facet_set:
             raise ValueError("a complex needs at least one facet")
         # equal facets are already merged, so a facet can only be a proper
-        # face of a strictly larger one; a pure complex is never scanned
+        # face of a strictly larger one, which then holds its first vertex;
+        # a pure complex builds no index and is never scanned
         top = max(len(f) for f in facet_set)
-        dominated = {
-            f for f in facet_set
-            if len(f) < top and any(len(g) > len(f) and f.issubset(g) for g in facet_set)
-        }
+        smaller = [f for f in facet_set if len(f) < top]
+        dominated = set()
+        if smaller:
+            by_vertex: dict[Vertex, list[Simplex]] = {}
+            for g in facet_set:
+                for v in g:
+                    by_vertex.setdefault(v, []).append(g)
+            dominated = {
+                f for f in smaller
+                if any(len(g) > len(f) and f.issubset(g) for g in by_vertex[f.vertices[0]])
+            }
         self.facets: tuple[Simplex, ...] = tuple(
             sorted(facet_set - dominated, key=lambda s: s.key)
         )

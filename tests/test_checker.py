@@ -1,5 +1,7 @@
+import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -35,9 +37,14 @@ from chrotop.protocol import (
 )
 from chrotop.tasks import Task, inputless_consensus, set_agreement
 import chrotop.protocol
+import chrotop.checker
 from chrotop.checker import (
+    SpernerReport,
     TerminationCertificateReport,
     _excluded_point_values,
+    _search_constraints,
+    _search_order,
+    _vertex_candidates,
     build_time_T,
     certify_consensus_impossible,
     connecting_map_fST,
@@ -52,6 +59,7 @@ from chrotop.checker import (
 M1 = builtin_model("m1")
 M2 = builtin_model("m2")
 IIS2 = builtin_model("iis2")
+IIS3 = builtin_model("iis3")
 CONS = inputless_consensus(2)
 
 R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
@@ -169,6 +177,104 @@ def test_search_depth_exceeds_recursion_limit():
     PT = build_time_T(IIS2, CONS, 7)
     assert len(PT.complex.vertices()) > sys.getrecursionlimit()
     assert search_decision_map(PT, CONS) is None
+
+
+def quadratic_search_order(vertices, candidates, constraints, by_vertex):
+    """Reference: rescan the unplaced frontier for its least-ranked vertex
+    at every step."""
+    def rank(v):
+        return (len(candidates[v]), vertex_key(v))
+
+    order = []
+    frontier = set()
+    remaining = set(vertices)
+    while remaining:
+        pool = frontier & remaining
+        pick = min(pool, key=rank) if pool else min(remaining, key=rank)
+        order.append(pick)
+        remaining.discard(pick)
+        for idx in by_vertex[pick]:
+            frontier.update(constraints[idx][0])
+    return order
+
+
+@pytest.mark.parametrize("model, task, T", [
+    (IIS2, CONS, 6),
+    (M1, CONS, 5),
+    (M2, CONS, 5),
+    (IIS3, set_agreement(3), 2),
+    (IIS3, inputless_consensus(3), 2),
+], ids=["iis2-T6", "m1-T5", "m2-T5", "iis3-set-agreement-T2", "iis3-consensus-T2"])
+def test_search_order_matches_quadratic_reference(model, task, T):
+    PT = build_time_T(model, task, T)
+    vertices = PT.complex.vertices()
+    candidates = _vertex_candidates(PT, task)
+    constraints, by_vertex = _search_constraints(PT, task)
+    order = _search_order(vertices, candidates, constraints, by_vertex)
+    assert order == quadratic_search_order(vertices, candidates, constraints, by_vertex)
+
+
+def maximal_facets(facets):
+    """Reference: the facets no other facet strictly contains, compared
+    pairwise."""
+    distinct = set(facets)
+    maximal = [f for f in distinct if not any(set(f) < set(g) for g in distinct)]
+    return tuple(sorted(maximal, key=lambda s: s.key))
+
+
+@pytest.mark.parametrize("model, task, depth", [
+    (IIS3, set_agreement(3), 2),
+    (M1, CONS, 3),
+], ids=["iis3-set-agreement", "m1-consensus"])
+def test_time_T_complexes_keep_exactly_the_maximal_facets(monkeypatch, model, task, depth):
+    built = []
+
+    def recording(facets):
+        facets = list(facets)
+        built.append(facets)
+        return Complex(facets)
+
+    monkeypatch.setattr(chrotop.checker, "Complex", recording)
+    for T in range(depth + 1):
+        build_time_T(model, task, T)
+    # P_T and one xi image per input simplex, at every T
+    assert len(built) == (depth + 1) * (1 + len(task.inputs.simplexes()))
+    assert any(len(maximal_facets(f)) < len(set(f)) for f in built)  # some builds drop facets
+    for facets in built:
+        assert Complex(facets).facets == maximal_facets(facets)
+
+
+def test_mixed_dimension_complexes_keep_exactly_the_maximal_facets():
+    a, b, c, d = (Vertex(i, x) for i, x in enumerate("abcd"))
+    for facets in (
+        [Simplex([a, b, c]), Simplex([a, b])],
+        [Simplex([a, b, c]), Simplex([c, d])],
+        [Simplex([a, b, c]), Simplex([c, d]), Simplex([d])],
+        [Simplex([c, d]), Simplex([d, c]), Simplex([a])],
+    ):
+        assert Complex(facets).facets == maximal_facets(facets)
+
+
+def test_time_T_maximality_filter_is_linear_on_the_ladder(monkeypatch):
+    # comparing each smaller facet only with the larger facets that hold
+    # its first vertex; comparing it with every facet makes 144, 4545 and
+    # 163759 calls, quadratic in the 13, 169 and 2197 facets
+    calls = 0
+    issubset = Simplex.issubset
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return issubset(self, other)
+
+    monkeypatch.setattr(Simplex, "issubset", counting)
+    per_facet = []
+    for T, expected in ((1, 40), (2, 140), (3, 468)):
+        calls = 0
+        PT = build_time_T(IIS3, set_agreement(3), T)
+        assert calls == expected
+        per_facet.append(calls / len(PT.complex.facets))
+    assert per_facet == sorted(per_facet, reverse=True)
 
 
 # -- connecting maps -------------------------------------------------------------
@@ -480,6 +586,49 @@ def test_sperner_triangle_depth_two_sampled():
     report = sperner_evidence(3, 2, seed=3, sample_size=60)
     assert report.mode == "sampled"
     assert report.all_odd
+
+
+def reference_sperner(n, k, seed=0, sample_size=2000):
+    """Reference: rainbow counts that build one value set per facet per
+    coloring, drawing the same seeded samples."""
+    base = Complex([Simplex(Vertex(i, i) for i in range(n))])
+    K = chr_iterate(base, k)
+    vertices = list(K.vertices())
+    choices = [sorted(coordinates(v, base).support().colors()) for v in vertices]
+    total = 1
+    for c in choices:
+        total *= len(c)
+    facet_indices = [[vertices.index(u) for u in f.vertices] for f in K.facets]
+
+    def rainbow_count(assignment):
+        return sum({assignment[i] for i in idx} == set(range(n)) for idx in facet_indices)
+
+    if total <= 20000:
+        mode, colorings, combos = "exhaustive", 0, product(*choices)
+    else:
+        rng = random.Random(seed)
+        mode, colorings = "sampled", sample_size
+        combos = ([rng.choice(c) for c in choices] for _ in range(sample_size))
+    min_rainbow, counterexample = None, None
+    for combo in combos:
+        if mode == "exhaustive":
+            colorings += 1
+        c = rainbow_count(combo)
+        min_rainbow = c if min_rainbow is None else min(min_rainbow, c)
+        if c % 2 == 0:
+            counterexample = {"assignment": list(combo), "count": c}
+            break
+    return SpernerReport(n, k, mode, colorings, counterexample is None, min_rainbow or 0, counterexample)
+
+
+@pytest.mark.parametrize("n, k, seed", [
+    (2, 0, 0), (2, 1, 0), (2, 2, 0), (3, 1, 0),
+    (3, 2, 0), (3, 2, 1), (3, 2, 2), (3, 2, 3), (3, 2, 4),
+])
+def test_sperner_matches_set_per_facet_reference(n, k, seed):
+    report = sperner_evidence(n, k, seed=seed)
+    assert report.mode == ("sampled" if (n, k) == (3, 2) else "exhaustive")
+    assert report == reference_sperner(n, k, seed=seed)
 
 
 def test_sperner_out_of_range():

@@ -76,9 +76,15 @@ def test_check_rejects_malformed_model_and_task_files(tmp_path, capsys):
     int_excluded.write_text('{"n":2,"excluded":[1]}')
     int_delta = tmp_path / "int-delta.json"
     int_delta.write_text(json.dumps(dict(inputless_consensus(2).to_json_obj(), delta=[1])))
+    coerced = []
+    for i, text in enumerate(['{"n": 2.7}', '{"n": true}', '{"n": "2"}', '{"n": 2, "name": 5}',
+                              '{"n": 2, "kind": [1]}', '{"n": 2, "allowedFirstRounds": [{"0": 1, "1": 2}]}',
+                              '{"n": 2, "allowedFirstRounds": [[["0"], ["1"]]]}']):
+        coerced.append(tmp_path / f"coerced-{i}.json")
+        coerced[-1].write_text(text)
     capsys.readouterr()
     cases = ((bad_first, "consensus"), (array, "consensus"), ("m1", array),
-             (int_excluded, "consensus"), ("m1", int_delta))
+             (int_excluded, "consensus"), ("m1", int_delta)) + tuple((m, "consensus") for m in coerced)
     for model, task in cases:
         assert run_cli("check", "--model", str(model), "--task", str(task), "--max-depth", "1") == 2
         err = capsys.readouterr().err

@@ -126,8 +126,21 @@ def test_model_json_round_trip():
     {"n": 2, "allowedFirstRounds": [[0, 1]]},
     {"n": 2, "excluded": [1]},
     {"n": 2, "excluded": [["<->"]]},
+    {"n": 2.7},
+    {"n": True},
+    {"n": "2"},
+    {"n": 2, "name": 5},
+    {"n": 2, "kind": [1]},
+    {"n": 2, "kind": "firstRoundRestricted", "allowedFirstRounds": [{"0": 1, "1": 2}]},
+    {"n": 2, "kind": "firstRoundRestricted", "allowedFirstRounds": [[["0"], ["1"]]]},
+    {"n": 2, "excluded": [{"stem": [], "cycle": [[[False], [True]]]}]},
+    {"n": 2, "excluded": [{"stem": "<-", "cycle": ["<-"]}]},
+    {"n": 2, "excluded": [{"cycle": ["<-"]}]},
+    {"n": 2, "allowedFirstRounds": ["0,x"]},
 ], ids=["array", "n0", "n9", "first-round-short", "first-round-foreign", "cycle-short", "stem-foreign",
-        "n-list", "first-rounds-int", "first-round-flat", "excluded-int", "excluded-list"])
+        "n-list", "first-rounds-int", "first-round-flat", "excluded-int", "excluded-list",
+        "n-float", "n-bool", "n-string", "name-int", "kind-list", "round-object", "round-strings",
+        "round-bools", "stem-string", "stem-missing", "round-bad-string"])
 def test_load_rejects_malformed_models(obj):
     with pytest.raises(Unsupported):
         load_model_json(json.dumps(obj))
