@@ -70,9 +70,6 @@ class TimeTComplex:
     T: int
     complex: Complex
     xi: CarrierMap
-    model: ModelSpec
-    task: Task
-    executions: list[Execution]
 
 
 def build_time_T(model: ModelSpec, task: Task, T: int) -> TimeTComplex:
@@ -93,7 +90,7 @@ def build_time_T(model: ModelSpec, task: Task, T: int) -> TimeTComplex:
         compatible_faces = set(sigma.faces())
         facets = [s for e, s in simplexes_by_execution if e.face in compatible_faces]
         images[sigma] = Complex(facets)
-    return TimeTComplex(T, complex_, CarrierMap(images), model, task, executions)
+    return TimeTComplex(T, complex_, CarrierMap(images))
 
 
 def connecting_map_fST(PT: TimeTComplex, PS: TimeTComplex) -> SimplicialMap:
@@ -601,33 +598,26 @@ def sperner_evidence(n: int, k: int, seed: int = 0, sample_size: int = 2000) -> 
     def rainbow_count(assignment: Sequence[int]) -> int:
         return sum(values(assignment) in rainbow for values in facet_values)
 
-    min_rainbow = None
-    all_odd = True
-    counterexample = None
     if total <= 20000:
         mode = "exhaustive"
-        colorings = 0
-        for combo in product(*choices):
-            colorings += 1
-            c = rainbow_count(combo)
-            min_rainbow = c if min_rainbow is None else min(min_rainbow, c)
-            if c % 2 == 0:
-                all_odd = False
-                counterexample = {"assignment": list(combo), "count": c}
-                break
+        combos = product(*choices)
     else:
         mode = "sampled"
         rng = random.Random(seed)
-        colorings = sample_size
-        for _ in range(sample_size):
-            combo = [rng.choice(c) for c in choices]
-            c = rainbow_count(combo)
-            min_rainbow = c if min_rainbow is None else min(min_rainbow, c)
-            if c % 2 == 0:
-                all_odd = False
-                counterexample = {"assignment": combo, "count": c}
-                break
-    return SpernerReport(n, k, mode, colorings, all_odd, min_rainbow or 0, counterexample)
+        combos = ([rng.choice(c) for c in choices] for _ in range(sample_size))
+    # Sperner's lemma makes every count odd, so a sampled run visits all
+    # `sample_size` colorings
+    colorings = 0
+    min_rainbow = None
+    counterexample = None
+    for combo in combos:
+        colorings += 1
+        c = rainbow_count(combo)
+        min_rainbow = c if min_rainbow is None else min(min_rainbow, c)
+        if c % 2 == 0:
+            counterexample = {"assignment": list(combo), "count": c}
+            break
+    return SpernerReport(n, k, mode, colorings, counterexample is None, min_rainbow or 0, counterexample)
 
 
 # -- top-level verdicts ----------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 from .checker import solve
 from .errors import ChrotopError, IrrevocabilityViolation
 from .models import ModelSpec, builtin_model, load_model_json
-from .protocol import builtin_protocol, check_solves, table_protocol
+from .protocol import builtin_protocol, check_solves, load_table_protocol_json_obj
 from .render import render_dot, render_svg
 from .simplicial import Complex, Simplex, Vertex, label_string
 from .subdivision import chr_iterate, diameter
@@ -102,7 +102,7 @@ def cmd_run(args) -> int:
     task = _resolve_task(args.task)
     if args.protocol.endswith(".json") or "/" in args.protocol:
         payload = json.loads(Path(args.protocol).read_text(encoding="utf-8"))
-        protocol = table_protocol(payload["table"], model, task, int(payload["T"]))
+        protocol = load_table_protocol_json_obj(payload, model, task)
     else:
         protocol = builtin_protocol(args.protocol)
     try:

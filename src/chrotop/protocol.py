@@ -349,16 +349,15 @@ def synthesize_from_time_map(delta_T: SimplicialMap, time_complex) -> DecisionPr
     """Prefix rule over a time-T complex: at step t, decide o if every
     ball extending the current t-round view maps to o."""
     T = time_complex.T
-    by_prefix: dict[tuple[int, Vertex], set] = {}
+    # a view's depth is part of its identity, so views key the prefixes
+    by_prefix: dict[Vertex, set] = {}
     for ball in time_complex.complex.vertices():
-        for t in range(T + 1):
-            key = (t, view_ancestor(ball, t))
-            by_prefix.setdefault(key, set()).add(ball)
+        for prefix in view_chain(ball):
+            by_prefix.setdefault(prefix, set()).add(ball)
 
     def decide(color: int, view: Vertex):
-        t = view_depth(view)
-        anchor = view_ancestor(view, T) if t > T else view
-        group = by_prefix.get((min(t, T), anchor))
+        anchor = view_ancestor(view, T) if view_depth(view) > T else view
+        group = by_prefix.get(anchor)
         if not group:
             raise IncompleteMap(f"view {view!r} is outside the time complex")
         values = set()
@@ -419,6 +418,22 @@ def table_protocol(table: dict[str, object], model: ModelSpec, task: Task, T: in
             raise IncompleteMap(f"decision table missing ball {ball_id(ball)}")
         mapping[ball] = Vertex(ball.color, table[ball_id(ball)])
     return synthesize_from_time_map(SimplicialMap(mapping), time_complex)
+
+
+def load_table_protocol_json_obj(obj: dict, model: ModelSpec, task: Task) -> DecisionProtocol:
+    """A table protocol from its JSON object, `{"T": int, "table": {ball
+    id: label}}`; malformed input raises `Unsupported`."""
+    if not isinstance(obj, dict):
+        raise Unsupported("a protocol must be a JSON object")
+    T, table = obj.get("T"), obj.get("table")
+    if type(T) is not int:  # a bool is an int to Python, not to JSON
+        raise Unsupported(f"protocol T must be an integer, not {T!r}")
+    if not isinstance(table, dict):
+        raise Unsupported(f"protocol table must be an object, not {table!r}")
+    for ball, label in table.items():
+        if type(label) is not int and not isinstance(label, str):
+            raise Unsupported(f"table label of {ball} must be a string or an integer, not {label!r}")
+    return table_protocol(table, model, task, T)
 
 
 def builtin_protocol(name: str) -> DecisionProtocol:

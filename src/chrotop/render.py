@@ -15,6 +15,9 @@ DEPTH_FILLS = ["#f7fbff", "#deebf7", "#c6dbef", "#9ecae1", "#6baed6", "#4292c6"]
 
 _SQRT3_OVER_2 = 0.8660254037844386
 
+# width and height of every drawing, in pixels
+SIZE = 480
+
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
@@ -30,76 +33,62 @@ def _plane_coords(point_weights, corners_2d):
     return x, y
 
 
-def _canvas(base: Complex, size: int):
-    """The `<svg>` root, its cell group and the plane position of every
-    base corner: an edge lies flat across the middle, a triangle stands
-    on its base."""
+def _draw(base: Complex, place, cells, dots) -> str:
+    """The SVG of `cells`, (facet, fill, line stroke, line width) tuples
+    drawn as polygons or lines, under a dot per vertex of `dots`;
+    `place(v)` gives the barycentric weights of a vertex.  An edge base
+    lies flat across the middle, a triangle stands on its base."""
     dim = base.dim
     if dim not in (1, 2):
         raise Unsupported(f"SVG rendering supports dimensions 1 and 2, not {dim}")
     margin = 30.0
-    span = size - 2 * margin
+    span = SIZE - 2 * margin
     base_vertices = base.vertices()
     corners_2d = {}
     if dim == 1:
         for i, v in enumerate(base_vertices):
-            corners_2d[v] = (margin + span * i / max(1, len(base_vertices) - 1), size / 2)
+            corners_2d[v] = (margin + span * i / max(1, len(base_vertices) - 1), SIZE / 2)
     else:
-        template = [(margin, size - margin), (size - margin, size - margin), (size / 2, size - margin - span * _SQRT3_OVER_2)]
+        template = [(margin, SIZE - margin), (SIZE - margin, SIZE - margin), (SIZE / 2, SIZE - margin - span * _SQRT3_OVER_2)]
         for i, v in enumerate(base_vertices):
             corners_2d[v] = template[i % 3]
     svg = ET.Element(
         "svg",
         xmlns="http://www.w3.org/2000/svg",
-        width=f"{size}px",
-        height=f"{size}px",
-        viewBox=f"0 0 {size} {size}",
+        width=f"{SIZE}px",
+        height=f"{SIZE}px",
+        viewBox=f"0 0 {SIZE} {SIZE}",
     )
-    cells = ET.SubElement(svg, "g", attrib={"stroke": "#333333", "stroke-width": "1"})
-    return svg, cells, corners_2d
-
-
-def render_svg(K: Complex, base: Complex, size: int = 480) -> str:
-    """Draw a subdivision of a 1- or 2-dimensional base."""
-    svg, cells, corners_2d = _canvas(base, size)
-    fill = DEPTH_FILLS[0]
-    for facet in K.facets:
-        pts = [
-            _plane_coords(coordinates(v, base).items, corners_2d) for v in facet
-        ]
+    group = ET.SubElement(svg, "g", attrib={"stroke": "#333333", "stroke-width": "1"})
+    for facet, fill, stroke, width in cells:
+        pts = [_plane_coords(place(v), corners_2d) for v in facet]
         if len(pts) >= 3:
-            ET.SubElement(
-                cells,
-                "polygon",
-                points=" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts),
-                fill=fill,
-            )
+            ET.SubElement(group, "polygon",
+                          points=" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts), fill=fill)
         elif len(pts) == 2:
             (x1, y1), (x2, y2) = pts
-            ET.SubElement(
-                cells,
-                "line",
-                x1=_fmt(x1), y1=_fmt(y1), x2=_fmt(x2), y2=_fmt(y2),
-                attrib={"stroke": "#333333", "stroke-width": "4"},
-            )
-    dots = ET.SubElement(svg, "g")
-    seen = set()
-    for facet in K.facets:
-        for v in facet:
-            if v in seen:
-                continue
-            seen.add(v)
-            x, y = _plane_coords(coordinates(v, base).items, corners_2d)
-            ET.SubElement(
-                dots,
-                "circle",
-                cx=_fmt(x), cy=_fmt(y), r="4",
-                fill=PROCESS_COLORS[v.color % len(PROCESS_COLORS)],
-            )
+            # ElementTree writes `attrib` before the keyword attributes
+            ET.SubElement(group, "line", x1=_fmt(x1), y1=_fmt(y1), x2=_fmt(x2), y2=_fmt(y2),
+                          attrib={"stroke": stroke, "stroke-width": width})
+    group = ET.SubElement(svg, "g")
+    for v in dots:
+        x, y = _plane_coords(place(v), corners_2d)
+        ET.SubElement(group, "circle", cx=_fmt(x), cy=_fmt(y), r="4",
+                      fill=PROCESS_COLORS[v.color % len(PROCESS_COLORS)])
     return ET.tostring(svg, encoding="unicode")
 
 
-def render_terminating_svg(tsub, depth: int, size: int = 480) -> str:
+def render_svg(K: Complex, base: Complex) -> str:
+    """Draw a subdivision of a 1- or 2-dimensional base."""
+    return _draw(
+        base,
+        lambda v: coordinates(v, base).items,
+        ((facet, DEPTH_FILLS[0], "#333333", "4") for facet in K.facets),
+        dict.fromkeys(v for facet in K.facets for v in facet),
+    )
+
+
+def render_terminating_svg(tsub, depth: int) -> str:
     """Stable complex of a terminating subdivision with cells shaded by
     the round they were terminated at.  Its vertex labels are already
     exact points of the base realization."""
@@ -108,23 +97,13 @@ def render_terminating_svg(tsub, depth: int, size: int = 480) -> str:
         raise Unsupported("no stable cells materialized yet")
     depth_by_facet = {c.geom_simplex(): c.depth for c in cells}
     stable = tsub.stable_complex(depth)
-    svg, group, corners_2d = _canvas(tsub.base, size)
-    for facet in stable.facets:
-        pts = [_plane_coords(v.label.items, corners_2d) for v in facet]
-        fill = DEPTH_FILLS[depth_by_facet.get(facet, 0) % len(DEPTH_FILLS)]
-        if len(pts) >= 3:
-            ET.SubElement(group, "polygon",
-                          points=" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts), fill=fill)
-        elif len(pts) == 2:
-            (x1, y1), (x2, y2) = pts
-            ET.SubElement(group, "line", x1=_fmt(x1), y1=_fmt(y1), x2=_fmt(x2), y2=_fmt(y2),
-                          attrib={"stroke": fill, "stroke-width": "6"})
-    dots = ET.SubElement(svg, "g")
-    for v in stable.vertices():
-        x, y = _plane_coords(v.label.items, corners_2d)
-        ET.SubElement(dots, "circle", cx=_fmt(x), cy=_fmt(y), r="4",
-                      fill=PROCESS_COLORS[v.color % len(PROCESS_COLORS)])
-    return ET.tostring(svg, encoding="unicode")
+    fills = [DEPTH_FILLS[depth_by_facet.get(f, 0) % len(DEPTH_FILLS)] for f in stable.facets]
+    return _draw(
+        tsub.base,
+        lambda v: v.label.items,
+        ((facet, fill, fill, "6") for facet, fill in zip(stable.facets, fills)),
+        stable.vertices(),
+    )
 
 
 def render_dot(K: Complex) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .errors import IncompleteMap, InvalidCarrier, InvalidVertex, NotASimplex
+from .errors import IncompleteMap, InvalidCarrier, InvalidVertex, NotASimplex, Unsupported
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,8 @@ def label_key(label):
         return (1, label)
     if isinstance(label, Simplex):
         return (2, label.key)
-    if isinstance(label, tuple):
-        return (3, tuple(label_key(x) for x in label))
     if hasattr(label, "_label_key"):
-        return (4, label._label_key())
+        return (3, label._label_key())
     raise TypeError(f"unorderable vertex label: {label!r}")
 
 
@@ -222,9 +220,11 @@ class Complex:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Complex":
+        """A complex from its facet listing; a color that is not a JSON int
+        >= 0, or a label that is not a JSON string or int, is `Unsupported`."""
         facets = []
         for entry in obj["facets"]:
-            verts = [Vertex(int(d["color"]), _parse_label(d["label"])) for d in entry]
+            verts = [Vertex(_parse_color(d["color"]), _parse_label(d["label"])) for d in entry]
             if len({(v.color, v.label) for v in verts}) != len(verts):
                 raise InvalidVertex(f"duplicate vertex in facet listing: {entry}")
             facets.append(Simplex(verts))
@@ -235,14 +235,21 @@ class Complex:
         return cls.from_json_obj(json.loads(text))
 
 
-def _parse_label(raw: str):
+def _parse_color(raw) -> int:
+    if type(raw) is not int or raw < 0:  # a bool is an int to Python, not to JSON
+        raise Unsupported(f"a vertex color must be an integer >= 0, not {raw!r}")
+    return raw
+
+
+def _parse_label(raw):
     """Labels round-trip as strings; bare integers come back as ints."""
-    if isinstance(raw, int):
+    if type(raw) is int:
         return raw
-    s = str(raw)
-    if s.lstrip("-").isdigit():
-        return int(s)
-    return s
+    if not isinstance(raw, str):
+        raise Unsupported(f"a vertex label must be a string or an integer, not {raw!r}")
+    if raw.lstrip("-").isdigit():
+        return int(raw)
+    return raw
 
 
 # -- simplicial maps ----------------------------------------------------

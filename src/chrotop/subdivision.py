@@ -433,9 +433,6 @@ class TerminatingSubdivision:
         self.policy = policy
         self._levels: list[_Level] = []
         self._stable: list[StableCell] = []
-        self._cells: dict[tuple, Simplex] = {}
-        if len(base.facets) == 1:
-            self._cells[()] = base.facets[0]
         self._levels.append(_Level(base, set()))
         self._apply_policy(0)
 
@@ -469,26 +466,26 @@ class TerminatingSubdivision:
         sigma = Complex(level.terminated_facets) if level.terminated_facets else None
         next_complex = partial_chr_step(level.complex, sigma)
         carried = {wrap_simplex(s) for s in level.terminated_facets}
-        terminated_faces = set()
-        if sigma is not None:
-            terminated_faces = set(sigma._face_set())
-        new_cells = {}
-        for word, facet in self._cells.items():
-            if len(word) != k or facet in terminated_faces:
-                continue
-            for schedule, child in facet_children(facet).items():
-                new_cells[word + (schedule,)] = child
-        self._cells.update(new_cells)
         self._levels.append(_Level(next_complex, carried))
         self._apply_policy(k + 1)
 
     # -- queries ---------------------------------------------------------
 
     def cell(self, word: tuple) -> Simplex | None:
-        """Facet of level len(word) reached by a schedule word, or None if
-        the path entered a terminated simplex earlier."""
+        """Facet of level len(word) reached by a schedule word from the
+        single base facet, or None if the path entered a terminated
+        simplex earlier, a schedule is not an ordered partition of its
+        cell's colors, or the base has several facets."""
         self.materialize(len(word))
-        return self._cells.get(tuple(word))
+        if len(self.base.facets) != 1:
+            return None
+        cell = self.base.facets[0]
+        for level, schedule in zip(self._levels, word):
+            # a full-dimensional cell is a terminated face only as a terminated facet
+            if cell in level.terminated_facets or schedule not in set(ordered_partitions(cell.colors())):
+                return None
+            cell = apply_schedule(cell, schedule)
+        return cell
 
     def stable_cells(self, depth: int) -> list[StableCell]:
         self.materialize(depth)

@@ -127,7 +127,10 @@ def load_task_json_obj(obj: dict) -> Task:
             images[simplex] = Complex.from_json_obj({"facets": entry["image"]})
     except TypeError as exc:  # a nested value of the wrong JSON type
         raise Unsupported(f"malformed task: {exc}") from None
-    return Task(obj.get("name", "custom"), inputs, outputs, CarrierMap(images))
+    name = obj.get("name", "custom")
+    if not isinstance(name, str):
+        raise Unsupported(f"task name must be a string, not {name!r}")
+    return Task(name, inputs, outputs, CarrierMap(images))
 
 
 def load_task_json(text: str) -> Task:

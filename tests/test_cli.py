@@ -76,15 +76,25 @@ def test_check_rejects_malformed_model_and_task_files(tmp_path, capsys):
     int_excluded.write_text('{"n":2,"excluded":[1]}')
     int_delta = tmp_path / "int-delta.json"
     int_delta.write_text(json.dumps(dict(inputless_consensus(2).to_json_obj(), delta=[1])))
-    coerced = []
+    coerced, coerced_tasks = [], []
     for i, text in enumerate(['{"n": 2.7}', '{"n": true}', '{"n": "2"}', '{"n": 2, "name": 5}',
                               '{"n": 2, "kind": [1]}', '{"n": 2, "allowedFirstRounds": [{"0": 1, "1": 2}]}',
                               '{"n": 2, "allowedFirstRounds": [[["0"], ["1"]]]}']):
         coerced.append(tmp_path / f"coerced-{i}.json")
         coerced[-1].write_text(text)
+    for i, vertex in enumerate([{"color": 0.9, "label": "0"}, {"color": True, "label": "1"},
+                                {"color": 0, "label": [1]}, {"name": 5}]):
+        obj = inputless_consensus(2).to_json_obj()
+        if "name" in vertex:
+            obj.update(vertex)
+        else:
+            obj["inputs"][0][0] = vertex
+        coerced_tasks.append(tmp_path / f"coerced-task-{i}.json")
+        coerced_tasks[-1].write_text(json.dumps(obj))
     capsys.readouterr()
     cases = ((bad_first, "consensus"), (array, "consensus"), ("m1", array),
              (int_excluded, "consensus"), ("m1", int_delta)) + tuple((m, "consensus") for m in coerced)
+    cases += tuple(("iis2", t) for t in coerced_tasks)
     for model, task in cases:
         assert run_cli("check", "--model", str(model), "--task", str(task), "--max-depth", "1") == 2
         err = capsys.readouterr().err
@@ -137,6 +147,21 @@ def test_table_protocol_from_file(tmp_path):
     path.write_text(json.dumps(spec))
     assert run_cli("run", "--model", "m1", "--protocol", str(path),
                    "--task", "consensus", "--depth", "2", "--out", str(tmp_path / "t.txt")) == 0
+
+
+def test_run_rejects_malformed_protocol_files(tmp_path, capsys):
+    table = {"0:0": 0}
+    texts = ["[1, 2]", json.dumps({"T": None, "table": table}), json.dumps({"T": True, "table": table}),
+             json.dumps({"T": 2.0, "table": table}), json.dumps({"T": 2}),
+             json.dumps({"T": 2, "table": [1]}), json.dumps({"T": 2, "table": {"0:0": [1]}}),
+             json.dumps({"T": 2, "table": {"0:0": True}})]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"proto-{i}.json"
+        path.write_text(text)
+        assert run_cli("run", "--model", "m1", "--protocol", str(path),
+                       "--task", "consensus", "--depth", "2") == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_model_and_task_from_json_files(tmp_path):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -322,3 +323,46 @@ def test_policy_output_validated():
     stray = Simplex([Vertex(0, "nope")])
     with pytest.raises(InvalidTermination):
         TerminatingSubdivision(EDGE, lambda k, level, ts: [stray])
+
+
+def _m2_naive_policy(max_depth):
+    words = {1: [(R,), (L,)]}
+    for j in range(2, max_depth + 1):
+        words[j] = [(B,) + (L,) * (j - 2) + (s,) for s in (R, B)]
+    return prefix_policy(words)
+
+
+def _stored_cells(ts, depth):
+    """Reference: the word -> cell store built level by level, extending
+    every live depth-k cell by all of its children."""
+    cells = {(): ts.base.facets[0]} if len(ts.base.facets) == 1 else {}
+    for k in range(depth):
+        level = ts._levels[k]
+        sigma = Complex(level.terminated_facets) if level.terminated_facets else None
+        terminated = set(sigma._face_set()) if sigma is not None else set()
+        for word, facet in list(cells.items()):
+            if len(word) == k and facet not in terminated:
+                for schedule, child in facet_children(facet).items():
+                    cells[word + (schedule,)] = child
+    return cells
+
+
+@pytest.mark.parametrize("base, policy, depth", [
+    (EDGE, policy_never, 4),
+    (EDGE, prefix_policy({1: [(R,)], 2: [(L, s) for s in (R, B, L)]}), 4),
+    (EDGE, _m2_naive_policy(7), 4),
+    (TRIANGLE, policy_never, 2),
+    (Complex([Simplex([Vertex(0, 0), Vertex(1, 1)]), Simplex([Vertex(0, 0), Vertex(1, 2)])]),
+     policy_never, 2),
+], ids=["never", "m1-prefix", "m2-naive", "triangle-never", "two-facet-base"])
+def test_cell_walk_matches_stored_cells(base, policy, depth):
+    ts = TerminatingSubdivision(base, policy)
+    ts.materialize(depth)
+    stored = _stored_cells(ts, depth)
+    schedules = list(ordered_partitions(range(base.dim + 1)))
+    words = [word for k in range(depth + 1) for word in product(schedules, repeat=k)]
+    # blocks out of order, a color missing, a color repeated
+    words += [(R, ((1, 0),)), (L, ((0,),)), (((0,), (0, 1)),)]
+    for word in words:
+        assert ts.cell(word) == stored.get(word), word
+    assert sum(ts.cell(word) is not None for word in words) == len(stored)

@@ -113,8 +113,29 @@ def test_json_round_trip():
     ("inputs", 5),
     ("inputs", [[5]]),
     ("outputs", [[{"color": [0], "label": "0"}]]),
-], ids=["delta-int", "delta-simplex-int", "inputs-int", "vertex-int", "color-list"])
+    ("inputs", [[{"color": 0.9, "label": "0"}]]),
+    ("inputs", [[{"color": True, "label": "1"}]]),
+    ("inputs", [[{"color": -1, "label": "0"}]]),
+    ("outputs", [[{"color": 0, "label": [1]}]]),
+    ("outputs", [[{"color": 0, "label": True}]]),
+    ("outputs", [[{"color": 0, "label": 0.5}]]),
+    ("outputs", [[{"color": 0, "label": None}]]),
+    ("name", 5),
+    ("name", None),
+], ids=["delta-int", "delta-simplex-int", "inputs-int", "vertex-int", "color-list",
+        "color-float", "color-bool", "color-negative", "label-list", "label-bool",
+        "label-float", "label-null", "name-int", "name-null"])
 def test_load_rejects_nested_wrong_types(field, value):
     obj = dict(inputless_consensus(2).to_json_obj(), **{field: value})
     with pytest.raises(Unsupported):
         load_task_json(json.dumps(obj))
+
+
+def test_load_accepts_int_and_string_labels():
+    obj = inputless_consensus(2).to_json_obj()
+    obj["outputs"] = [[{"color": 0, "label": 0}, {"color": 1, "label": "0"}],
+                      [{"color": 0, "label": "x"}, {"color": 1, "label": "-1"}]]
+    loaded = load_task_json(json.dumps(obj))
+    assert loaded.outputs.facets == Complex([
+        Simplex([Vertex(0, 0), Vertex(1, 0)]), Simplex([Vertex(0, "x"), Vertex(1, -1)]),
+    ]).facets
