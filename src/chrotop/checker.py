@@ -44,7 +44,7 @@ from .simplicial import (
     Vertex,
     carried_by,
     check_simplicial_chromatic,
-    label_string,
+    vertex_json,
     vertex_key,
 )
 from .subdivision import (
@@ -648,10 +648,7 @@ class Verdict:
         if self.T is not None:
             obj["T"] = self.T
         if self.delta is not None:
-            obj["decisionMap"] = {
-                ball_id(v): {"color": o.color, "label": label_string(o.label)}
-                for v, o in self.delta.items()
-            }
+            obj["decisionMap"] = {ball_id(v): vertex_json(o) for v, o in self.delta.items()}
         if self.protocol is not None:
             obj["protocol"] = self.protocol.name
         if self.certificate is not None:

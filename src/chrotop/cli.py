@@ -16,26 +16,30 @@ import sys
 from pathlib import Path
 
 from .checker import solve
-from .errors import ChrotopError, IrrevocabilityViolation
-from .models import ModelSpec, builtin_model, load_model_json
+from .errors import ChrotopError, IrrevocabilityViolation, Unsupported
+from .models import MAX_PROCESSES, builtin_model, load_model_json_obj
 from .protocol import builtin_protocol, check_solves, load_table_protocol_json_obj
 from .render import render_dot, render_svg
-from .simplicial import Complex, Simplex, Vertex, label_string
+from .simplicial import Complex, Simplex, Vertex, label_string, parse_label
 from .subdivision import chr_iterate, diameter
-from .tasks import Task, inputless_consensus, load_task_json, set_agreement
+from .tasks import Task, inputless_consensus, load_task_json_obj, set_agreement
+
+FORMATS = ("json", "svg", "dot")
 
 
-def _resolve_model(ref: str) -> ModelSpec:
+def _resolve(ref: str, from_json, builtin):
+    """`from_json` of the JSON file `ref` names, or `builtin(ref)`."""
     if ref.endswith(".json") or "/" in ref:
-        return load_model_json(Path(ref).read_text(encoding="utf-8"))
-    return builtin_model(ref)
+        return from_json(json.loads(Path(ref).read_text(encoding="utf-8")))
+    return builtin(ref)
 
 
-def _resolve_task(ref: str) -> Task:
-    if ref.endswith(".json") or "/" in ref:
-        return load_task_json(Path(ref).read_text(encoding="utf-8"))
+def _builtin_task(ref: str) -> Task:
     name, _, arg = ref.partition(":")
-    n = int(arg) if arg else 2
+    n = parse_label(arg) if arg else 2
+    # bounded before the task is built: its input faces number 2^n
+    if type(n) is not int or not 2 <= n <= MAX_PROCESSES:
+        raise Unsupported(f"task {ref!r} needs a process count from 2 to {MAX_PROCESSES}")
     if name == "consensus":
         return inputless_consensus(n)
     if name in ("set-agreement", "setagreement"):
@@ -60,6 +64,10 @@ def cmd_subdivide(args) -> int:
     if args.simplex < 1 or args.simplex > 3:
         print("error: --simplex must be between 1 and 3", file=sys.stderr)
         return 2
+    formats = args.format.split(",") if args.format else FORMATS
+    if not set(formats) <= set(FORMATS):
+        print(f"error: --format lists json, svg or dot, not {args.format!r}", file=sys.stderr)
+        return 2
     n = args.simplex + 1
     base = Complex([Simplex(Vertex(i, i) for i in range(n))])
     K = chr_iterate(base, args.k)
@@ -67,7 +75,6 @@ def cmd_subdivide(args) -> int:
     print(f"facets: {len(K.facets)}")
     print(f"vertices: {len(K.vertices())}")
     print(f"D_{args.k}: {d_k}")
-    formats = args.format.split(",") if args.format else ["json", "svg", "dot"]
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     stem = f"chr{args.k}_simplex{args.simplex}"
@@ -86,8 +93,8 @@ def cmd_subdivide(args) -> int:
 
 
 def cmd_check(args) -> int:
-    model = _resolve_model(args.model)
-    task = _resolve_task(args.task)
+    model = _resolve(args.model, load_model_json_obj, builtin_model)
+    task = _resolve(args.task, load_task_json_obj, _builtin_task)
     verdict = solve(model, task, args.max_depth, seed=args.seed)
     obj = verdict.to_json_obj()
     obj["model"] = model.name
@@ -98,13 +105,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    model = _resolve_model(args.model)
-    task = _resolve_task(args.task)
-    if args.protocol.endswith(".json") or "/" in args.protocol:
-        payload = json.loads(Path(args.protocol).read_text(encoding="utf-8"))
-        protocol = load_table_protocol_json_obj(payload, model, task)
-    else:
-        protocol = builtin_protocol(args.protocol)
+    model = _resolve(args.model, load_model_json_obj, builtin_model)
+    task = _resolve(args.task, load_task_json_obj, _builtin_task)
+    protocol = _resolve(args.protocol, lambda obj: load_table_protocol_json_obj(obj, model, task),
+                        builtin_protocol)
     try:
         report = check_solves(protocol, task, model, args.depth)
     except IrrevocabilityViolation as exc:

@@ -22,7 +22,8 @@ from .errors import (
     Unsupported,
 )
 from .models import ModelSpec, Word, enumerate_prefixes
-from .simplicial import Complex, Simplex, SimplicialMap, Vertex, label_string
+from .simplicial import Complex, Simplex, SimplicialMap, Vertex, label_string, parse_label
+from .simplicial import vertex_string as ball_id  # a view's ball id is its vertex text
 from .subdivision import (
     apply_schedule,
     coordinates,
@@ -71,11 +72,6 @@ def view_chain(v: Vertex) -> list[Vertex]:
         v = view_prev(v)
         chain.append(v)
     return chain[::-1]
-
-
-def ball_id(v: Vertex) -> str:
-    """Stable printable identity of a view ball."""
-    return f"{v.color}:{label_string(v.label)}"
 
 
 @dataclass(frozen=True)
@@ -422,7 +418,8 @@ def table_protocol(table: dict[str, object], model: ModelSpec, task: Task, T: in
 
 def load_table_protocol_json_obj(obj: dict, model: ModelSpec, task: Task) -> DecisionProtocol:
     """A table protocol from its JSON object, `{"T": int, "table": {ball
-    id: label}}`; malformed input raises `Unsupported`."""
+    id: label}}`, each label read by `parse_label`; malformed input raises
+    `Unsupported`."""
     if not isinstance(obj, dict):
         raise Unsupported("a protocol must be a JSON object")
     T, table = obj.get("T"), obj.get("table")
@@ -430,10 +427,7 @@ def load_table_protocol_json_obj(obj: dict, model: ModelSpec, task: Task) -> Dec
         raise Unsupported(f"protocol T must be an integer, not {T!r}")
     if not isinstance(table, dict):
         raise Unsupported(f"protocol table must be an object, not {table!r}")
-    for ball, label in table.items():
-        if type(label) is not int and not isinstance(label, str):
-            raise Unsupported(f"table label of {ball} must be a string or an integer, not {label!r}")
-    return table_protocol(table, model, task, T)
+    return table_protocol({ball: parse_label(label) for ball, label in table.items()}, model, task, T)
 
 
 def builtin_protocol(name: str) -> DecisionProtocol:
@@ -444,7 +438,5 @@ def builtin_protocol(name: str) -> DecisionProtocol:
     if name == "never":
         return never_protocol()
     if name.startswith("constant:"):
-        raw = name.split(":", 1)[1]
-        value = int(raw) if raw.lstrip("-").isdigit() else raw
-        return constant_protocol(value)
+        return constant_protocol(parse_label(name.split(":", 1)[1]))
     raise Unsupported(f"unknown protocol {name!r}")

@@ -7,7 +7,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from .errors import Unsupported
-from .simplicial import Complex, label_string
+from .simplicial import Complex, vertex_string
 from .subdivision import coordinates
 
 PROCESS_COLORS = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b"]
@@ -111,7 +111,7 @@ def render_dot(K: Complex) -> str:
     containment, lowest-dimensional faces at the bottom."""
     simplexes = K.simplexes()
     ids = {s: f"s{i}" for i, s in enumerate(simplexes)}
-    names = {v: f"{v.color}:{label_string(v.label)}" for v in K.vertices()}
+    names = {v: vertex_string(v) for v in K.vertices()}
     lines = ["digraph faceposet {", "  rankdir=BT;"]
     for s in simplexes:
         label = "|".join(names[v] for v in s)

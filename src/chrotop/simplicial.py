@@ -10,6 +10,7 @@ are enumerated on demand.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
@@ -25,7 +26,7 @@ class Vertex:
     label: object
 
     def __repr__(self):
-        return f"v({self.color}:{label_string(self.label)})"
+        return f"v({vertex_string(self)})"
 
 
 def label_key(label):
@@ -48,8 +49,29 @@ def vertex_key(v: Vertex):
 def label_string(label) -> str:
     """Canonical printable form of a label; nested simplexes render recursively."""
     if isinstance(label, Simplex):
-        return "{" + ",".join(f"{u.color}:{label_string(u.label)}" for u in label) + "}"
+        return "{" + ",".join(map(vertex_string, label)) + "}"
     return str(label)
+
+
+def vertex_string(v: Vertex) -> str:
+    """The `"color:label"` text of a vertex; a view's is its ball id."""
+    return f"{v.color}:{label_string(v.label)}"
+
+
+def vertex_json(v: Vertex) -> dict:
+    """The `{"color", "label"}` JSON object of a vertex."""
+    return {"color": v.color, "label": label_string(v.label)}
+
+
+def parse_label(raw):
+    """A label read from outside: an int stays an int, a string of ASCII
+    digits with or without a leading minus becomes that int, any other
+    string stays a string, and anything else (a bool too) is `Unsupported`."""
+    if type(raw) is int:  # a bool is an int to Python, not to JSON
+        return raw
+    if not isinstance(raw, str):
+        raise Unsupported(f"a vertex label must be a string or an integer, not {raw!r}")
+    return int(raw) if re.fullmatch(r"-?[0-9]+", raw) else raw
 
 
 class Simplex:
@@ -208,11 +230,11 @@ class Complex:
     # -- serialization -------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        n = max(self.colors()) + 1
-        labels = {v: label_string(v.label) for v in self.vertices()}
+        # nested labels are exponential to render: encode each vertex once
+        encoded = {v: vertex_json(v) for v in self.vertices()}
         return {
-            "n": n,
-            "facets": [[{"color": v.color, "label": labels[v]} for v in f] for f in self.facets],
+            "n": max(self.colors()) + 1,
+            "facets": [[encoded[v] for v in f] for f in self.facets],
         }
 
     def to_json(self) -> str:
@@ -224,7 +246,7 @@ class Complex:
         >= 0, or a label that is not a JSON string or int, is `Unsupported`."""
         facets = []
         for entry in obj["facets"]:
-            verts = [Vertex(_parse_color(d["color"]), _parse_label(d["label"])) for d in entry]
+            verts = [Vertex(_parse_color(d["color"]), parse_label(d["label"])) for d in entry]
             if len({(v.color, v.label) for v in verts}) != len(verts):
                 raise InvalidVertex(f"duplicate vertex in facet listing: {entry}")
             facets.append(Simplex(verts))
@@ -238,17 +260,6 @@ class Complex:
 def _parse_color(raw) -> int:
     if type(raw) is not int or raw < 0:  # a bool is an int to Python, not to JSON
         raise Unsupported(f"a vertex color must be an integer >= 0, not {raw!r}")
-    return raw
-
-
-def _parse_label(raw):
-    """Labels round-trip as strings; bare integers come back as ints."""
-    if type(raw) is int:
-        return raw
-    if not isinstance(raw, str):
-        raise Unsupported(f"a vertex label must be a string or an integer, not {raw!r}")
-    if raw.lstrip("-").isdigit():
-        return int(raw)
     return raw
 
 
@@ -286,13 +297,7 @@ class SimplicialMap:
         return cls({v: v for v in K.vertices()})
 
     def to_json_obj(self) -> list:
-        return [
-            {
-                "from": {"color": v.color, "label": label_string(v.label)},
-                "to": {"color": w.color, "label": label_string(w.label)},
-            }
-            for v, w in self.items()
-        ]
+        return [{"from": vertex_json(v), "to": vertex_json(w)} for v, w in self.items()]
 
 
 @dataclass
@@ -353,7 +358,7 @@ class CarrierMap:
     def to_json_obj(self) -> list:
         return [
             {
-                "simplex": [{"color": v.color, "label": label_string(v.label)} for v in s],
+                "simplex": [vertex_json(v) for v in s],
                 "image": self(s).to_json_obj()["facets"],
             }
             for s in self.domain()

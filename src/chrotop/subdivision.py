@@ -264,18 +264,23 @@ def _det(matrix: list[list[Fraction]]) -> Fraction:
 def facet_volume_fraction(simplex: Simplex, base: Complex) -> Fraction:
     """Volume of a full-dimensional subdivision cell as a fraction of the
     volume of the base facet it lies in."""
+    return _host_and_volume(simplex, base)[1]
+
+
+def _host_and_volume(simplex: Simplex, base: Complex) -> tuple[Simplex, Fraction]:
+    """The base facet a cell lies in, and `facet_volume_fraction` of it."""
     pts = geometric_simplex(simplex, base)
     support = set()
     for p in pts:
         support.update(p.weights)
-    host = next((f for f in base.facets if set(support) <= set(f.vertices)), None)
+    host = next((f for f in base.facets if support <= set(f.vertices)), None)
     if host is None:
         raise BaseMismatch(f"cell {simplex!r} does not lie inside a single base facet")
     if simplex.dim != host.dim:
         raise Unsupported("volume fractions are defined for full-dimensional cells")
     cols = host.vertices
     matrix = [[p.weight(c) for c in cols] for p in pts]
-    return abs(_det(matrix))
+    return host, abs(_det(matrix))
 
 
 def volume_by_base_facet(K: Complex, base: Complex) -> dict[Simplex, Fraction]:
@@ -283,12 +288,8 @@ def volume_by_base_facet(K: Complex, base: Complex) -> dict[Simplex, Fraction]:
     each cell.  A genuine subdivision gives exactly 1 per base facet."""
     totals = {f: Fraction(0) for f in base.facets}
     for cell in K.facets:
-        pts = geometric_simplex(cell, base)
-        support = set()
-        for p in pts:
-            support.update(p.weights)
-        host = next(f for f in base.facets if set(support) <= set(f.vertices))
-        totals[host] += facet_volume_fraction(cell, base)
+        host, volume = _host_and_volume(cell, base)
+        totals[host] += volume
     return totals
 
 

@@ -125,7 +125,7 @@ def load_task_json_obj(obj: dict) -> Task:
         for entry in obj["delta"]:
             simplex = Complex.from_json_obj({"facets": [entry["simplex"]]}).facets[0]
             images[simplex] = Complex.from_json_obj({"facets": entry["image"]})
-    except TypeError as exc:  # a nested value of the wrong JSON type
+    except (TypeError, KeyError, ValueError) as exc:  # a missing, empty or malformed nested value
         raise Unsupported(f"malformed task: {exc}") from None
     name = obj.get("name", "custom")
     if not isinstance(name, str):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chrotop import cli
 from chrotop.models import builtin_model
 from chrotop.protocol import DecisionProtocol, ball_id, extract_map, view_depth, winner_protocol
@@ -35,6 +37,15 @@ def test_subdivide_identity(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "facets: 1" in out and "D_0: 1" in out
+
+
+def test_subdivide_rejects_unknown_formats(tmp_path, capsys):
+    for fmt in ("pgn", "json,pgn"):
+        assert run_cli("subdivide", "--simplex", "1", "--k", "1", "--out", str(tmp_path), "--format", fmt) == 2
+        assert capsys.readouterr().err.startswith("error: --format")
+    assert not list(tmp_path.iterdir())
+    assert run_cli("subdivide", "--simplex", "1", "--k", "1", "--out", str(tmp_path), "--format", "") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"chr1_simplex1.{ext}" for ext in ("dot", "json", "svg")]
 
 
 def test_subdivide_deterministic(tmp_path):
@@ -142,11 +153,14 @@ def test_table_protocol_from_file(tmp_path):
     task = inputless_consensus(2)
     delta = extract_map(winner_protocol(), model, task, 2)
     table = {ball_id(v): o.label for v, o in delta.items()}
-    spec = {"schema": 1, "kind": "table", "T": 2, "table": table}
-    path = tmp_path / "proto.json"
-    path.write_text(json.dumps(spec))
-    assert run_cli("run", "--model", "m1", "--protocol", str(path),
-                   "--task", "consensus", "--depth", "2", "--out", str(tmp_path / "t.txt")) == 0
+    # a label written as a string of digits is read as that integer
+    for name, labels in (("int", table), ("str", {ball: str(o) for ball, o in table.items()})):
+        spec = {"schema": 1, "kind": "table", "T": 2, "table": labels}
+        path = tmp_path / f"proto-{name}.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli("run", "--model", "m1", "--protocol", str(path),
+                       "--task", "consensus", "--depth", "2", "--out", str(tmp_path / f"{name}.txt")) == 0
+    assert (tmp_path / "int.txt").read_bytes() == (tmp_path / "str.txt").read_bytes()
 
 
 def test_run_rejects_malformed_protocol_files(tmp_path, capsys):
@@ -179,6 +193,15 @@ def test_check_rejects_negative_depth_and_arity_mismatch(capsys):
     assert "max depth" in capsys.readouterr().err
     assert run_cli("check", "--model", "iis2", "--task", "consensus:3", "--max-depth", "1") == 2
     assert "3 processes" in capsys.readouterr().err
+
+
+def test_check_bounds_the_task_process_count_before_building_it(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "inputless_consensus", lambda n: pytest.fail(f"built consensus:{n}"))
+    monkeypatch.setattr(cli, "set_agreement", lambda n: pytest.fail(f"built set agreement:{n}"))
+    for ref in ("consensus:x", "consensus:16", "consensus:20", "consensus:1", "set-agreement:6",
+                "set-agreement:-3", "consensus:\u0663", "consensus:2.0"):
+        assert run_cli("check", "--model", "iis2", "--task", ref, "--max-depth", "1") == 2
+        assert capsys.readouterr().err.startswith(f"error: task {ref!r} needs a process count")
 
 
 def test_check_dispatches_on_task_structure_not_name(tmp_path):

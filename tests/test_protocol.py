@@ -6,6 +6,7 @@ from chrotop.errors import (
     InvalidOutput,
     IrrevocabilityViolation,
     NotBoundedBy,
+    Unsupported,
 )
 from chrotop.models import builtin_model
 from chrotop.simplicial import SimplicialMap, Vertex, carried_by, check_simplicial_chromatic
@@ -27,6 +28,7 @@ from chrotop.protocol import (
     constant_protocol,
     execution_configurations,
     extract_map,
+    load_table_protocol_json_obj,
     never_protocol,
     own_input_protocol,
     run,
@@ -37,7 +39,7 @@ from chrotop.protocol import (
     view_depth,
     winner_protocol,
 )
-from chrotop.tasks import inputless_consensus
+from chrotop.tasks import inputless_consensus, load_task_json_obj
 from chrotop.checker import build_time_T
 
 M1 = builtin_model("m1")
@@ -249,3 +251,25 @@ def test_builtin_protocol_lookup():
     assert builtin_protocol("winner").name == "winner"
     assert builtin_protocol("constant:1")(0, Vertex(0, 0)) == 1
     assert builtin_protocol("own-input")(0, Vertex(0, 5)) == 5
+
+
+@pytest.mark.parametrize("raw, label", [
+    ("12", 12), ("-3", -3), ("007", 7), ("--5", "--5"), ("\u0663", "\u0663"), ("\u00b2", "\u00b2"),
+    ("+4", "+4"), ("x", "x"), (5, 5),
+    (True, Unsupported), (1.5, Unsupported), (None, Unsupported), ([1], Unsupported),
+])
+def test_every_loader_reads_a_label_by_one_rule(raw, label):
+    loaders = [
+        lambda: load_task_json_obj(dict(CONS.to_json_obj(), outputs=[[{"color": 0, "label": raw}]]))
+        .outputs.vertices()[0].label,
+        lambda: load_table_protocol_json_obj({"T": 0, "table": {"0:0": raw, "1:1": raw}}, M1, CONS)(0, Vertex(0, 0)),
+    ]
+    if isinstance(raw, str):
+        loaders.append(lambda: builtin_protocol("constant:" + raw)(0, Vertex(0, 0)))
+    for load in loaders:
+        if label is Unsupported:
+            with pytest.raises(Unsupported):
+                load()
+        else:
+            value = load()
+            assert (type(value), value) == (type(label), label)

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from chrotop.errors import NotChromatic, UnknownVertex, Unsupported, UnsupportedCoarsening
+from chrotop.errors import BaseMismatch, NotChromatic, UnknownVertex, Unsupported, UnsupportedCoarsening
 from chrotop.simplicial import Complex, Simplex, Vertex
 from chrotop.subdivision import (
     TerminatingSubdivision,
@@ -17,6 +17,7 @@ from chrotop.subdivision import (
     diameters_Dk,
     edge_position,
     facet_children,
+    facet_volume_fraction,
     geometric_simplex,
     ordered_partitions,
     partial_chr_step,
@@ -196,6 +197,17 @@ def test_diameter_table_matches_each_level_subdivided_afresh(base, depth):
 def test_volume_soundness(base, k):
     totals = volume_by_base_facet(chr_iterate(base, k), base)
     assert all(total == 1 for total in totals.values())
+
+
+def test_volume_of_a_cell_across_base_facets_is_a_base_mismatch():
+    a, b, c, d = Vertex(0, "a"), Vertex(1, "b"), Vertex(0, "c"), Vertex(1, "d")
+    base = Complex([Simplex([a, b]), Simplex([c, d])])
+    assert volume_by_base_facet(base, base) == {f: 1 for f in base.facets}
+    cell = Simplex([a, d])
+    with pytest.raises(BaseMismatch):
+        facet_volume_fraction(cell, base)
+    with pytest.raises(BaseMismatch):
+        volume_by_base_facet(Complex([cell]), base)
 
 
 def test_partial_step_everything_terminated():

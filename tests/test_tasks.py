@@ -131,6 +131,19 @@ def test_load_rejects_nested_wrong_types(field, value):
         load_task_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj.pop("delta"),
+    lambda obj: obj.update(inputs=[[]]),
+    lambda obj: obj.update(outputs=[]),
+    lambda obj: obj.update(outputs=[[{"color": 0}]]),
+], ids=["delta-missing", "facet-empty", "outputs-empty", "label-missing"])
+def test_load_rejects_missing_and_empty_parts(edit):
+    obj = inputless_consensus(2).to_json_obj()
+    edit(obj)
+    with pytest.raises(Unsupported):
+        load_task_json(json.dumps(obj))
+
+
 def test_load_accepts_int_and_string_labels():
     obj = inputless_consensus(2).to_json_obj()
     obj["outputs"] = [[{"color": 0, "label": 0}, {"color": 1, "label": "0"}],
