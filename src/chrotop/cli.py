@@ -78,17 +78,20 @@ def cmd_subdivide(args) -> int:
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     stem = f"chr{args.k}_simplex{args.simplex}"
-    payload = {"schema": 1, "seed": args.seed, "k": args.k, "Dk": str(d_k)}
-    payload.update(K.to_json_obj())
+    written = []
     if "json" in formats:
+        payload = {"schema": 1, "seed": args.seed, "k": args.k, "Dk": str(d_k)}
+        payload.update(K.to_json_obj())
         (outdir / f"{stem}.json").write_text(_dump(payload), encoding="utf-8")
-    if "svg" in formats:
-        if args.simplex <= 2:
-            (outdir / f"{stem}.svg").write_text(render_svg(K, base), encoding="utf-8")
-        else:
-            print("notice: SVG supports dimensions 1 and 2 only; wrote JSON/DOT instead")
+        written.append("JSON")
+    if "svg" in formats and args.simplex <= 2:
+        (outdir / f"{stem}.svg").write_text(render_svg(K, base), encoding="utf-8")
     if "dot" in formats:
         (outdir / f"{stem}.dot").write_text(render_dot(K), encoding="utf-8")
+        written.append("DOT")
+    if "svg" in formats and args.simplex > 2:
+        wrote = f"wrote {'/'.join(written)} instead" if written else "wrote no file"
+        print(f"notice: SVG supports dimensions 1 and 2 only; {wrote}")
     return 0
 
 
@@ -144,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_subdivide = sub.add_parser("subdivide", help="iterated chromatic subdivision of a standard simplex")
-    p_subdivide.add_argument("--simplex", type=int, required=True, help="dimension of the base simplex (1 or 2)")
+    p_subdivide.add_argument("--simplex", type=int, required=True, help="dimension of the base simplex (1 to 3; SVG for 1 and 2 only)")
     p_subdivide.add_argument("--k", type=int, required=True, help="number of subdivision rounds")
     p_subdivide.add_argument("--out", help="output directory")
     p_subdivide.add_argument("--format", help="comma list of json,svg,dot (default all)")

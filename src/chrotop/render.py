@@ -5,9 +5,10 @@ formatting; output is deterministic for a given input."""
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from itertools import combinations
 
 from .errors import Unsupported
-from .simplicial import Complex, vertex_string
+from .simplicial import Complex, vertex_strings
 from .subdivision import coordinates
 
 PROCESS_COLORS = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b"]
@@ -107,20 +108,31 @@ def render_terminating_svg(tsub, depth: int) -> str:
 
 
 def render_dot(K: Complex) -> str:
-    """Face poset of a complex as a DOT digraph: an edge per covering
-    containment, lowest-dimensional faces at the bottom."""
-    simplexes = K.simplexes()
-    ids = {s: f"s{i}" for i, s in enumerate(simplexes)}
-    names = {v: vertex_string(v) for v in K.vertices()}
+    """Face poset of a complex as a DOT digraph: a node per face in
+    canonical order, an edge per covering containment, lowest-dimensional
+    faces at the bottom.
+
+    A face is the ascending tuple of its vertices' positions in
+    `K.vertices()`, which is `vertex_key` order, so sorting these int
+    tuples gives the `Simplex.key` order of `K.simplexes()`."""
+    vertices = K.vertices()
+    position = {v: i for i, v in enumerate(vertices)}
+    # a label is quoted, so `\` and `"` inside it are escaped
+    names = [text.replace("\\", "\\\\").replace('"', '\\"') for text in vertex_strings(vertices)]
+    faces = set()
+    for facet in K.facets:
+        at = tuple(position[v] for v in facet)
+        for r in range(1, len(at) + 1):
+            faces.update(combinations(at, r))
+    ordered = sorted(faces)
+    ids = {s: f"s{i}" for i, s in enumerate(ordered)}
     lines = ["digraph faceposet {", "  rankdir=BT;"]
-    for s in simplexes:
-        label = "|".join(names[v] for v in s)
+    for s in ordered:
+        label = "|".join(names[i] for i in s)
         lines.append(f'  {ids[s]} [label="{label}"];')
-    for s in simplexes:
-        if s.dim == 0:
-            continue
-        for face in s.faces():
-            if face.dim == s.dim - 1:
-                lines.append(f"  {ids[face]} -> {ids[s]};")
+    for s in ordered:
+        if len(s) > 1:
+            # the covering faces, in the order `Simplex.faces()` yields them
+            lines.extend(f"  {ids[face]} -> {ids[s]};" for face in combinations(s, len(s) - 1))
     lines.append("}")
     return "\n".join(lines) + "\n"

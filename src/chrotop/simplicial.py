@@ -46,21 +46,47 @@ def vertex_key(v: Vertex):
     return (v.color, label_key(v.label))
 
 
+def _label_text(label, memo: dict) -> str:
+    """The one writer of label texts: a nested simplex renders as its
+    vertices' `"color:label"` texts in braces.  `memo` maps each nested
+    simplex already written to its text, so a vertex shared by many
+    nested labels is written once per memo, not once per occurrence."""
+    if not isinstance(label, Simplex):
+        return str(label)
+    text = memo.get(label)
+    if text is None:
+        text = memo[label] = "{" + ",".join(_vertex_text(v, memo) for v in label) + "}"
+    return text
+
+
+def _vertex_text(v: Vertex, memo: dict) -> str:
+    return f"{v.color}:{_label_text(v.label, memo)}"
+
+
+def _vertex_json(v: Vertex, memo: dict) -> dict:
+    return {"color": v.color, "label": _label_text(v.label, memo)}
+
+
 def label_string(label) -> str:
     """Canonical printable form of a label; nested simplexes render recursively."""
-    if isinstance(label, Simplex):
-        return "{" + ",".join(map(vertex_string, label)) + "}"
-    return str(label)
+    return _label_text(label, {})
 
 
 def vertex_string(v: Vertex) -> str:
     """The `"color:label"` text of a vertex; a view's is its ball id."""
-    return f"{v.color}:{label_string(v.label)}"
+    return _vertex_text(v, {})
+
+
+def vertex_strings(vertices: Iterable[Vertex]) -> list[str]:
+    """The `vertex_string` of each vertex, written with one shared memo,
+    so the texts of a whole subdivision cost what they are long."""
+    memo: dict = {}
+    return [_vertex_text(v, memo) for v in vertices]
 
 
 def vertex_json(v: Vertex) -> dict:
     """The `{"color", "label"}` JSON object of a vertex."""
-    return {"color": v.color, "label": label_string(v.label)}
+    return _vertex_json(v, {})
 
 
 def parse_label(raw):
@@ -230,8 +256,8 @@ class Complex:
     # -- serialization -------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        # nested labels are exponential to render: encode each vertex once
-        encoded = {v: vertex_json(v) for v in self.vertices()}
+        memo: dict = {}
+        encoded = {v: _vertex_json(v, memo) for v in self.vertices()}
         return {
             "n": max(self.colors()) + 1,
             "facets": [[encoded[v] for v in f] for f in self.facets],

@@ -201,8 +201,9 @@ def geometric_distance(x: BarycentricPoint, y: BarycentricPoint) -> Fraction:
     """Half the 1-norm of the weight difference; base edges have length 1."""
     if x.base.facets != y.base.facets:
         raise BaseMismatch("points live over different base complexes")
-    keys = x.weights.keys() | y.weights.keys()
-    return sum((abs(x.weight(k) - y.weight(k)) for k in keys), Fraction(0)) / 2
+    xw, yw = x.weights, y.weights
+    # an int 0 for a missing weight: every term still has a Fraction side
+    return sum((abs(xw.get(k, 0) - yw.get(k, 0)) for k in xw.keys() | yw.keys()), Fraction(0)) / 2
 
 
 def geometric_simplex(simplex: Simplex, base: Complex) -> tuple[BarycentricPoint, ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -54,6 +55,47 @@ def test_subdivide_deterministic(tmp_path):
     run_cli("subdivide", "--simplex", "2", "--k", "1", "--out", str(b))
     for ext in ("json", "svg", "dot"):
         assert (a / f"chr1_simplex2.{ext}").read_bytes() == (b / f"chr1_simplex2.{ext}").read_bytes()
+
+
+def test_subdivide_svg_notice_names_what_was_written(tmp_path, capsys):
+    cases = [
+        ("svg", "wrote no file", []),
+        ("svg,json", "wrote JSON instead", ["json"]),
+        ("dot,svg", "wrote DOT instead", ["dot"]),
+        ("json,svg,dot", "wrote JSON/DOT instead", ["dot", "json"]),
+    ]
+    for fmt, wrote, exts in cases:
+        out = tmp_path / fmt.replace(",", "-")
+        assert run_cli("subdivide", "--simplex", "3", "--k", "1", "--out", str(out), "--format", fmt) == 0
+        notices = [line for line in capsys.readouterr().out.splitlines() if line.startswith("notice:")]
+        assert notices == [f"notice: SVG supports dimensions 1 and 2 only; {wrote}"]
+        assert sorted(p.name for p in out.iterdir()) == [f"chr1_simplex3.{ext}" for ext in exts]
+    assert run_cli("subdivide", "--simplex", "2", "--k", "0", "--out", str(tmp_path / "tri")) == 0
+    assert "notice" not in capsys.readouterr().out
+
+
+def test_subdivide_help_names_the_accepted_dimensions(capsys):
+    assert run_cli("subdivide", "--help") == 0
+    assert "1 to 3" in " ".join(capsys.readouterr().out.split())
+
+
+# sha256 of the files the writers produced before they were made linear in
+# their output (the face poset over `Simplex` objects, per-vertex label texts)
+GOLDEN_SHA256 = {
+    "chr2_simplex2.json": "03b96ffae350a17192fdcfe8324bead938b56cdc959bf2bd6d5667b3543496e0",
+    "chr2_simplex2.svg": "f342141a41ea5705d049dbd51681f1dd04f447e6a5ddb4545911ea29411bea3b",
+    "chr2_simplex2.dot": "fcf9e341681431db0b4c56eb5b07d552bd09711de192292bd6f6c85d8171a734",
+    "chr4_simplex1.json": "64001c135e9192355d0fd62d7a10efc1c9fcbf3e6cac45d2ff1290444c0f2edb",
+    "chr4_simplex1.svg": "ee3d1cd9c2fb5e5a38e42c786189b50f933319ad11035a9c97d018be145af10c",
+    "chr4_simplex1.dot": "3698e6728e9317e954e8b03dbb18d7c49d2c86bbe6b4284371614f9d2305a483",
+}
+
+
+def test_subdivide_outputs_match_golden_hashes(tmp_path):
+    for simplex, k in (("2", "2"), ("1", "4")):
+        assert run_cli("subdivide", "--simplex", simplex, "--k", k, "--out", str(tmp_path)) == 0
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_check_exit_codes(tmp_path):

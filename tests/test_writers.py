@@ -1,0 +1,120 @@
+"""The DOT and JSON writers of a complex against plain reference copies:
+the face poset built from `K.simplexes()` and `Simplex.faces()`, and the
+vertex texts written one vertex at a time by a recursion with no memo."""
+
+import json
+
+import pytest
+
+from chrotop.render import render_dot
+from chrotop.simplicial import (Complex, Simplex, Vertex, label_string, vertex_json,
+                                vertex_string, vertex_strings)
+from chrotop.subdivision import TerminatingSubdivision, chr_iterate, prefix_policy
+
+R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
+
+
+def standard_simplex(n):
+    return Complex([Simplex(Vertex(i, i) for i in range(n))])
+
+
+def reference_label(label):
+    if isinstance(label, Simplex):
+        return "{" + ",".join(f"{v.color}:{reference_label(v.label)}" for v in label) + "}"
+    return str(label)
+
+
+def reference_names(K):
+    return {v: f"{v.color}:{reference_label(v.label)}" for v in K.vertices()}
+
+
+def reference_dot(K):
+    simplexes = K.simplexes()
+    ids = {s: f"s{i}" for i, s in enumerate(simplexes)}
+    names = reference_names(K)
+    lines = ["digraph faceposet {", "  rankdir=BT;"]
+    for s in simplexes:
+        label = "|".join(names[v] for v in s)
+        lines.append(f'  {ids[s]} [label="{label}"];')
+    for s in simplexes:
+        if s.dim == 0:
+            continue
+        for face in s.faces():
+            if face.dim == s.dim - 1:
+                lines.append(f"  {ids[face]} -> {ids[s]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(K):
+    return {
+        "n": max(K.colors()) + 1,
+        "facets": [[{"color": v.color, "label": reference_label(v.label)} for v in f]
+                   for f in K.facets],
+    }
+
+
+def stable_complex():
+    policy = prefix_policy({1: [(R,)], 2: [(L, s) for s in (R, B, L)]})
+    ts = TerminatingSubdivision(standard_simplex(2), policy)
+    ts.materialize(2)
+    return ts.stable_complex(2)
+
+
+def mixed_dimension():
+    A, Bv, C, D = (Vertex(i, i) for i in range(4))
+    return Complex([Simplex([A, Bv, C]), Simplex([C, D])])
+
+
+def string_labels():
+    return Complex([
+        Simplex([Vertex(0, "x"), Vertex(1, "y z"), Vertex(2, 7)]),
+        Simplex([Vertex(0, "x"), Vertex(1, "w"), Vertex(2, -3)]),
+        Simplex([Vertex(0, "{0:1}"), Vertex(2, -3)]),
+    ])
+
+
+CASES = (
+    [(f"edge-k{k}", lambda k=k: chr_iterate(standard_simplex(2), k)) for k in range(5)]
+    + [(f"triangle-k{k}", lambda k=k: chr_iterate(standard_simplex(3), k)) for k in range(3)]
+    + [("tetrahedron-k1", lambda: chr_iterate(standard_simplex(4), 1)),
+       ("mixed-ABC-CD", mixed_dimension),
+       ("string-labels", string_labels),
+       ("stable-complex", stable_complex)]
+)
+
+
+def assert_same_items(got, want):
+    """`got == want` for two sequences, reporting only the first item that
+    differs: pytest's diff of two whole large outputs can take minutes."""
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"first difference at item {i}"
+    assert len(got) == len(want)
+
+
+@pytest.mark.parametrize("build", [b for _, b in CASES], ids=[name for name, _ in CASES])
+def test_writers_match_reference(build):
+    K = build()
+    assert_same_items(render_dot(K).split("\n"), reference_dot(K).split("\n"))
+    assert_same_items(json.dumps(K.to_json_obj(), indent=2).split("\n"),
+                      json.dumps(reference_json(K), indent=2).split("\n"))
+    names = reference_names(K)
+    assert_same_items(vertex_strings(K.vertices()), [names[v] for v in K.vertices()])
+    for v in K.vertices():
+        assert vertex_string(v) == names[v]
+        assert vertex_json(v) == {"color": v.color, "label": reference_label(v.label)}
+        assert label_string(v.label) == reference_label(v.label)
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    K = Complex([Simplex([Vertex(0, 'a"b'), Vertex(1, "c\\d")])])
+    assert render_dot(K) == "\n".join([
+        "digraph faceposet {",
+        "  rankdir=BT;",
+        '  s0 [label="0:a\\"b"];',
+        '  s1 [label="0:a\\"b|1:c\\\\d"];',
+        '  s2 [label="1:c\\\\d"];',
+        "  s0 -> s1;",
+        "  s2 -> s1;",
+        "}",
+    ]) + "\n"
