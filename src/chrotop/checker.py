@@ -33,7 +33,7 @@ from .protocol import (
     check_solves,
     shared_configurations,
     synthesize_from_time_map,
-    view_ancestor,
+    view_chain,
     ball_id,
 )
 from .simplicial import (
@@ -100,7 +100,7 @@ def connecting_map_fST(PT: TimeTComplex, PS: TimeTComplex) -> SimplicialMap:
     ps_vertices = set(PS.complex.vertices())
     mapping = {}
     for ball in PT.complex.vertices():
-        target = view_ancestor(ball, PS.T)
+        target = view_chain(ball)[PS.T]
         if target not in ps_vertices:
             raise ChrotopError(f"truncated ball {target!r} missing at time {PS.T}")
         mapping[ball] = target

@@ -170,8 +170,14 @@ class ModelSpec:
     predicate: PrefixPredicate | None = field(default=None, compare=False)
 
     def schedules(self, participants: frozenset) -> list[RoundSchedule]:
+        """The round schedules of the given participants, which must be
+        processes of this model: a color outside 0..n-1 would silently
+        fail every full-participation rule."""
         if len(participants) > MAX_PROCESSES:
             raise Unsupported(f"at most {MAX_PROCESSES} participants supported")
+        outside = participants - frozenset(range(self.n))
+        if outside:
+            raise Unsupported(f"colors {sorted(outside)} are not processes 0..{self.n - 1} of model {self.name}")
         return [RoundSchedule(blocks) for blocks in ordered_partitions(sorted(participants))]
 
     def allowed_prefix(self, participants: frozenset, prefix: Word) -> bool:
@@ -207,20 +213,11 @@ def enumerate_prefixes(model: ModelSpec, depth: int, participants: frozenset | N
     if participants is None:
         participants = frozenset(range(model.n))
     alphabet = model.schedules(participants)
-    out: list[Word] = []
-
-    def extend(prefix: Word):
-        if len(prefix) == depth:
-            out.append(prefix)
-            return
-        for s in alphabet:
-            candidate = prefix + (s,)
-            if model.allowed_prefix(participants, candidate):
-                extend(candidate)
-
-    if model.allowed_prefix(participants, ()):
-        extend(())
-    return out
+    words: list[Word] = [()] if model.allowed_prefix(participants, ()) else []
+    for _ in range(depth):  # each word in order over the alphabet keeps lexicographic order
+        candidates = [prefix + (s,) for prefix in words for s in alphabet]
+        words = [w for w in candidates if model.allowed_prefix(participants, w)]
+    return words
 
 
 def is_excluded_limit(model: ModelSpec, w: ExecutionWord) -> bool:

@@ -35,43 +35,19 @@ from .tasks import Task
 # -- views ------------------------------------------------------------------
 
 
-def view_depth(v: Vertex) -> int:
-    depth = 0
-    while isinstance(v.label, Simplex):
-        v = v.label.vertex_of_color(v.color)
-        depth += 1
-    return depth
-
-
-def view_prev(v: Vertex) -> Vertex:
-    """The same process's view one round earlier."""
-    if not isinstance(v.label, Simplex):
-        raise ValueError(f"{v!r} is an initial view")
-    return v.label.vertex_of_color(v.color)
-
-
-def view_ancestor(v: Vertex, t: int) -> Vertex:
-    """The view at step t along the chain of v."""
-    d = view_depth(v)
-    if t > d:
-        raise ValueError(f"view has depth {d}, cannot ascend to {t}")
-    while d > t:
-        v = view_prev(v)
-        d -= 1
-    return v
-
-
-def view_input(v: Vertex) -> Vertex:
-    return view_ancestor(v, 0)
-
-
 def view_chain(v: Vertex) -> list[Vertex]:
-    """Views at steps 0..depth(v), oldest first."""
+    """The one walk down a view: entry t is the same process's view after
+    t rounds, from its input vertex (entry 0) to v itself."""
     chain = [v]
     while isinstance(v.label, Simplex):
-        v = view_prev(v)
+        v = v.label.vertex_of_color(v.color)
         chain.append(v)
-    return chain[::-1]
+    chain.reverse()
+    return chain
+
+
+def view_depth(v: Vertex) -> int:
+    return len(view_chain(v)) - 1
 
 
 @dataclass(frozen=True)
@@ -158,7 +134,7 @@ def constant_protocol(value) -> DecisionProtocol:
 
 
 def own_input_protocol() -> DecisionProtocol:
-    return DecisionProtocol("own-input", lambda color, view: view_input(view).label)
+    return DecisionProtocol("own-input", lambda color, view: view_chain(view)[0].label)
 
 
 def never_protocol() -> DecisionProtocol:
@@ -172,16 +148,16 @@ def winner_protocol() -> DecisionProtocol:
     cannot happen in the first round."""
 
     def decide(color: int, view: Vertex):
-        if view_depth(view) < 1:
+        chain = view_chain(view)
+        if len(chain) < 2:
             return None
-        first = view_ancestor(view, 1)
-        carrier = first.label
+        carrier = chain[1].label  # the input views heard in round one
         if carrier.colors() == {color}:
-            return view_input(view).label
+            return chain[0].label
         others = sorted(carrier.colors() - {color})
         if len(carrier.colors()) != 2 or len(others) != 1:
             raise Unsupported("winner protocol is a two-process rule")
-        return view_input(carrier.vertex_of_color(others[0])).label
+        return carrier.vertex_of_color(others[0]).label
 
     return DecisionProtocol("winner", decide)
 
@@ -352,8 +328,8 @@ def synthesize_from_time_map(delta_T: SimplicialMap, time_complex) -> DecisionPr
             by_prefix.setdefault(prefix, set()).add(ball)
 
     def decide(color: int, view: Vertex):
-        anchor = view_ancestor(view, T) if view_depth(view) > T else view
-        group = by_prefix.get(anchor)
+        chain = view_chain(view)
+        group = by_prefix.get(chain[min(T, len(chain) - 1)])
         if not group:
             raise IncompleteMap(f"view {view!r} is outside the time complex")
         values = set()

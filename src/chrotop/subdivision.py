@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -241,25 +242,29 @@ def diameter_Dk(base: Complex, k: int) -> Fraction:
     return diameters_Dk(base, k)[-1]
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, Fraction]]:
+    """Exact Gauss-Jordan elimination of `rows`, in place, over their
+    first `ncols` columns; later columns ride along as right-hand sides.
+
+    Returns the (column, value) of each pivot in row order: pivot i ends
+    in row i, scaled to 1, and is zero in every other row.  A column with
+    no pivot is skipped.
+    """
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        value = rows[r][col]
+        rows[r] = [a / value for a in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                factor = row[col]
+                rows[i] = [a - factor * b for a, b in zip(row, rows[r])]
+        pivots.append((col, value))
+    return pivots
 
 
 def facet_volume_fraction(simplex: Simplex, base: Complex) -> Fraction:
@@ -281,7 +286,12 @@ def _host_and_volume(simplex: Simplex, base: Complex) -> tuple[Simplex, Fraction
         raise Unsupported("volume fractions are defined for full-dimensional cells")
     cols = host.vertices
     matrix = [[p.weight(c) for c in cols] for p in pts]
-    return host, abs(_det(matrix))
+    pivots = _gauss_jordan(matrix, len(cols))
+    if len(pivots) < len(cols):
+        return host, Fraction(0)
+    # the elimination ends at the identity; swaps only flip the sign of the
+    # determinant and scaling a row by 1/value divides it by value
+    return host, abs(prod(value for _, value in pivots))
 
 
 def volume_by_base_facet(K: Complex, base: Complex) -> dict[Simplex, Fraction]:
@@ -306,28 +316,13 @@ def _solve_convex(columns: Sequence[BarycentricPoint], x: BarycentricPoint):
     rows.append([Fraction(1)] * len(columns) + [Fraction(1)])
     ncols = len(columns)
     mat = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][col]
-        mat[r] = [a / inv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][ncols] != 0:
-            return None
+    pivots = _gauss_jordan(mat, ncols)
+    if any(row[ncols] != 0 for row in mat[len(pivots):]):
+        return None
     lam = [Fraction(0)] * ncols
-    for row_idx, col in enumerate(pivots):
-        lam[col] = mat[row_idx][ncols]
-    for row, k in zip(rows[:-1], keys):
+    for row, (col, _) in zip(mat, pivots):
+        lam[col] = row[ncols]
+    for row in rows[:-1]:
         if sum(l * c for l, c in zip(lam, row[:ncols])) != row[ncols]:
             return None
     if sum(lam) != 1:

@@ -203,6 +203,69 @@ def test_table_protocol_from_file(tmp_path):
         assert run_cli("run", "--model", "m1", "--protocol", str(path),
                        "--task", "consensus", "--depth", "2", "--out", str(tmp_path / f"{name}.txt")) == 0
     assert (tmp_path / "int.txt").read_bytes() == (tmp_path / "str.txt").read_bytes()
+    # the table of m1's winner map at T=2, run at depth 2 and 5, pinned below
+    assert run_cli("run", "--model", "m1", "--protocol", str(tmp_path / "proto-int.json"),
+                   "--task", "consensus", "--depth", "5", "--out", str(tmp_path / "int5.txt")) == 0
+    for name in ("proto-int.json", "int.txt", "int5.txt"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN_RUN_SHA256[name], name
+
+
+# sha256 of outputs as written before the view, word and elimination walks
+# each became one loop
+GOLDEN_RUN_SHA256 = {
+    "proto-int.json": "0da9ffcf1294a7c56cd06ebe721f43d3072abfe1378a808de74e7741f56e8182",
+    "int.txt": "e65e8c6e1d77d67b5ca44de818a94b07043dad22294ca36df192be6490cf9005",
+    "int5.txt": "512e11b47d6615730969f63c8474a00f57ec924f419abd89d2f0633bc22658b3",
+    "m1 winner 4": "edd2c75ba00fc2afea13cae76693680b58809e6bb2468954b73017c0f5e6b8e0",
+    "iis2 own-input 3": "6bf125fc525793918330aea0ed7579eb486a642c37d8d81a7fe82d9854bb6180",
+    # a two-process task in a three-process model: a subset of its processes
+    "iis3 own-input 2": "0616407fdf8de65aa51140da3cbeefe34c5df5cd089bde8c0cf138cdc993f99f",
+}
+
+
+@pytest.mark.parametrize("model, protocol, depth, code", [
+    ("m1", "winner", "4", 0), ("iis2", "own-input", "3", 1), ("iis3", "own-input", "2", 1),
+])
+def test_run_stdout_matches_golden_hash(model, protocol, depth, code, capsys):
+    assert run_cli("run", "--model", model, "--protocol", protocol, "--task", "consensus", "--depth", depth) == code
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_RUN_SHA256[f"{model} {protocol} {depth}"]
+
+
+def solo_files(tmp_path):
+    """A one-process model and a one-process task that decides its input."""
+    model, task = tmp_path / "solo-model.json", tmp_path / "solo-task.json"
+    model.write_text(json.dumps({"n": 1, "kind": "iis", "name": "iis1"}))
+    v = {"color": 0, "label": 0}
+    task.write_text(json.dumps({"name": "solo", "inputs": [[v]], "outputs": [[v]],
+                                "delta": [{"simplex": [v], "image": [[v]]}]}))
+    return str(model), str(task)
+
+
+def test_run_reaches_depths_past_the_recursion_limit(tmp_path, capsys):
+    model, task = solo_files(tmp_path)
+    assert run_cli("run", "--model", model, "--task", task, "--protocol", "constant:0", "--depth", "1500") == 0
+    out = capsys.readouterr().out
+    assert out.endswith("p0=0@r0\nresult: PASS\n") and ",".join(["0"] * 1500) in out
+    assert run_cli("run", "--model", model, "--task", task, "--protocol", "never", "--depth", "1500") == 5
+    assert capsys.readouterr().out.endswith("p0=?\nresult: UNDECIDED\n")
+
+
+def test_task_colors_must_be_processes_of_the_model(tmp_path, capsys):
+    """IIS2 written as a custom model, with consensus over colors 0 and 2:
+    no schedule over {0, 2} is a round of the model, so the executions of
+    both processes would vanish and leave only the solo ones."""
+    model = tmp_path / "iis2-custom.json"
+    model.write_text(json.dumps({"n": 2, "kind": "custom", "allowedFirstRounds": ["->", "<-", "<->"]}))
+    task = tmp_path / "consensus-02.json"
+    task.write_text(json.dumps(inputless_consensus(2).to_json_obj()).replace('"color": 1', '"color": 2'))
+    assert run_cli("check", "--model", str(model), "--task", "consensus", "--max-depth", "3",
+                   "--out", str(tmp_path / "v.json")) == 10
+    capsys.readouterr()
+    for argv in (("check", "--max-depth", "3"), ("run", "--protocol", "own-input")):
+        assert run_cli(argv[0], "--model", str(model), "--task", str(task), *argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: colors [2] are not processes 0..1")
 
 
 def test_run_rejects_malformed_protocol_files(tmp_path, capsys):

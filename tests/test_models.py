@@ -150,3 +150,24 @@ def test_sub_participation_unrestricted():
     m1 = builtin_model("m1")
     solo = frozenset({1})
     assert len(enumerate_prefixes(m1, 3, solo)) == 1
+
+
+def test_participants_must_be_processes_of_the_model():
+    iis3 = builtin_model("iis3")
+    assert [str(s) for s in iis3.schedules(frozenset({0, 2}))] == ["0|2", "0,2", "2|0"]
+    assert len(enumerate_prefixes(iis3, 2, frozenset({0, 1}))) == 9
+    custom = load_model_json(json.dumps({"n": 2, "kind": "custom", "allowedFirstRounds": ["->", "<-", "<->"]}))
+    for participants in ({0, 2}, {2}, {-1}):
+        with pytest.raises(Unsupported, match="not processes 0..1"):
+            custom.schedules(frozenset(participants))
+        with pytest.raises(Unsupported):
+            enumerate_prefixes(custom, 1, frozenset(participants))
+
+
+def test_executions_over_foreign_colors_are_refused():
+    from chrotop.protocol import all_executions
+
+    inputs = Complex([Simplex([Vertex(0, 0), Vertex(2, 1)])])
+    with pytest.raises(Unsupported):
+        all_executions(iis(2), inputs, 1)
+    assert len(all_executions(iis(3), inputs, 1)) == 1 + 1 + 3
