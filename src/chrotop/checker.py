@@ -76,7 +76,10 @@ def build_time_T(model: ModelSpec, task: Task, T: int) -> TimeTComplex:
     """Vertices are depth-T views over all allowed executions; a set of
     views is a simplex when one execution produces all of them.  The
     execution map sends each input simplex to the views of executions
-    whose participation and inputs are compatible with it."""
+    whose participation and inputs are compatible with it.  When every
+    execution is compatible, as with the input facet of a one-facet input
+    complex, that image is P_T itself, the same `Complex` object, so its
+    facets and vertices are sorted once."""
     if T < 0:
         raise Unsupported("time must be nonnegative")
     executions = all_executions(model, task.inputs, T)
@@ -89,7 +92,7 @@ def build_time_T(model: ModelSpec, task: Task, T: int) -> TimeTComplex:
     for sigma in task.inputs.simplexes():
         compatible_faces = set(sigma.faces())
         facets = [s for e, s in simplexes_by_execution if e.face in compatible_faces]
-        images[sigma] = Complex(facets)
+        images[sigma] = complex_ if len(facets) == len(simplexes_by_execution) else Complex(facets)
     return TimeTComplex(T, complex_, CarrierMap(images))
 
 
@@ -193,7 +196,12 @@ def search_decision_map(PT: TimeTComplex, task: Task) -> Optional[SimplicialMap]
     the facet adjacency (`_search_order`, computed in
     O(V log V + sum of constraint sizes)); every partial image of a
     constrained simplex must already be a simplex of the allowed
-    complex, which prunes as soon as an edge is complete.
+    complex, which prunes as soon as an edge is complete.  Each distinct
+    allowed complex is turned once per search into the set of its faces,
+    as frozensets of output vertices, so a check is one set lookup.  The
+    vertices of a facet have distinct colors and candidates keep colors,
+    so a partial image is a set of distinct output vertices and lies in
+    that set exactly when it is a simplex of the allowed complex.
     """
     candidates = _vertex_candidates(PT, task)
     if any(not c for c in candidates.values()):
@@ -201,13 +209,17 @@ def search_decision_map(PT: TimeTComplex, task: Task) -> Optional[SimplicialMap]
     constraints, by_vertex = _search_constraints(PT, task)
     order = _search_order(PT.complex.vertices(), candidates, constraints, by_vertex)
 
+    face_sets: dict[Complex, frozenset[frozenset[Vertex]]] = {}
+    for _, allowed in constraints:
+        if allowed not in face_sets:
+            face_sets[allowed] = frozenset(frozenset(s) for s in allowed.simplexes())
+    faces_of = [face_sets[allowed] for _, allowed in constraints]
     assignment: dict[Vertex, Vertex] = {}
 
     def consistent(v: Vertex) -> bool:
         for idx in by_vertex[v]:
-            verts, allowed = constraints[idx]
-            assigned = [assignment[u] for u in verts if u in assignment]
-            if assigned and Simplex(assigned) not in allowed:
+            assigned = frozenset(assignment[u] for u in constraints[idx][0] if u in assignment)
+            if assigned not in faces_of[idx]:
                 return False
         return True
 

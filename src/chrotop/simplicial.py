@@ -11,19 +11,27 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import IncompleteMap, InvalidCarrier, InvalidVertex, NotASimplex, Unsupported
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
-    """A colored, labeled vertex. Equality and hashing are by value."""
+    """A colored, labeled vertex. Equality and hashing are by value; the
+    hash is `hash((color, label))`, computed once at construction."""
 
     color: int
     label: object
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.color, self.label)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"v({vertex_string(self)})"

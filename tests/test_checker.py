@@ -214,6 +214,99 @@ def test_search_order_matches_quadratic_reference(model, task, T):
     assert order == quadratic_search_order(vertices, candidates, constraints, by_vertex)
 
 
+def reference_search(PT, task):
+    """Reference: the search as it tested each partial image, by building
+    a `Simplex` and scanning the allowed `Complex` for it."""
+    candidates = _vertex_candidates(PT, task)
+    if any(not c for c in candidates.values()):
+        return None
+    constraints, by_vertex = _search_constraints(PT, task)
+    order = _search_order(PT.complex.vertices(), candidates, constraints, by_vertex)
+    assignment = {}
+
+    def consistent(v):
+        for idx in by_vertex[v]:
+            verts, allowed = constraints[idx]
+            assigned = [assignment[u] for u in verts if u in assignment]
+            if assigned and Simplex(assigned) not in allowed:
+                return False
+        return True
+
+    stack = [iter(candidates[order[0]])]
+    while stack:
+        v = order[len(stack) - 1]
+        for o in stack[-1]:
+            assignment[v] = o
+            if consistent(v):
+                if len(stack) == len(order):
+                    return SimplicialMap(assignment)
+                stack.append(iter(candidates[order[len(stack)]]))
+                break
+        else:
+            del assignment[v]
+            stack.pop()
+    return None
+
+
+def approximate_agreement(top):
+    """Two processes decide values in 0..top: solo, process 0 decides 0 and
+    process 1 decides `top`; together they decide values at most 1 apart.
+    So delta of the input edge is a proper subcomplex of the outputs."""
+    edge = CONS.inputs.facets[0]
+    pairs = [(x, y) for x in range(top + 1) for y in range(top + 1)]
+    outputs = Complex([Simplex([Vertex(0, x), Vertex(1, y)]) for x, y in pairs])
+    close = Complex([Simplex([Vertex(0, x), Vertex(1, y)]) for x, y in pairs if abs(x - y) <= 1])
+    images = {
+        Simplex([edge.vertex_of_color(0)]): Complex([Simplex([Vertex(0, 0)])]),
+        Simplex([edge.vertex_of_color(1)]): Complex([Simplex([Vertex(1, top)])]),
+        edge: close,
+    }
+    return Task(f"approximate-agreement:{top}", CONS.inputs, outputs, CarrierMap(images))
+
+
+APPROX = approximate_agreement(4)
+
+
+@pytest.mark.parametrize("model, task, depth", [
+    (IIS2, CONS, 6),
+    (M1, CONS, 5),
+    (M2, CONS, 5),
+    (IIS3, set_agreement(3), 2),
+    (IIS3, inputless_consensus(3), 2),
+    (IIS2, APPROX, 4),
+    (M1, APPROX, 4),
+    (M2, APPROX, 4),
+], ids=["iis2-T6", "m1-T5", "m2-T5", "iis3-set-agreement-T2", "iis3-consensus-T2",
+        "iis2-approx-T4", "m1-approx-T4", "m2-approx-T4"])
+def test_search_matches_simplex_membership_reference(model, task, depth):
+    found = []
+    for T in range(depth + 1):
+        PT = build_time_T(model, task, T)
+        delta = search_decision_map(PT, task)
+        reference = reference_search(PT, task)
+        assert (delta is None) == (reference is None)
+        if delta is not None:
+            assert delta.mapping == reference.mapping
+            assert check_simplicial_chromatic(delta, PT.complex, task.outputs).ok
+            assert carried_by(delta, PT.xi, task.delta, task.inputs).carried
+        found.append(delta is not None)
+    if task is APPROX and model is IIS2:
+        # values 0 and 4 are four steps apart: P_0 and P_1 have too few edges
+        assert found == [False, False, True, True, True]
+
+
+def test_approximate_agreement_delta_differs_from_the_outputs():
+    edge = APPROX.inputs.facets[0]
+    assert APPROX.delta(edge) != APPROX.outputs
+    assert APPROX.delta(edge).is_subcomplex_of(APPROX.outputs)
+    # a map into the outputs that ignores delta(edge) exists where none is carried
+    PT = build_time_T(IIS2, APPROX, 1)
+    loose = Task("loose", APPROX.inputs, APPROX.outputs,
+                 CarrierMap({**APPROX.delta.images, edge: APPROX.outputs}))
+    assert search_decision_map(PT, APPROX) is None
+    assert search_decision_map(PT, loose) is not None
+
+
 def maximal_facets(facets):
     """Reference: the facets no other facet strictly contains, compared
     pairwise."""
@@ -237,8 +330,9 @@ def test_time_T_complexes_keep_exactly_the_maximal_facets(monkeypatch, model, ta
     monkeypatch.setattr(chrotop.checker, "Complex", recording)
     for T in range(depth + 1):
         build_time_T(model, task, T)
-    # P_T and one xi image per input simplex, at every T
-    assert len(built) == (depth + 1) * (1 + len(task.inputs.simplexes()))
+    # P_T and one xi image per input simplex but the facet, whose image is
+    # P_T itself, at every T
+    assert len(built) == (depth + 1) * len(task.inputs.simplexes())
     assert any(len(maximal_facets(f)) < len(set(f)) for f in built)  # some builds drop facets
     for facets in built:
         assert Complex(facets).facets == maximal_facets(facets)
@@ -257,8 +351,9 @@ def test_mixed_dimension_complexes_keep_exactly_the_maximal_facets():
 
 def test_time_T_maximality_filter_is_linear_on_the_ladder(monkeypatch):
     # comparing each smaller facet only with the larger facets that hold
-    # its first vertex; comparing it with every facet makes 144, 4545 and
-    # 163759 calls, quadratic in the 13, 169 and 2197 facets
+    # its first vertex, in P_T and in the xi images of the proper faces;
+    # comparing it with every facet, with xi(facet) a second copy of P_T,
+    # made 144, 4545 and 163759 calls, quadratic in the 13, 169 and 2197 facets
     calls = 0
     issubset = Simplex.issubset
 
@@ -269,12 +364,38 @@ def test_time_T_maximality_filter_is_linear_on_the_ladder(monkeypatch):
 
     monkeypatch.setattr(Simplex, "issubset", counting)
     per_facet = []
-    for T, expected in ((1, 40), (2, 140), (3, 468)):
+    for T, expected in ((1, 23), (2, 73), (3, 237)):
         calls = 0
         PT = build_time_T(IIS3, set_agreement(3), T)
         assert calls == expected
         per_facet.append(calls / len(PT.complex.facets))
     assert per_facet == sorted(per_facet, reverse=True)
+
+
+@pytest.mark.parametrize("model, task, depth", [
+    (IIS2, CONS, 6),
+    (IIS3, set_agreement(3), 3),
+    (M1, CONS, 4),
+    (M2, CONS, 4),
+], ids=["iis2", "iis3-set-agreement", "m1", "m2"])
+def test_xi_of_the_input_facet_is_P_T(model, task, depth):
+    (facet,) = task.inputs.facets
+    for T in range(depth + 1):
+        PT = build_time_T(model, task, T)
+        # every execution is compatible with the facet; each replayed alone
+        executions = all_executions(model, task.inputs, T)
+        rebuilt = Complex(execution_configurations(e)[-1] for e in executions)
+        assert PT.xi(facet) == rebuilt
+        assert PT.xi(facet) is PT.complex
+
+
+@pytest.mark.parametrize("model, task, depth", [
+    (IIS2, CONS, 6),
+    (IIS3, set_agreement(3), 3),
+], ids=["iis2", "iis3-set-agreement"])
+def test_iis_time_T_complex_is_the_chromatic_subdivision(model, task, depth):
+    for T in range(depth + 1):
+        assert build_time_T(model, task, T).complex == chr_iterate(task.inputs, T)
 
 
 # -- connecting maps -------------------------------------------------------------

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from chrotop.errors import IncompleteMap, InvalidVertex, NotASimplex
@@ -11,6 +13,7 @@ from chrotop.simplicial import (
     check_carrier_map,
     check_simplicial_chromatic,
 )
+from chrotop.subdivision import BarycentricPoint
 from chrotop.tasks import inputless_consensus
 
 A = Vertex(0, "a")
@@ -225,3 +228,24 @@ def test_facet_maximality():
     for f in K.facets:
         for g in K.facets:
             assert f == g or not f.issubset(g)
+
+
+def test_vertex_hash_is_cached_and_unchanged():
+    edge = Complex([Simplex([Vertex(0, 0), Vertex(1, 1)])])
+    point = BarycentricPoint({Vertex(0, 0): Fraction(1, 3), Vertex(1, 1): Fraction(2, 3)}, edge)
+    nested = Simplex([Vertex(0, 0), Vertex(1, Simplex([Vertex(0, 0), Vertex(1, 1)]))])
+    # the hash the frozen dataclass generated, so set and dict orders stay
+    for color, label in ((0, 5), (1, "b"), (1, nested), (0, point)):
+        v = Vertex(color, label)
+        assert hash(v) == hash((color, label))
+    v = Vertex(0, 5)
+    assert not hasattr(v, "__dict__")
+    with pytest.raises(AttributeError):
+        v.color = 1
+    # equality ignores the cached hash
+    object.__setattr__(v, "_hash", 0)
+    assert v == Vertex(0, 5) and Vertex(0, 5) == v
+    assert v != Vertex(0, 6) and v != Vertex(1, 5)
+    assert repr(Vertex(0, 5)) == "v(0:5)"
+    assert repr(Vertex(1, "b")) == "v(1:b)"
+    assert repr(Vertex(1, nested)) == "v(1:{0:0,1:{0:0,1:1}})"
