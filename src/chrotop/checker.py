@@ -42,7 +42,6 @@ from .simplicial import (
     Simplex,
     SimplicialMap,
     Vertex,
-    carried_by,
     check_simplicial_chromatic,
     vertex_json,
     vertex_key,
@@ -117,41 +116,45 @@ def connecting_map_fST(PT: TimeTComplex, PS: TimeTComplex) -> SimplicialMap:
 # -- decision-map search -------------------------------------------------------
 
 
-def _vertex_candidates(PT: TimeTComplex, task: Task) -> dict[Vertex, list[Vertex]]:
+def _search_constraints(PT: TimeTComplex, task: Task) -> tuple[
+    dict[Vertex, list[Vertex]], list[tuple[tuple[Vertex, ...], frozenset]], dict[Vertex, list[int]]
+]:
+    """The search's inputs, from one pass over the input simplexes: the
+    candidate outputs of each vertex, the constraints as (facet vertices,
+    face set), and per vertex the indices of the constraints on it.  Each
+    distinct delta(sigma) becomes the set of its faces, as frozensets of
+    output vertices, once.  A vertex of xi(sigma) keeps the candidates that
+    are vertices of delta(sigma), and each facet of xi(sigma) must map into
+    delta(sigma).  No constraint maps a facet of P_T into the outputs:
+    every facet of P_T is a facet of xi(e.face) for its own execution e,
+    and delta(e.face) lies in the outputs of a valid task."""
     out_by_color: dict[int, list[Vertex]] = {}
     for o in task.outputs.vertices():
         out_by_color.setdefault(o.color, []).append(o)
-    candidates = {
-        v: list(out_by_color.get(v.color, [])) for v in PT.complex.vertices()
-    }
+    vertices = PT.complex.vertices()
+    candidates = {v: out_by_color.get(v.color, []) for v in vertices}
+    constraints = []
+    by_vertex: dict[Vertex, list[int]] = {v: [] for v in vertices}
+    face_sets: dict[Complex, frozenset[frozenset[Vertex]]] = {}
     for sigma in task.inputs.simplexes():
         allowed = task.delta(sigma)
-        for v in PT.xi(sigma).vertices():
-            candidates[v] = [o for o in candidates[v] if Simplex([o]) in allowed]
-    return candidates
-
-
-def _search_constraints(
-    PT: TimeTComplex, task: Task
-) -> tuple[list[tuple[tuple[Vertex, ...], Complex]], dict[Vertex, list[int]]]:
-    """The search's constraints, (facet vertices, allowed complex): every
-    facet of P_T maps into the outputs and every facet of xi(sigma) into
-    delta(sigma); plus, per vertex, the indices of the constraints on it."""
-    constraints = [(f.vertices, task.outputs) for f in PT.complex.facets]
-    for sigma in task.inputs.simplexes():
-        allowed = task.delta(sigma)
-        constraints.extend((g.vertices, allowed) for g in PT.xi(sigma).facets)
-    by_vertex: dict[Vertex, list[int]] = {v: [] for v in PT.complex.vertices()}
-    for idx, (verts, _) in enumerate(constraints):
-        for v in verts:
-            by_vertex[v].append(idx)
-    return constraints, by_vertex
+        faces = face_sets.get(allowed)
+        if faces is None:
+            faces = face_sets[allowed] = frozenset(frozenset(s) for s in allowed.simplexes())
+        image = PT.xi(sigma)
+        for v in image.vertices():
+            candidates[v] = [o for o in candidates[v] if frozenset((o,)) in faces]
+        for g in image.facets:
+            for v in g.vertices:
+                by_vertex[v].append(len(constraints))
+            constraints.append((g.vertices, faces))
+    return candidates, constraints, by_vertex
 
 
 def _search_order(
     vertices: Sequence[Vertex],
     candidates: dict[Vertex, list[Vertex]],
-    constraints: list[tuple[tuple[Vertex, ...], Complex]],
+    constraints: list[tuple[tuple[Vertex, ...], frozenset]],
     by_vertex: dict[Vertex, list[int]],
 ) -> list[Vertex]:
     """Most-constrained-first order that walks the constraint adjacency.
@@ -191,35 +194,29 @@ def _search_order(
 def search_decision_map(PT: TimeTComplex, task: Task) -> Optional[SimplicialMap]:
     """Deterministic backtracking search for a chromatic simplicial map
     from the time-T complex to the outputs that is carried by delta.
+    The task must pass `validate_task`: the search checks only that the
+    map is carried by delta, which implies that it lands in the outputs.
 
     Vertices are assigned in a most-constrained-first order that walks
     the facet adjacency (`_search_order`, computed in
     O(V log V + sum of constraint sizes)); every partial image of a
     constrained simplex must already be a simplex of the allowed
-    complex, which prunes as soon as an edge is complete.  Each distinct
-    allowed complex is turned once per search into the set of its faces,
-    as frozensets of output vertices, so a check is one set lookup.  The
-    vertices of a facet have distinct colors and candidates keep colors,
-    so a partial image is a set of distinct output vertices and lies in
-    that set exactly when it is a simplex of the allowed complex.
+    complex, which prunes as soon as an edge is complete.  The vertices
+    of a facet have distinct colors and candidates keep colors, so a
+    partial image is a set of distinct output vertices and lies in the
+    constraint's face set exactly when it is a simplex of the allowed
+    complex; a check is one set lookup.
     """
-    candidates = _vertex_candidates(PT, task)
+    candidates, constraints, by_vertex = _search_constraints(PT, task)
     if any(not c for c in candidates.values()):
         return None
-    constraints, by_vertex = _search_constraints(PT, task)
     order = _search_order(PT.complex.vertices(), candidates, constraints, by_vertex)
-
-    face_sets: dict[Complex, frozenset[frozenset[Vertex]]] = {}
-    for _, allowed in constraints:
-        if allowed not in face_sets:
-            face_sets[allowed] = frozenset(frozenset(s) for s in allowed.simplexes())
-    faces_of = [face_sets[allowed] for _, allowed in constraints]
     assignment: dict[Vertex, Vertex] = {}
 
     def consistent(v: Vertex) -> bool:
         for idx in by_vertex[v]:
-            assigned = frozenset(assignment[u] for u in constraints[idx][0] if u in assignment)
-            if assigned not in faces_of[idx]:
+            verts, faces = constraints[idx]
+            if frozenset(assignment[u] for u in verts if u in assignment) not in faces:
                 return False
         return True
 
@@ -238,25 +235,6 @@ def search_decision_map(PT: TimeTComplex, task: Task) -> Optional[SimplicialMap]
             del assignment[v]
             stack.pop()
     return None
-
-
-def enumerate_all_decision_maps(PT: TimeTComplex, task: Task) -> list[SimplicialMap]:
-    """Brute-force enumeration of every valid map; for cross-checking the
-    backtracking search on tiny instances."""
-    vertices = list(PT.complex.vertices())
-    out_by_color: dict[int, list[Vertex]] = {}
-    for o in task.outputs.vertices():
-        out_by_color.setdefault(o.color, []).append(o)
-    pools = [out_by_color.get(v.color, []) for v in vertices]
-    found = []
-    for combo in product(*pools):
-        delta = SimplicialMap(dict(zip(vertices, combo)))
-        if not check_simplicial_chromatic(delta, PT.complex, task.outputs).ok:
-            continue
-        if not carried_by(delta, PT.xi, task.delta, task.inputs).carried:
-            continue
-        found.append(delta)
-    return found
 
 
 # -- terminating-subdivision certificate verification ----------------------------
@@ -681,7 +659,8 @@ class Verdict:
 
 
 def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdict:
-    """Bounded-depth decision procedure.
+    """Bounded-depth decision procedure for a task that passes
+    `validate_task`.
 
     Searches for a decision map at times 0..max_depth; a witness is
     validated end to end by simulating its synthesized protocol.  On

@@ -22,7 +22,7 @@ from .protocol import builtin_protocol, check_solves, load_table_protocol_json_o
 from .render import render_dot, render_svg
 from .simplicial import Complex, Simplex, Vertex, label_string, parse_label
 from .subdivision import chr_iterate, diameter
-from .tasks import Task, inputless_consensus, load_task_json_obj, set_agreement
+from .tasks import Task, inputless_consensus, load_task_json_obj, set_agreement, validate_task
 
 FORMATS = ("json", "svg", "dot")
 
@@ -45,6 +45,16 @@ def _builtin_task(ref: str) -> Task:
     if name in ("set-agreement", "setagreement"):
         return set_agreement(n)
     raise ChrotopError(f"unknown task {ref!r}")
+
+
+def _task(ref: str) -> Task:
+    """The task `ref` names, validated once here, where tasks come in:
+    the search relies on delta being a carrier map into the outputs."""
+    task = _resolve(ref, load_task_json_obj, _builtin_task)
+    report = validate_task(task)
+    if not report.valid:
+        raise Unsupported(f"invalid task: {'; '.join(report.problems)}")
+    return task
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -97,7 +107,7 @@ def cmd_subdivide(args) -> int:
 
 def cmd_check(args) -> int:
     model = _resolve(args.model, load_model_json_obj, builtin_model)
-    task = _resolve(args.task, load_task_json_obj, _builtin_task)
+    task = _task(args.task)
     verdict = solve(model, task, args.max_depth, seed=args.seed)
     obj = verdict.to_json_obj()
     obj["model"] = model.name
@@ -109,7 +119,7 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     model = _resolve(args.model, load_model_json_obj, builtin_model)
-    task = _resolve(args.task, load_task_json_obj, _builtin_task)
+    task = _task(args.task)
     protocol = _resolve(args.protocol, lambda obj: load_table_protocol_json_obj(obj, model, task),
                         builtin_protocol)
     try:

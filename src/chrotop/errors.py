@@ -9,10 +9,6 @@ class InvalidVertex(ChrotopError):
     """A vertex description collides with or contradicts another one."""
 
 
-class NotASimplex(ChrotopError):
-    """The given simplex does not belong to the complex."""
-
-
 class NotChromatic(ChrotopError):
     """An operation requiring a chromatic complex got a non-chromatic one."""
 

@@ -49,16 +49,6 @@ def view_distance(a: ViewSequence, b: ViewSequence) -> Fraction:
     raise UndeterminedDistance(common)
 
 
-def first_view_divergence(a: ViewSequence, b: ViewSequence):
-    """The index of the first differing entry, or None if none within the
-    common truncation."""
-    common = min(len(a.entries), len(b.entries))
-    for t in range(common):
-        if a.entries[t] != b.entries[t]:
-            return t
-    return None
-
-
 def _letters(w, i: int):
     if isinstance(w, ExecutionWord):
         return w.letter(i)

@@ -11,7 +11,6 @@ first, "<->" means both see each other.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -200,9 +199,6 @@ class ModelSpec:
         obj["excluded"] = [w.to_json_obj() for w in self.excluded]
         return obj
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def enumerate_prefixes(model: ModelSpec, depth: int, participants: frozenset | None = None) -> list[Word]:
     """All allowed schedule words of exactly the given length, in
@@ -300,7 +296,3 @@ def load_model_json_obj(obj: dict) -> ModelSpec:
         allowed_first_rounds=first_rounds,
         excluded=excluded,
     )
-
-
-def load_model_json(text: str) -> ModelSpec:
-    return load_model_json_obj(json.loads(text))

@@ -9,13 +9,12 @@ are enumerated on demand.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .errors import IncompleteMap, InvalidCarrier, InvalidVertex, NotASimplex, Unsupported
+from .errors import IncompleteMap, InvalidCarrier, InvalidVertex, Unsupported
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,12 +254,6 @@ class Complex:
     def is_subcomplex_of(self, other: "Complex") -> bool:
         return all(f in other for f in self.facets)
 
-    def star(self, simplex: Simplex) -> "Complex":
-        """Subcomplex generated by all simplexes containing `simplex`."""
-        if simplex not in self:
-            raise NotASimplex(f"{simplex!r} is not a simplex of the complex")
-        return Complex(f for f in self.facets if simplex.issubset(f))
-
     # -- serialization -------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -270,9 +263,6 @@ class Complex:
             "n": max(self.colors()) + 1,
             "facets": [[encoded[v] for v in f] for f in self.facets],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=False)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Complex":
@@ -285,10 +275,6 @@ class Complex:
                 raise InvalidVertex(f"duplicate vertex in facet listing: {entry}")
             facets.append(Simplex(verts))
         return cls(facets)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Complex":
-        return cls.from_json_obj(json.loads(text))
 
 
 def _parse_color(raw) -> int:
@@ -325,10 +311,6 @@ class SimplicialMap:
 
     def __eq__(self, other):
         return isinstance(other, SimplicialMap) and self.mapping == other.mapping
-
-    @classmethod
-    def identity(cls, K: Complex) -> "SimplicialMap":
-        return cls({v: v for v in K.vertices()})
 
     def to_json_obj(self) -> list:
         return [{"from": vertex_json(v), "to": vertex_json(w)} for v, w in self.items()]
@@ -384,10 +366,6 @@ class CarrierMap:
 
     def domain(self) -> list[Simplex]:
         return sorted(self.images, key=lambda s: s.key)
-
-    @classmethod
-    def constant(cls, K: Complex, L: Complex) -> "CarrierMap":
-        return cls({s: L for s in K.simplexes()})
 
     def to_json_obj(self) -> list:
         return [

@@ -345,10 +345,6 @@ def geometric_containment(
     return all(point_in_hull(p, tau) for p in sigma)
 
 
-def cell_contained(sigma: Simplex, tau: Simplex, base: Complex) -> bool:
-    return geometric_containment(geometric_simplex(sigma, base), geometric_simplex(tau, base))
-
-
 def edge_position(pt: BarycentricPoint, base: Complex) -> Fraction:
     """Orientation coordinate on a one-dimensional single-facet base: the
     weight of the color-1 corner, 0 at the color-0 end, 1 at the other."""
@@ -501,10 +497,6 @@ class TerminatingSubdivision:
 
 
 # -- built-in policies ----------------------------------------------------
-
-
-def policy_never(k, level, tsub):
-    return []
 
 
 def policy_all_at_zero(k, level, tsub):

@@ -3,7 +3,6 @@ specification carrier map, with the two built-in benchmark tasks."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import BadArity, Unsupported
@@ -131,7 +130,3 @@ def load_task_json_obj(obj: dict) -> Task:
     if not isinstance(name, str):
         raise Unsupported(f"task name must be a string, not {name!r}")
     return Task(name, inputs, outputs, CarrierMap(images))
-
-
-def load_task_json(text: str) -> Task:
-    return load_task_json_obj(json.loads(text))

@@ -44,11 +44,9 @@ from chrotop.checker import (
     _excluded_point_values,
     _search_constraints,
     _search_order,
-    _vertex_candidates,
     build_time_T,
     certify_consensus_impossible,
     connecting_map_fST,
-    enumerate_all_decision_maps,
     excluded_limit_point,
     search_decision_map,
     solve,
@@ -155,6 +153,23 @@ def test_trivial_task_constant_map_at_time_zero():
     assert delta is not None
 
 
+def enumerate_all_decision_maps(PT, task):
+    """Oracle: every chromatic map from P_T to the outputs that is carried
+    by delta, tried one by one over all color-preserving assignments."""
+    vertices = list(PT.complex.vertices())
+    out_by_color = {}
+    for o in task.outputs.vertices():
+        out_by_color.setdefault(o.color, []).append(o)
+    pools = [out_by_color.get(v.color, []) for v in vertices]
+    found = []
+    for combo in product(*pools):
+        delta = SimplicialMap(dict(zip(vertices, combo)))
+        if (check_simplicial_chromatic(delta, PT.complex, task.outputs).ok
+                and carried_by(delta, PT.xi, task.delta, task.inputs).carried):
+            found.append(delta)
+    return found
+
+
 def test_search_matches_brute_force_enumeration():
     for model in (M1, IIS2):
         PT = build_time_T(model, CONS, 1)
@@ -208,19 +223,53 @@ def quadratic_search_order(vertices, candidates, constraints, by_vertex):
 def test_search_order_matches_quadratic_reference(model, task, T):
     PT = build_time_T(model, task, T)
     vertices = PT.complex.vertices()
-    candidates = _vertex_candidates(PT, task)
-    constraints, by_vertex = _search_constraints(PT, task)
+    candidates, constraints, by_vertex = _search_constraints(PT, task)
     order = _search_order(vertices, candidates, constraints, by_vertex)
     assert order == quadratic_search_order(vertices, candidates, constraints, by_vertex)
+    # the same candidates and order as with every facet of P_T also
+    # constrained into the outputs
+    assert candidates == reference_vertex_candidates(PT, task)
+    assert order == _search_order(vertices, candidates, *reference_search_constraints(PT, task))
+
+
+def reference_vertex_candidates(PT, task):
+    """Reference: each vertex's outputs of its color, narrowed by a
+    `Simplex`-in-`Complex` test for each delta(sigma) whose xi(sigma)
+    holds it."""
+    out_by_color = {}
+    for o in task.outputs.vertices():
+        out_by_color.setdefault(o.color, []).append(o)
+    candidates = {v: list(out_by_color.get(v.color, [])) for v in PT.complex.vertices()}
+    for sigma in task.inputs.simplexes():
+        allowed = task.delta(sigma)
+        for v in PT.xi(sigma).vertices():
+            candidates[v] = [o for o in candidates[v] if Simplex([o]) in allowed]
+    return candidates
+
+
+def reference_search_constraints(PT, task):
+    """Reference: (facet vertices, allowed complex) for every facet of P_T
+    into the outputs and every facet of xi(sigma) into delta(sigma), and
+    per vertex the indices of the constraints on it."""
+    constraints = [(f.vertices, task.outputs) for f in PT.complex.facets]
+    for sigma in task.inputs.simplexes():
+        allowed = task.delta(sigma)
+        constraints.extend((g.vertices, allowed) for g in PT.xi(sigma).facets)
+    by_vertex = {v: [] for v in PT.complex.vertices()}
+    for idx, (verts, _) in enumerate(constraints):
+        for v in verts:
+            by_vertex[v].append(idx)
+    return constraints, by_vertex
 
 
 def reference_search(PT, task):
     """Reference: the search as it tested each partial image, by building
-    a `Simplex` and scanning the allowed `Complex` for it."""
-    candidates = _vertex_candidates(PT, task)
+    a `Simplex` and scanning the allowed `Complex` for it, with every facet
+    of P_T also checked against the outputs."""
+    candidates = reference_vertex_candidates(PT, task)
     if any(not c for c in candidates.values()):
         return None
-    constraints, by_vertex = _search_constraints(PT, task)
+    constraints, by_vertex = reference_search_constraints(PT, task)
     order = _search_order(PT.complex.vertices(), candidates, constraints, by_vertex)
     assignment = {}
 

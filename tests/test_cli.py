@@ -154,6 +154,27 @@ def test_check_rejects_malformed_model_and_task_files(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda images, edge: {**images, edge: images[edge] + [Simplex([Vertex(0, 7), Vertex(1, 7)])]},
+    lambda images, edge: {**images, edge: [Simplex([Vertex(0, 1), Vertex(1, 1)])]},
+    lambda images, edge: {edge: images[edge]},
+    lambda images, edge: {**images, Simplex([Vertex(0, 0)]): [Simplex([Vertex(0, 0), Vertex(1, 0)])]},
+], ids=["image-leaves-outputs", "not-monotone", "vertices-missing", "colors-outside-the-simplex"])
+def test_check_and_run_reject_invalid_tasks(edit, tmp_path, capsys):
+    consensus = inputless_consensus(2)
+    edge = consensus.inputs.facets[0]
+    images = edit({s: list(image.facets) for s, image in consensus.delta.images.items()}, edge)
+    task = Task("consensus", consensus.inputs, consensus.outputs,
+                CarrierMap({s: Complex(facets) for s, facets in images.items()}))
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(task.to_json_obj()))
+    for argv in (("check", "--max-depth", "3"), ("run", "--protocol", "winner")):
+        assert run_cli(argv[0], "--model", "m1", "--task", str(path), *argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
 def test_check_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("check", "--model", "m2", "--task", "consensus", "--max-depth", "4", "--out", str(a))
@@ -313,7 +334,7 @@ def test_run_rejects_malformed_protocol_files(tmp_path, capsys):
 
 def test_model_and_task_from_json_files(tmp_path):
     model_path = tmp_path / "model.json"
-    model_path.write_text(builtin_model("m2").to_json())
+    model_path.write_text(json.dumps(builtin_model("m2").to_json_obj()))
     task_path = tmp_path / "task.json"
     task_path.write_text(json.dumps(inputless_consensus(2).to_json_obj()))
     code = run_cli("check", "--model", str(model_path), "--task", str(task_path),

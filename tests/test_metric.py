@@ -9,7 +9,6 @@ from chrotop.metric import (
     ViewSequence,
     ball_trichotomy,
     exec_distance,
-    first_view_divergence,
     product_distance,
     view_distance,
 )
@@ -113,22 +112,6 @@ def test_view_ultrametric_three_processes_sampled():
     for color in range(3):
         views = list({seq(w, color) for w in sample})
         _ultrametric_suite(views, view_distance)
-
-
-def test_superadditivity_of_divergence_index():
-    ws = enumerate_prefixes(IIS2, 3)
-    for color in (0, 1):
-        seqs = [view_seq(w, color) for w in ws]
-        for a in seqs[::3]:
-            for b in seqs[::3]:
-                for c in seqs[::3]:
-                    ta = first_view_divergence(a, c)
-                    tb = first_view_divergence(a, b)
-                    tc = first_view_divergence(b, c)
-                    if tb is None or tc is None:
-                        continue
-                    if ta is not None:
-                        assert ta >= min(tb, tc)
 
 
 def test_ball_equivalence_prefix_property():

@@ -7,7 +7,6 @@ from chrotop.errors import BaseMismatch, NotChromatic, UnknownVertex, Unsupporte
 from chrotop.simplicial import Complex, Simplex, Vertex
 from chrotop.subdivision import (
     TerminatingSubdivision,
-    cell_contained,
     cell_of_word,
     chr_iterate,
     chr_subdivision,
@@ -18,17 +17,21 @@ from chrotop.subdivision import (
     edge_position,
     facet_children,
     facet_volume_fraction,
+    geometric_containment,
     geometric_simplex,
     ordered_partitions,
     partial_chr_step,
     policy_all_at_zero,
-    policy_never,
     prefix_policy,
     volume_by_base_facet,
     wrap_simplex,
 )
 
 R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
+
+
+def policy_never(k, level, tsub):
+    return []
 
 
 def standard_simplex(n):
@@ -256,16 +259,17 @@ def test_geometric_containment_examples():
         K2.facets,
         key=lambda f: min(edge_position(p, EDGE) for p in geometric_simplex(f, EDGE)),
     )[4]
-    assert cell_contained(left1, left1, EDGE)
-    assert cell_contained(left2, left1, EDGE)
-    assert not cell_contained(central2, left1, EDGE)
+    left1, left2, central2 = (geometric_simplex(f, EDGE) for f in (left1, left2, central2))
+    assert geometric_containment(left1, left1)
+    assert geometric_containment(left2, left1)
+    assert not geometric_containment(central2, left1)
 
 
 def test_geometric_containment_triangle():
     K = chr_subdivision(TRIANGLE)
     base_facet = TRIANGLE.facets[0]
     for f in K.facets:
-        assert cell_contained(f, base_facet, TRIANGLE)
+        assert geometric_containment(geometric_simplex(f, TRIANGLE), geometric_simplex(base_facet, TRIANGLE))
 
 
 def test_stable_complex_policies():

@@ -7,7 +7,7 @@ from chrotop.simplicial import CarrierMap, Complex, Simplex, Vertex
 from chrotop.tasks import (
     Task,
     inputless_consensus,
-    load_task_json,
+    load_task_json_obj,
     set_agreement,
     validate_task,
 )
@@ -69,9 +69,10 @@ def test_set_agreement_never_all_values():
 
 
 def test_constructors_validate():
-    assert validate_task(inputless_consensus(2)).valid
-    assert validate_task(inputless_consensus(3)).valid
-    assert validate_task(set_agreement(3)).valid
+    # the CLI validates every task it loads, the built-in ones included
+    for n in range(2, 6):
+        assert validate_task(inputless_consensus(n)).valid, n
+        assert validate_task(set_agreement(n)).valid, n
 
 
 def test_bad_arity():
@@ -99,7 +100,7 @@ def test_broken_delta_monotonicity_witnessed():
 def test_json_round_trip():
     task = inputless_consensus(2)
     text = json.dumps(task.to_json_obj())
-    loaded = load_task_json(text)
+    loaded = load_task_json_obj(json.loads(text))
     assert loaded.inputs.facets == task.inputs.facets
     assert loaded.outputs.facets == task.outputs.facets
     for s in task.inputs.simplexes():
@@ -128,7 +129,7 @@ def test_json_round_trip():
 def test_load_rejects_nested_wrong_types(field, value):
     obj = dict(inputless_consensus(2).to_json_obj(), **{field: value})
     with pytest.raises(Unsupported):
-        load_task_json(json.dumps(obj))
+        load_task_json_obj(obj)
 
 
 @pytest.mark.parametrize("edit", [
@@ -141,14 +142,14 @@ def test_load_rejects_missing_and_empty_parts(edit):
     obj = inputless_consensus(2).to_json_obj()
     edit(obj)
     with pytest.raises(Unsupported):
-        load_task_json(json.dumps(obj))
+        load_task_json_obj(obj)
 
 
 def test_load_accepts_int_and_string_labels():
     obj = inputless_consensus(2).to_json_obj()
     obj["outputs"] = [[{"color": 0, "label": 0}, {"color": 1, "label": "0"}],
                       [{"color": 0, "label": "x"}, {"color": 1, "label": "-1"}]]
-    loaded = load_task_json(json.dumps(obj))
+    loaded = load_task_json_obj(obj)
     assert loaded.outputs.facets == Complex([
         Simplex([Vertex(0, 0), Vertex(1, 0)]), Simplex([Vertex(0, "x"), Vertex(1, -1)]),
     ]).facets
