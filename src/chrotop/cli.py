@@ -21,7 +21,7 @@ from .models import MAX_PROCESSES, builtin_model, load_model_json_obj
 from .protocol import builtin_protocol, check_solves, load_table_protocol_json_obj
 from .render import render_dot, render_svg
 from .simplicial import Complex, Simplex, Vertex, label_string, parse_label
-from .subdivision import chr_iterate, diameter
+from .subdivision import chr_iterate, diameter_Dk
 from .tasks import Task, inputless_consensus, load_task_json_obj, set_agreement, validate_task
 
 FORMATS = ("json", "svg", "dot")
@@ -81,7 +81,7 @@ def cmd_subdivide(args) -> int:
     n = args.simplex + 1
     base = Complex([Simplex(Vertex(i, i) for i in range(n))])
     K = chr_iterate(base, args.k)
-    d_k = diameter(K, base)
+    d_k = diameter_Dk(base, args.k)
     print(f"facets: {len(K.facets)}")
     print(f"vertices: {len(K.vertices())}")
     print(f"D_{args.k}: {d_k}")
@@ -90,9 +90,10 @@ def cmd_subdivide(args) -> int:
     stem = f"chr{args.k}_simplex{args.simplex}"
     written = []
     if "json" in formats:
-        payload = {"schema": 1, "seed": args.seed, "k": args.k, "Dk": str(d_k)}
-        payload.update(K.to_json_obj())
-        (outdir / f"{stem}.json").write_text(_dump(payload), encoding="utf-8")
+        # one expression, so the payload is freed before the drawings are built
+        (outdir / f"{stem}.json").write_text(
+            _dump({"schema": 1, "seed": args.seed, "k": args.k, "Dk": str(d_k), **K.to_json_obj()}),
+            encoding="utf-8")
         written.append("JSON")
     if "svg" in formats and args.simplex <= 2:
         (outdir / f"{stem}.svg").write_text(render_svg(K, base), encoding="utf-8")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -211,30 +211,64 @@ def geometric_simplex(simplex: Simplex, base: Complex) -> tuple[BarycentricPoint
     return tuple(coordinates(v, base) for v in simplex)
 
 
-def diameter(K: Complex, base: Complex) -> Fraction:
-    """Largest pairwise vertex distance within any facet of K."""
-    best = Fraction(0)
-    for f in K.facets:
-        pts = geometric_simplex(f, base)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                d = geometric_distance(pts[i], pts[j])
-                if d > best:
-                    best = d
-    return best
-
-
 def diameters_Dk(base: Complex, depth: int) -> list[Fraction]:
     """D_0..D_depth, the cell diameters of the chromatic subdivisions of
-    `base`, from one pass of `depth` subdivision rounds."""
+    `base`: the largest pairwise vertex distance within any cell of each
+    level.
+
+    Exact, from one depth-first walk over the cells of levels 0..depth
+    with integer arithmetic only.  A level-k cell is the tuple of its
+    vertices' barycentric weights over the corners of its base facet, in
+    the facet's vertex order, times scale**k with scale = lcm(1, 3, ...,
+    2n - 1) for the largest base facet size n, so every weight is an
+    integer.  A child cell follows `coordinates`: under a schedule, the
+    vertex of color c in a block becomes (scale // (2m - 1)) * (2 S - p_c),
+    where S sums the vectors of the m colors seen up to that block.  Every
+    base facet is walked; no vertex, simplex or exact point is built.
+    Depths of one or more refuse the bases `chr_subdivision` refuses.
+    """
     if depth < 0:
         raise Unsupported("subdivision depth must be nonnegative")
-    K = base
-    out = [diameter(K, base)]
-    for _ in range(depth):
-        K = chr_subdivision(K)
-        out.append(diameter(K, base))
-    return out
+    if depth > 0 and not base.is_chromatic():
+        raise NotChromatic("standard chromatic subdivision needs a chromatic complex")
+    if depth > 0 and not base.is_pure():
+        raise Unsupported("standard chromatic subdivision of a non-pure complex")
+    scale = lcm(*range(1, 2 * max((len(f) for f in base.facets), default=1), 2))
+    # best[k]: the largest 1-norm of a vertex difference in a level-k cell
+    best = [0] * (depth + 1)
+    for facet in base.facets:
+        size = len(facet)
+        # each schedule as its blocks: (positions, scale // (2m - 1))
+        schedules = []
+        if depth:
+            position = {v.color: i for i, v in enumerate(facet.vertices)}
+            for schedule in ordered_partitions(position):
+                m, blocks = 0, []
+                for block in schedule:
+                    m += len(block)
+                    blocks.append((tuple(position[c] for c in block), scale // (2 * m - 1)))
+                schedules.append(blocks)
+        corners = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+        stack = [(0, corners)]
+        while stack:
+            k, cell = stack.pop()
+            for p, q in combinations(cell, 2):
+                d = sum(abs(a - b) for a, b in zip(p, q))
+                if d > best[k]:
+                    best[k] = d
+            if k == depth:
+                continue
+            for blocks in schedules:
+                child = list(cell)
+                seen = [0] * size
+                for positions, factor in blocks:
+                    for i in positions:
+                        seen = [s + a for s, a in zip(seen, cell[i])]
+                    for i in positions:
+                        child[i] = tuple(factor * (2 * s - a) for s, a in zip(seen, cell[i]))
+                stack.append((k + 1, tuple(child)))
+    # the distance is half the 1-norm, over the scale of the level
+    return [Fraction(b, 2 * scale**k) for k, b in enumerate(best)]
 
 
 def diameter_Dk(base: Complex, k: int) -> Fraction:

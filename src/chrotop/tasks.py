@@ -93,7 +93,7 @@ def set_agreement(n: int) -> Task:
 
 @dataclass
 class TaskReport:
-    carrier: CarrierReport
+    carrier: CarrierReport | None  # None when an image leaves the outputs
     valid: bool
     problems: list[str]
 
@@ -102,9 +102,16 @@ def validate_task(task: Task) -> TaskReport:
     """Check that delta is a monotone carrier map into the outputs whose
     images only use the colors of their input simplex.  Rigidity is
     reported but not required; output specifications at the top simplex
-    are often not rigid."""
+    are often not rigid.  An image that leaves the outputs is reported
+    alone, since the carrier map check refuses such a map outright."""
+    problems = [
+        f"delta image of {s!r} is not a subcomplex of the outputs"
+        for s in task.inputs.simplexes()
+        if s in task.delta.images and not task.delta(s).is_subcomplex_of(task.outputs)
+    ]
+    if problems:
+        return TaskReport(None, False, problems)
     report = check_carrier_map(task.delta, task.inputs, task.outputs)
-    problems = []
     if not report.total:
         problems.append("delta is not defined on every input simplex")
     if not report.monotone:

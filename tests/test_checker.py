@@ -23,7 +23,6 @@ from chrotop.subdivision import (
     cell_of_word,
     chr_iterate,
     coordinates,
-    diameter,
     edge_position,
     geometric_containment,
     geometric_distance,
@@ -53,6 +52,7 @@ from chrotop.checker import (
     sperner_evidence,
     verify_termination_certificate,
 )
+from oracles import diameter
 
 M1 = builtin_model("m1")
 M2 = builtin_model("m2")

@@ -171,7 +171,7 @@ def test_check_and_run_reject_invalid_tasks(edit, tmp_path, capsys):
     for argv in (("check", "--max-depth", "3"), ("run", "--protocol", "winner")):
         assert run_cli(argv[0], "--model", "m1", "--task", str(path), *argv[1:]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.out == "" and captured.err.startswith("error: invalid task: ")
         assert "Traceback" not in captured.err
 
 

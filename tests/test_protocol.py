@@ -14,7 +14,6 @@ from chrotop.subdivision import (
     TerminatingSubdivision,
     chr_iterate,
     coordinates,
-    diameter,
     edge_position,
     geometric_distance,
     policy_all_at_zero,
@@ -41,6 +40,7 @@ from chrotop.protocol import (
 )
 from chrotop.tasks import inputless_consensus, load_task_json_obj
 from chrotop.checker import build_time_T
+from oracles import diameter
 
 M1 = builtin_model("m1")
 IIS2 = builtin_model("iis2")

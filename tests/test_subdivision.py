@@ -11,7 +11,6 @@ from chrotop.subdivision import (
     chr_iterate,
     chr_subdivision,
     coordinates,
-    diameter,
     diameter_Dk,
     diameters_Dk,
     edge_position,
@@ -26,6 +25,7 @@ from chrotop.subdivision import (
     volume_by_base_facet,
     wrap_simplex,
 )
+from oracles import diameter
 
 R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
 
@@ -40,6 +40,7 @@ def standard_simplex(n):
 
 EDGE = standard_simplex(2)
 TRIANGLE = standard_simplex(3)
+TETRAHEDRON = standard_simplex(4)
 
 
 # independent oracle: ordered set partitions both counted by recurrence and
@@ -187,13 +188,46 @@ def test_diameters_strictly_decrease():
     assert all(a > b for a, b in zip(tri, tri[1:]))
 
 
-@pytest.mark.parametrize("base, depth", [(EDGE, 5), (TRIANGLE, 2)])
+TWO_TRIANGLES = Complex([Simplex([Vertex(0, 0), Vertex(1, 1), Vertex(2, 2)]),
+                         Simplex([Vertex(0, 0), Vertex(1, 1), Vertex(2, 3)])])
+LABELED_TRIANGLE = Complex([Simplex([Vertex(0, "c"), Vertex(1, "a"), Vertex(2, "b")])])
+
+
+@pytest.mark.parametrize("base, depth", [
+    (EDGE, 5), (TRIANGLE, 2), (EDGE, 7), (TRIANGLE, 3), (TETRAHEDRON, 2), (TWO_TRIANGLES, 2),
+    (LABELED_TRIANGLE, 2),
+])
 def test_diameter_table_matches_each_level_subdivided_afresh(base, depth):
     table = diameters_Dk(base, depth)
     assert table == [diameter(chr_iterate(base, k), base) for k in range(depth + 1)]
     assert diameter_Dk(base, depth) == table[-1]
     with pytest.raises(Unsupported):
         diameter_Dk(base, -1)
+    with pytest.raises(Unsupported):
+        diameters_Dk(base, -1)
+
+
+@pytest.mark.parametrize("base, error", [
+    (Complex([Simplex([Vertex(0, 0), Vertex(0, 1)])]), NotChromatic),
+    # the lone vertex comes first, so level 0 needs the second facet
+    (Complex([Simplex([Vertex(0, 0)]), Simplex([Vertex(0, 1), Vertex(1, 2)])]), Unsupported),
+    (Complex([Simplex([Vertex(0, 0), Vertex(0, 1), Vertex(2, 2)]), Simplex([Vertex(0, 3), Vertex(1, 4)])]),
+     NotChromatic),
+], ids=["not-chromatic", "not-pure", "neither"])
+def test_diameter_table_refuses_the_bases_the_subdivision_refuses(base, error):
+    # level 0 is the base itself, which needs no subdividing
+    assert diameters_Dk(base, 0) == [diameter(base, base)]
+    for depth in (1, 2):
+        with pytest.raises(error):
+            chr_iterate(base, depth)
+        with pytest.raises(error):
+            diameters_Dk(base, depth)
+
+
+def test_diameter_table_builds_no_exact_point():
+    coordinates.cache_clear()
+    assert diameters_Dk(EDGE, 5)[-1] == Fraction(1, 3**5)
+    assert coordinates.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("base,k", [(EDGE, 1), (EDGE, 2), (EDGE, 3), (TRIANGLE, 1), (TRIANGLE, 2)])

@@ -97,6 +97,20 @@ def test_broken_delta_monotonicity_witnessed():
     assert tau.issubset(tau2)
 
 
+def test_images_outside_the_outputs_are_problems():
+    base = inputless_consensus(2)
+    full = base.inputs.facets[0]
+    stray = Simplex([Vertex(0, 7), Vertex(1, 7)])
+    left = Simplex([Vertex(0, 0)])
+    images = dict(base.delta.images)
+    images[full] = Complex(list(base.outputs.facets) + [stray])
+    images[left] = Complex([Simplex([Vertex(0, 7)])])
+    report = validate_task(Task("stray", base.inputs, base.outputs, CarrierMap(images)))
+    assert not report.valid and report.carrier is None
+    assert report.problems == [f"delta image of {s!r} is not a subcomplex of the outputs"
+                               for s in base.inputs.simplexes() if s in (full, left)]
+
+
 def test_json_round_trip():
     task = inputless_consensus(2)
     text = json.dumps(task.to_json_obj())
