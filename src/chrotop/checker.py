@@ -4,7 +4,11 @@ and continuity checking, and impossibility certificates.
 The time-T complex quotients view sequences by their first T+1 entries.
 Because the view metric is an ultrametric, a ball of radius 2**-T is
 exactly a depth-T view vertex, so balls are represented by the view
-vertices themselves.
+vertices themselves.  `build_time_T` interns its views, so within one
+P_T a ball, and every view below it, is one object and equal balls
+compare by identity.  `run` and the termination certificate replay one
+execution path at a time without a table: they keep no view, and their
+memory stays one path, so their views are equal by value only.
 """
 
 from __future__ import annotations
@@ -78,13 +82,18 @@ def build_time_T(model: ModelSpec, task: Task, T: int) -> TimeTComplex:
     whose participation and inputs are compatible with it.  When every
     execution is compatible, as with the input facet of a one-facet input
     complex, that image is P_T itself, the same `Complex` object, so its
-    facets and vertices are sorted once."""
+    facets and vertices are sorted once.
+
+    One call interns its views: a table owned by the call maps each
+    carrier and each view to its first instance, so equal views of
+    different executions are one object and compare by identity.  The
+    table holds only what P_T keeps alive and goes with the call."""
     if T < 0:
         raise Unsupported("time must be nonnegative")
     executions = all_executions(model, task.inputs, T)
+    configurations = shared_configurations(executions, {})
     simplexes_by_execution = [
-        (execution, configs[-1])
-        for execution, configs in zip(executions, shared_configurations(executions))
+        (execution, configs[-1]) for execution, configs in zip(executions, configurations)
     ]
     complex_ = Complex([s for _, s in simplexes_by_execution])
     images: dict[Simplex, Complex] = {}

@@ -77,15 +77,23 @@ def execution_configurations(execution: Execution) -> list[Simplex]:
     return configs
 
 
-def shared_configurations(executions: Iterable[Execution]) -> Iterator[list[Simplex]]:
+def shared_configurations(
+    executions: Iterable[Execution], table: dict | None = None
+) -> Iterator[list[Simplex]]:
     """Yield `execution_configurations` of each execution in turn.
 
     Each configuration is one `apply_schedule` from its parent, and the
     prefix an execution shares with the previous one keeps that
     execution's configuration objects.  So executions in prefix order, as
     `all_executions` and `enumerate_prefixes` list them, build every
-    (input face, schedule prefix) configuration once and share it.  Only
-    the previous path is kept: memory does not grow with the executions.
+    (input face, schedule prefix) configuration once and share it.
+
+    Without a `table` only the previous path is kept, so memory does not
+    grow with the executions; `run` and the termination certificate
+    replay this way, since they keep no view.  With a `table`, every step
+    interns its carriers and views there (see `apply_schedule`), so equal
+    views of different executions are one object; `build_time_T` passes
+    one, because its complex keeps every view alive anyway.
     """
     face, word, configs = None, (), []
     for execution in executions:
@@ -98,7 +106,7 @@ def shared_configurations(executions: Iterable[Execution]) -> Iterator[list[Simp
             shared += 1
         configs = configs[:shared + 1]
         for schedule in execution.word[shared:]:
-            configs.append(apply_schedule(configs[-1], schedule.blocks))
+            configs.append(apply_schedule(configs[-1], schedule.blocks, table))
         word = execution.word
         yield configs
 

@@ -20,14 +20,22 @@ from .errors import IncompleteMap, InvalidCarrier, InvalidVertex, Unsupported
 @dataclass(frozen=True, slots=True)
 class Vertex:
     """A colored, labeled vertex. Equality and hashing are by value; the
-    hash is `hash((color, label))`, computed once at construction."""
+    hash is `hash((color, label))`, computed once at construction.  The
+    sort key is kept too, computed by the first `vertex_key` call, so a
+    label that has no order (a float, say) still makes a vertex.
+
+    Equal vertices may be distinct objects.  `build_time_T` makes equal
+    views of one build one object, so comparing them, or the keys of the
+    carriers that hold them, stops at an identity check."""
 
     color: int
     label: object
     _hash: int = field(init=False, repr=False, compare=False)
+    _key: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.color, self.label)))
+        object.__setattr__(self, "_key", None)
 
     def __hash__(self):
         return self._hash
@@ -50,7 +58,14 @@ def label_key(label):
 
 
 def vertex_key(v: Vertex):
-    return (v.color, label_key(v.label))
+    """`(color, label_key(label))`, computed once per vertex and then
+    read from it.  A nested label's key holds its vertices' own keys, so
+    a simplex key built over shared vertices shares their key tuples."""
+    key = v._key
+    if key is None:
+        key = (v.color, label_key(v.label))
+        object.__setattr__(v, "_key", key)
+    return key
 
 
 def _label_text(label, memo: dict) -> str:

@@ -58,19 +58,26 @@ def ordered_partitions(items: Sequence[int]) -> Iterator[Schedule]:
     yield from rec(frozenset(items))
 
 
-def apply_schedule(facet: Simplex, schedule: Schedule) -> Simplex:
+def apply_schedule(facet: Simplex, schedule: Schedule, table: dict | None = None) -> Simplex:
     """One subdivision step of `facet` under a round schedule.
 
     Every color p in block i gets the new vertex (p, prefix) where
     prefix is the face of `facet` spanned by blocks 1..i.
+
+    With a `table`, each carrier and each new vertex is replaced by the
+    equal one the table already holds, or recorded there as the first of
+    its value, so the steps that share a table keep one object per value.
     """
     seen: list[Vertex] = []
     new_vertices = []
     for block in schedule:
         seen.extend(facet.vertex_of_color(c) for c in block)
         carrier = Simplex(seen)
+        if table is not None:
+            carrier = table.setdefault(carrier, carrier)
         for c in block:
-            new_vertices.append(Vertex(c, carrier))
+            v = Vertex(c, carrier)
+            new_vertices.append(v if table is None else table.setdefault(v, v))
     return Simplex(new_vertices)
 
 

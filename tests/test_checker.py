@@ -33,6 +33,7 @@ from chrotop.subdivision import (
 from chrotop.protocol import (
     all_executions,
     execution_configurations,
+    view_chain,
 )
 from chrotop.tasks import Task, inputless_consensus, set_agreement
 import chrotop.protocol
@@ -490,14 +491,70 @@ def test_time_T_build_applies_each_schedule_prefix_once(monkeypatch, model, call
     # Replaying every iis2 execution from round 0 makes 5 x 245 = 1225.
     applied = 0
 
-    def counting(facet, schedule):
+    def counting(facet, schedule, table=None):
         nonlocal applied
         applied += 1
-        return apply_schedule(facet, schedule)
+        return apply_schedule(facet, schedule, table)
 
     monkeypatch.setattr(chrotop.protocol, "apply_schedule", counting)
     build_time_T(model, CONS, 5)
     assert applied == calls
+
+
+@pytest.mark.parametrize("model, task, T", [
+    (IIS2, CONS, 5),
+    (IIS3, set_agreement(3), 3),
+], ids=["iis2", "iis3-set-agreement"])
+def test_time_T_build_makes_equal_views_one_object(model, task, T):
+    first: dict = {}  # each view and carrier value -> the first object met
+    walked = set()
+    stack = [v for f in build_time_T(model, task, T).complex.facets for v in f]
+    while stack:
+        v = stack.pop()
+        if id(v) in walked:
+            continue
+        walked.add(id(v))
+        assert first.setdefault(v, v) is v
+        if isinstance(v.label, Simplex):
+            assert first.setdefault(v.label, v.label) is v.label
+            stack.extend(v.label)
+    depths = {len(view_chain(v)) for v in first if isinstance(v, Vertex)}
+    assert depths == set(range(1, T + 2))
+
+
+def _reference_key(v: Vertex, memo: dict):
+    """A vertex's order key built afresh from its label, by the rule of
+    `label_key`, without reading the key the vertex keeps."""
+    if id(v) not in memo:
+        label = v.label
+        if isinstance(label, Simplex):
+            memo[id(v)] = (v.color, (2, tuple(sorted(_reference_key(w, memo) for w in label))))
+        else:
+            memo[id(v)] = (v.color, (0, label) if isinstance(label, int) else (1, label))
+    return memo[id(v)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_time_T(IIS2, CONS, 6).complex,
+    lambda: build_time_T(IIS3, set_agreement(3), 3).complex,
+    lambda: build_time_T(M1, CONS, 4).complex,
+    lambda: build_time_T(M2, CONS, 4).complex,
+    lambda: chr_iterate(Complex([Simplex(Vertex(i, i) for i in range(3))]), 2),
+], ids=["iis2", "iis3-set-agreement", "m1", "m2", "triangle-k2"])
+def test_cached_keys_sort_like_keys_built_afresh(build):
+    # the JSON, SVG and DOT orders are the orders of vertices() and facets
+    K = build()
+    memo: dict = {}
+
+    def same_objects(got, want):
+        return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+    def facet_key(f):
+        return tuple(sorted(_reference_key(v, memo) for v in f))
+
+    vertices = K.vertices()
+    assert same_objects(vertices, sorted(vertices, key=lambda v: _reference_key(v, memo)))
+    assert same_objects(K.facets, sorted(K.facets, key=facet_key))
 
 
 def test_connecting_map_bad_indices():

@@ -13,8 +13,9 @@ from chrotop.metric import (
     view_distance,
 )
 from chrotop.models import ExecutionWord, builtin_model, enumerate_prefixes, word
-from chrotop.protocol import Execution, execution_configurations
-from chrotop.tasks import inputless_consensus
+from chrotop.checker import build_time_T
+from chrotop.protocol import Execution, execution_configurations, view_chain
+from chrotop.tasks import inputless_consensus, set_agreement
 
 IIS2 = builtin_model("iis2")
 CONS2 = inputless_consensus(2)
@@ -123,6 +124,28 @@ def test_ball_equivalence_prefix_property():
             for b in views:
                 same_ball = view_distance(a, b) < radius
                 assert same_ball == (a.entries[: T + 1] == b.entries[: T + 1])
+
+
+@pytest.mark.parametrize("model, task, depth", [
+    ("iis2", inputless_consensus(2), 5),
+    ("iis3", set_agreement(3), 2),
+], ids=["iis2", "iis3-set-agreement"])
+def test_a_ball_of_radius_2_to_the_minus_t_is_a_depth_t_view(model, task, depth):
+    # checker's claim: within P_T, the view chains of u and v are closer
+    # than 2**-t exactly when u and v have the same depth-t view
+    for T in range(depth + 1):
+        by_color: dict = {}
+        for v in build_time_T(builtin_model(model), task, T).complex.vertices():
+            chain = tuple(view_chain(v))
+            by_color.setdefault(v.color, []).append((chain, ViewSequence(v.color, chain, True)))
+        for pairs in by_color.values():
+            for chain_u, seq_u in pairs:
+                for chain_v, seq_v in pairs:
+                    d = view_distance(seq_u, seq_v)
+                    for t in range(T + 1):
+                        same_view = chain_u[t] == chain_v[t]
+                        assert (d < Fraction(1, 2**t)) == same_view
+                        assert same_view == (chain_u[t] is chain_v[t])
 
 
 def test_ball_trichotomy_exhaustive_depths():

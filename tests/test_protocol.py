@@ -115,6 +115,14 @@ def test_invalid_output_label():
         check_solves(bad, CONS, IIS2, 1)
 
 
+def test_an_unorderable_label_makes_a_vertex_and_an_invalid_output():
+    # a vertex's sort key is computed only when first asked for
+    v = Vertex(0, 1.5)
+    assert v == v and v == Vertex(0, 1.5) and v != Vertex(0, 2.5)
+    with pytest.raises(InvalidOutput):
+        extract_map(constant_protocol(1.5), IIS2, CONS, 1)
+
+
 def test_ball_rule_end_to_end_on_m1():
     ts = TerminatingSubdivision(CONS.inputs, M1_POLICY)
     delta = split_delta(ts.stable_complex(2), CONS.inputs)

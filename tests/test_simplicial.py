@@ -13,6 +13,8 @@ from chrotop.simplicial import (
     carried_by,
     check_carrier_map,
     check_simplicial_chromatic,
+    label_key,
+    vertex_key,
 )
 from chrotop.subdivision import BarycentricPoint
 from chrotop.tasks import inputless_consensus
@@ -217,8 +219,11 @@ def test_vertex_hash_is_cached_and_unchanged():
     for color, label in ((0, 5), (1, "b"), (1, nested), (0, point)):
         v = Vertex(color, label)
         assert hash(v) == hash((color, label))
+        # the key is kept like the hash, and is the key label_key gives
+        assert vertex_key(v) == (color, label_key(label))
+        assert vertex_key(v) is vertex_key(v)
+        assert not hasattr(v, "__dict__")
     v = Vertex(0, 5)
-    assert not hasattr(v, "__dict__")
     with pytest.raises(AttributeError):
         v.color = 1
     # equality ignores the cached hash
