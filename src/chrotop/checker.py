@@ -6,9 +6,9 @@ Because the view metric is an ultrametric, a ball of radius 2**-T is
 exactly a depth-T view vertex, so balls are represented by the view
 vertices themselves.  `build_time_T` interns its views, so within one
 P_T a ball, and every view below it, is one object and equal balls
-compare by identity.  `run` and the termination certificate replay one
-execution path at a time without a table: they keep no view, and their
-memory stays one path, so their views are equal by value only.
+compare by identity.  `run` replays one execution path at a time
+without a table: it keeps no view, and its memory stays one path, so its
+views are equal by value only.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .models import (
 )
 from .protocol import (
     DecisionProtocol,
-    Execution,
     all_executions,
     check_solves,
     shared_configurations,
@@ -53,14 +52,15 @@ from .simplicial import (
 from .subdivision import (
     BarycentricPoint,
     TerminatingSubdivision,
+    apply_schedule,
     cell_of_word,
     chr_iterate,
     coordinates,
     diameters_Dk,
     edge_position,
-    geometric_containment,
     geometric_distance,
     geometric_simplex,
+    ordered_partitions,
 )
 from .tasks import Task, inputless_consensus, set_agreement
 
@@ -265,10 +265,6 @@ class TerminationCertificateReport:
         return self.admissible and self.carried and self.continuous
 
 
-def _word_is_excluded_prefix(word: Word, model: ModelSpec) -> bool:
-    return any(word == e.prefix(len(word)) for e in model.excluded)
-
-
 def verify_termination_certificate(
     tsub: TerminatingSubdivision,
     delta: SimplicialMap,
@@ -280,41 +276,37 @@ def verify_termination_certificate(
     certificate at a finite depth.
 
     (a) every allowed depth-long schedule word falls, at some round
-        k <= depth, inside a terminated simplex (exact geometric
-        containment); (b) the map value of every stable simplex lies in
+        k <= depth, inside a terminated simplex; the cells of one level
+        tile the base, so that simplex is the cell of the word's length-k
+        prefix; (b) the map value of every stable simplex lies in
         delta of the minimal input simplex carrying it; (c) the map is
         constant on same-color stable vertices within the shrinking
         radius of each vertex's stabilization round, and its values
         agree around every excluded limit execution.
     """
+    if task.n != model.n:
+        raise BadArity(f"task has {task.n} processes but model {model.name} has {model.n}")
     tsub.materialize(depth)
     base = tsub.base
     if len(base.facets) != 1:
         raise Unsupported("certificate verification needs a single-facet input complex")
     base_facet = base.facets[0]
+    if base_facet.colors() != frozenset(range(model.n)):
+        raise Unsupported(f"base colors {sorted(base_facet.colors())} are not processes 0..{model.n - 1} of model {model.name}")
     stable_cells = tsub.stable_cells(depth)
 
-    # (a) admissibility at depth, decided once per prefix cell: a word is
-    # covered when the cell of one of its prefixes is
-    covered_cells: dict[Simplex, bool] = {}
-
-    def covered(k: int, cell: Simplex) -> bool:
-        if cell not in covered_cells:
-            cell_pts = geometric_simplex(cell, base)
-            covered_cells[cell] = any(
-                sc.depth <= k and geometric_containment(cell_pts, sc.points)
-                for sc in stable_cells
-            )
-        return covered_cells[cell]
-
-    words = enumerate_prefixes(model, depth)
-    cells = shared_configurations(Execution(base_facet, word) for word in words)
-    uncovered = [
-        word for word, prefix_cells in zip(words, cells)
-        if not any(covered(k, cell) for k, cell in enumerate(prefix_cells))
-    ]
+    # (a) admissibility at depth: one walk keeps the prefixes, as schedule
+    # blocks, whose cells no stable cell of their depth equals
+    stable = {(sc.depth, sc.simplex) for sc in stable_cells}
+    live: dict[tuple, Simplex] = {(): base_facet}
+    for k in range(depth + 1):
+        live = {p: cell for p, cell in live.items() if (k, cell) not in stable}
+        if k < depth:
+            live = {p + (s,): apply_schedule(cell, s)
+                    for p, cell in live.items() for s in ordered_partitions(cell.colors())}
+    uncovered = [w for w in enumerate_prefixes(model, depth) if tuple(s.blocks for s in w) in live]
     only_excluded = bool(uncovered) and all(
-        _word_is_excluded_prefix(w, model) for w in uncovered
+        any(w == e.prefix(len(w)) for e in model.excluded) for w in uncovered
     )
 
     # (b) carrier condition on stable simplexes

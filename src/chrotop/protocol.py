@@ -89,11 +89,11 @@ def shared_configurations(
     (input face, schedule prefix) configuration once and share it.
 
     Without a `table` only the previous path is kept, so memory does not
-    grow with the executions; `run` and the termination certificate
-    replay this way, since they keep no view.  With a `table`, every step
-    interns its carriers and views there (see `apply_schedule`), so equal
-    views of different executions are one object; `build_time_T` passes
-    one, because its complex keeps every view alive anyway.
+    grow with the executions; `run` replays this way, since it keeps no
+    view.  With a `table`, every step interns its carriers and views
+    there (see `apply_schedule`), so equal views of different executions
+    are one object; `build_time_T` passes one, because its complex keeps
+    every view alive anyway.
     """
     face, word, configs = None, (), []
     for execution in executions:

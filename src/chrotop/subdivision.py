@@ -549,10 +549,13 @@ def prefix_policy(words_by_depth: dict[int, list[tuple]]):
     words.  Words must navigate live cells of a single-facet base."""
 
     def policy(k, level, tsub):
+        schedules = set(ordered_partitions(tsub.base.colors()))
         out = []
         for word in words_by_depth.get(k, []):
             if len(word) != k:
                 raise InvalidTermination(f"word {word} has length {len(word)}, expected {k}")
+            if not schedules.issuperset(word):
+                raise InvalidTermination(f"word {word} has a schedule that is not an ordered partition of the base colors")
             cell = tsub.cell(tuple(word))
             if cell is None:
                 raise InvalidTermination(f"word {word} runs through a terminated cell")

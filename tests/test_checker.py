@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from chrotop.errors import BadIndices, Unsupported
+from chrotop.errors import BadArity, BadIndices, Unsupported
 from chrotop.models import ExecutionWord, ModelSpec, RoundSchedule, builtin_model, enumerate_prefixes, word
 from chrotop.simplicial import (
     CarrierMap,
@@ -27,6 +27,7 @@ from chrotop.subdivision import (
     geometric_containment,
     geometric_distance,
     geometric_simplex,
+    ordered_partitions,
     policy_all_at_zero,
     prefix_policy,
 )
@@ -38,6 +39,7 @@ from chrotop.protocol import (
 from chrotop.tasks import Task, inputless_consensus, set_agreement
 import chrotop.protocol
 import chrotop.checker
+import chrotop.subdivision
 from chrotop.checker import (
     SpernerReport,
     TerminationCertificateReport,
@@ -642,11 +644,12 @@ def reference_termination_report(ts, delta, model, task, depth):
         for v in sc.geom_simplex():
             stable_depth[v] = max(stable_depth.get(v, 0), sc.depth)
     verts = sorted(stable_depth, key=vertex_key)
+    radius = {k: diameter(chr_iterate(base, k), base) for k in set(stable_depth.values())}
     continuity_witness = next((
         (v, w, delta(v).label, delta(w).label)
         for v in verts for w in verts
         if w.color == v.color and w != v
-        and geometric_distance(v.label, w.label) <= diameter(chr_iterate(base, stable_depth[v]), base)
+        and geometric_distance(v.label, w.label) <= radius[stable_depth[v]]
         and delta(v).label != delta(w).label
     ), None)
     closure_witness = None
@@ -668,17 +671,120 @@ def reference_termination_report(ts, delta, model, task, depth):
     )
 
 
-@pytest.mark.parametrize("model, policy, depth", [
-    (M1, M1_POLICY, 5),
-    (M2, m2_naive_policy(5), 5),
-    (IIS2, M1_POLICY, 4),  # words through the first-round <-> cell stay uncovered
-    (IIS2, m2_naive_policy(3), 3),
-], ids=["m1-prefix-d5", "m2-naive-d5", "iis2-m1-prefix-d4", "iis2-m2-naive-d3"])
-def test_termination_certificate_matches_per_word_reference(model, policy, depth):
-    ts = TerminatingSubdivision(CONS.inputs, policy)
-    delta = split_delta(ts.stable_complex(depth), CONS.inputs)
-    report = verify_termination_certificate(ts, delta, model, CONS, depth)
-    assert report == reference_termination_report(ts, delta, model, CONS, depth)
+CONS3 = inputless_consensus(3)
+TRIANGLE_SCHEDULES = list(ordered_partitions(range(3)))
+
+
+def corner_delta(ts, depth):
+    """Decide 0 on stable vertices whose color-0 corner weight is at least
+    2/3, else 1: on the edge this is `split_delta`.  Without stable cells
+    the map is empty."""
+    stable = ts.stable_complex(depth)
+    if stable is None:
+        return SimplicialMap({})
+    corner = ts.base.facets[0].vertex_of_color(0)
+    return SimplicialMap({
+        v: Vertex(v.color, 0 if v.label.weight(corner) >= Fraction(2, 3) else 1)
+        for v in stable.vertices()
+    })
+
+
+def terminating_base_vertex(policy, color):
+    """`policy`, and the base vertex of `color` terminated at depth 0."""
+
+    def wrapped(k, level, ts):
+        vertex = [Simplex([ts.base.facets[0].vertex_of_color(color)])] if k == 0 else []
+        return list(policy(k, level, ts)) + vertex
+
+    return wrapped
+
+
+def random_prefix_policy(rng, n, depth):
+    """Each live cell terminated at its depth with probability 1/4, and
+    now and then a base vertex at depth 0.  On the triangle cells end only
+    at the last level: a live cell next to a terminated one would keep a
+    terminated edge, which no level below can coarsen."""
+    schedules = list(ordered_partitions(range(n)))
+    words, live = {}, [()]
+    for k in range(depth + 1):
+        if n == 2 or k == depth:
+            words[k] = [w for w in live if rng.random() < 0.25]
+            live = [w for w in live if w not in words[k]]
+        live = [w + (s,) for w in live for s in schedules]
+    policy = prefix_policy(words)
+    if rng.random() < 0.3:
+        policy = terminating_base_vertex(policy, rng.randrange(n))
+    return policy
+
+
+def random_certificate_case(seed):
+    rng = random.Random(seed)
+    model = rng.choice([IIS2, M1, M2, IIS3])
+    task, depth = (CONS3, rng.randint(0, 2)) if model is IIS3 else (CONS, rng.randint(0, 4))
+    return model, task, random_prefix_policy(rng, model.n, depth), depth
+
+
+@pytest.mark.parametrize("model, task, policy, depth", [
+    (M1, CONS, M1_POLICY, 5),
+    (M2, CONS, m2_naive_policy(5), 5),
+    (IIS2, CONS, M1_POLICY, 4),  # words through the first-round <-> cell stay uncovered
+    (IIS2, CONS, m2_naive_policy(3), 3),
+    (IIS3, CONS3, prefix_policy({2: [(TRIANGLE_SCHEDULES[0], s) for s in TRIANGLE_SCHEDULES]
+                                 + [(s, s) for s in TRIANGLE_SCHEDULES[1:]]}), 2),
+    (IIS2, CONS, terminating_base_vertex(M1_POLICY, 0), 3),
+    (IIS2, CONS, terminating_base_vertex(lambda k, level, ts: [], 1), 2),
+    (IIS2, CONS, lambda k, level, ts: [], 3),
+    (M1, CONS, policy_all_at_zero, 2),
+    (IIS3, CONS3, policy_all_at_zero, 1),
+] + [random_certificate_case(seed) for seed in range(30)],
+    ids=["m1-prefix-d5", "m2-naive-d5", "iis2-m1-prefix-d4", "iis2-m2-naive-d3",
+         "iis3-prefix-d2", "iis2-m1-prefix-and-vertex-d3", "iis2-vertex-only-d2",
+         "iis2-nothing-d3", "m1-all-at-zero-d2", "iis3-all-at-zero-d1"]
+        + [f"random-{seed}" for seed in range(30)])
+def test_termination_certificate_matches_per_word_reference(model, task, policy, depth):
+    ts = TerminatingSubdivision(task.inputs, policy)
+    delta = corner_delta(ts, depth)
+    report = verify_termination_certificate(ts, delta, model, task, depth)
+    assert report == reference_termination_report(ts, delta, model, task, depth)
+
+
+def test_admissibility_extends_only_the_live_prefixes(monkeypatch):
+    """The tsub-m2-naive-d7 certificate: each of the seven levels extends
+    its one live prefix by three schedules, and no exact convex system is
+    solved."""
+    ts = TerminatingSubdivision(CONS.inputs, m2_naive_policy(7))
+    delta = split_delta(ts.stable_complex(7), CONS.inputs)
+    apply = chrotop.checker.apply_schedule
+    calls = []
+
+    def counted(facet, schedule):
+        calls.append(schedule)
+        return apply(facet, schedule)
+
+    def refused(columns, x):
+        raise AssertionError("admissibility solved a convex system")
+
+    monkeypatch.setattr(chrotop.checker, "apply_schedule", counted)
+    monkeypatch.setattr(chrotop.subdivision, "_solve_convex", refused)
+    report = verify_termination_certificate(ts, delta, M2, CONS, 7)
+    assert len(calls) == 21
+    assert [tuple(s.blocks for s in w) for w in report.uncovered] == [(B,) + (L,) * 6]
+    assert report.uncovered_only_excluded and report.carried and not report.continuous
+
+
+def test_termination_certificate_refuses_a_model_that_does_not_match_the_base():
+    edge = TerminatingSubdivision(CONS.inputs, policy_all_at_zero)
+    with pytest.raises(BadArity, match="task has 2 processes but model iis3 has 3"):
+        verify_termination_certificate(edge, corner_delta(edge, 1), IIS3, CONS, 1)
+    triangle = TerminatingSubdivision(CONS3.inputs, policy_all_at_zero)
+    with pytest.raises(BadArity, match="task has 3 processes but model iis2 has 2"):
+        verify_termination_certificate(triangle, corner_delta(triangle, 1), IIS2, CONS3, 1)
+    # the task matches the model, the base does not
+    with pytest.raises(Unsupported, match=r"base colors \[0, 1, 2\] are not processes 0..1 of model iis2"):
+        verify_termination_certificate(triangle, corner_delta(triangle, 1), IIS2, CONS, 1)
+    gap = TerminatingSubdivision(Complex([Simplex([Vertex(0, 0), Vertex(2, 1)])]), policy_all_at_zero)
+    with pytest.raises(Unsupported, match=r"base colors \[0, 2\] are not processes 0..1 of model iis2"):
+        verify_termination_certificate(gap, corner_delta(gap, 1), IIS2, CONS, 1)
 
 
 def test_excluded_limit_point_position():

@@ -375,6 +375,17 @@ def test_policy_output_validated():
         TerminatingSubdivision(EDGE, lambda k, level, ts: [stray])
 
 
+def test_prefix_policy_names_why_a_word_has_no_cell():
+    from chrotop.errors import InvalidTermination
+
+    not_a_partition = TerminatingSubdivision(EDGE, prefix_policy({1: [(((0,),),)]}))
+    with pytest.raises(InvalidTermination, match="has a schedule that is not an ordered partition"):
+        not_a_partition.materialize(1)
+    below_a_terminated_cell = TerminatingSubdivision(EDGE, prefix_policy({1: [(R,)], 2: [(R, B)]}))
+    with pytest.raises(InvalidTermination, match=r"word .* runs through a terminated cell"):
+        below_a_terminated_cell.materialize(2)
+
+
 def _m2_naive_policy(max_depth):
     words = {1: [(R,), (L,)]}
     for j in range(2, max_depth + 1):
