@@ -18,7 +18,6 @@ from .subdivision import (
     chr_subdivision,
     coordinates,
     diameter_Dk,
-    geometric_containment,
     partial_chr_step,
 )
 from .tasks import Task, inputless_consensus, set_agreement, validate_task

@@ -32,9 +32,7 @@ from .models import (
 )
 from .protocol import (
     DecisionProtocol,
-    all_executions,
     check_solves,
-    shared_configurations,
     synthesize_from_time_map,
     view_chain,
     ball_id,
@@ -52,7 +50,6 @@ from .simplicial import (
 from .subdivision import (
     BarycentricPoint,
     TerminatingSubdivision,
-    apply_schedule,
     cell_of_word,
     chr_iterate,
     coordinates,
@@ -60,7 +57,7 @@ from .subdivision import (
     edge_position,
     geometric_distance,
     geometric_simplex,
-    ordered_partitions,
+    walk_cells,
 )
 from .tasks import Task, inputless_consensus, set_agreement
 
@@ -84,23 +81,25 @@ def build_time_T(model: ModelSpec, task: Task, T: int) -> TimeTComplex:
     complex, that image is P_T itself, the same `Complex` object, so its
     facets and vertices are sorted once.
 
-    One call interns its views: a table owned by the call maps each
-    carrier and each view to its first instance, so equal views of
-    different executions are one object and compare by identity.  The
-    table holds only what P_T keeps alive and goes with the call."""
+    The executions are one `walk_cells` call over the input faces whose
+    empty word the model allows, with each participant set's schedules
+    listed once; equal views of different executions are one object."""
     if T < 0:
         raise Unsupported("time must be nonnegative")
-    executions = all_executions(model, task.inputs, T)
-    configurations = shared_configurations(executions, {})
-    simplexes_by_execution = [
-        (execution, configs[-1]) for execution, configs in zip(executions, configurations)
-    ]
-    complex_ = Complex([s for _, s in simplexes_by_execution])
+    faces = task.inputs.simplexes()
+    alphabets = {p: model.schedules(p) for p in dict.fromkeys(f.colors() for f in faces)}
+
+    def letters(word: Word, cell: Simplex) -> list[RoundSchedule]:
+        participants = cell.colors()
+        return [s for s in alphabets[participants] if model.allowed_prefix(participants, word + (s,))]
+
+    executions = walk_cells([f for f in faces if model.allowed_prefix(f.colors(), ())], T, letters)
+    complex_ = Complex([cell for _, _, cell in executions])
     images: dict[Simplex, Complex] = {}
-    for sigma in task.inputs.simplexes():
+    for sigma in faces:
         compatible_faces = set(sigma.faces())
-        facets = [s for e, s in simplexes_by_execution if e.face in compatible_faces]
-        images[sigma] = complex_ if len(facets) == len(simplexes_by_execution) else Complex(facets)
+        facets = [cell for face, _, cell in executions if face in compatible_faces]
+        images[sigma] = complex_ if len(facets) == len(executions) else Complex(facets)
     return TimeTComplex(T, complex_, CarrierMap(images))
 
 
@@ -295,16 +294,19 @@ def verify_termination_certificate(
         raise Unsupported(f"base colors {sorted(base_facet.colors())} are not processes 0..{model.n - 1} of model {model.name}")
     stable_cells = tsub.stable_cells(depth)
 
-    # (a) admissibility at depth: one walk keeps the prefixes, as schedule
-    # blocks, whose cells no stable cell of their depth equals
+    # (a) admissibility at depth: one walk over the model's words cuts each
+    # word whose cell is a stable cell of its depth
     stable = {(sc.depth, sc.simplex) for sc in stable_cells}
-    live: dict[tuple, Simplex] = {(): base_facet}
-    for k in range(depth + 1):
-        live = {p: cell for p, cell in live.items() if (k, cell) not in stable}
-        if k < depth:
-            live = {p + (s,): apply_schedule(cell, s)
-                    for p, cell in live.items() for s in ordered_partitions(cell.colors())}
-    uncovered = [w for w in enumerate_prefixes(model, depth) if tuple(s.blocks for s in w) in live]
+    processes = base_facet.colors()
+    alphabet = model.schedules(processes)
+
+    def letters(word: Word, cell: Simplex) -> list[RoundSchedule]:
+        if (len(word), cell) in stable:
+            return []
+        return [s for s in alphabet if model.allowed_prefix(processes, word + (s,))]
+
+    roots = [base_facet] if model.allowed_prefix(processes, ()) else []
+    uncovered = [w for _, w, cell in walk_cells(roots, depth, letters) if (depth, cell) not in stable]
     only_excluded = bool(uncovered) and all(
         any(w == e.prefix(len(w)) for e in model.excluded) for w in uncovered
     )
@@ -376,9 +378,9 @@ def excluded_limit_point(base: Complex, excluded: ExecutionWord) -> BarycentricP
     cycle's own cell over the base edge: row c holds the weights of its
     color-c vertex over the base corners."""
     base_facet = base.facets[0]
-    cell = cell_of_word(base_facet, tuple(s.blocks for s in excluded.stem))
+    cell = cell_of_word(base_facet, excluded.stem)
     a0, a1 = (coordinates(cell.vertex_of_color(c), base) for c in (0, 1))
-    cycle = cell_of_word(base_facet, tuple(s.blocks for s in excluded.cycle))
+    cycle = cell_of_word(base_facet, excluded.cycle)
     m0, m1 = (coordinates(cycle.vertex_of_color(c), base) for c in (0, 1))
     alpha = m0.weight(base_facet.vertex_of_color(1))
     beta = m1.weight(base_facet.vertex_of_color(0))
@@ -514,7 +516,7 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
 
     intervals = []
     for word in words:
-        cell = cell_of_word(base_facet, tuple(s.blocks for s in word))
+        cell = cell_of_word(base_facet, word)
         positions = sorted(edge_position(p, base) for p in geometric_simplex(cell, base))
         intervals.append((positions[0], positions[-1]))
     intervals.sort()

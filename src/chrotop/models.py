@@ -44,6 +44,9 @@ class RoundSchedule:
                 raise ValueError(f"blocks must be disjoint: {self.blocks}")
             seen.update(block)
 
+    def __iter__(self):  # its blocks, so `apply_schedule` takes it as a `Schedule`
+        return iter(self.blocks)
+
     @property
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)

@@ -73,28 +73,16 @@ def execution_configurations(execution: Execution) -> list[Simplex]:
     all participants' views after t rounds."""
     configs = [execution.face]
     for schedule in execution.word:
-        configs.append(apply_schedule(configs[-1], schedule.blocks))
+        configs.append(apply_schedule(configs[-1], schedule))
     return configs
 
 
-def shared_configurations(
-    executions: Iterable[Execution], table: dict | None = None
-) -> Iterator[list[Simplex]]:
-    """Yield `execution_configurations` of each execution in turn.
-
-    Each configuration is one `apply_schedule` from its parent, and the
-    prefix an execution shares with the previous one keeps that
-    execution's configuration objects.  So executions in prefix order, as
-    `all_executions` and `enumerate_prefixes` list them, build every
-    (input face, schedule prefix) configuration once and share it.
-
-    Without a `table` only the previous path is kept, so memory does not
-    grow with the executions; `run` replays this way, since it keeps no
-    view.  With a `table`, every step interns its carriers and views
-    there (see `apply_schedule`), so equal views of different executions
-    are one object; `build_time_T` passes one, because its complex keeps
-    every view alive anyway.
-    """
+def shared_configurations(executions: Iterable[Execution]) -> Iterator[list[Simplex]]:
+    """Yield `execution_configurations` of each execution in turn, each
+    configuration one `apply_schedule` from its parent, keeping the
+    configurations of the prefix shared with the previous execution.  In
+    prefix order, as `all_executions` lists them, each is built once and
+    only one path is kept: `run` replays this way, since it keeps no view."""
     face, word, configs = None, (), []
     for execution in executions:
         if execution.face != face:
@@ -106,7 +94,7 @@ def shared_configurations(
             shared += 1
         configs = configs[:shared + 1]
         for schedule in execution.word[shared:]:
-            configs.append(apply_schedule(configs[-1], schedule.blocks, table))
+            configs.append(apply_schedule(configs[-1], schedule))
         word = execution.word
         yield configs
 
@@ -114,12 +102,8 @@ def shared_configurations(
 def all_executions(model: ModelSpec, inputs: Complex, depth: int) -> list[Execution]:
     """Every execution shadow of the given depth: one per input simplex
     (participation and inputs) and allowed schedule word over it."""
-    out = []
-    for face in inputs.simplexes():
-        participants = frozenset(face.colors())
-        for word in enumerate_prefixes(model, depth, participants):
-            out.append(Execution(face, word))
-    return out
+    return [Execution(face, word) for face in inputs.simplexes()
+            for word in enumerate_prefixes(model, depth, face.colors())]
 
 
 # -- protocols ---------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Standard chromatic subdivision, exact geometry, terminating subdivisions.
 
 All geometry is exact: points are barycentric weight vectors over the
-base complex with `Fraction` entries, distances are half 1-norms (so a
-base edge has length 1), and containment tests solve small linear
-systems over the rationals.  A vertex produced by subdividing carries
-its whole history: its label is the simplex of the previous level it
-was derived from, recursively down to the base vertices.
+base complex with `Fraction` entries, and distances are half 1-norms (so
+a base edge has length 1).  A vertex produced by subdividing carries its
+whole history: its label is the simplex of the previous level it was
+derived from, recursively down to the base vertices (see `walk_cells`).
 """
 
 from __future__ import annotations
@@ -81,29 +80,37 @@ def apply_schedule(facet: Simplex, schedule: Schedule, table: dict | None = None
     return Simplex(new_vertices)
 
 
-def facet_children(facet: Simplex) -> dict[Schedule, Simplex]:
-    """All one-round subdivision cells of a facet, keyed by schedule."""
-    return {s: apply_schedule(facet, s) for s in ordered_partitions(sorted(facet.colors()))}
+def walk_cells(roots: Sequence[Simplex], depth: int, letters: Callable) -> list[tuple]:
+    """(root, word, cell) for the depth-`depth` cells under the roots, level
+    by level: a word extends by each schedule `letters(word, cell)` names,
+    its child cell one `apply_schedule` from its own.  One intern table
+    serves the call, so equal carriers and views are one object."""
+    table: dict = {}
+    level = [(root, (), root) for root in roots]
+    for _ in range(depth):
+        level = [(root, word + (s,), apply_schedule(cell, s, table))
+                 for root, word, cell in level for s in letters(word, cell)]
+    return level
+
+
+def _every_schedule(word: tuple, cell: Simplex) -> Iterator[Schedule]:
+    return ordered_partitions(cell.colors())
 
 
 def chr_subdivision(K: Complex) -> Complex:
     """The standard chromatic subdivision of a pure chromatic complex."""
-    if not K.is_chromatic():
-        raise NotChromatic("standard chromatic subdivision needs a chromatic complex")
-    if not K.is_pure():
-        raise Unsupported("standard chromatic subdivision of a non-pure complex")
-    facets = []
-    for f in K.facets:
-        facets.extend(facet_children(f).values())
-    return Complex(facets)
+    return chr_iterate(K, 1)
 
 
 def chr_iterate(K: Complex, k: int) -> Complex:
+    """Chr^k of a pure chromatic complex, built by one `walk_cells` as one `Complex`."""
     if k < 0:
         raise Unsupported("subdivision depth must be nonnegative")
-    for _ in range(k):
-        K = chr_subdivision(K)
-    return K
+    if k and not K.is_chromatic():
+        raise NotChromatic("standard chromatic subdivision needs a chromatic complex")
+    if k and not K.is_pure():
+        raise Unsupported("standard chromatic subdivision of a non-pure complex")
+    return Complex(cell for _, _, cell in walk_cells(K.facets, k, _every_schedule))
 
 
 def cell_of_word(base_facet: Simplex, word: Sequence[Schedule]) -> Simplex:
@@ -345,47 +352,6 @@ def volume_by_base_facet(K: Complex, base: Complex) -> dict[Simplex, Fraction]:
     return totals
 
 
-def _solve_convex(columns: Sequence[BarycentricPoint], x: BarycentricPoint):
-    """Exact solve of  sum_j lam_j * col_j == x,  sum lam = 1.
-
-    Returns the lambda vector, or None if the system is inconsistent.
-    Free variables (affinely dependent columns) are pinned to zero and
-    the candidate is verified against the original system.
-    """
-    keys = sorted({v for c in columns for v in c.weights} | set(x.weights), key=vertex_key)
-    rows = [[c.weight(k) for c in columns] + [x.weight(k)] for k in keys]
-    rows.append([Fraction(1)] * len(columns) + [Fraction(1)])
-    ncols = len(columns)
-    mat = [row[:] for row in rows]
-    pivots = _gauss_jordan(mat, ncols)
-    if any(row[ncols] != 0 for row in mat[len(pivots):]):
-        return None
-    lam = [Fraction(0)] * ncols
-    for row, (col, _) in zip(mat, pivots):
-        lam[col] = row[ncols]
-    for row in rows[:-1]:
-        if sum(l * c for l, c in zip(lam, row[:ncols])) != row[ncols]:
-            return None
-    if sum(lam) != 1:
-        return None
-    return lam
-
-
-def point_in_hull(x: BarycentricPoint, hull: Sequence[BarycentricPoint]) -> bool:
-    """Exact closed convex hull membership."""
-    if any(h.base.facets != x.base.facets for h in hull):
-        raise BaseMismatch("hull and point live over different bases")
-    lam = _solve_convex(hull, x)
-    return lam is not None and all(l >= 0 for l in lam)
-
-
-def geometric_containment(
-    sigma: Sequence[BarycentricPoint], tau: Sequence[BarycentricPoint]
-) -> bool:
-    """True iff every point of sigma lies in the closed hull of tau."""
-    return all(point_in_hull(p, tau) for p in sigma)
-
-
 def edge_position(pt: BarycentricPoint, base: Complex) -> Fraction:
     """Orientation coordinate on a one-dimensional single-facet base: the
     weight of the color-1 corner, 0 at the color-0 end, 1 at the other."""
@@ -417,7 +383,7 @@ def partial_chr_step(I_k: Complex, sigma_k: Complex | None) -> Complex:
     terminated = set()
     if sigma_k is not None:
         terminated = set(sigma_k._face_set())
-    facets = []
+    facets, live = [], []
     for f in I_k.facets:
         if f in terminated:
             facets.append(wrap_simplex(f))
@@ -427,7 +393,8 @@ def partial_chr_step(I_k: Complex, sigma_k: Complex | None) -> Complex:
                 raise UnsupportedCoarsening(
                     f"live facet {f!r} has terminated face {face!r} of dimension >= 1"
                 )
-        facets.extend(facet_children(f).values())
+        live.append(f)
+    facets.extend(cell for _, _, cell in walk_cells(live, 1, _every_schedule))
     return Complex(facets)
 
 
@@ -549,6 +516,8 @@ def prefix_policy(words_by_depth: dict[int, list[tuple]]):
     words.  Words must navigate live cells of a single-facet base."""
 
     def policy(k, level, tsub):
+        if words_by_depth.get(k) and len(tsub.base.facets) != 1:
+            raise InvalidTermination("prefix policies need a single-facet base")
         schedules = set(ordered_partitions(tsub.base.colors()))
         out = []
         for word in words_by_depth.get(k, []):

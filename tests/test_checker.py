@@ -24,7 +24,6 @@ from chrotop.subdivision import (
     chr_iterate,
     coordinates,
     edge_position,
-    geometric_containment,
     geometric_distance,
     geometric_simplex,
     ordered_partitions,
@@ -37,7 +36,6 @@ from chrotop.protocol import (
     view_chain,
 )
 from chrotop.tasks import Task, inputless_consensus, set_agreement
-import chrotop.protocol
 import chrotop.checker
 import chrotop.subdivision
 from chrotop.checker import (
@@ -55,12 +53,14 @@ from chrotop.checker import (
     sperner_evidence,
     verify_termination_certificate,
 )
-from oracles import diameter
+from oracles import diameter, geometric_containment
 
 M1 = builtin_model("m1")
 M2 = builtin_model("m2")
 IIS2 = builtin_model("iis2")
 IIS3 = builtin_model("iis3")
+# allows not even the empty word: no execution of both processes
+NO_FULL_RUN = ModelSpec(n=2, name="solo", kind="custom", predicate=lambda participants, w: False)
 CONS = inputless_consensus(2)
 
 R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
@@ -498,19 +498,24 @@ def test_time_T_build_applies_each_schedule_prefix_once(monkeypatch, model, call
         applied += 1
         return apply_schedule(facet, schedule, table)
 
-    monkeypatch.setattr(chrotop.protocol, "apply_schedule", counting)
+    monkeypatch.setattr(chrotop.subdivision, "apply_schedule", counting)
     build_time_T(model, CONS, 5)
     assert applied == calls
 
 
-@pytest.mark.parametrize("model, task, T", [
-    (IIS2, CONS, 5),
-    (IIS3, set_agreement(3), 3),
-], ids=["iis2", "iis3-set-agreement"])
-def test_time_T_build_makes_equal_views_one_object(model, task, T):
+TRIANGLE = Complex([Simplex(Vertex(i, i) for i in range(3))])
+
+
+@pytest.mark.parametrize("build, depth", [
+    (lambda: build_time_T(IIS2, CONS, 5).complex, 5),
+    (lambda: build_time_T(IIS3, set_agreement(3), 3).complex, 3),
+    (lambda: chr_iterate(TRIANGLE, 3), 3),
+    (lambda: chr_iterate(CONS.inputs, 7), 7),
+], ids=["iis2", "iis3-set-agreement", "triangle-k3", "edge-k7"])
+def test_time_T_build_makes_equal_views_one_object(build, depth):
     first: dict = {}  # each view and carrier value -> the first object met
     walked = set()
-    stack = [v for f in build_time_T(model, task, T).complex.facets for v in f]
+    stack = [v for f in build().facets for v in f]
     while stack:
         v = stack.pop()
         if id(v) in walked:
@@ -521,7 +526,20 @@ def test_time_T_build_makes_equal_views_one_object(model, task, T):
             assert first.setdefault(v.label, v.label) is v.label
             stack.extend(v.label)
     depths = {len(view_chain(v)) for v in first if isinstance(v, Vertex)}
-    assert depths == set(range(1, T + 2))
+    assert depths == set(range(1, depth + 2))
+
+
+def test_chr_iterate_builds_one_complex(monkeypatch):
+    built = []
+
+    class Counted(Complex):
+        def __init__(self, facets):
+            built.append(self)
+            super().__init__(facets)
+
+    monkeypatch.setattr(chrotop.subdivision, "Complex", Counted)
+    K = chr_iterate(TRIANGLE, 3)
+    assert built == [K] and len(K.facets) == 13**3
 
 
 def _reference_key(v: Vertex, memo: dict):
@@ -541,7 +559,7 @@ def _reference_key(v: Vertex, memo: dict):
     lambda: build_time_T(IIS3, set_agreement(3), 3).complex,
     lambda: build_time_T(M1, CONS, 4).complex,
     lambda: build_time_T(M2, CONS, 4).complex,
-    lambda: chr_iterate(Complex([Simplex(Vertex(i, i) for i in range(3))]), 2),
+    lambda: chr_iterate(TRIANGLE, 2),
 ], ids=["iis2", "iis3-set-agreement", "m1", "m2", "triangle-k2"])
 def test_cached_keys_sort_like_keys_built_afresh(build):
     # the JSON, SVG and DOT orders are the orders of vertices() and facets
@@ -736,10 +754,11 @@ def random_certificate_case(seed):
     (IIS2, CONS, lambda k, level, ts: [], 3),
     (M1, CONS, policy_all_at_zero, 2),
     (IIS3, CONS3, policy_all_at_zero, 1),
+    (NO_FULL_RUN, CONS, lambda k, level, ts: [], 0),
 ] + [random_certificate_case(seed) for seed in range(30)],
     ids=["m1-prefix-d5", "m2-naive-d5", "iis2-m1-prefix-d4", "iis2-m2-naive-d3",
          "iis3-prefix-d2", "iis2-m1-prefix-and-vertex-d3", "iis2-vertex-only-d2",
-         "iis2-nothing-d3", "m1-all-at-zero-d2", "iis3-all-at-zero-d1"]
+         "iis2-nothing-d3", "m1-all-at-zero-d2", "iis3-all-at-zero-d1", "no-full-run-d0"]
         + [f"random-{seed}" for seed in range(30)])
 def test_termination_certificate_matches_per_word_reference(model, task, policy, depth):
     ts = TerminatingSubdivision(task.inputs, policy)
@@ -750,22 +769,30 @@ def test_termination_certificate_matches_per_word_reference(model, task, policy,
 
 def test_admissibility_extends_only_the_live_prefixes(monkeypatch):
     """The tsub-m2-naive-d7 certificate: each of the seven levels extends
-    its one live prefix by three schedules, and no exact convex system is
-    solved."""
+    its one live word by three schedules.  Only the applications inside
+    the certificate's cell walk count; `excluded_limit_point` builds its
+    stem and cycle cells outside it."""
     ts = TerminatingSubdivision(CONS.inputs, m2_naive_policy(7))
     delta = split_delta(ts.stable_complex(7), CONS.inputs)
-    apply = chrotop.checker.apply_schedule
+    walk = chrotop.checker.walk_cells
     calls = []
+    walking = False
 
-    def counted(facet, schedule):
-        calls.append(schedule)
-        return apply(facet, schedule)
+    def counted(facet, schedule, table=None):
+        if walking:
+            calls.append(schedule)
+        return apply_schedule(facet, schedule, table)
 
-    def refused(columns, x):
-        raise AssertionError("admissibility solved a convex system")
+    def walked(*args):
+        nonlocal walking
+        walking = True
+        try:
+            return walk(*args)
+        finally:
+            walking = False
 
-    monkeypatch.setattr(chrotop.checker, "apply_schedule", counted)
-    monkeypatch.setattr(chrotop.subdivision, "_solve_convex", refused)
+    monkeypatch.setattr(chrotop.subdivision, "apply_schedule", counted)
+    monkeypatch.setattr(chrotop.checker, "walk_cells", walked)
     report = verify_termination_certificate(ts, delta, M2, CONS, 7)
     assert len(calls) == 21
     assert [tuple(s.blocks for s in w) for w in report.uncovered] == [(B,) + (L,) * 6]

@@ -3,10 +3,18 @@ from itertools import product
 
 import pytest
 
-from chrotop.errors import BaseMismatch, NotChromatic, UnknownVertex, Unsupported, UnsupportedCoarsening
+from chrotop.errors import (
+    BaseMismatch,
+    InvalidTermination,
+    NotChromatic,
+    UnknownVertex,
+    Unsupported,
+    UnsupportedCoarsening,
+)
 from chrotop.simplicial import Complex, Simplex, Vertex
 from chrotop.subdivision import (
     TerminatingSubdivision,
+    apply_schedule,
     cell_of_word,
     chr_iterate,
     chr_subdivision,
@@ -14,9 +22,7 @@ from chrotop.subdivision import (
     diameter_Dk,
     diameters_Dk,
     edge_position,
-    facet_children,
     facet_volume_fraction,
-    geometric_containment,
     geometric_simplex,
     ordered_partitions,
     partial_chr_step,
@@ -25,7 +31,7 @@ from chrotop.subdivision import (
     volume_by_base_facet,
     wrap_simplex,
 )
-from oracles import diameter
+from oracles import diameter, geometric_containment
 
 R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
 
@@ -41,6 +47,9 @@ def standard_simplex(n):
 EDGE = standard_simplex(2)
 TRIANGLE = standard_simplex(3)
 TETRAHEDRON = standard_simplex(4)
+TWO_TRIANGLES = Complex([Simplex([Vertex(0, 0), Vertex(1, 1), Vertex(2, 2)]),
+                         Simplex([Vertex(0, 0), Vertex(1, 1), Vertex(2, 3)])])
+TWO_EDGES = Complex([Simplex([Vertex(0, 0), Vertex(1, 1)]), Simplex([Vertex(0, 0), Vertex(1, 2)])])
 
 
 # independent oracle: ordered set partitions both counted by recurrence and
@@ -107,6 +116,20 @@ def test_chr_iterate_counts():
     assert len(chr_iterate(EDGE, 2).vertices()) == 10
     assert len(chr_iterate(TRIANGLE, 2).facets) == 169
     assert chr_iterate(EDGE, 0) is EDGE or chr_iterate(EDGE, 0).facets == EDGE.facets
+
+
+@pytest.mark.parametrize("base, top", [
+    (EDGE, 4), (TRIANGLE, 2), (TWO_EDGES, 3), (TWO_TRIANGLES, 1),
+], ids=["edge", "triangle", "two-edges", "two-triangles"])
+def test_chr_iterate_is_the_per_word_replay(base, top):
+    for k in range(top + 1):
+        replayed = Complex(
+            cell_of_word(facet, word)
+            for facet in base.facets
+            for word in product(ordered_partitions(facet.colors()), repeat=k)
+        )
+        K = chr_iterate(base, k)
+        assert K == replayed and K.vertices() == replayed.vertices(), k
 
 
 def test_chr_requires_chromatic():
@@ -188,8 +211,6 @@ def test_diameters_strictly_decrease():
     assert all(a > b for a, b in zip(tri, tri[1:]))
 
 
-TWO_TRIANGLES = Complex([Simplex([Vertex(0, 0), Vertex(1, 1), Vertex(2, 2)]),
-                         Simplex([Vertex(0, 0), Vertex(1, 1), Vertex(2, 3)])])
 LABELED_TRIANGLE = Complex([Simplex([Vertex(0, "c"), Vertex(1, "a"), Vertex(2, "b")])])
 
 
@@ -350,9 +371,9 @@ def test_cell_of_word_matches_prefix_navigation():
 
 
 def test_schedule_children_count():
-    children = facet_children(TRIANGLE.facets[0])
+    children = chr_subdivision(TRIANGLE).facets
     assert len(children) == 13
-    for child in children.values():
+    for child in children:
         assert child.colors() == {0, 1, 2}
 
 
@@ -386,6 +407,12 @@ def test_prefix_policy_names_why_a_word_has_no_cell():
         below_a_terminated_cell.materialize(2)
 
 
+def test_prefix_policy_needs_a_single_facet_base():
+    two_edges = TerminatingSubdivision(TWO_EDGES, prefix_policy({1: [(R,)]}))
+    with pytest.raises(InvalidTermination, match="prefix policies need a single-facet base"):
+        two_edges.materialize(1)
+
+
 def _m2_naive_policy(max_depth):
     words = {1: [(R,), (L,)]}
     for j in range(2, max_depth + 1):
@@ -403,8 +430,8 @@ def _stored_cells(ts, depth):
         terminated = set(sigma._face_set()) if sigma is not None else set()
         for word, facet in list(cells.items()):
             if len(word) == k and facet not in terminated:
-                for schedule, child in facet_children(facet).items():
-                    cells[word + (schedule,)] = child
+                for schedule in ordered_partitions(facet.colors()):
+                    cells[word + (schedule,)] = apply_schedule(facet, schedule)
     return cells
 
 
@@ -413,8 +440,7 @@ def _stored_cells(ts, depth):
     (EDGE, prefix_policy({1: [(R,)], 2: [(L, s) for s in (R, B, L)]}), 4),
     (EDGE, _m2_naive_policy(7), 4),
     (TRIANGLE, policy_never, 2),
-    (Complex([Simplex([Vertex(0, 0), Vertex(1, 1)]), Simplex([Vertex(0, 0), Vertex(1, 2)])]),
-     policy_never, 2),
+    (TWO_EDGES, policy_never, 2),
 ], ids=["never", "m1-prefix", "m2-naive", "triangle-never", "two-facet-base"])
 def test_cell_walk_matches_stored_cells(base, policy, depth):
     ts = TerminatingSubdivision(base, policy)

@@ -2,30 +2,30 @@
 schedule words, each against a test-local copy of the code it replaced:
 a view ancestor found by stepping back one round at a time, a recursive
 word extension, a forward-elimination determinant and a convex solve with
-its own elimination loop."""
+its own elimination loop.  The time-T complex built by the cell walk is
+checked against every execution replayed on its own."""
 
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import pytest
 
 from chrotop.checker import build_time_T
 from chrotop.models import ModelSpec, builtin_model, enumerate_prefixes, iis
-from chrotop.protocol import view_chain, view_depth
-from chrotop.simplicial import Complex, Simplex, Vertex, vertex_key
+from chrotop.protocol import all_executions, execution_configurations, view_chain, view_depth
+from chrotop.simplicial import CarrierMap, Complex, Simplex, Vertex, vertex_key
 from chrotop.subdivision import (
     BarycentricPoint,
     _gauss_jordan,
-    _solve_convex,
     chr_iterate,
     facet_volume_fraction,
     geometric_simplex,
-    point_in_hull,
 )
-from chrotop.tasks import inputless_consensus, set_agreement
+from chrotop.tasks import Task, inputless_consensus, set_agreement
+from oracles import _solve_convex, point_in_hull
 
 # -- reference copies ------------------------------------------------------------
 
@@ -158,6 +158,8 @@ def no_second_full_exchange(participants, w):
 
 
 PREDICATE_MODEL = ModelSpec(n=2, name="p2", kind="custom", predicate=no_second_full_exchange)
+# allows not even the empty word, so only solo executions remain
+NO_FULL_RUN = ModelSpec(n=2, name="solo", kind="custom", predicate=lambda participants, w: False)
 
 
 @pytest.mark.parametrize("model, top", [
@@ -191,6 +193,37 @@ def test_words_ask_the_same_prefix_questions():
 def test_words_reach_depths_past_the_recursion_limit():
     words = enumerate_prefixes(iis(1), 3000)
     assert len(words) == 1 and len(words[0]) == 3000
+
+
+# -- time-T complexes -----------------------------------------------------------------
+
+
+def binary_inputs(n):
+    """A task whose input complex has every 0/1 input vector as a facet;
+    `build_time_T` reads only its inputs."""
+    inputs = Complex(Simplex(Vertex(i, b) for i, b in enumerate(bits)) for bits in product((0, 1), repeat=n))
+    return Task("binary", inputs, inputs, CarrierMap({s: inputs for s in inputs.simplexes()}))
+
+
+@pytest.mark.parametrize("model, top", [
+    (builtin_model("iis2"), 4),
+    (builtin_model("m1"), 4),
+    (builtin_model("m2"), 4),
+    (builtin_model("iis3"), 2),
+    (PREDICATE_MODEL, 5),
+    (NO_FULL_RUN, 2),
+], ids=["iis2", "m1", "m2", "iis3", "p2", "no-full-run"])
+def test_xi_is_the_compatible_executions_replayed(model, top):
+    for task in (inputless_consensus(model.n), binary_inputs(model.n)):
+        for T in range(top + 1):
+            PT = build_time_T(model, task, T)
+            finals = [(e.face, execution_configurations(e)[-1]) for e in all_executions(model, task.inputs, T)]
+            assert PT.complex == Complex(cell for _, cell in finals)
+            for sigma in task.inputs.simplexes():
+                faces = set(sigma.faces())
+                replayed = Complex(cell for face, cell in finals if face in faces)
+                image = PT.xi(sigma)
+                assert image == replayed and image.vertices() == replayed.vertices(), (task.name, T, sigma)
 
 
 # -- exact elimination ---------------------------------------------------------------
