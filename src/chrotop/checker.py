@@ -27,7 +27,6 @@ from .models import (
     ModelSpec,
     RoundSchedule,
     Word,
-    enumerate_prefixes,
     is_excluded_limit,
 )
 from .protocol import (
@@ -496,6 +495,12 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
     predicate (every JSON-representable kind) restricts only the first
     round, so its depth-d cells tile its depth-1 cells and the union is
     read off the depth-1 words; a predicate is analysed at full depth.
+
+    The cells are built level by level from the base facet by one
+    `walk_cells`, each allowed prefix once.  The children of a cell tile
+    it, so the gap an allowed prefix leaves when it loses a child stays
+    open at every deeper level: from the first such prefix on, the walk
+    extends nothing, and its last level cannot bridge the edge.
     """
     if model.n != 2:
         raise Unsupported("the interval certificate is specific to two processes")
@@ -503,20 +508,25 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
     horizon = depth if model.predicate is not None else 1
     base = inputless_consensus(2).inputs
     base_facet = base.facets[0]
-
-    solo_left = (RoundSchedule(((0,), (1,))),) * horizon
-    solo_right = (RoundSchedule(((1,), (0,))),) * horizon
-    words = enumerate_prefixes(model, horizon)
-    if solo_left not in words or solo_right not in words:
-        return None
-    if is_excluded_limit(model, ExecutionWord((), (solo_left[0],))) or is_excluded_limit(
-        model, ExecutionWord((), (solo_right[0],))
-    ):
+    solos = (RoundSchedule(((0,), (1,))), RoundSchedule(((1,), (0,))))
+    if any(is_excluded_limit(model, ExecutionWord((), (solo,))) for solo in solos):
         return None
 
+    processes = base_facet.colors()
+    alphabet = model.schedules(processes)
+    gap = False
+
+    def letters(word: Word, cell: Simplex) -> list[RoundSchedule]:
+        nonlocal gap
+        if gap:
+            return []
+        allowed = [s for s in alphabet if model.allowed_prefix(processes, word + (s,))]
+        gap = len(allowed) < len(alphabet)
+        return allowed
+
+    roots = [base_facet] if model.allowed_prefix(processes, ()) else []
     intervals = []
-    for word in words:
-        cell = cell_of_word(base_facet, word)
+    for _, _, cell in walk_cells(roots, horizon, letters):
         positions = sorted(edge_position(p, base) for p in geometric_simplex(cell, base))
         intervals.append((positions[0], positions[-1]))
     intervals.sort()
@@ -665,16 +675,27 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
     """Bounded-depth decision procedure for a task that passes
     `validate_task`.
 
-    Searches for a decision map at times 0..max_depth; a witness is
-    validated end to end by simulating its synthesized protocol.  On
-    exhaustion, the consensus interval certificate is attempted for two
-    processes; set agreement gets parity evidence.  Bounded failure
-    alone never claims unsolvability.
+    Two-process consensus first tries the interval certificate, before
+    any P_T is built: when it fires, the allowed cells of every time
+    T <= max_depth cover the input edge, touching cells share a view and
+    the solo views are forced to 0 and 1, so no time searched below
+    could have a map.  Otherwise it searches for a decision map at times
+    0..max_depth; a witness is validated end to end by simulating its
+    synthesized protocol.  On exhaustion, set agreement gets parity
+    evidence.  Bounded failure alone never claims unsolvability.
     """
     if max_depth < 0:
         raise Unsupported("max depth must be nonnegative")
     if task.n != model.n:
         raise BadArity(f"task has {task.n} processes but model {model.name} has {model.n}")
+
+    def shaped_like(other: Task) -> bool:  # structure, never the name
+        return (task.inputs, task.outputs, task.delta.images) == (other.inputs, other.outputs, other.delta.images)
+
+    if model.n == 2 and shaped_like(inputless_consensus(2)):
+        certificate = certify_consensus_impossible(model, max_depth)
+        if certificate is not None:
+            return Verdict("unsolvable_certified", max_depth, certificate=certificate)
     for T in range(max_depth + 1):
         PT = build_time_T(model, task, T)
         delta = search_decision_map(PT, task)
@@ -690,13 +711,6 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
         return Verdict("solvable_bounded", max_depth, T=T, delta=delta,
                        protocol=protocol, solve_report=report)
 
-    def shaped_like(other: Task) -> bool:  # structure, never the name
-        return (task.inputs, task.outputs, task.delta.images) == (other.inputs, other.outputs, other.delta.images)
-
-    if model.n == 2 and shaped_like(inputless_consensus(2)):
-        certificate = certify_consensus_impossible(model, max_depth)
-        if certificate is not None:
-            return Verdict("unsolvable_certified", max_depth, certificate=certificate)
     evidence = None
     if 2 <= model.n <= 3 and shaped_like(set_agreement(model.n)):
         evidence = sperner_evidence(model.n, min(2, max_depth), seed=seed)

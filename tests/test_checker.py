@@ -1,7 +1,8 @@
+import json
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -32,7 +33,9 @@ from chrotop.subdivision import (
 )
 from chrotop.protocol import (
     all_executions,
+    check_solves,
     execution_configurations,
+    synthesize_from_time_map,
     view_chain,
 )
 from chrotop.tasks import Task, inputless_consensus, set_agreement
@@ -41,6 +44,7 @@ import chrotop.subdivision
 from chrotop.checker import (
     SpernerReport,
     TerminationCertificateReport,
+    Verdict,
     _excluded_point_values,
     _search_constraints,
     _search_order,
@@ -899,8 +903,17 @@ ROUND_TWO = ModelSpec(
 )
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4])
-@pytest.mark.parametrize("model", [IIS2, M1, M2, ROUND_TWO], ids=lambda m: m.name)
+# at most one full exchange: every level-1 cell is allowed, and level 2
+# loses the cell of "<->", "<->"
+ONE_EXCHANGE = ModelSpec(
+    n=2, name="one-exchange", kind="custom",
+    predicate=lambda participants, w: sum(s.blocks == B for s in w) <= 1,
+)
+ALLOW_ALL = ModelSpec(n=2, name="allow-all", kind="custom", predicate=lambda participants, w: True)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("model", [IIS2, M1, M2, ROUND_TWO, ONE_EXCHANGE, ALLOW_ALL], ids=lambda m: m.name)
 def test_certificate_matches_full_depth_reference(model, depth):
     cert = certify_consensus_impossible(model, depth)
     want = reference_certificate(model, depth)
@@ -914,6 +927,24 @@ def test_certificate_matches_full_depth_reference(model, depth):
 def test_certificate_requires_two_processes():
     with pytest.raises(Unsupported):
         certify_consensus_impossible(builtin_model("iis3"), 2)
+
+
+def test_certificate_stops_at_the_first_level_with_a_gap(monkeypatch):
+    # level 1 takes 3 steps and level 2 at most its 8 allowed words; the
+    # 11263 allowed prefixes of length <= 10 are never built
+    applied = 0
+
+    def counting(facet, schedule, table=None):
+        nonlocal applied
+        applied += 1
+        return apply_schedule(facet, schedule, table)
+
+    monkeypatch.setattr(chrotop.subdivision, "apply_schedule", counting)
+    assert certify_consensus_impossible(ONE_EXCHANGE, 10) is None
+    assert 3 < applied <= 11
+    monkeypatch.undo()
+    verdict = solve(ONE_EXCHANGE, CONS, 10)
+    assert (verdict.kind, verdict.T) == ("solvable_bounded", 2)
 
 
 # -- parity evidence ------------------------------------------------------------------
@@ -1021,6 +1052,100 @@ def test_solve_m2_certified():
     verdict = solve(M2, CONS, 3)
     assert verdict.kind == "unsolvable_certified"
     assert verdict.certificate.excluded_inside == ["(<->)(<-)^w"]
+
+
+def test_solve_certifies_two_process_consensus_before_building_any_P_T(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a time-T complex was built")
+
+    monkeypatch.setattr(chrotop.checker, "build_time_T", refuse)
+    for model in (IIS2, M2):
+        verdict = solve(model, CONS, 9)
+        assert verdict.kind == "unsolvable_certified"
+        assert (verdict.depth, verdict.certificate.depth) == (9, 9)
+
+
+LETTERS = [RoundSchedule(blocks) for blocks in (R, B, L)]
+SWEEP_DEPTH = 5
+
+
+def first_round_models():
+    """Every restriction of the first round to a subset of the three schedules."""
+    return [
+        ModelSpec(n=2, name="first-" + "".join(str(s) for s in subset) or "first-none",
+                  kind="firstRoundRestricted", allowed_first_rounds=subset)
+        for r in range(4) for subset in combinations(LETTERS, r)
+    ]
+
+
+def random_prefix_closed_model(rng, index):
+    """A predicate whose allowed words up to length SWEEP_DEPTH form a
+    random tree: every word up to a random length is allowed, and deeper
+    each child is kept with one random probability, at least one child
+    per word so the words stay extendable.  A longer word is allowed when
+    its prefix of that length is.  A quarter of the models also exclude
+    m2's limit execution, and a quarter a solo execution."""
+    full, keep = rng.randrange(SWEEP_DEPTH + 1), rng.random()
+    level, allowed = [()], {()}
+    for k in range(SWEEP_DEPTH):
+        children = []
+        for w in level:
+            kept = [w + (s,) for s in LETTERS if k < full or rng.random() < keep]
+            children += kept or [w + (rng.choice(LETTERS),)]
+        allowed.update(children)
+        level = children
+    excluded = rng.choice([(), (), M2.excluded, (ExecutionWord((), (LETTERS[2],)),)])
+    return ModelSpec(n=2, name=f"random-{index}", kind="custom", excluded=excluded,
+                     predicate=lambda participants, w: w[:SWEEP_DEPTH] in allowed)
+
+
+_sweep_rng = random.Random(20261018)
+SWEEP_MODELS = first_round_models() + [NO_FULL_RUN, ONE_EXCHANGE] + [
+    random_prefix_closed_model(_sweep_rng, i) for i in range(100)
+]
+
+
+def search_first(model, max_depth, found, certificate):
+    """`solve` on two-process consensus in its old order: the first time
+    0..max_depth whose search found a map, and the certificate only when
+    every search failed.  `found[T]` is None, or the map of time T, its
+    synthesized protocol and that protocol's simulation report."""
+    for T, hit in enumerate(found[:max_depth + 1]):
+        if hit is None:
+            continue
+        delta, protocol, report = hit
+        if not report.ok:
+            return Verdict("unknown", max_depth, T=T, delta=delta,
+                           note="search found a map whose synthesized protocol failed validation")
+        return Verdict("solvable_bounded", max_depth, T=T, delta=delta, protocol=protocol, solve_report=report)
+    if certificate is not None:
+        return Verdict("unsolvable_certified", max_depth, certificate=certificate)
+    if model.is_compact():
+        return Verdict("unsolvable_at_all_depths", max_depth)
+    return Verdict("unknown", max_depth, note="model is not limit-closed; bounded search is inconclusive")
+
+
+@pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: m.name)
+def test_certificate_first_matches_search_first(model):
+    """The search is the oracle: wherever the certificate fires at depth d,
+    no P_T with T <= d has a decision map, and `solve` writes the JSON of
+    the search-first order."""
+    found = []
+    for T in range(SWEEP_DEPTH + 1):
+        PT = build_time_T(model, CONS, T)
+        delta = search_decision_map(PT, CONS)
+        if delta is None:
+            found.append(None)
+        else:
+            protocol = synthesize_from_time_map(delta, PT)
+            found.append((delta, protocol, check_solves(protocol, CONS, model, T)))
+    for d in range(SWEEP_DEPTH + 1):
+        cert = certify_consensus_impossible(model, d)
+        if cert is not None:
+            assert found[:d + 1] == [None] * (d + 1)
+            assert (cert.component, cert.components, cert.excluded_inside) == reference_certificate(model, max(1, d))
+        got = json.dumps(solve(model, CONS, d).to_json_obj())
+        assert got == json.dumps(search_first(model, d, found, cert).to_json_obj())
 
 
 def test_solve_set_agreement_compact_reports_depth_exhaustion():

@@ -1,9 +1,11 @@
 import hashlib
 import json
+from collections import deque
 
 import pytest
 
 from chrotop import cli
+from chrotop.checker import build_time_T, certify_consensus_impossible
 from chrotop.models import builtin_model
 from chrotop.protocol import DecisionProtocol, ball_id, extract_map, view_depth, winner_protocol
 from chrotop.simplicial import CarrierMap, Complex, Simplex, Vertex
@@ -279,6 +281,70 @@ def test_check_outputs_match_golden_hash(case, tmp_path, capsys):
     assert run_cli(*argv, "--out", str(out)) == code
     assert capsys.readouterr().out == ""
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def components(complex_):
+    """The vertex sets of the connected components of a complex, by a
+    breadth-first search over its facets."""
+    neighbours = {v: set() for v in complex_.vertices()}
+    for facet in complex_.facets:
+        for v in facet:
+            neighbours[v].update(facet)
+    found, seen = [], set()
+    for start in neighbours:
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = {start}, deque([start])
+        while queue:
+            for u in neighbours[queue.popleft()] - seen:
+                seen.add(u)
+                component.add(u)
+                queue.append(u)
+        found.append(component)
+    return found
+
+
+def solo_views(PT, task):
+    """The view of each process running alone: the one vertex of xi of its input vertex."""
+    return [PT.xi(Simplex([v])).vertices() for v in task.inputs.facets[0]]
+
+
+CERTIFIED_CASES = [case for case, (code, _) in GOLDEN_CHECK_SHA256.items() if code == 10]
+
+
+@pytest.mark.parametrize("case", CERTIFIED_CASES)
+def test_certified_verdicts_join_the_solo_views_of_P_d(case, tmp_path, capsys):
+    """An oracle for the interval certificate that reads no cell geometry:
+    the certificate's depth d names a P_d whose edges join the two solo
+    views, so no decision map sends them to 0 and to 1."""
+    model, task, depth, seed = case.split()
+    out = tmp_path / "verdict.json"
+    assert run_cli("--seed", seed, "check", "--model", model, "--task", task, "--max-depth", depth,
+                   "--out", str(out)) == 10
+    certificate = json.loads(out.read_text())["certificate"]
+    assert certificate["component"] == ["0", "1"]
+    assert certificate["component"] in certificate["components"]
+    cons = inputless_consensus(2)
+    PT = build_time_T(builtin_model(model), cons, certificate["depth"])
+    (solo0,), (solo1,) = solo_views(PT, cons)
+    assert any(solo0 in c and solo1 in c for c in components(PT.complex))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_solo_views_of_m1_lie_in_two_components(depth):
+    cons, m1 = inputless_consensus(2), builtin_model("m1")
+    assert certify_consensus_impossible(m1, depth) is None
+    PT = build_time_T(m1, cons, depth)
+    (solo0,), (solo1,) = solo_views(PT, cons)
+    found = components(PT.complex)
+    assert len(found) == 2
+    assert not any(solo0 in c and solo1 in c for c in found)
+
+
+def test_check_certifies_iis2_consensus_at_depth_forty(tmp_path):
+    assert run_cli("check", "--model", "iis2", "--task", "consensus", "--max-depth", "40",
+                   "--out", str(tmp_path / "v.json")) == 10
 
 
 def solo_files(tmp_path):
