@@ -1072,7 +1072,7 @@ SWEEP_DEPTH = 5
 def first_round_models():
     """Every restriction of the first round to a subset of the three schedules."""
     return [
-        ModelSpec(n=2, name="first-" + "".join(str(s) for s in subset) or "first-none",
+        ModelSpec(n=2, name="first-" + ("".join(str(s) for s in subset) or "none"),
                   kind="firstRoundRestricted", allowed_first_rounds=subset)
         for r in range(4) for subset in combinations(LETTERS, r)
     ]
