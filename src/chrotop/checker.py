@@ -51,12 +51,12 @@ from .subdivision import (
     TerminatingSubdivision,
     cell_of_word,
     chr_iterate,
-    coordinates,
     diameters_Dk,
     edge_position,
     geometric_distance,
-    geometric_simplex,
+    integer_weights,
     walk_cells,
+    weight_scale,
 )
 from .tasks import Task, inputless_consensus, set_agreement
 
@@ -375,22 +375,22 @@ def excluded_limit_point(base: Complex, excluded: ExecutionWord) -> BarycentricP
     evolve the cell corners through the stem, then take the stationary
     combination of the cycle's corner map.  The corner map is read off the
     cycle's own cell over the base edge: row c holds the weights of its
-    color-c vertex over the base corners."""
-    base_facet = base.facets[0]
-    cell = cell_of_word(base_facet, excluded.stem)
-    a0, a1 = (coordinates(cell.vertex_of_color(c), base) for c in (0, 1))
-    cycle = cell_of_word(base_facet, excluded.cycle)
-    m0, m1 = (coordinates(cycle.vertex_of_color(c), base) for c in (0, 1))
-    alpha = m0.weight(base_facet.vertex_of_color(1))
-    beta = m1.weight(base_facet.vertex_of_color(0))
-    pi0 = beta / (alpha + beta)
-    pi1 = alpha / (alpha + beta)
-    weights: dict[Vertex, Fraction] = {}
-    for v, w in a0.items:
-        weights[v] = weights.get(v, Fraction(0)) + pi0 * w
-    for v, w in a1.items:
-        weights[v] = weights.get(v, Fraction(0)) + pi1 * w
-    return BarycentricPoint(weights, base)
+    color-c vertex over the base corners.  The corners' integer weights
+    come from one `integer_weights` call; only the point is a `Fraction`."""
+    corners = base.vertices()
+    cell = cell_of_word(base.facets[0], excluded.stem)
+    cycle = cell_of_word(base.facets[0], excluded.cycle)
+    weights = integer_weights([*cell, *cycle], base)
+    a0, a1 = (weights[cell.vertex_of_color(c)][1] for c in (0, 1))
+    m0, m1 = (weights[cycle.vertex_of_color(c)][1] for c in (0, 1))
+    # the corner map's rows are (1 - alpha, alpha) and (beta, 1 - beta) over
+    # the cycle's scale, which cancels: it is stationary at (beta, alpha)
+    alpha = next(w for c, w in zip(corners, m0) if c.color == 1)
+    beta = next(w for c, w in zip(corners, m1) if c.color == 0)
+    denominator = (alpha + beta) * weight_scale(base) ** len(excluded.stem)
+    return BarycentricPoint(
+        {c: Fraction(beta * p + alpha * q, denominator) for c, p, q in zip(corners, a0, a1)}, base
+    )
 
 
 def _excluded_point_values(
@@ -525,18 +525,25 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
         return allowed
 
     roots = [base_facet] if model.allowed_prefix(processes, ()) else []
+    cells = [cell for _, _, cell in walk_cells(roots, horizon, letters)]
+    # every last-level vertex has depth `horizon`, so its integer weight of
+    # the color-1 corner is its position times one common denominator
+    weights = integer_weights((v for cell in cells for v in cell), base)
+    corner1 = base.vertices().index(base_facet.vertex_of_color(1))
     intervals = []
-    for _, _, cell in walk_cells(roots, horizon, letters):
-        positions = sorted(edge_position(p, base) for p in geometric_simplex(cell, base))
+    for cell in cells:
+        positions = sorted(weights[v][1][corner1] for v in cell)
         intervals.append((positions[0], positions[-1]))
     intervals.sort()
-    components: list[tuple[Fraction, Fraction]] = []
+    components = []
     for lo, hi in intervals:
         if components and lo <= components[-1][1]:
             last_lo, last_hi = components[-1]
             components[-1] = (last_lo, max(last_hi, hi))
         else:
             components.append((lo, hi))
+    denominator = weight_scale(base) ** horizon
+    components = [(Fraction(lo, denominator), Fraction(hi, denominator)) for lo, hi in components]
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -586,10 +593,11 @@ def sperner_evidence(n: int, k: int, seed: int = 0, sample_size: int = 2000) -> 
     base = Complex([base_facet])
     K = chr_iterate(base, k)
     vertices = list(K.vertices())
-    choices = []
-    for v in vertices:
-        support = coordinates(v, base).support()
-        choices.append(sorted(support.colors()))
+    weights = integer_weights(vertices, base)
+    # the colors of the base face a vertex lies in, from its nonzero weights
+    choices = [
+        sorted(c.color for c, a in zip(base.vertices(), weights[v][1]) if a) for v in vertices
+    ]
     total = 1
     for c in choices:
         total *= len(c)

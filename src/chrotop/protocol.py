@@ -24,12 +24,7 @@ from .errors import (
 from .models import ModelSpec, Word, enumerate_prefixes
 from .simplicial import Complex, Simplex, SimplicialMap, Vertex, label_string, parse_label
 from .simplicial import vertex_string as ball_id  # a view's ball id is its vertex text
-from .subdivision import (
-    apply_schedule,
-    coordinates,
-    diameters_Dk,
-    geometric_distance,
-)
+from .subdivision import apply_schedule, diameters_Dk, integer_weights, weight_scale
 from .tasks import Task
 
 # -- views ------------------------------------------------------------------
@@ -254,8 +249,9 @@ def check_solves(protocol: DecisionProtocol, task: Task, model: ModelSpec, depth
 
 # -- protocol from a decision map ---------------------------------------------
 
-# Bounds the ball-rule answers one protocol keeps, one per (color, view):
-# every view of the two-process models up to depth 7 fits.
+# Bounds the ball-rule answers one protocol keeps, one per (color, view),
+# and the views whose integer weights it keeps: every view of the
+# two-process models up to depth 7 fits.
 _BALL_ATTEMPTS_MAXSIZE = 1 << 15
 
 
@@ -267,24 +263,43 @@ def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> De
     Vertices exactly at distance D_k are included.  `delta` maps the
     geometric stable vertices (color plus exact coordinates) to output
     vertices and must cover every stable vertex it is asked about.
+
+    Distances are taken on integer weights (`integer_weights`): a stable
+    point's over scale**max_depth, a view's over scale**depth, both lifted
+    to the finer of the two.  The protocol keeps one weight memo for all
+    the views it is asked about.
     """
     tsub.materialize(max_depth)
-    diameters = diameters_Dk(tsub.base, max_depth)
-    stable_by_color: dict[int, list[Vertex]] = {}
+    base = tsub.base
+    diameters = diameters_Dk(base, max_depth)
+    scale = weight_scale(base)
+    top = scale**max_depth
+    # each stable vertex with its weights over base.vertices() times top; a
+    # stable point of depth <= max_depth has denominators that divide top
+    stable_by_color: dict[int, list[tuple[Vertex, list[int]]]] = {}
     stable = tsub.stable_complex(max_depth)
     if stable is not None:
         for v in stable.vertices():
-            stable_by_color.setdefault(v.color, []).append(v)
+            ints = [(v.label.weight(c) * top).numerator for c in base.vertices()]
+            stable_by_color.setdefault(v.color, []).append((v, ints))
+    memo: dict = {}
 
     # a view's ball is asked for again by every later round and execution
     @lru_cache(maxsize=_BALL_ATTEMPTS_MAXSIZE)
     def attempt(color: int, view: Vertex):
         k = min(view_depth(view), max_depth)
-        point = coordinates(view, tsub.base)
+        if len(memo) > _BALL_ATTEMPTS_MAXSIZE:
+            memo.clear()
+        depth, point = integer_weights([view], base, memo)[view]
+        # over scale**deep: half the 1-norm is at most D_k = num / den
+        deep = max(depth, max_depth)
+        view_lift, stable_lift = scale ** (deep - depth), scale ** (deep - max_depth)
+        limit = 2 * diameters[k].numerator * scale**deep
         ball = [
             w
-            for w in stable_by_color.get(color, [])
-            if geometric_distance(point, w.label) <= diameters[k]
+            for w, weights in stable_by_color.get(color, [])
+            if sum(abs(a * view_lift - b * stable_lift) for a, b in zip(point, weights))
+            * diameters[k].denominator <= limit
         ]
         if not ball:
             return None

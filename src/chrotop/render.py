@@ -1,6 +1,8 @@
 """SVG rendering of one- and two-dimensional realizations and DOT export
-of face posets.  Geometry stays exact until the final coordinate
-formatting; output is deterministic for a given input."""
+of face posets.  A subdivision vertex's weights stay exact integers
+(`integer_weights`) until one correctly rounded division turns each into
+a float, the same float as `float` of the exact `Fraction` weight; output
+is deterministic for a given input."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from itertools import combinations
 
 from .errors import Unsupported
 from .simplicial import Complex, vertex_strings
-from .subdivision import coordinates
+from .subdivision import integer_weights, weight_scale
 
 PROCESS_COLORS = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b"]
 DEPTH_FILLS = ["#f7fbff", "#deebf7", "#c6dbef", "#9ecae1", "#6baed6", "#4292c6"]
@@ -29,16 +31,17 @@ def _plane_coords(point_weights, corners_2d):
     y = 0.0
     for v, w in point_weights:
         cx, cy = corners_2d[v]
-        x += float(w) * cx
-        y += float(w) * cy
+        x += w * cx
+        y += w * cy
     return x, y
 
 
 def _draw(base: Complex, place, cells, dots) -> str:
     """The SVG of `cells`, (facet, fill, line stroke, line width) tuples
-    drawn as polygons or lines, under a dot per vertex of `dots`;
-    `place(v)` gives the barycentric weights of a vertex.  An edge base
-    lies flat across the middle, a triangle stands on its base."""
+    drawn as polygons or lines, under a dot per vertex of `dots`, which
+    holds every vertex of the cells.  `place(dots)` yields each dot with
+    its nonzero barycentric weights as floats, in base vertex order.  An
+    edge base lies flat across the middle, a triangle stands on its base."""
     dim = base.dim
     if dim not in (1, 2):
         raise Unsupported(f"SVG rendering supports dimensions 1 and 2, not {dim}")
@@ -60,9 +63,10 @@ def _draw(base: Complex, place, cells, dots) -> str:
         height=f"{SIZE}px",
         viewBox=f"0 0 {SIZE} {SIZE}",
     )
+    plane = {v: _plane_coords(weights, corners_2d) for v, weights in place(dots)}
     group = ET.SubElement(svg, "g", attrib={"stroke": "#333333", "stroke-width": "1"})
     for facet, fill, stroke, width in cells:
-        pts = [_plane_coords(place(v), corners_2d) for v in facet]
+        pts = [plane[v] for v in facet]
         if len(pts) >= 3:
             ET.SubElement(group, "polygon",
                           points=" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts), fill=fill)
@@ -72,8 +76,7 @@ def _draw(base: Complex, place, cells, dots) -> str:
             ET.SubElement(group, "line", x1=_fmt(x1), y1=_fmt(y1), x2=_fmt(x2), y2=_fmt(y2),
                           attrib={"stroke": stroke, "stroke-width": width})
     group = ET.SubElement(svg, "g")
-    for v in dots:
-        x, y = _plane_coords(place(v), corners_2d)
+    for v, (x, y) in plane.items():
         ET.SubElement(group, "circle", cx=_fmt(x), cy=_fmt(y), r="4",
                       fill=PROCESS_COLORS[v.color % len(PROCESS_COLORS)])
     return ET.tostring(svg, encoding="unicode")
@@ -81,9 +84,19 @@ def _draw(base: Complex, place, cells, dots) -> str:
 
 def render_svg(K: Complex, base: Complex) -> str:
     """Draw a subdivision of a 1- or 2-dimensional base."""
+
+    def place(dots):
+        weights = integer_weights(dots, base)
+        scale = weight_scale(base)
+        corners = base.vertices()
+        for v in dots:
+            depth, ints = weights[v]
+            denominator = scale**depth
+            yield v, [(c, a / denominator) for c, a in zip(corners, ints) if a]
+
     return _draw(
         base,
-        lambda v: coordinates(v, base).items,
+        place,
         ((facet, DEPTH_FILLS[0], "#333333", "4") for facet in K.facets),
         dict.fromkeys(v for facet in K.facets for v in facet),
     )
@@ -101,7 +114,7 @@ def render_terminating_svg(tsub, depth: int) -> str:
     fills = [DEPTH_FILLS[depth_by_facet.get(f, 0) % len(DEPTH_FILLS)] for f in stable.facets]
     return _draw(
         tsub.base,
-        lambda v: v.label.items,
+        lambda dots: ((v, [(c, float(w)) for c, w in v.label.items]) for v in dots),
         ((facet, fill, fill, "6") for facet, fill in zip(stable.facets, fills)),
         stable.vertices(),
     )

@@ -1,17 +1,22 @@
 """Standard chromatic subdivision, exact geometry, terminating subdivisions.
 
-All geometry is exact: points are barycentric weight vectors over the
-base complex with `Fraction` entries, and distances are half 1-norms (so
-a base edge has length 1).  A vertex produced by subdividing carries its
+All geometry is exact.  A vertex produced by subdividing carries its
 whole history: its label is the simplex of the previous level it was
 derived from, recursively down to the base vertices (see `walk_cells`).
+`integer_weights` reads a level-k vertex's position off that history as
+integers: its barycentric weights over the base vertices times
+scale**k, with scale = lcm(1, 3, ..., 2n - 1) for the largest base facet
+size n.  `diameters_Dk` walks cells in the same integers.  An exact
+point, a `BarycentricPoint` of `Fraction` weights, is built only where a
+point is a vertex label (the stable complexes of terminating
+subdivisions) or asked for through `coordinates`.  Distances are half
+1-norms, so a base edge has length 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
 from types import MappingProxyType
@@ -160,9 +165,6 @@ class BarycentricPoint:
     def weight(self, v: Vertex) -> Fraction:
         return self._weights.get(v, Fraction(0))
 
-    def support(self) -> Simplex:
-        return Simplex(self._weights)
-
     def __eq__(self, other):
         return (
             isinstance(other, BarycentricPoint)
@@ -183,33 +185,99 @@ class BarycentricPoint:
         return self.__str__()
 
 
-# Bounds the points kept alive (about 0.7 kB each over the edge).  Every
-# vertex of levels 0..9 of the subdivided edge (about 30k) or 0..4 of the
-# triangle (about 16k) fits.
-_COORDINATES_MAXSIZE = 1 << 15
+def weight_scale(base: Complex) -> int:
+    """lcm(1, 3, ..., 2n - 1) for the largest facet size n of `base`: every
+    weight of a level-k vertex times scale**k is an integer."""
+    return lcm(*range(1, 2 * max((len(f) for f in base.facets), default=1), 2))
 
 
-@lru_cache(maxsize=_COORDINATES_MAXSIZE)
+def _child_weights(factor: int, seen: Sequence[int], own: Sequence[int]) -> tuple[int, ...]:
+    """The subdivision rule on integer weights.  A vertex whose carrier has
+    m vertices, with weight vectors summing to `seen` and its own color's
+    vector `own`, puts 1/(2m-1) on its own corner and 2/(2m-1) on each
+    other; one level finer, with factor = scale // (2m - 1), that is
+    factor * (2 seen - own)."""
+    return tuple(factor * (2 * s - a) for s, a in zip(seen, own))
+
+
+def integer_weights(vertices: Iterable[Vertex], base: Complex, memo: dict | None = None) -> dict:
+    """Maps each of `vertices`, and every vertex of its history, to (depth,
+    weights): its barycentric weights over `base.vertices()`, in that
+    order, times `weight_scale(base)`**depth, all integers.  A base vertex
+    has depth 0; a vertex (c, carrier) has depth one more than its
+    deepest carrier vertex, whose weights the others are lifted to.
+
+    One walk on an explicit stack; `memo`, which is returned, holds what
+    the call has found, so a caller that passes the same dict again, with
+    the same base, reads the vertices it already has.  A leaf that is not a base vertex, or a
+    support that is not a simplex of the base, raises `UnknownVertex`; a
+    carrier without exactly one vertex of the vertex's own color raises
+    `ValueError`, and one with more vertices than any base facet
+    `Unsupported`.
+    """
+    memo = {} if memo is None else memo
+    corners = base.vertices()
+    position = {v: i for i, v in enumerate(corners)}
+    scale = weight_scale(base)
+    facets = [frozenset(position[v] for v in f) for f in base.facets]
+    for v in vertices:
+        stack = [v]
+        while stack:
+            u = stack[-1]
+            if u in memo:
+                stack.pop()
+                continue
+            carrier = u.label
+            if not isinstance(carrier, Simplex):
+                if u not in position:
+                    raise UnknownVertex(f"{u!r} is not a vertex of the base")
+                memo[u] = (0, tuple(int(i == position[u]) for i in range(len(corners))))
+                stack.pop()
+                continue
+            pending = [w for w in carrier if w not in memo]
+            if pending:
+                # the first carrier vertex is done first, as a recursion would
+                stack.extend(reversed(pending))
+                continue
+            stack.pop()
+            own = [i for i, w in enumerate(carrier) if w.color == u.color]
+            if len(own) != 1:
+                raise ValueError(f"the carrier of {u!r} holds {len(own)} vertices of its color, not one")
+            m = len(carrier)
+            if scale % (2 * m - 1):
+                raise Unsupported(f"the carrier of {u!r} has more vertices than any base facet")
+            entries = [memo[w] for w in carrier]
+            depth = max(d for d, _ in entries)
+            vectors = [ints if d == depth else tuple(a * scale ** (depth - d) for a in ints)
+                       for d, ints in entries]
+            seen = [sum(column) for column in zip(*vectors)]
+            weights = _child_weights(scale // (2 * m - 1), seen, vectors[own[0]])
+            support = [i for i, a in enumerate(weights) if a]
+            if not any(f.issuperset(support) for f in facets):
+                raise UnknownVertex(f"the support of {u!r} is not a simplex of the base")
+            memo[u] = (depth + 1, weights)
+    return memo
+
+
+def _point(weights: tuple[int, tuple[int, ...]], base: Complex) -> BarycentricPoint:
+    """The exact point of one `integer_weights` entry."""
+    depth, ints = weights
+    denominator = weight_scale(base) ** depth
+    return BarycentricPoint(
+        {b: Fraction(a, denominator) for b, a in zip(base.vertices(), ints) if a}, base
+    )
+
+
 def coordinates(v: Vertex, base: Complex) -> BarycentricPoint:
     """Exact barycentric coordinates of a (possibly iterated) subdivision
-    vertex relative to `base`.
+    vertex relative to `base`: its `integer_weights` entry as a point.
 
     A vertex (p, sigma) one level up puts weight 1/(2m-1) on its own
     color's corner of sigma and 2/(2m-1) on each other corner, m = |sigma|.
     A vertex that does not bottom out in `base` raises `UnknownVertex`.
+    Nothing is kept between calls.
     """
-    if not isinstance(v.label, Simplex):
-        return BarycentricPoint({v: Fraction(1)}, base)
-    carrier = v.label
-    m = len(carrier)
-    own = Fraction(1, 2 * m - 1)
-    other = Fraction(2, 2 * m - 1)
-    out: dict[Vertex, Fraction] = {}
-    for u in carrier:
-        w = own if u.color == v.color else other
-        for b, q in coordinates(u, base).weights.items():
-            out[b] = out.get(b, Fraction(0)) + w * q
-    return BarycentricPoint(out, base)
+    return _point(integer_weights([v], base)[v], base)
 
 
 def geometric_distance(x: BarycentricPoint, y: BarycentricPoint) -> Fraction:
@@ -222,7 +290,9 @@ def geometric_distance(x: BarycentricPoint, y: BarycentricPoint) -> Fraction:
 
 
 def geometric_simplex(simplex: Simplex, base: Complex) -> tuple[BarycentricPoint, ...]:
-    return tuple(coordinates(v, base) for v in simplex)
+    """The exact points of a simplex's vertices, from one `integer_weights` call."""
+    weights = integer_weights(simplex, base)
+    return tuple(_point(weights[v], base) for v in simplex)
 
 
 def diameters_Dk(base: Complex, depth: int) -> list[Fraction]:
@@ -235,10 +305,11 @@ def diameters_Dk(base: Complex, depth: int) -> list[Fraction]:
     vertices' barycentric weights over the corners of its base facet, in
     the facet's vertex order, times scale**k with scale = lcm(1, 3, ...,
     2n - 1) for the largest base facet size n, so every weight is an
-    integer.  A child cell follows `coordinates`: under a schedule, the
-    vertex of color c in a block becomes (scale // (2m - 1)) * (2 S - p_c),
-    where S sums the vectors of the m colors seen up to that block.  Every
-    base facet is walked; no vertex, simplex or exact point is built.
+    integer.  A child cell follows `_child_weights`, the rule of
+    `integer_weights`: under a schedule, the vertex of color c in a block
+    becomes (scale // (2m - 1)) * (2 S - p_c), where S sums the vectors of
+    the m colors seen up to that block.  Every base facet is walked; no
+    vertex, simplex or exact point is built.
     Depths of one or more refuse the bases `chr_subdivision` refuses.
     """
     if depth < 0:
@@ -247,7 +318,7 @@ def diameters_Dk(base: Complex, depth: int) -> list[Fraction]:
         raise NotChromatic("standard chromatic subdivision needs a chromatic complex")
     if depth > 0 and not base.is_pure():
         raise Unsupported("standard chromatic subdivision of a non-pure complex")
-    scale = lcm(*range(1, 2 * max((len(f) for f in base.facets), default=1), 2))
+    scale = weight_scale(base)
     # best[k]: the largest 1-norm of a vertex difference in a level-k cell
     best = [0] * (depth + 1)
     for facet in base.facets:
@@ -279,7 +350,7 @@ def diameters_Dk(base: Complex, depth: int) -> list[Fraction]:
                     for i in positions:
                         seen = [s + a for s, a in zip(seen, cell[i])]
                     for i in positions:
-                        child[i] = tuple(factor * (2 * s - a) for s, a in zip(seen, cell[i]))
+                        child[i] = _child_weights(factor, seen, cell[i])
                 stack.append((k + 1, tuple(child)))
     # the distance is half the 1-norm, over the scale of the level
     return [Fraction(b, 2 * scale**k) for k, b in enumerate(best)]
@@ -318,36 +389,42 @@ def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, Fra
 def facet_volume_fraction(simplex: Simplex, base: Complex) -> Fraction:
     """Volume of a full-dimensional subdivision cell as a fraction of the
     volume of the base facet it lies in."""
-    return _host_and_volume(simplex, base)[1]
+    return _host_and_volume(simplex, base, integer_weights(simplex, base))[1]
 
 
-def _host_and_volume(simplex: Simplex, base: Complex) -> tuple[Simplex, Fraction]:
-    """The base facet a cell lies in, and `facet_volume_fraction` of it."""
-    pts = geometric_simplex(simplex, base)
-    support = set()
-    for p in pts:
-        support.update(p.weights)
+def _host_and_volume(simplex: Simplex, base: Complex, weights: dict) -> tuple[Simplex, Fraction]:
+    """The base facet a cell lies in, and `facet_volume_fraction` of it;
+    `weights` holds the `integer_weights` of the cell's vertices."""
+    corners = base.vertices()
+    entries = [weights[v] for v in simplex]
+    depth = max(d for d, _ in entries)
+    scale = weight_scale(base)
+    # each vertex's weights over scale**depth, the cell's deepest level
+    rows = [[a * scale ** (depth - d) for a in ints] for d, ints in entries]
+    support = {corners[i] for row in rows for i, a in enumerate(row) if a}
     host = next((f for f in base.facets if support <= set(f.vertices)), None)
     if host is None:
         raise BaseMismatch(f"cell {simplex!r} does not lie inside a single base facet")
     if simplex.dim != host.dim:
         raise Unsupported("volume fractions are defined for full-dimensional cells")
-    cols = host.vertices
-    matrix = [[p.weight(c) for c in cols] for p in pts]
+    cols = [corners.index(c) for c in host.vertices]
+    matrix = [[Fraction(row[i]) for i in cols] for row in rows]
     pivots = _gauss_jordan(matrix, len(cols))
     if len(pivots) < len(cols):
         return host, Fraction(0)
     # the elimination ends at the identity; swaps only flip the sign of the
-    # determinant and scaling a row by 1/value divides it by value
-    return host, abs(prod(value for _, value in pivots))
+    # determinant and scaling a row by 1/value divides it by value; every
+    # row carries the factor scale**depth
+    return host, abs(prod(value for _, value in pivots)) / scale ** (depth * len(cols))
 
 
 def volume_by_base_facet(K: Complex, base: Complex) -> dict[Simplex, Fraction]:
     """Sum of cell volume fractions of K grouped by the base facet hosting
     each cell.  A genuine subdivision gives exactly 1 per base facet."""
     totals = {f: Fraction(0) for f in base.facets}
+    weights = integer_weights((v for cell in K.facets for v in cell), base)
     for cell in K.facets:
-        host, volume = _host_and_volume(cell, base)
+        host, volume = _host_and_volume(cell, base, weights)
         totals[host] += volume
     return totals
 

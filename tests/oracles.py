@@ -1,28 +1,115 @@
 """Reference implementations that the tests compare the library against.
 
 They share no fast path with the code under test: each computes its answer
-the plain way, from exact points.
+the plain way, from exact points.  A point comes from the recursion over
+`Fraction` weights that `coordinates` used before the integer weight
+kernel replaced it; a convex solve is a fraction-free elimination over
+integer vectors.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from chrotop.errors import BaseMismatch
-from chrotop.simplicial import Complex, vertex_key
-from chrotop.subdivision import BarycentricPoint, _gauss_jordan, geometric_distance, geometric_simplex
+from chrotop.simplicial import Complex, Simplex, Vertex, vertex_key
+from chrotop.subdivision import BarycentricPoint, geometric_distance
+
+
+def reference_coordinates(v: Vertex, base: Complex, memo: dict | None = None) -> BarycentricPoint:
+    """Exact barycentric coordinates of a subdivision vertex, by recursion
+    over its history: a vertex (p, sigma) puts weight 1/(2m-1) on its own
+    color's corner of sigma and 2/(2m-1) on each other corner, m = |sigma|.
+    `memo` keeps the points of one caller's vertices."""
+    if memo is not None and v in memo:
+        return memo[v]
+    if not isinstance(v.label, Simplex):
+        point = BarycentricPoint({v: Fraction(1)}, base)
+    else:
+        carrier = v.label
+        m = len(carrier)
+        own = Fraction(1, 2 * m - 1)
+        other = Fraction(2, 2 * m - 1)
+        out: dict[Vertex, Fraction] = {}
+        for u in carrier:
+            w = own if u.color == v.color else other
+            for b, q in reference_coordinates(u, base, memo).weights.items():
+                out[b] = out.get(b, Fraction(0)) + w * q
+        point = BarycentricPoint(out, base)
+    if memo is not None:
+        memo[v] = point
+    return point
+
+
+def reference_points(simplex: Simplex, base: Complex, memo: dict | None = None) -> tuple[BarycentricPoint, ...]:
+    return tuple(reference_coordinates(v, base, memo) for v in simplex)
 
 
 def diameter(K: Complex, base: Complex) -> Fraction:
     """Largest pairwise vertex distance within any facet of K."""
     best = Fraction(0)
+    memo: dict = {}
     for f in K.facets:
-        pts = geometric_simplex(f, base)
+        pts = reference_points(f, base, memo)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 d = geometric_distance(pts[i], pts[j])
                 if d > best:
                     best = d
     return best
+
+
+def _integer_system(columns: Sequence[BarycentricPoint], x: BarycentricPoint) -> list[list[int]]:
+    """The rows of  sum_j lam_j * col_j == x,  sum lam = 1  over integers:
+    one row per base vertex in any support, then the row of ones; the
+    points share one denominator, which the weight rows drop."""
+    points = [*columns, x]
+    keys = sorted({v for p in points for v in p.weights}, key=vertex_key)
+    scale = lcm(*(w.denominator for p in points for w in p.weights.values()))
+    rows = []
+    for k in keys:
+        weights = [p.weights.get(k) for p in points]
+        rows.append([0 if w is None else w.numerator * (scale // w.denominator) for w in weights])
+    rows.append([1] * len(points))
+    return rows
+
+
+def _solve_integer(rows: list[list[int]]) -> tuple[list[int], int] | None:
+    """(N, D) with lam_j = N_j / D solving the system `rows` (right-hand
+    sides in the last column), or None if it is inconsistent.  Bareiss
+    elimination: every entry stays an integer, a minor of the system, and
+    each division by the previous pivot is exact.  Free variables
+    (dependent columns) are pinned to zero, so D is the last pivot, the
+    minor of the pivot rows and columns, and N is integral by Cramer's
+    rule.  The candidate is verified against the original rows."""
+    ncols = len(rows[0]) - 1
+    mat = [row[:] for row in rows]
+    pivots = []
+    previous = 1
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        p, top = mat[r][col], mat[r]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][col]
+            mat[i] = [(p * a - f * b) // previous for a, b in zip(mat[i], top)]
+        previous = p
+        pivots.append(col)
+    if any(row[ncols] for row in mat[len(pivots):]) or not pivots:
+        return None
+    D = previous
+    N = [0] * ncols
+    for i in reversed(range(len(pivots))):
+        row, col = mat[i], pivots[i]
+        rest = sum(row[j] * N[j] for j in pivots[i + 1:])
+        N[col] = (D * row[ncols] - rest) // row[col]
+    for row in rows:
+        if sum(n * a for n, a in zip(N, row)) != D * row[ncols]:
+            return None
+    return N, D
 
 
 def _solve_convex(columns: Sequence[BarycentricPoint], x: BarycentricPoint):
@@ -32,31 +119,20 @@ def _solve_convex(columns: Sequence[BarycentricPoint], x: BarycentricPoint):
     Free variables (affinely dependent columns) are pinned to zero and
     the candidate is verified against the original system.
     """
-    keys = sorted({v for c in columns for v in c.weights} | set(x.weights), key=vertex_key)
-    rows = [[c.weight(k) for c in columns] + [x.weight(k)] for k in keys]
-    rows.append([Fraction(1)] * len(columns) + [Fraction(1)])
-    ncols = len(columns)
-    mat = [row[:] for row in rows]
-    pivots = _gauss_jordan(mat, ncols)
-    if any(row[ncols] != 0 for row in mat[len(pivots):]):
+    solved = _solve_integer(_integer_system(columns, x))
+    if solved is None:
         return None
-    lam = [Fraction(0)] * ncols
-    for row, (col, _) in zip(mat, pivots):
-        lam[col] = row[ncols]
-    for row in rows[:-1]:
-        if sum(l * c for l, c in zip(lam, row[:ncols])) != row[ncols]:
-            return None
-    if sum(lam) != 1:
-        return None
-    return lam
+    N, D = solved
+    return [Fraction(n, D) for n in N]
 
 
 def point_in_hull(x: BarycentricPoint, hull: Sequence[BarycentricPoint]) -> bool:
     """Exact closed convex hull membership."""
     if any(h.base.facets != x.base.facets for h in hull):
         raise BaseMismatch("hull and point live over different bases")
-    lam = _solve_convex(hull, x)
-    return lam is not None and all(l >= 0 for l in lam)
+    solved = _solve_integer(_integer_system(hull, x))
+    # lam_j = N_j / D is nonnegative when N_j has D's sign or is zero
+    return solved is not None and all(n * solved[1] >= 0 for n in solved[0])
 
 
 def geometric_containment(

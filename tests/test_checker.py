@@ -26,7 +26,6 @@ from chrotop.subdivision import (
     coordinates,
     edge_position,
     geometric_distance,
-    geometric_simplex,
     ordered_partitions,
     policy_all_at_zero,
     prefix_policy,
@@ -57,7 +56,7 @@ from chrotop.checker import (
     sperner_evidence,
     verify_termination_certificate,
 )
-from oracles import diameter, geometric_containment
+from oracles import diameter, geometric_containment, reference_coordinates, reference_points
 
 M1 = builtin_model("m1")
 M2 = builtin_model("m2")
@@ -643,10 +642,11 @@ def reference_termination_report(ts, delta, model, task, depth):
     base_facet = base.facets[0]
     stable_cells = ts.stable_cells(depth)
     uncovered = []
+    points: dict = {}
     for w in enumerate_prefixes(model, depth):
         cells = [cell_of_word(base_facet, tuple(s.blocks for s in w[:k])) for k in range(depth + 1)]
         if not any(
-            sc.depth <= k and geometric_containment(geometric_simplex(cell, base), sc.points)
+            sc.depth <= k and geometric_containment(reference_points(cell, base, points), sc.points)
             for k, cell in enumerate(cells) for sc in stable_cells
         ):
             uncovered.append(w)
@@ -985,7 +985,7 @@ def reference_sperner(n, k, seed=0, sample_size=2000):
     base = Complex([Simplex(Vertex(i, i) for i in range(n))])
     K = chr_iterate(base, k)
     vertices = list(K.vertices())
-    choices = [sorted(coordinates(v, base).support().colors()) for v in vertices]
+    choices = [sorted(c.color for c in reference_coordinates(v, base).weights) for v in vertices]
     total = 1
     for c in choices:
         total *= len(c)

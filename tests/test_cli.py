@@ -90,11 +90,17 @@ GOLDEN_SHA256 = {
     "chr4_simplex1.json": "64001c135e9192355d0fd62d7a10efc1c9fcbf3e6cac45d2ff1290444c0f2edb",
     "chr4_simplex1.svg": "ee3d1cd9c2fb5e5a38e42c786189b50f933319ad11035a9c97d018be145af10c",
     "chr4_simplex1.dot": "3698e6728e9317e954e8b03dbb18d7c49d2c86bbe6b4284371614f9d2305a483",
+    "chr3_simplex2.json": "a970a3a697cb9126ab9009854ea48bb1c7a5e166b4af2240b390624b43d253a7",
+    "chr3_simplex2.svg": "849d7f89c7950d8e805ab6d3ba38cf2e44eea2c08c5546390263875aa52d4428",
+    "chr3_simplex2.dot": "eac3863a5714207088a85427b4f830d550e7b32467a4dc7b4429a57c25ee79ef",
+    "chr7_simplex1.json": "7e19188c33dcab980b86a8b3bf80ed6263b43faba789aef7c852d7cb3969704d",
+    "chr7_simplex1.svg": "1aae913109c34e019a594e82eeddfa5fda4f77af270193534057cc4e4311bdac",
+    "chr7_simplex1.dot": "036095e0e44b0851b6c9b930bdecb9b7b33e51a5450e78de4dfb64568bf0a9f5",
 }
 
 
 def test_subdivide_outputs_match_golden_hashes(tmp_path):
-    for simplex, k in (("2", "2"), ("1", "4")):
+    for simplex, k in (("2", "2"), ("1", "4"), ("2", "3"), ("1", "7")):
         assert run_cli("subdivide", "--simplex", simplex, "--k", k, "--out", str(tmp_path)) == 0
     for name, digest in GOLDEN_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -13,7 +13,6 @@ from chrotop.simplicial import SimplicialMap, Vertex, carried_by, check_simplici
 from chrotop.subdivision import (
     TerminatingSubdivision,
     chr_iterate,
-    coordinates,
     edge_position,
     geometric_distance,
     policy_all_at_zero,
@@ -40,7 +39,7 @@ from chrotop.protocol import (
 )
 from chrotop.tasks import inputless_consensus, load_task_json_obj
 from chrotop.checker import build_time_T
-from oracles import diameter
+from oracles import diameter, reference_coordinates
 
 M1 = builtin_model("m1")
 IIS2 = builtin_model("iis2")
@@ -141,7 +140,7 @@ def reference_ball_rule(delta, ts, max_depth):
         for v in view_chain(view):
             k = min(view_depth(v), max_depth)
             radius = diameter(chr_iterate(base, k), base)
-            point = coordinates(v, base)
+            point = reference_coordinates(v, base)
             values = {
                 delta(w).label for w in stable
                 if w.color == color and geometric_distance(point, w.label) <= radius

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -13,6 +14,7 @@ from chrotop.errors import (
 )
 from chrotop.simplicial import Complex, Simplex, Vertex
 from chrotop.subdivision import (
+    BarycentricPoint,
     TerminatingSubdivision,
     apply_schedule,
     cell_of_word,
@@ -24,14 +26,16 @@ from chrotop.subdivision import (
     edge_position,
     facet_volume_fraction,
     geometric_simplex,
+    integer_weights,
     ordered_partitions,
     partial_chr_step,
     policy_all_at_zero,
     prefix_policy,
     volume_by_base_facet,
+    weight_scale,
     wrap_simplex,
 )
-from oracles import diameter, geometric_containment
+from oracles import diameter, geometric_containment, reference_coordinates
 
 R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
 
@@ -50,6 +54,7 @@ TETRAHEDRON = standard_simplex(4)
 TWO_TRIANGLES = Complex([Simplex([Vertex(0, 0), Vertex(1, 1), Vertex(2, 2)]),
                          Simplex([Vertex(0, 0), Vertex(1, 1), Vertex(2, 3)])])
 TWO_EDGES = Complex([Simplex([Vertex(0, 0), Vertex(1, 1)]), Simplex([Vertex(0, 0), Vertex(1, 2)])])
+LABELED_TRIANGLE = Complex([Simplex([Vertex(0, "c"), Vertex(1, "a"), Vertex(2, "b")])])
 
 
 # independent oracle: ordered set partitions both counted by recurrence and
@@ -187,16 +192,101 @@ def test_unknown_vertex_raises():
         coordinates(geometric, EDGE)
 
 
-def test_coordinates_build_each_point_once():
+def test_equal_vertices_get_equal_read_only_points():
     v = chr_iterate(EDGE, 2).vertices()[3]
     pt = coordinates(v, EDGE)
-    # an equal vertex rebuilt from scratch gets the very same point
-    assert coordinates(chr_iterate(EDGE, 2).vertices()[3], EDGE) is pt
-    assert coordinates.cache_info().maxsize is not None
+    # an equal vertex rebuilt from scratch gets an equal point, hashed alike
+    again = coordinates(chr_iterate(EDGE, 2).vertices()[3], EDGE)
+    assert again == pt and hash(again) == hash(pt) and str(again) == str(pt)
     with pytest.raises(TypeError):
         pt.weights[EDGE.vertices()[0]] = Fraction(1)
     with pytest.raises(AttributeError):
         pt.weights = {}
+
+
+def reference_depth(v):
+    depth = 0
+    while isinstance(v.label, Simplex):
+        v = v.label.vertex_of_color(v.color)
+        depth += 1
+    return depth
+
+
+@pytest.mark.parametrize("base, depth", [
+    (EDGE, 6), (TRIANGLE, 3), (TETRAHEDRON, 2), (TWO_TRIANGLES, 2), (LABELED_TRIANGLE, 2),
+], ids=["edge", "triangle", "tetrahedron", "two-triangles", "labeled-triangle"])
+def test_integer_weights_match_the_fraction_recursion(base, depth):
+    corners = base.vertices()
+    scale = weight_scale(base)
+    assert scale == lcm(*(2 * m - 1 for m in range(1, max(len(f) for f in base.facets) + 1)))
+    reference: dict = {}
+    for k in range(depth + 1):
+        vertices = chr_iterate(base, k).vertices()
+        weights = integer_weights(vertices, base)
+        assert set(vertices) <= weights.keys()
+        for v, (d, ints) in weights.items():
+            assert d == reference_depth(v) and len(ints) == len(corners)
+            assert all(type(a) is int and a >= 0 for a in ints)
+            point = {c: Fraction(a, scale**d) for c, a in zip(corners, ints) if a}
+            assert point == reference_coordinates(v, base, reference).weights, v
+        assert all(coordinates(v, base) == reference[v] for v in vertices[:50])
+
+
+def test_integer_weights_lift_a_shallower_carrier_vertex():
+    corner0, corner1 = EDGE.vertices()
+    deep = chr_iterate(EDGE, 3).vertices()
+    # carriers mixing depths 0, 1 and 3, over the edge and over the triangle
+    mixed = [
+        Vertex(0, Simplex([deep[0], corner1])),
+        Vertex(1, Simplex([deep[5], Vertex(1, Simplex([corner0, corner1]))])),
+        Vertex(1, Simplex([Vertex(0, Simplex([deep[2], corner1])), corner1])),
+    ]
+    triangle = chr_iterate(TRIANGLE, 2).vertices()
+    corners = TRIANGLE.vertices()
+    color1 = next(v for v in triangle if v.color == 1)
+    mixed_triangle = [Vertex(2, Simplex([triangle[0], corners[2], color1]))]
+    for base, vertices in ((EDGE, mixed), (TRIANGLE, mixed_triangle)):
+        scale = weight_scale(base)
+        weights = integer_weights(vertices, base)
+        for v in vertices:
+            d, ints = weights[v]
+            assert d == 1 + max(weights[u][0] for u in v.label)
+            point = {c: Fraction(a, scale**d) for c, a in zip(base.vertices(), ints) if a}
+            assert point == reference_coordinates(v, base).weights, v
+
+
+def test_integer_weights_raise_what_the_recursion_raises():
+    other_base = Complex([Simplex([Vertex(0, "u"), Vertex(1, "w")])])
+    v = chr_iterate(EDGE, 2).vertices()[4]
+    corner0, corner1 = EDGE.vertices()
+    colorless = Vertex(0, Simplex([corner1]))
+    for vertex, base, error in [
+        # a foreign base, and a geometric vertex labeled by its point
+        (v, other_base, UnknownVertex),
+        (Vertex(v.color, coordinates(v, EDGE)), EDGE, UnknownVertex),
+        # a carrier without a vertex of the vertex's own color, at the top
+        # or deeper in the history, and one with two
+        (colorless, EDGE, ValueError),
+        (Vertex(1, Simplex([colorless, corner1])), EDGE, ValueError),
+        (Vertex(2, Simplex([Vertex(2, 2), Vertex(2, 3)])), TWO_TRIANGLES, ValueError),
+        # weights summing to one on corners of two facets but of no simplex
+        (Vertex(0, Simplex([Vertex(0, 0), Vertex(2, 2), Vertex(2, 3)])), TWO_TRIANGLES, UnknownVertex),
+    ]:
+        with pytest.raises(error):
+            reference_coordinates(vertex, base)
+        with pytest.raises(error):
+            integer_weights([vertex], base)
+        with pytest.raises(error):
+            coordinates(vertex, base)
+
+
+def test_integer_weights_refuse_a_carrier_larger_than_any_base_facet():
+    # three vertices over the edge, two of one color: 1/5 is no multiple of 1/3
+    corner0, corner1 = EDGE.vertices()
+    vertex = Vertex(0, Simplex([corner0, corner1, Vertex(1, Simplex([corner1]))]))
+    assert reference_coordinates(vertex, EDGE).weight(corner0) == Fraction(1, 5)
+    with pytest.raises(Unsupported):
+        integer_weights([vertex], EDGE)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
@@ -209,9 +299,6 @@ def test_diameters_strictly_decrease():
     assert all(a > b for a, b in zip(values, values[1:]))
     tri = [diameter_Dk(TRIANGLE, k) for k in range(3)]
     assert all(a > b for a, b in zip(tri, tri[1:]))
-
-
-LABELED_TRIANGLE = Complex([Simplex([Vertex(0, "c"), Vertex(1, "a"), Vertex(2, "b")])])
 
 
 @pytest.mark.parametrize("base, depth", [
@@ -245,10 +332,20 @@ def test_diameter_table_refuses_the_bases_the_subdivision_refuses(base, error):
             diameters_Dk(base, depth)
 
 
-def test_diameter_table_builds_no_exact_point():
-    coordinates.cache_clear()
+def test_diameter_table_builds_no_exact_point(monkeypatch):
+    built = []
+    init = BarycentricPoint.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BarycentricPoint, "__init__", counted)
     assert diameters_Dk(EDGE, 5)[-1] == Fraction(1, 3**5)
-    assert coordinates.cache_info().currsize == 0
+    assert diameters_Dk(TRIANGLE, 2) == diameters_Dk(TRIANGLE, 2)
+    assert built == []
+    coordinates(EDGE.vertices()[0], EDGE)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("base,k", [(EDGE, 1), (EDGE, 2), (EDGE, 3), (TRIANGLE, 1), (TRIANGLE, 2)])
