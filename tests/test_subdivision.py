@@ -12,6 +12,7 @@ from chrotop.errors import (
     Unsupported,
     UnsupportedCoarsening,
 )
+from chrotop.protocol import view_depth
 from chrotop.simplicial import Complex, Simplex, Vertex
 from chrotop.subdivision import (
     BarycentricPoint,
@@ -204,14 +205,6 @@ def test_equal_vertices_get_equal_read_only_points():
         pt.weights = {}
 
 
-def reference_depth(v):
-    depth = 0
-    while isinstance(v.label, Simplex):
-        v = v.label.vertex_of_color(v.color)
-        depth += 1
-    return depth
-
-
 @pytest.mark.parametrize("base, depth", [
     (EDGE, 6), (TRIANGLE, 3), (TETRAHEDRON, 2), (TWO_TRIANGLES, 2), (LABELED_TRIANGLE, 2),
 ], ids=["edge", "triangle", "tetrahedron", "two-triangles", "labeled-triangle"])
@@ -225,7 +218,7 @@ def test_integer_weights_match_the_fraction_recursion(base, depth):
         weights = integer_weights(vertices, base)
         assert set(vertices) <= weights.keys()
         for v, (d, ints) in weights.items():
-            assert d == reference_depth(v) and len(ints) == len(corners)
+            assert d == view_depth(v) and len(ints) == len(corners)
             assert all(type(a) is int and a >= 0 for a in ints)
             point = {c: Fraction(a, scale**d) for c, a in zip(corners, ints) if a}
             assert point == reference_coordinates(v, base, reference).weights, v
