@@ -166,14 +166,16 @@ def _search_order(
 ) -> list[Vertex]:
     """Most-constrained-first order that walks the constraint adjacency.
 
-    Rank is (number of candidates, vertex_key), unique per vertex.  The
-    next vertex is the least-ranked unplaced vertex that shares a
-    constraint with a placed one, or else the least-ranked unplaced
-    vertex.  Each vertex gets its position in the rank order once; the
-    frontier is a heap of positions, each pushed at most once, and the
-    fallback is a cursor into the rank order.
+    `vertices` come in `vertex_key` order, as `Complex.vertices()` gives
+    them, and a stable sort by number of candidates makes the rank order:
+    (number of candidates, vertex_key), unique per vertex.  The next
+    vertex is the least-ranked unplaced vertex that shares a constraint
+    with a placed one, or else the least-ranked unplaced vertex.  Each
+    vertex gets its position in the rank order once; the frontier is a
+    heap of positions, each pushed at most once, and the fallback is a
+    cursor into the rank order.
     """
-    ranked = sorted(vertices, key=lambda v: (len(candidates[v]), vertex_key(v)))
+    ranked = sorted(vertices, key=lambda v: len(candidates[v]))
     position = {v: i for i, v in enumerate(ranked)}
     seen = [False] * len(ranked)  # placed, or waiting in the frontier heap
     frontier: list[int] = []

@@ -11,7 +11,6 @@ as canonical ball representatives of the view ultrametric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
@@ -266,8 +265,9 @@ def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> De
 
     Distances are taken on integer weights (`integer_weights`): a stable
     point's over scale**max_depth, a view's over scale**depth, both lifted
-    to the finer of the two.  The protocol keeps one weight memo for all
-    the views it is asked about.
+    to the finer of the two.  The protocol keeps one weight memo and one
+    memo of decided values for all the views it is asked about, each
+    cleared when it outgrows `_BALL_ATTEMPTS_MAXSIZE`.
     """
     tsub.materialize(max_depth)
     base = tsub.base
@@ -283,9 +283,11 @@ def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> De
             ints = [(v.label.weight(c) * top).numerator for c in base.vertices()]
             stable_by_color.setdefault(v.color, []).append((v, ints))
     memo: dict = {}
+    # (color, view) -> the value decided at or before that view, or None,
+    # for each view whose ball was tried; a view's decision is asked for
+    # again by every later round and execution
+    decided: dict = {}
 
-    # a view's ball is asked for again by every later round and execution
-    @lru_cache(maxsize=_BALL_ATTEMPTS_MAXSIZE)
     def attempt(color: int, view: Vertex):
         k = min(view_depth(view), max_depth)
         if len(memo) > _BALL_ATTEMPTS_MAXSIZE:
@@ -314,12 +316,24 @@ def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> De
 
     def decide(color: int, view: Vertex):
         # decisions are irrevocable: the first round whose ball is
-        # unanimous fixes the value for every later view
-        for v in view_chain(view):
-            answer = attempt(color, v)
+        # unanimous fixes the value for every later view, so the walk
+        # down the view stops at the nearest view already tried, and no
+        # view after a decided one is tried or kept
+        if len(decided) > _BALL_ATTEMPTS_MAXSIZE:
+            decided.clear()
+        untried = []
+        v = view
+        while (color, v) not in decided:
+            untried.append(v)
+            if not isinstance(v.label, Simplex):
+                break
+            v = v.label.vertex_of_color(v.color)
+        answer = decided.get((color, v))
+        for v in reversed(untried):
             if answer is not None:
-                return answer
-        return None
+                break
+            answer = decided[color, v] = attempt(color, v)
+        return answer
 
     return DecisionProtocol("ball-rule", decide)
 

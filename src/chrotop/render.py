@@ -126,8 +126,8 @@ def render_dot(K: Complex) -> str:
     faces at the bottom.
 
     A face is the ascending tuple of its vertices' positions in
-    `K.vertices()`, which is `vertex_key` order, so sorting these int
-    tuples gives the `Simplex.key` order of `K.simplexes()`."""
+    `K.vertices()`, which is the complex's rank order, so sorting these
+    int tuples gives the order of `K.simplexes()`, as its ranks do."""
     vertices = K.vertices()
     position = {v: i for i, v in enumerate(vertices)}
     # a label is quoted, so `\` and `"` inside it are escaped

@@ -20,13 +20,15 @@ from .errors import IncompleteMap, InvalidCarrier, InvalidVertex, Unsupported
 @dataclass(frozen=True, slots=True)
 class Vertex:
     """A colored, labeled vertex. Equality and hashing are by value; the
-    hash is `hash((color, label))`, computed once at construction.  The
-    sort key is kept too, computed by the first `vertex_key` call, so a
-    label that has no order (a float, say) still makes a vertex.
+    hash is `hash((color, label))`, computed once at construction, and a
+    nested label's own hash is one level deep, so a view's hash costs
+    the same at every depth.  The sort key is kept too, computed by the
+    first `vertex_key` call, so a label that has no order (a float, say)
+    still makes a vertex.
 
     Equal vertices may be distinct objects.  `build_time_T` makes equal
-    views of one build one object, so comparing them, or the keys of the
-    carriers that hold them, stops at an identity check."""
+    views of one build one object, so comparing them stops at an
+    identity check."""
 
     color: int
     label: object
@@ -123,7 +125,13 @@ def parse_label(raw):
 
 
 class Simplex:
-    """An immutable set of vertices kept in canonical (color, label) order."""
+    """An immutable set of vertices kept in canonical (color, label) order.
+
+    `key` is the tuple of the vertices' `vertex_key`s, which is how a view
+    orders by its carrier.  Equality compares the vertex tuples, each
+    vertex first by identity, and the hash is built from the vertices'
+    cached hashes: both go one level down, never through the nested key.
+    """
 
     __slots__ = ("_verts", "key", "_hash")
 
@@ -138,7 +146,7 @@ class Simplex:
                 raise InvalidVertex(f"distinct vertices share a (color, label) identity: {verts}")
         self._verts = tuple(verts)
         self.key = tuple(vertex_key(v) for v in verts)
-        self._hash = hash(self.key)
+        self._hash = hash(self._verts)
 
     def __iter__(self) -> Iterator[Vertex]:
         return iter(self._verts)
@@ -150,7 +158,7 @@ class Simplex:
         return v in self._verts
 
     def __eq__(self, other):
-        return isinstance(other, Simplex) and self.key == other.key
+        return isinstance(other, Simplex) and self._verts == other._verts
 
     def __hash__(self):
         return self._hash
@@ -189,35 +197,72 @@ class Simplex:
                 yield Simplex(combo)
 
 
+def _rank_vertices(vertices: list[Vertex]) -> tuple[tuple[Vertex, ...], dict[Vertex, int]]:
+    """The vertices in `vertex_key` order, with the rank of each: its place
+    among their distinct keys, so equal keys get equal ranks.
+
+    One pass over the label history, with no nested key compared: level 0
+    is the vertices, level j+1 the vertices of the `Simplex` labels in
+    level j.  Each level, deepest first, is keyed like `vertex_key`, but
+    a `Simplex` label's payload is the tuple of its vertices' ranks one
+    level down.  `vertex_key` compares carriers position by position, so
+    two vertices it compares j levels down are both in level j; a vertex
+    found in two levels is ranked in each."""
+    levels = [dict.fromkeys(vertices)]
+    while True:
+        below = dict.fromkeys([
+            u for v in levels[-1] if isinstance(v.label, Simplex) for u in v.label._verts
+        ])
+        if not below:
+            break
+        levels.append(below)
+    rank: dict[Vertex, int] = {}
+    for level in reversed(levels):
+        keys = [
+            (v.color, (2, tuple(map(rank.__getitem__, v.label._verts))))
+            if isinstance(v.label, Simplex) else vertex_key(v)
+            for v in level
+        ]
+        place = {key: i for i, key in enumerate(sorted(set(keys)))}
+        rank = dict(zip(level, map(place.__getitem__, keys)))
+    return tuple(sorted(level, key=rank.__getitem__)), rank
+
+
 class Complex:
-    """A finite simplicial complex given by its facets, closed under faces."""
+    """A finite simplicial complex given by its facets, closed under faces.
+
+    Construction ranks the vertices once (`_rank_vertices`) and orders
+    `vertices()` and the facets by those integer ranks, which is the
+    `vertex_key` and `Simplex.key` order; `simplexes()` sorts the faces
+    by their vertices' positions in `vertices()`, the same order."""
 
     __slots__ = ("facets", "_faces", "_vertices")
 
     def __init__(self, facets: Iterable[Simplex]):
-        facet_set = set(facets)
-        if not facet_set:
+        # in input order, so which facets are compared does not follow hashes
+        kept = list(dict.fromkeys(facets))
+        if not kept:
             raise ValueError("a complex needs at least one facet")
         # equal facets are already merged, so a facet can only be a proper
         # face of a strictly larger one, which then holds its first vertex;
         # a pure complex builds no index and is never scanned
-        top = max(len(f) for f in facet_set)
-        smaller = [f for f in facet_set if len(f) < top]
-        dominated = set()
+        top = max(map(len, kept))
+        smaller = [f for f in kept if len(f) < top]
         if smaller:
             by_vertex: dict[Vertex, list[Simplex]] = {}
-            for g in facet_set:
+            for g in kept:
                 for v in g:
                     by_vertex.setdefault(v, []).append(g)
             dominated = {
                 f for f in smaller
                 if any(len(g) > len(f) and f.issubset(g) for g in by_vertex[f.vertices[0]])
             }
+            kept = [f for f in kept if f not in dominated]
+        self._vertices, rank = _rank_vertices([v for f in kept for v in f._verts])
         self.facets: tuple[Simplex, ...] = tuple(
-            sorted(facet_set - dominated, key=lambda s: s.key)
+            sorted(kept, key=lambda f: tuple(map(rank.__getitem__, f._verts)))
         )
         self._faces = None
-        self._vertices = None
 
     # -- queries ------------------------------------------------------
 
@@ -231,7 +276,8 @@ class Complex:
 
     def simplexes(self) -> list[Simplex]:
         """All nonempty faces in canonical order."""
-        return sorted(self._face_set(), key=lambda s: s.key)
+        position = {v: i for i, v in enumerate(self._vertices)}
+        return sorted(self._face_set(), key=lambda s: tuple(map(position.__getitem__, s._verts)))
 
     def __contains__(self, simplex: Simplex) -> bool:
         return any(simplex.issubset(f) for f in self.facets)
@@ -246,11 +292,6 @@ class Complex:
         return f"Complex({len(self.facets)} facets, {len(self.vertices())} vertices)"
 
     def vertices(self) -> tuple[Vertex, ...]:
-        if self._vertices is None:
-            seen = set()
-            for f in self.facets:
-                seen.update(f)
-            self._vertices = tuple(sorted(seen, key=vertex_key))
         return self._vertices
 
     def colors(self) -> frozenset[int]:

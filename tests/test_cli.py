@@ -106,6 +106,21 @@ def test_subdivide_outputs_match_golden_hashes(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of the tetrahedron's files as written before complexes were ordered
+# by vertex ranks and simplexes hashed one level deep, which moved set and
+# dict iteration orders
+GOLDEN_TETRAHEDRON_SHA256 = {
+    "chr2_simplex3.json": "f5dd28da36e6f404bc9c4305286ff84f750d7376f7a4d22a5d984364aa8a7bac",
+    "chr2_simplex3.dot": "2dc3822260f39dcd89f6d941697940e776356975f12fcbaa9939943ccdf3d03a",
+}
+
+
+def test_subdivide_tetrahedron_outputs_match_golden_hashes(tmp_path):
+    assert run_cli("subdivide", "--simplex", "3", "--k", "2", "--out", str(tmp_path)) == 0
+    for name, digest in GOLDEN_TETRAHEDRON_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_check_exit_codes(tmp_path):
     assert run_cli("check", "--model", "m1", "--task", "consensus",
                    "--max-depth", "3", "--out", str(tmp_path / "m1.json")) == 0

@@ -2,8 +2,8 @@
 `functools.lru_cache` or `functools.cache`.
 
 Such a cache lives as long as the module, so what it holds outlives every
-call that filled it.  A cache made inside a function, such as the ball
-rule's `attempt`, belongs to that call's result and goes with it.
+call that filled it.  A cache made inside a function belongs to that
+call's result and goes with it.
 """
 
 import ast

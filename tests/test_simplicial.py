@@ -1,9 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from chrotop.checker import build_time_T
 from chrotop.errors import IncompleteMap, InvalidVertex
+from chrotop.models import builtin_model
 from chrotop.simplicial import (
     CarrierMap,
     Complex,
@@ -16,8 +19,15 @@ from chrotop.simplicial import (
     label_key,
     vertex_key,
 )
-from chrotop.subdivision import BarycentricPoint
-from chrotop.tasks import inputless_consensus
+from chrotop.subdivision import (
+    BarycentricPoint,
+    TerminatingSubdivision,
+    cell_of_word,
+    chr_iterate,
+    ordered_partitions,
+    prefix_policy,
+)
+from chrotop.tasks import inputless_consensus, set_agreement
 
 A = Vertex(0, "a")
 B = Vertex(1, "b")
@@ -233,3 +243,114 @@ def test_vertex_hash_is_cached_and_unchanged():
     assert repr(Vertex(0, 5)) == "v(0:5)"
     assert repr(Vertex(1, "b")) == "v(1:b)"
     assert repr(Vertex(1, nested)) == "v(1:{0:0,1:{0:0,1:1}})"
+
+
+# -- rank order ------------------------------------------------------------
+
+# two-process round schedules: process 0 first, process 1 first, together
+RIGHT, LEFT, BOTH = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
+
+
+def _standard_simplex(n: int) -> Complex:
+    return Complex([Simplex(Vertex(i, i) for i in range(n))])
+
+
+def _assert_sorted_like_keys(K: Complex):
+    """Reference: sort the vertices by their nested `vertex_key`s and the
+    facets and faces by their nested `Simplex.key`s."""
+    vertices = {v for f in K.facets for v in f}
+    faces = {face for f in K.facets for face in f.faces()}
+    assert K.vertices() == tuple(sorted(vertices, key=vertex_key))
+    assert K.facets == tuple(sorted(set(K.facets), key=lambda s: s.key))
+    assert K.simplexes() == sorted(faces, key=lambda s: s.key)
+
+
+@pytest.mark.parametrize("n, k", [(2, j) for j in range(7)] + [(3, j) for j in range(4)]
+                         + [(4, j) for j in range(3)])
+def test_chr_iterate_orders_by_keys(n, k):
+    _assert_sorted_like_keys(chr_iterate(_standard_simplex(n), k))
+
+
+@pytest.mark.parametrize("model, task, T", [
+    ("iis3", set_agreement(3), 2),
+    ("m1", inputless_consensus(2), 4),
+    ("m2", inputless_consensus(2), 4),
+], ids=["iis3-set-agreement", "m1", "m2"])
+def test_time_T_complexes_order_by_keys(model, task, T):
+    PT = build_time_T(builtin_model(model), task, T)
+    for sigma in task.inputs.simplexes():
+        _assert_sorted_like_keys(PT.xi(sigma))
+
+
+def test_stable_complexes_with_point_labels_order_by_keys():
+    edge = inputless_consensus(2).inputs
+    m1_policy = prefix_policy({1: [(RIGHT,)], 2: [(LEFT, s) for s in (RIGHT, BOTH, LEFT)]})
+    m1 = TerminatingSubdivision(edge, m1_policy)
+    triangle = _standard_simplex(3)
+    first_round = prefix_policy({1: [(s,) for s in ordered_partitions((0, 1, 2))]})
+    for stable in (m1.stable_complex(2), TerminatingSubdivision(triangle, first_round).stable_complex(1)):
+        assert all(isinstance(v.label, BarycentricPoint) for v in stable.vertices())
+        _assert_sorted_like_keys(stable)
+
+
+def test_flat_labels_order_by_keys():
+    ints_and_strings = [Vertex(c, label) for c in range(3) for label in (-1, 0, 7, "", "a", "b")]
+    rng = random.Random(3)
+    for _ in range(20):
+        facets = [Simplex(rng.sample(ints_and_strings, rng.randint(1, 4))) for _ in range(6)]
+        _assert_sorted_like_keys(Complex(facets))
+
+
+def _random_history_complex(rng: random.Random) -> Complex:
+    """Vertices of depths 0-3 on two colors, each carrier drawn from all
+    shallower depths, some rebuilt as equal distinct objects; facets of
+    one to four of them, of any depths."""
+    by_depth = [[Vertex(c, label) for c in (0, 1) for label in (0, 1, "a")]]
+    for _ in range(3):
+        shallower = [v for level in by_depth for v in level]
+        level = []
+        for _ in range(6):
+            carrier = Simplex([rng.choice(by_depth[-1])] + rng.sample(shallower, rng.randint(0, 2)))
+            v = Vertex(rng.choice((0, 1)), carrier)
+            level.append(v)
+            if rng.random() < 0.3:
+                level.append(Vertex(v.color, Simplex(list(carrier))))
+        by_depth.append(level)
+    everything = [v for level in by_depth for v in level]
+    return Complex(Simplex(rng.sample(everything, rng.randint(1, 4))) for _ in range(8))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_mixed_depth_histories_order_by_keys(seed):
+    _assert_sorted_like_keys(_random_history_complex(random.Random(seed)))
+
+
+def test_a_complex_of_depth_400_cells_builds_and_orders():
+    # the two cells differ only in their first round, so every key
+    # comparison between them runs down to it; hashing the nested key took
+    # time exponential in the depth, and comparing it overflowed the stack
+    (edge,) = inputless_consensus(2).inputs.facets
+    for depth in (5, 400):
+        right, left = (cell_of_word(edge, (first,) + (BOTH,) * depth) for first in (RIGHT, LEFT))
+        K = Complex([left, right])
+        # the solo first view of process 0 sorts first, at every depth
+        assert len(K.facets) == 2 and K.facets[0] is right and K.facets[1] is left
+        want = [cell.vertex_of_color(c) for c in (0, 1) for cell in (right, left)]
+        assert len(K.vertices()) == 4 and all(a is b for a, b in zip(K.vertices(), want))
+        assert len(K.simplexes()) == 6
+        if depth == 5:
+            _assert_sorted_like_keys(K)
+
+
+def test_point_labelled_simplexes_hash_like_they_compare():
+    # a point's order key ignores its base, its equality does not
+    a, b = Vertex(0, 0), Vertex(1, 1)
+    edge = Complex([Simplex([a, b])])
+    path = Complex([Simplex([a, b]), Simplex([b, Vertex(2, 2)])])
+    half = {a: Fraction(1, 2), b: Fraction(1, 2)}
+    on_edge = Simplex([Vertex(0, BarycentricPoint(half, edge))])
+    on_path = Simplex([Vertex(0, BarycentricPoint(half, path))])
+    assert on_edge.key == on_path.key
+    assert on_edge != on_path and len({on_edge, on_path}) == 2
+    again = Simplex([Vertex(0, BarycentricPoint(dict(half), edge))])
+    assert again == on_edge and hash(again) == hash(on_edge) and again is not on_edge
