@@ -7,13 +7,16 @@ kernel replaced it; a convex solve is a fraction-free elimination over
 integer vectors.
 """
 
+import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Sequence
 
+from chrotop.checker import SpernerReport
 from chrotop.errors import BaseMismatch
 from chrotop.simplicial import Complex, Simplex, Vertex, vertex_key
-from chrotop.subdivision import BarycentricPoint, geometric_distance
+from chrotop.subdivision import BarycentricPoint, chr_iterate, geometric_distance
 
 
 def reference_coordinates(v: Vertex, base: Complex, memo: dict | None = None) -> BarycentricPoint:
@@ -140,3 +143,35 @@ def geometric_containment(
 ) -> bool:
     """True iff every point of sigma lies in the closed hull of tau."""
     return all(point_in_hull(p, tau) for p in sigma)
+
+
+def reference_sperner(n, k, seed=0, sample_size=2000):
+    """Rainbow counts that build one value set per facet per coloring,
+    drawing the same seeded samples, and stop at the first even count."""
+    base = Complex([Simplex(Vertex(i, i) for i in range(n))])
+    K = chr_iterate(base, k)
+    vertices = list(K.vertices())
+    choices = [sorted(c.color for c in reference_coordinates(v, base).weights) for v in vertices]
+    total = 1
+    for c in choices:
+        total *= len(c)
+    facet_indices = [[vertices.index(u) for u in f.vertices] for f in K.facets]
+
+    def rainbow_count(assignment):
+        return sum({assignment[i] for i in idx} == set(range(n)) for idx in facet_indices)
+
+    if total <= 20000:
+        mode, combos = "exhaustive", product(*choices)
+    else:
+        rng = random.Random(seed)
+        mode = "sampled"
+        combos = ([rng.choice(c) for c in choices] for _ in range(sample_size))
+    colorings, min_rainbow, counterexample = 0, None, None
+    for combo in combos:
+        colorings += 1
+        c = rainbow_count(combo)
+        min_rainbow = c if min_rainbow is None else min(min_rainbow, c)
+        if c % 2 == 0:
+            counterexample = {"assignment": list(combo), "count": c}
+            break
+    return SpernerReport(n, k, mode, colorings, counterexample is None, min_rainbow or 0, counterexample)

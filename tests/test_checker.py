@@ -41,7 +41,6 @@ from chrotop.tasks import Task, inputless_consensus, set_agreement
 import chrotop.checker
 import chrotop.subdivision
 from chrotop.checker import (
-    SpernerReport,
     TerminationCertificateReport,
     Verdict,
     _excluded_point_values,
@@ -56,7 +55,13 @@ from chrotop.checker import (
     sperner_evidence,
     verify_termination_certificate,
 )
-from oracles import diameter, geometric_containment, reference_coordinates, reference_points
+from oracles import (
+    diameter,
+    geometric_containment,
+    reference_coordinates,
+    reference_points,
+    reference_sperner,
+)
 
 M1 = builtin_model("m1")
 M2 = builtin_model("m2")
@@ -981,47 +986,62 @@ def test_sperner_triangle_depth_two_sampled():
     assert report.all_odd
 
 
-def reference_sperner(n, k, seed=0, sample_size=2000):
-    """Reference: rainbow counts that build one value set per facet per
-    coloring, drawing the same seeded samples."""
-    base = Complex([Simplex(Vertex(i, i) for i in range(n))])
-    K = chr_iterate(base, k)
-    vertices = list(K.vertices())
-    choices = [sorted(c.color for c in reference_coordinates(v, base).weights) for v in vertices]
-    total = 1
-    for c in choices:
-        total *= len(c)
-    facet_indices = [[vertices.index(u) for u in f.vertices] for f in K.facets]
-
-    def rainbow_count(assignment):
-        return sum({assignment[i] for i in idx} == set(range(n)) for idx in facet_indices)
-
-    if total <= 20000:
-        mode, colorings, combos = "exhaustive", 0, product(*choices)
-    else:
-        rng = random.Random(seed)
-        mode, colorings = "sampled", sample_size
-        combos = ([rng.choice(c) for c in choices] for _ in range(sample_size))
-    min_rainbow, counterexample = None, None
-    for combo in combos:
-        if mode == "exhaustive":
-            colorings += 1
-        c = rainbow_count(combo)
-        min_rainbow = c if min_rainbow is None else min(min_rainbow, c)
-        if c % 2 == 0:
-            counterexample = {"assignment": list(combo), "count": c}
-            break
-    return SpernerReport(n, k, mode, colorings, counterexample is None, min_rainbow or 0, counterexample)
-
-
-@pytest.mark.parametrize("n, k, seed", [
-    (2, 0, 0), (2, 1, 0), (2, 2, 0), (3, 1, 0),
-    (3, 2, 0), (3, 2, 1), (3, 2, 2), (3, 2, 3), (3, 2, 4),
+@pytest.mark.parametrize("n, k, seed, sample_size", [
+    *(pytest.param(n, k, seed, 2000, id=f"{n}-{k}-{seed}") for n, k, seed in [
+        (2, 0, 0), (2, 1, 0), (2, 2, 0), (3, 1, 0), *((3, 2, seed) for seed in range(12)),
+    ]),
+    *(pytest.param(3, 2, 0, size, id=f"3-2-0-sample{size}") for size in (0, 1, 5000)),
 ])
-def test_sperner_matches_set_per_facet_reference(n, k, seed):
-    report = sperner_evidence(n, k, seed=seed)
+def test_sperner_matches_set_per_facet_reference(n, k, seed, sample_size):
+    report = sperner_evidence(n, k, seed=seed, sample_size=sample_size)
     assert report.mode == ("sampled" if (n, k) == (3, 2) else "exhaustive")
-    assert report == reference_sperner(n, k, seed=seed)
+    assert report == reference_sperner(n, k, seed=seed, sample_size=sample_size)
+
+
+class ScriptedRandom:
+    """Stands in for `random.Random(seed)`: seeded draws for colorings
+    1..j-1, then colorings that break the boundary rule.  Coloring j gives
+    each vertex its own process color, but corner 0 the value 1: of the 169
+    facets of Chr^2 of the triangle the 9 at corner 0 lose their rainbow,
+    which leaves an even 160.  Every later coloring is all 0s and counts 0."""
+
+    def __init__(self, seeded_choice, j, vertices):
+        self.seeded_choice = seeded_choice
+        self.j = j
+        self.vertices = vertices
+        self.draws = 0
+
+    def choice(self, values):
+        coloring, i = divmod(self.draws, len(self.vertices))
+        self.draws += 1
+        if coloring + 1 < self.j:
+            return self.seeded_choice(values)
+        if coloring + 1 > self.j:
+            return 0
+        return 1 if values == [0] else self.vertices[i].color
+
+
+@pytest.mark.parametrize("j", [1, 2, 400, 512, 513, 1100])
+def test_sperner_stops_at_the_first_even_coloring(monkeypatch, j):
+    base = Complex([Simplex(Vertex(i, i) for i in range(3))])
+    vertices = list(chr_iterate(base, 2).vertices())
+    earlier = reference_sperner(3, 2, seed=5, sample_size=j - 1)
+    assert (earlier.colorings, earlier.all_odd) == (j - 1, True)
+    seeded = random.Random
+    monkeypatch.setattr(
+        chrotop.checker.random, "Random", lambda seed: ScriptedRandom(seeded(seed).choice, j, vertices)
+    )
+    report = sperner_evidence(3, 2, seed=5, sample_size=1500)
+    assignment = [v.color for v in vertices]
+    corner = next(
+        i for i, v in enumerate(vertices) if set(reference_coordinates(v, base).weights) == {Vertex(0, 0)}
+    )
+    assignment[corner] = 1
+    assert (report.mode, report.colorings, report.all_odd) == ("sampled", j, False)
+    assert report.counterexample == {"assignment": assignment, "count": 160}
+    # the minimum is over colorings 1..j only: the all-0 colorings after j count 0
+    assert report.min_rainbow == (min(earlier.min_rainbow, 160) if j > 1 else 160)
+    assert report == reference_sperner(3, 2, seed=5, sample_size=1500)
 
 
 def test_sperner_out_of_range():

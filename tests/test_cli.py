@@ -10,6 +10,7 @@ from chrotop.models import builtin_model
 from chrotop.protocol import DecisionProtocol, ball_id, extract_map, view_depth, winner_protocol
 from chrotop.simplicial import CarrierMap, Complex, Simplex, Vertex
 from chrotop.tasks import Task, inputless_consensus
+from oracles import reference_sperner
 
 
 def run_cli(*argv):
@@ -277,8 +278,9 @@ def test_run_stdout_matches_golden_hash(model, protocol, depth, code, capsys):
 
 
 # sha256 of `check` verdicts as written before xi of the input facet became
-# P_T itself and the search's constraints were precompiled to face sets;
-# stdout and the --out file hold the same bytes
+# P_T itself and the search's constraints were precompiled to face sets
+# (the seed-20261018 entry: before rainbow facets were counted in byte
+# lanes); stdout and the --out file hold the same bytes
 GOLDEN_CHECK_SHA256 = {
     "m1 consensus 3 0": (0, "33b84cdc209d20d6fdb6025887ea0f012bebca61113cf3709754abac15f3d507"),
     "iis2 consensus 5 0": (10, "67de51ca859fbbcf79a1c0c052f37b5e5fc6115d7493579e876c555ee4211341"),
@@ -288,6 +290,7 @@ GOLDEN_CHECK_SHA256 = {
     "iis3 set-agreement:3 2 7": (11, "2933b7f511e23c1a28c3bf66c36adde7174ae78866ad7bec1bf9d7aba52f8ae4"),
     "iis3 set-agreement:3 3 0": (11, "2c6eef34301100de08e54979541ceeed905e6b4ae8d477325003091494882132"),
     "iis3 set-agreement:3 3 7": (11, "bd57a4f33db22de8234b7c540fbc67050852d2bfe8d0181fed086d030a8eee06"),
+    "iis3 set-agreement:3 2 20261018": (11, "b1c870eb37145396ca26337a5e3170a9306dff7b201d4760669f262771b88454"),
 }
 
 
@@ -350,6 +353,27 @@ def test_certified_verdicts_join_the_solo_views_of_P_d(case, tmp_path, capsys):
     PT = build_time_T(builtin_model(model), cons, certificate["depth"])
     (solo0,), (solo1,) = solo_views(PT, cons)
     assert any(solo0 in c and solo1 in c for c in components(PT.complex))
+
+
+PARITY_CASES = [case for case in GOLDEN_CHECK_SHA256 if case.startswith("iis3 set-agreement:3 ")]
+
+
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_parity_evidence_rechecks_from_the_json_alone(case, tmp_path):
+    """An oracle for the rainbow-parity evidence that reads only the written
+    verdict: per-facet value sets over the same seeded colorings
+    (`reference_sperner`) give the same mode, count, parity and minimum."""
+    model, task, depth, seed = case.split()
+    out = tmp_path / "verdict.json"
+    assert run_cli("--seed", seed, "check", "--model", model, "--task", task, "--max-depth", depth,
+                   "--out", str(out)) == 11
+    evidence = json.loads(out.read_text())["evidence"]
+    expected = reference_sperner(3, 2, seed=int(seed))
+    assert (evidence["n"], evidence["k"]) == (3, 2)
+    assert evidence["mode"] == expected.mode
+    assert evidence["colorings"] == expected.colorings
+    assert evidence["allOdd"] == expected.all_odd
+    assert evidence["minRainbow"] == expected.min_rainbow
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
