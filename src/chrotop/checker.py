@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BadArity, BadIndices, ChrotopError, Unsupported
 from .models import (
+    MAX_PROCESSES,
     ExecutionWord,
     ModelSpec,
     RoundSchedule,
@@ -578,6 +580,45 @@ class SpernerReport:
     counterexample: Optional[dict] = None
 
 
+def _sampled_rows(choices: list[list[int]], seed: int, count: int) -> Iterator[bytearray]:
+    """The rows `bytes(rng.choice(c) for c in choices)` of
+    `rng = random.Random(seed)`, `count` of them, drawn in bulk.
+
+    For a list c of 1 to 255 values, `choice` draws 32-bit words w until
+    w >> (32 - k) < len(c), with k = len(c).bit_length(), and takes that
+    index; `getrandbits(32 * m)` is the next m words, little-endian.  So
+    only a word's top byte b matters: the list takes it when
+    b < len(c) << (8 - k), as the value c[b >> (8 - k)].  One match of a
+    pattern with one group per list, each after the bytes its list
+    rejects, is one row of taken bytes; a table per list turns its column
+    into values.  A list takes a word with chance at least 1/2, so each
+    draw is 2 words per list for 128 rows: 25,344 words, 101 kB, for the
+    99 vertices of Chr^2 of the triangle.
+    """
+    rng = random.Random(seed)
+    width = len(choices)
+    groups, tables = [], []
+    for c in choices:
+        shift = 8 - len(c).bit_length()
+        taken = len(c) << shift
+        groups.append(b"[%c-\xff]*([\0-%c])" % (taken, taken - 1))
+        tables.append(bytes(c[b >> shift] for b in range(taken)).ljust(256, b"\0"))
+    match = re.compile(b"".join(groups)).match
+    buf, pos = b"", 0
+    while count > 0:
+        block = bytearray()
+        for _ in range(min(count, 128)):
+            while (m := match(buf, pos)) is None:
+                buf, pos = buf[pos:] + rng.getrandbits(8192 * width).to_bytes(1024 * width, "little")[3::4], 0
+            block += b"".join(m.groups())
+            pos = m.end()
+        for i, table in enumerate(tables):
+            block[i::width] = block[i::width].translate(table)
+        for start in range(0, len(block), width):
+            yield block[start : start + width]
+        count -= 128
+
+
 def sperner_evidence(n: int, k: int, seed: int = 0, sample_size: int = 2000) -> SpernerReport:
     """Rainbow-facet parity over boundary-respecting value assignments.
 
@@ -586,7 +627,9 @@ def sperner_evidence(n: int, k: int, seed: int = 0, sample_size: int = 2000) -> 
     it lies in; corners are forced to their own value.  For every such
     assignment, up to the first even count, the number of facets showing
     all n values is counted.  Exhaustive when the assignment space is
-    small, seeded sampling otherwise.
+    small, seeded sampling otherwise: the draws of
+    `random.Random(seed).choice` per vertex per assignment, made in bulk
+    by `_sampled_rows`.
 
     Counts are taken 512 assignments at a time, one byte lane each: a
     vertex's column holds value c as the byte 1 << c, and a facet is
@@ -615,8 +658,7 @@ def sperner_evidence(n: int, k: int, seed: int = 0, sample_size: int = 2000) -> 
         rows = product(*choices)
     else:
         mode = "sampled"
-        choice = random.Random(seed).choice
-        rows = (map(choice, choices) for _ in range(sample_size))
+        rows = _sampled_rows(choices, seed, sample_size)
     width = len(vertices)
     one_hot = bytes(1 << c for c in range(n)).ljust(256, b"\0")
     is_rainbow = bytes(c == 2**n - 1 for c in range(256))
@@ -708,10 +750,17 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
     any P_T is built: when it fires, the allowed cells of every time
     T <= max_depth cover the input edge, touching cells share a view and
     the solo views are forced to 0 and 1, so no time searched below
-    could have a map.  Otherwise it searches for a decision map at times
-    0..max_depth; a witness is validated end to end by simulating its
-    synthesized protocol.  On exhaustion, set agreement gets parity
-    evidence.  Bounded failure alone never claims unsolvability.
+    could have a map.  Set agreement on a model that restricts no prefix
+    (no predicate, no allowed first rounds; excluded limit executions
+    remove no finite prefix) is decided by Sperner's lemma, before any
+    P_T is built: each P_T is Chr^T of the input simplex, a map carried by
+    delta is a Sperner coloring of it, and some facet then shows all n
+    values, which no output simplex holds, so every time T fails.
+    Otherwise it searches for a decision map at times 0..max_depth; a
+    witness is validated end to end by simulating its synthesized
+    protocol.  When no time has a map, set agreement on n <= 3 processes
+    gets parity evidence.  Bounded failure alone never claims
+    unsolvability.
     """
     if max_depth < 0:
         raise Unsupported("max depth must be nonnegative")
@@ -721,11 +770,16 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
     def shaped_like(other: Task) -> bool:  # structure, never the name
         return (task.inputs, task.outputs, task.delta.images) == (other.inputs, other.outputs, other.delta.images)
 
+    def like_set_agreement() -> bool:
+        return 2 <= model.n <= MAX_PROCESSES and shaped_like(set_agreement(model.n))
+
     if model.n == 2 and shaped_like(inputless_consensus(2)):
         certificate = certify_consensus_impossible(model, max_depth)
         if certificate is not None:
             return Verdict("unsolvable_certified", max_depth, certificate=certificate)
-    for T in range(max_depth + 1):
+    unrestricted = model.predicate is None and model.allowed_first_rounds is None
+    sperner = unrestricted and like_set_agreement()
+    for T in () if sperner else range(max_depth + 1):
         PT = build_time_T(model, task, T)
         delta = search_decision_map(PT, task)
         if delta is None:
@@ -741,7 +795,8 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
                        protocol=protocol, solve_report=report)
 
     evidence = None
-    if 2 <= model.n <= 3 and shaped_like(set_agreement(model.n)):
+    # an unrestricted model has asked the task's shape already
+    if model.n <= 3 and (sperner if unrestricted else like_set_agreement()):
         evidence = sperner_evidence(model.n, min(2, max_depth), seed=seed)
     if model.is_compact():
         return Verdict("unsolvable_at_all_depths", max_depth, evidence=evidence)

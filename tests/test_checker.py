@@ -3,11 +3,20 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
 from chrotop.errors import BadArity, BadIndices, Unsupported
-from chrotop.models import ExecutionWord, ModelSpec, RoundSchedule, builtin_model, enumerate_prefixes, word
+from chrotop.models import (
+    ExecutionWord,
+    ModelSpec,
+    RoundSchedule,
+    builtin_model,
+    enumerate_prefixes,
+    load_model_json_obj,
+    word,
+)
 from chrotop.simplicial import (
     CarrierMap,
     Complex,
@@ -988,7 +997,7 @@ def test_sperner_triangle_depth_two_sampled():
 
 @pytest.mark.parametrize("n, k, seed, sample_size", [
     *(pytest.param(n, k, seed, 2000, id=f"{n}-{k}-{seed}") for n, k, seed in [
-        (2, 0, 0), (2, 1, 0), (2, 2, 0), (3, 1, 0), *((3, 2, seed) for seed in range(12)),
+        (2, 0, 0), (2, 1, 0), (2, 2, 0), (3, 1, 0), *((3, 2, seed) for seed in (*range(12), 4242, 20261018)),
     ]),
     *(pytest.param(3, 2, 0, size, id=f"3-2-0-sample{size}") for size in (0, 1, 5000)),
 ])
@@ -998,27 +1007,41 @@ def test_sperner_matches_set_per_facet_reference(n, k, seed, sample_size):
     assert report == reference_sperner(n, k, seed=seed, sample_size=sample_size)
 
 
-class ScriptedRandom:
-    """Stands in for `random.Random(seed)`: seeded draws for colorings
+@pytest.mark.parametrize("seed", range(50))
+def test_sampled_rows_are_the_seeded_choices(seed):
+    """The bulk draws are `Random(seed).choice` per list per row, on this
+    interpreter, for lists of 1 to 3 values and for row counts on both
+    sides of a refill."""
+    shapes = random.Random(1000 + seed)
+    choices = [sorted(shapes.sample(range(3), shapes.randint(1, 3))) for _ in range(shapes.randint(1, 99))]
+    for count in (1, 127, 128, 129, 2000):
+        rng = random.Random(seed)
+        expected = [[rng.choice(c) for c in choices] for _ in range(count)]
+        assert [list(row) for row in chrotop.checker._sampled_rows(choices, seed, count)] == expected
+
+
+def scripted_rows(j, vertices, drawn):
+    """Stands in for `_sampled_rows`: its seeded rows for colorings
     1..j-1, then colorings that break the boundary rule.  Coloring j gives
     each vertex its own process color, but corner 0 the value 1: of the 169
     facets of Chr^2 of the triangle the 9 at corner 0 lose their rainbow,
-    which leaves an even 160.  Every later coloring is all 0s and counts 0."""
+    which leaves an even 160.  Every later coloring is all 0s and counts 0.
+    Each row it gives is also appended to `drawn`."""
+    seeded_rows = chrotop.checker._sampled_rows
 
-    def __init__(self, seeded_choice, j, vertices):
-        self.seeded_choice = seeded_choice
-        self.j = j
-        self.vertices = vertices
-        self.draws = 0
+    def rows(choices, seed, count):
+        seeded = seeded_rows(choices, seed, count)
+        for coloring in range(1, count + 1):
+            if coloring < j:
+                row = next(seeded)
+            elif coloring == j:
+                row = bytes(1 if values == [0] else v.color for values, v in zip(choices, vertices))
+            else:
+                row = bytes(len(choices))
+            drawn.append(row)
+            yield row
 
-    def choice(self, values):
-        coloring, i = divmod(self.draws, len(self.vertices))
-        self.draws += 1
-        if coloring + 1 < self.j:
-            return self.seeded_choice(values)
-        if coloring + 1 > self.j:
-            return 0
-        return 1 if values == [0] else self.vertices[i].color
+    return rows
 
 
 @pytest.mark.parametrize("j", [1, 2, 400, 512, 513, 1100])
@@ -1027,10 +1050,8 @@ def test_sperner_stops_at_the_first_even_coloring(monkeypatch, j):
     vertices = list(chr_iterate(base, 2).vertices())
     earlier = reference_sperner(3, 2, seed=5, sample_size=j - 1)
     assert (earlier.colorings, earlier.all_odd) == (j - 1, True)
-    seeded = random.Random
-    monkeypatch.setattr(
-        chrotop.checker.random, "Random", lambda seed: ScriptedRandom(seeded(seed).choice, j, vertices)
-    )
+    drawn = []
+    monkeypatch.setattr(chrotop.checker, "_sampled_rows", scripted_rows(j, vertices, drawn))
     report = sperner_evidence(3, 2, seed=5, sample_size=1500)
     assignment = [v.color for v in vertices]
     corner = next(
@@ -1041,6 +1062,9 @@ def test_sperner_stops_at_the_first_even_coloring(monkeypatch, j):
     assert report.counterexample == {"assignment": assignment, "count": 160}
     # the minimum is over colorings 1..j only: the all-0 colorings after j count 0
     assert report.min_rainbow == (min(earlier.min_rainbow, 160) if j > 1 else 160)
+    # the oracle counts the same colorings: its `choice` replays the drawn values in order
+    values = iter(b"".join(drawn))
+    monkeypatch.setattr(random, "Random", lambda seed: SimpleNamespace(choice=lambda c: next(values)))
     assert report == reference_sperner(3, 2, seed=5, sample_size=1500)
 
 
@@ -1128,10 +1152,10 @@ SWEEP_MODELS = first_round_models() + [NO_FULL_RUN, ONE_EXCHANGE] + [
 
 
 def search_first(model, max_depth, found, certificate):
-    """`solve` on two-process consensus in its old order: the first time
-    0..max_depth whose search found a map, and the certificate only when
-    every search failed.  `found[T]` is None, or the map of time T, its
-    synthesized protocol and that protocol's simulation report."""
+    """`solve` in its old search-first order, with no evidence: the first
+    time 0..max_depth whose search found a map, and the certificate only
+    when every search failed.  `found[T]` is None, or the map of time T,
+    its synthesized protocol and that protocol's simulation report."""
     for T, hit in enumerate(found[:max_depth + 1]):
         if hit is None:
             continue
@@ -1168,6 +1192,59 @@ def test_certificate_first_matches_search_first(model):
             assert (cert.component, cert.components, cert.excluded_inside) == reference_certificate(model, max(1, d))
         got = json.dumps(solve(model, CONS, d).to_json_obj())
         assert got == json.dumps(search_first(model, d, found, cert).to_json_obj())
+
+
+# set agreement on models that restrict no prefix, written as JSON: one
+# that excludes the limit execution of the full exchange, and four processes
+IIS3_EXCLUDED = load_model_json_obj(
+    {"n": 3, "kind": "custom", "name": "iis3-excluded", "excluded": [{"stem": [], "cycle": ["0,1,2"]}]}
+)
+IIS4 = load_model_json_obj({"n": 4, "kind": "iis", "name": "iis4"})
+# set agreement on models that restrict a prefix
+FIRST3 = load_model_json_obj({"n": 3, "kind": "firstRoundRestricted", "name": "first3",
+                              "allowedFirstRounds": ["0|1|2", "0,1|2", "2|0,1"]})
+
+
+@pytest.mark.parametrize("model, max_depth", [(IIS2, 6), (IIS3, 3), (IIS3_EXCLUDED, 3), (IIS4, 2)],
+                         ids=lambda x: getattr(x, "name", x))
+def test_sperner_first_matches_the_search_at_every_time(model, max_depth):
+    """The search is the oracle: no P_T with T <= max_depth has a decision
+    map, and at every depth `solve` writes the JSON and exit code of that
+    exhaustion, with parity evidence for n <= 3."""
+    task = set_agreement(model.n)
+    found = [search_decision_map(build_time_T(model, task, T), task) for T in range(max_depth + 1)]
+    assert found == [None] * (max_depth + 1)
+    for d in range(max_depth + 1):
+        expected = search_first(model, d, found, None)
+        if model.n <= 3:
+            expected.evidence = sperner_evidence(model.n, min(2, d), seed=7)
+        verdict = solve(model, task, d, seed=7)
+        assert json.dumps(verdict.to_json_obj()) == json.dumps(expected.to_json_obj())
+        assert verdict.exit_code() == expected.exit_code() == (11 if model.is_compact() else 12)
+        assert (verdict.evidence is not None) == (model.n <= 3)
+
+
+@pytest.mark.parametrize("model, task, times", [
+    (IIS2, set_agreement(2), []),
+    (IIS3, set_agreement(3), []),
+    (IIS3_EXCLUDED, set_agreement(3), []),
+    (IIS4, set_agreement(4), []),
+    (M1, set_agreement(2), [0, 1, 2]),
+    (FIRST3, set_agreement(3), [0, 1, 2]),
+    (ROUND_TWO, set_agreement(2), [0, 1, 2]),
+    (IIS3, inputless_consensus(3), [0, 1, 2]),
+], ids=lambda x: ("per-time" if x else "none") if isinstance(x, list) else x.name)
+def test_sperner_first_builds_no_time_complex(monkeypatch, model, task, times):
+    """Set agreement on a model that restricts no prefix builds no P_T;
+    a restricted model, or another task, still builds one P_T per time.
+    Set agreement gets parity evidence for n <= 3 either way."""
+    built = []
+    build = chrotop.checker.build_time_T
+    monkeypatch.setattr(chrotop.checker, "build_time_T", lambda m, t, T: built.append(T) or build(m, t, T))
+    verdict = solve(model, task, 2)
+    assert verdict.kind in ("unsolvable_at_all_depths", "unknown")
+    assert built == times
+    assert (verdict.evidence is not None) == (task.name == "set-agreement" and model.n <= 3)
 
 
 def test_solve_set_agreement_compact_reports_depth_exhaustion():

@@ -392,6 +392,20 @@ def test_check_certifies_iis2_consensus_at_depth_forty(tmp_path):
                    "--out", str(tmp_path / "v.json")) == 10
 
 
+def test_check_decides_set_agreement_at_depth_twelve_without_a_time_complex(monkeypatch, tmp_path):
+    """Sperner's lemma decides set agreement on iis3 at any depth: no P_T
+    is built, and the verdict is the depth-2 one but for its depth."""
+    monkeypatch.setattr("chrotop.checker.build_time_T", lambda *args: pytest.fail("built a time-T complex"))
+    verdicts = {}
+    for depth in ("2", "12"):
+        out = tmp_path / f"d{depth}.json"
+        assert run_cli("check", "--model", "iis3", "--task", "set-agreement:3", "--max-depth", depth,
+                       "--out", str(out)) == 11
+        verdicts[depth] = json.loads(out.read_text())
+    assert (verdicts["2"].pop("maxDepth"), verdicts["12"].pop("maxDepth")) == (2, 12)
+    assert verdicts["12"] == verdicts["2"]
+
+
 def solo_files(tmp_path):
     """A one-process model and a one-process task that decides its input."""
     model, task = tmp_path / "solo-model.json", tmp_path / "solo-task.json"
