@@ -4,11 +4,11 @@ and continuity checking, and impossibility certificates.
 The time-T complex quotients view sequences by their first T+1 entries.
 Because the view metric is an ultrametric, a ball of radius 2**-T is
 exactly a depth-T view vertex, so balls are represented by the view
-vertices themselves.  `build_time_T` interns its views, so within one
-P_T a ball, and every view below it, is one object and equal balls
-compare by identity.  `run` replays one execution path at a time
-without a table: it keeps no view, and its memory stays one path, so its
-views are equal by value only.
+vertices themselves.  `build_time_T` and `run` take their executions
+from one walk, `protocol.execution_cells`, which interns its views: within
+one P_T or one simulation a ball, and every view below it, is one object
+and equal balls compare by identity.  Views of two walks are equal by
+value, and compare in time linear in their depth.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .models import (
 from .protocol import (
     DecisionProtocol,
     check_solves,
+    execution_cells,
     synthesize_from_time_map,
     view_chain,
-    ball_id,
 )
 from .simplicial import (
     CarrierMap,
@@ -46,6 +46,7 @@ from .simplicial import (
     check_simplicial_chromatic,
     vertex_json,
     vertex_key,
+    vertex_strings,
 )
 from .subdivision import (
     BarycentricPoint,
@@ -81,19 +82,12 @@ def build_time_T(model: ModelSpec, task: Task, T: int) -> TimeTComplex:
     complex, that image is P_T itself, the same `Complex` object, so its
     facets and vertices are sorted once.
 
-    The executions are one `walk_cells` call over the input faces whose
-    empty word the model allows, with each participant set's schedules
-    listed once; equal views of different executions are one object."""
+    The executions are `execution_cells` over the input faces, so equal
+    views of different executions are one object."""
     if T < 0:
         raise Unsupported("time must be nonnegative")
     faces = task.inputs.simplexes()
-    alphabets = {p: model.schedules(p) for p in dict.fromkeys(f.colors() for f in faces)}
-
-    def letters(word: Word, cell: Simplex) -> list[RoundSchedule]:
-        participants = cell.colors()
-        return [s for s in alphabets[participants] if model.allowed_prefix(participants, word + (s,))]
-
-    executions = walk_cells([f for f in faces if model.allowed_prefix(f.colors(), ())], T, letters)
+    executions = execution_cells(model, faces, T)
     complex_ = Complex([cell for _, _, cell in executions])
     images: dict[Simplex, Complex] = {}
     for sigma in faces:
@@ -722,7 +716,9 @@ class Verdict:
         if self.T is not None:
             obj["T"] = self.T
         if self.delta is not None:
-            obj["decisionMap"] = {ball_id(v): vertex_json(o) for v, o in self.delta.items()}
+            items = self.delta.items()
+            names = vertex_strings(v for v, _ in items)
+            obj["decisionMap"] = {name: vertex_json(o) for name, (_, o) in zip(names, items)}
         if self.protocol is not None:
             obj["protocol"] = self.protocol.name
         if self.certificate is not None:

@@ -11,7 +11,7 @@ as canonical ball representatives of the view ultrametric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     IncompleteMap,
@@ -20,11 +20,13 @@ from .errors import (
     NotBoundedBy,
     Unsupported,
 )
-from .models import ModelSpec, Word, enumerate_prefixes
+from .models import ModelSpec, RoundSchedule, Word, enumerate_prefixes
 from .simplicial import Complex, Simplex, SimplicialMap, Vertex, label_string, parse_label
-from .simplicial import vertex_string as ball_id  # a view's ball id is its vertex text
-from .subdivision import apply_schedule, diameters_Dk, integer_weights, weight_scale
+from .simplicial import vertex_string, vertex_strings
+from .subdivision import apply_schedule, diameters_Dk, integer_weights, walk_cells, weight_scale
 from .tasks import Task
+
+ball_id = vertex_string  # a view's ball id is its vertex text
 
 # -- views ------------------------------------------------------------------
 
@@ -63,41 +65,40 @@ class Execution:
 
 
 def execution_configurations(execution: Execution) -> list[Simplex]:
-    """Configurations after rounds 0..len(word); entry t is the simplex of
-    all participants' views after t rounds."""
+    """The reference replay of one execution, by `apply_schedule` alone:
+    entry t is the simplex of all participants' views after t rounds.
+    `execution_cells` builds the same views, interned."""
     configs = [execution.face]
     for schedule in execution.word:
         configs.append(apply_schedule(configs[-1], schedule))
     return configs
 
 
-def shared_configurations(executions: Iterable[Execution]) -> Iterator[list[Simplex]]:
-    """Yield `execution_configurations` of each execution in turn, each
-    configuration one `apply_schedule` from its parent, keeping the
-    configurations of the prefix shared with the previous execution.  In
-    prefix order, as `all_executions` lists them, each is built once and
-    only one path is kept: `run` replays this way, since it keeps no view."""
-    face, word, configs = None, (), []
-    for execution in executions:
-        if execution.face != face:
-            face, word, configs = execution.face, (), [execution.face]
-        shared = 0
-        for a, b in zip(word, execution.word):
-            if a != b:
-                break
-            shared += 1
-        configs = configs[:shared + 1]
-        for schedule in execution.word[shared:]:
-            configs.append(apply_schedule(configs[-1], schedule))
-        word = execution.word
-        yield configs
-
-
 def all_executions(model: ModelSpec, inputs: Complex, depth: int) -> list[Execution]:
-    """Every execution shadow of the given depth: one per input simplex
-    (participation and inputs) and allowed schedule word over it."""
+    """The reference enumeration of the execution shadows of the given
+    depth, by `enumerate_prefixes` alone: one per input simplex
+    (participation and inputs) and allowed schedule word over it.
+    `execution_cells` walks the same executions in the same order."""
     return [Execution(face, word) for face in inputs.simplexes()
             for word in enumerate_prefixes(model, depth, face.colors())]
+
+
+def execution_cells(model: ModelSpec, faces: Sequence[Simplex], depth: int) -> list[tuple]:
+    """(face, word, cell) for each execution of the given depth over the
+    faces, in `all_executions` order: one `walk_cells` call over the faces
+    whose empty word the model allows, with each participant set's
+    schedules listed once.  Equal views of different executions are one
+    object, and the view of color c after t rounds is
+    `view_chain(cell.vertex_of_color(c))[t]`."""
+    if depth < 0:
+        raise Unsupported("depth must be nonnegative")
+    alphabets = {p: model.schedules(p) for p in dict.fromkeys(f.colors() for f in faces)}
+
+    def letters(word: Word, cell: Simplex) -> list[RoundSchedule]:
+        participants = cell.colors()
+        return [s for s in alphabets[participants] if model.allowed_prefix(participants, word + (s,))]
+
+    return walk_cells([f for f in faces if model.allowed_prefix(f.colors(), ())], depth, letters)
 
 
 # -- protocols ---------------------------------------------------------------
@@ -182,15 +183,17 @@ class RunResult:
 
 def run(protocol: DecisionProtocol, model: ModelSpec, inputs: Complex, depth: int) -> RunResult:
     """Evaluate the protocol along every execution shadow of the given
-    depth, checking irrevocability step by step."""
+    depth, checking irrevocability step by step.  The executions are
+    `execution_cells` over the input simplexes, so a view met by several
+    executions is one object."""
     outcomes = []
-    executions = all_executions(model, inputs, depth)
-    for execution, configs in zip(executions, shared_configurations(executions)):
+    for face, word, cell in execution_cells(model, inputs.simplexes(), depth):
+        execution = Execution(face, word)
         decisions: dict[int, Optional[DecisionRecord]] = {}
         for color in sorted(execution.participants):
             record: Optional[DecisionRecord] = None
-            for t, config in enumerate(configs):
-                answer = protocol(color, config.vertex_of_color(color))
+            for t, view in enumerate(view_chain(cell.vertex_of_color(color))):
+                answer = protocol(color, view)
                 if record is None:
                     if answer is not None:
                         record = DecisionRecord(answer, t)
@@ -405,11 +408,12 @@ def table_protocol(table: dict[str, object], model: ModelSpec, task: Task, T: in
     from .checker import build_time_T
 
     time_complex = build_time_T(model, task, T)
+    balls = time_complex.complex.vertices()
     mapping = {}
-    for ball in time_complex.complex.vertices():
-        if ball_id(ball) not in table:
-            raise IncompleteMap(f"decision table missing ball {ball_id(ball)}")
-        mapping[ball] = Vertex(ball.color, table[ball_id(ball)])
+    for ball, name in zip(balls, vertex_strings(balls)):
+        if name not in table:
+            raise IncompleteMap(f"decision table missing ball {name}")
+        mapping[ball] = Vertex(ball.color, table[name])
     return synthesize_from_time_map(SimplicialMap(mapping), time_complex)
 
 

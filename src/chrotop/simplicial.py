@@ -26,9 +26,10 @@ class Vertex:
     first `vertex_key` call, so a label that has no order (a float, say)
     still makes a vertex.
 
-    Equal vertices may be distinct objects.  `build_time_T` makes equal
-    views of one build one object, so comparing them stops at an
-    identity check."""
+    Equal vertices may be distinct objects.  `execution_cells` makes
+    equal views of one walk one object, so comparing them stops at an
+    identity check.  Equal views of two walks compare by color and then
+    by `_equal_labels`, which does not recurse, so at any depth."""
 
     color: int
     label: object
@@ -39,11 +40,44 @@ class Vertex:
         object.__setattr__(self, "_hash", hash((self.color, self.label)))
         object.__setattr__(self, "_key", None)
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Vertex:
+            return NotImplemented
+        return self.color == other.color and (
+            self.label is other.label or _equal_labels(self.label, other.label))
+
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
         return f"v({vertex_string(self)})"
+
+
+def _equal_labels(x, y) -> bool:
+    """`x == y` for two vertex labels.  Nested simplexes are compared from
+    an explicit stack: their hashes first, then their vertices, each pair
+    of distinct simplexes once, so two equal views built apart compare in
+    time linear in their history, at any depth."""
+    pairs, seen = [(x, y)], set()
+    while pairs:
+        x, y = pairs.pop()
+        if not (isinstance(x, Simplex) and isinstance(y, Simplex)):
+            if x != y:
+                return False
+            continue
+        if x._hash != y._hash or len(x._verts) != len(y._verts):
+            return False
+        for v, w in zip(x._verts, y._verts):
+            if v is w:
+                continue
+            if v.color != w.color:
+                return False
+            if v.label is not w.label and (id(v.label), id(w.label)) not in seen:
+                seen.add((id(v.label), id(w.label)))
+                pairs.append((v.label, w.label))
+    return True
 
 
 def label_key(label):
@@ -74,13 +108,25 @@ def _label_text(label, memo: dict) -> str:
     """The one writer of label texts: a nested simplex renders as its
     vertices' `"color:label"` texts in braces.  `memo` maps each nested
     simplex already written to its text, so a vertex shared by many
-    nested labels is written once per memo, not once per occurrence."""
+    nested labels is written once per memo, not once per occurrence.
+    The nested simplexes are written deepest first, from an explicit
+    stack, so a label of any depth can be written."""
     if not isinstance(label, Simplex):
         return str(label)
-    text = memo.get(label)
-    if text is None:
-        text = memo[label] = "{" + ",".join(_vertex_text(v, memo) for v in label) + "}"
-    return text
+    stack = [label]
+    while stack:
+        s = stack[-1]
+        if s in memo:
+            stack.pop()
+            continue
+        below = [v.label for v in s._verts if isinstance(v.label, Simplex) and v.label not in memo]
+        if below:
+            stack.extend(below)
+            continue
+        stack.pop()
+        texts = [memo[v.label] if isinstance(v.label, Simplex) else str(v.label) for v in s._verts]
+        memo[s] = "{" + ",".join(f"{v.color}:{text}" for v, text in zip(s._verts, texts)) + "}"
+    return memo[label]
 
 
 def _vertex_text(v: Vertex, memo: dict) -> str:
@@ -128,9 +174,10 @@ class Simplex:
     """An immutable set of vertices kept in canonical (color, label) order.
 
     `key` is the tuple of the vertices' `vertex_key`s, which is how a view
-    orders by its carrier.  Equality compares the vertex tuples, each
-    vertex first by identity, and the hash is built from the vertices'
-    cached hashes: both go one level down, never through the nested key.
+    orders by its carrier.  The hash is built from the vertices' cached
+    hashes, one level down, never through the nested key.  Equality
+    compares the hashes, then the vertex tuples: identical vertices match
+    in C, and only distinct ones go to `Vertex.__eq__`.
     """
 
     __slots__ = ("_verts", "key", "_hash")
@@ -158,7 +205,11 @@ class Simplex:
         return v in self._verts
 
     def __eq__(self, other):
-        return isinstance(other, Simplex) and self._verts == other._verts
+        # identical vertices, as an intern table's hits have, match in C;
+        # distinct ones compare by `Vertex.__eq__`, which does not recurse
+        return self is other or (
+            isinstance(other, Simplex) and self._hash == other._hash and self._verts == other._verts
+        )
 
     def __hash__(self):
         return self._hash

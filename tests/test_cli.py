@@ -425,6 +425,18 @@ def test_run_reaches_depths_past_the_recursion_limit(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("p0=?\nresult: UNDECIDED\n")
 
 
+def test_run_a_table_protocol_past_the_recursion_limit(tmp_path, capsys):
+    # the table's one ball is the depth-400 view; writing its id and
+    # comparing run's views with the table's overflowed the stack
+    model, task = solo_files(tmp_path)
+    protocol = tmp_path / "solo-table.json"
+    ball = "0:" + "{0:" * 400 + "0" + "}" * 400
+    protocol.write_text(json.dumps({"T": 400, "table": {ball: 0}}))
+    assert run_cli("run", "--model", model, "--task", task, "--protocol", str(protocol), "--depth", "400") == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("p0=0@r0\nresult: PASS\n") and captured.err == ""
+
+
 def test_task_colors_must_be_processes_of_the_model(tmp_path, capsys):
     """IIS2 written as a custom model, with consensus over colors 0 and 2:
     no schedule over {0, 2} is a round of the model, so the executions of

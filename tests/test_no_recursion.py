@@ -18,8 +18,6 @@ SOURCE = Path(chrotop.__file__).parent
 ALLOWED_CYCLES = {
     ("subdivision", frozenset({"ordered_partitions.rec"})):
         "depth <= n <= MAX_PROCESSES, one level per block",
-    ("simplicial", frozenset({"_label_text", "_vertex_text"})):
-        "depth is the nesting depth of the label (ROADMAP item 1: deep views)",
 }
 
 

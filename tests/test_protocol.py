@@ -20,17 +20,18 @@ from chrotop.subdivision import (
 )
 from chrotop.protocol import (
     DecisionProtocol,
+    Execution,
     all_executions,
     builtin_protocol,
     check_solves,
     constant_protocol,
+    execution_cells,
     execution_configurations,
     extract_map,
     load_table_protocol_json_obj,
     never_protocol,
     own_input_protocol,
     run,
-    shared_configurations,
     synthesize_from_stable_map,
     synthesize_from_time_map,
     view_chain,
@@ -239,19 +240,22 @@ def test_decision_locality_equal_views_equal_decisions():
 
 
 @pytest.mark.parametrize("model, max_depth", [("iis2", 4), ("m1", 4), ("m2", 4), ("iis3", 2)])
-def test_shared_configurations_match_replay(model, max_depth):
+def test_execution_cells_match_reference_replay(model, max_depth):
     spec = builtin_model(model)
     inputs = inputless_consensus(spec.n).inputs
     for depth in range(max_depth + 1):
+        cells = execution_cells(spec, inputs.simplexes(), depth)
         executions = all_executions(spec, inputs, depth)
-        shared = list(shared_configurations(executions))
-        assert len(shared) == len(executions)
+        assert [Execution(face, word) for face, word, _ in cells] == executions
         first_built = {}
-        for execution, configs in zip(executions, shared):
-            assert configs == execution_configurations(execution)
-            for t, config in enumerate(configs):
-                key = (execution.face, execution.word[:t])
-                assert first_built.setdefault(key, config) is config
+        for execution, (_, _, cell) in zip(executions, cells):
+            configs = execution_configurations(execution)
+            for color in execution.participants:
+                chain = view_chain(cell.vertex_of_color(color))
+                assert chain == [config.vertex_of_color(color) for config in configs]
+                # equal views of two executions are one object
+                for view in chain:
+                    assert first_built.setdefault(view, view) is view
 
 
 def test_builtin_protocol_lookup():

@@ -342,6 +342,24 @@ def test_a_complex_of_depth_400_cells_builds_and_orders():
             _assert_sorted_like_keys(K)
 
 
+def test_deep_equal_cells_built_apart_compare_equal():
+    # the recursive comparison took time exponential in the depth (3.9 s
+    # at 22 rounds of BOTH) and overflowed the stack at about 165 rounds;
+    # each result is asserted as a bool, since a failure message would
+    # write the cells, whose text is exponential in the depth
+    (edge,) = inputless_consensus(2).inputs.facets
+    for word in ((BOTH,) * 1200, (BOTH,) + (LEFT,) * 1200):
+        a, b = cell_of_word(edge, word), cell_of_word(edge, word)
+        equal = [a is not b, a == b, b == a] + [v is not w and v == w for v, w in zip(a, b)]
+        assert all(equal)
+    right, left = (cell_of_word(edge, (first,) + (BOTH,) * 1200) for first in (RIGHT, LEFT))
+    assert [right != left, left != right] == [True, True]
+    # inputs -1 and -2 hash alike, so these cells agree in every hash and
+    # differ only in their input vertices, 1200 rounds down
+    a, b = (cell_of_word(Simplex([Vertex(0, x), Vertex(1, 0)]), (BOTH,) * 1200) for x in (-1, -2))
+    assert [hash(a) == hash(b), a != b, b != a] == [True, True, True]
+
+
 def test_point_labelled_simplexes_hash_like_they_compare():
     # a point's order key ignores its base, its equality does not
     a, b = Vertex(0, 0), Vertex(1, 1)

@@ -9,7 +9,7 @@ import pytest
 from chrotop.render import render_dot
 from chrotop.simplicial import (Complex, Simplex, Vertex, label_string, vertex_json,
                                 vertex_string, vertex_strings)
-from chrotop.subdivision import TerminatingSubdivision, chr_iterate, prefix_policy
+from chrotop.subdivision import TerminatingSubdivision, cell_of_word, chr_iterate, prefix_policy
 
 R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
 
@@ -118,3 +118,16 @@ def test_dot_escapes_quotes_and_backslashes():
         "  s2 -> s1;",
         "}",
     ]) + "\n"
+
+
+def test_deep_views_are_written():
+    (edge,) = standard_simplex(2).facets
+    for v in cell_of_word(edge, (B,) + (L,) * 40):
+        assert vertex_string(v) == f"{v.color}:{reference_label(v.label)}"
+    # process 1 goes first and alone, so its view nests one level per
+    # round; the recursive writer overflowed the stack at about 250 rounds
+    view = cell_of_word(edge, (B,) + (L,) * 1200).vertex_of_color(1)
+    text = "1:{" * 1200 + "1:{0:0,1:1}" + "}" * 1200
+    assert vertex_string(view) == text and vertex_strings([view]) == [text]
+    assert label_string(view.label) == text[2:]
+    assert vertex_json(view) == {"color": 1, "label": text[2:]}
