@@ -183,16 +183,27 @@ class RunResult:
 
 def run(protocol: DecisionProtocol, model: ModelSpec, inputs: Complex, depth: int) -> RunResult:
     """Evaluate the protocol along every execution shadow of the given
-    depth, checking irrevocability step by step.  The executions are
-    `execution_cells` over the input simplexes, so a view met by several
-    executions is one object."""
+    depth.  The executions are `execution_cells` over the input
+    simplexes, so a view met by several executions is one object, and
+    the protocol is asked once per distinct view: the record of a view
+    (its first decision along its chain, or None) is kept, and a chain
+    is walked down only to the nearest view already asked.
+    Irrevocability is checked where a view is first met, which is where
+    a step-by-step walk of every execution would first fail."""
     outcomes = []
+    records: dict[Vertex, Optional[DecisionRecord]] = {}
     for face, word, cell in execution_cells(model, inputs.simplexes(), depth):
         execution = Execution(face, word)
         decisions: dict[int, Optional[DecisionRecord]] = {}
         for color in sorted(execution.participants):
-            record: Optional[DecisionRecord] = None
-            for t, view in enumerate(view_chain(cell.vertex_of_color(color))):
+            view, unasked = cell.vertex_of_color(color), []
+            while view not in records:
+                unasked.append(view)
+                if not isinstance(view.label, Simplex):
+                    break
+                view = view.label.vertex_of_color(color)
+            record = records.get(view)
+            for t, view in enumerate(reversed(unasked), len(word) + 1 - len(unasked)):
                 answer = protocol(color, view)
                 if record is None:
                     if answer is not None:
@@ -201,6 +212,7 @@ def run(protocol: DecisionProtocol, model: ModelSpec, inputs: Complex, depth: in
                     raise IrrevocabilityViolation(
                         (execution.describe(), color, t, record.value, answer)
                     )
+                records[view] = record
             decisions[color] = record
         outcomes.append(ExecutionOutcome(execution, decisions))
     return RunResult(depth, outcomes)
@@ -222,23 +234,28 @@ class SolveReport:
 def check_solves(protocol: DecisionProtocol, task: Task, model: ModelSpec, depth: int) -> SolveReport:
     """PASS when every execution shadow is fully decided with a decision
     simplex inside delta of its input face.  Undecided executions are
-    inconclusive, not failures: termination is a liveness property."""
+    inconclusive, not failures: termination is a liveness property.
+    Each distinct (input face, decisions) pattern is judged once, and
+    every execution that shows a failing pattern is one failure."""
     result = run(protocol, model, task.inputs, depth)
     valid_labels = task.output_labels()
+    # (face, decisions) -> None if the decision simplex lies in delta(face), else the simplex
+    verdicts: dict[tuple, Optional[Simplex]] = {}
     failures = []
     for outcome in result.outcomes:
         if not outcome.all_decided():
             continue
-        for color, rec in outcome.decisions.items():
-            if rec.value not in valid_labels:
-                raise InvalidOutput(
-                    f"{protocol.name} decided {rec.value!r}, not an output label"
-                )
-        decision_simplex = Simplex(
-            Vertex(color, rec.value) for color, rec in outcome.decisions.items()
-        )
-        if decision_simplex not in task.delta(outcome.execution.face):
-            failures.append((outcome.execution, decision_simplex))
+        face = outcome.execution.face
+        decided = tuple((color, rec.value) for color, rec in outcome.decisions.items())
+        key = (face, decided)
+        if key not in verdicts:
+            for _, value in decided:
+                if value not in valid_labels:
+                    raise InvalidOutput(f"{protocol.name} decided {value!r}, not an output label")
+            decision_simplex = Simplex(Vertex(color, value) for color, value in decided)
+            verdicts[key] = None if decision_simplex in task.delta(face) else decision_simplex
+        if verdicts[key] is not None:
+            failures.append((outcome.execution, verdicts[key]))
     undecided = result.undecided()
     if failures:
         status = "FAIL"

@@ -414,7 +414,9 @@ class SimplicialMap:
         return Simplex(self(v) for v in simplex)
 
     def items(self):
-        return sorted(self.mapping.items(), key=lambda kv: vertex_key(kv[0]))
+        """The pairs in `vertex_key` order of their sources, ranked level
+        by level (`_rank_vertices`), so no nested key is compared."""
+        return [(v, self.mapping[v]) for v in _rank_vertices(list(self.mapping))[0]]
 
     def __eq__(self, other):
         return isinstance(other, SimplicialMap) and self.mapping == other.mapping

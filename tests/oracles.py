@@ -4,7 +4,8 @@ They share no fast path with the code under test: each computes its answer
 the plain way, from exact points.  A point comes from the recursion over
 `Fraction` weights that `coordinates` used before the integer weight
 kernel replaced it; a convex solve is a fraction-free elimination over
-integer vectors.
+integer vectors.  A simulation replays every execution on its own and
+asks the protocol at every round of it.
 """
 
 import random
@@ -14,7 +15,15 @@ from math import lcm
 from typing import Sequence
 
 from chrotop.checker import SpernerReport
-from chrotop.errors import BaseMismatch
+from chrotop.errors import BaseMismatch, InvalidOutput, IrrevocabilityViolation
+from chrotop.protocol import (
+    DecisionRecord,
+    ExecutionOutcome,
+    RunResult,
+    SolveReport,
+    all_executions,
+    execution_configurations,
+)
 from chrotop.simplicial import Complex, Simplex, Vertex, vertex_key
 from chrotop.subdivision import BarycentricPoint, chr_iterate, geometric_distance
 
@@ -175,3 +184,45 @@ def reference_sperner(n, k, seed=0, sample_size=2000):
             counterexample = {"assignment": list(combo), "count": c}
             break
     return SpernerReport(n, k, mode, colorings, counterexample is None, min_rainbow or 0, counterexample)
+
+
+def reference_run(protocol, model, inputs, depth) -> RunResult:
+    """Every execution replayed on its own (`all_executions`,
+    `execution_configurations`), with one protocol call per execution,
+    color and round, and irrevocability checked at each call."""
+    outcomes = []
+    for execution in all_executions(model, inputs, depth):
+        configs = execution_configurations(execution)
+        decisions = {}
+        for color in sorted(execution.participants):
+            record = None
+            for t, config in enumerate(configs):
+                answer = protocol(color, config.vertex_of_color(color))
+                if record is None:
+                    if answer is not None:
+                        record = DecisionRecord(answer, t)
+                elif answer != record.value:
+                    raise IrrevocabilityViolation((execution.describe(), color, t, record.value, answer))
+            decisions[color] = record
+        outcomes.append(ExecutionOutcome(execution, decisions))
+    return RunResult(depth, outcomes)
+
+
+def reference_check_solves(protocol, task, model, depth) -> SolveReport:
+    """`reference_run`, then each fully decided execution judged on its
+    own: its labels, then its decision simplex against delta of its face."""
+    result = reference_run(protocol, model, task.inputs, depth)
+    failures = []
+    for outcome in result.outcomes:
+        if not outcome.all_decided():
+            continue
+        for rec in outcome.decisions.values():
+            if rec.value not in task.output_labels():
+                raise InvalidOutput(f"{protocol.name} decided {rec.value!r}, not an output label")
+        decision_simplex = Simplex(Vertex(color, rec.value) for color, rec in outcome.decisions.items())
+        if decision_simplex not in task.delta(outcome.execution.face):
+            failures.append((outcome.execution, decision_simplex))
+    undecided = [(oc.execution, color) for oc in result.outcomes
+                 for color, rec in sorted(oc.decisions.items()) if rec is None]
+    status = "FAIL" if failures else "UNDECIDED" if undecided else "PASS"
+    return SolveReport(status, depth, failures, undecided, result)

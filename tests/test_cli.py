@@ -232,7 +232,8 @@ def test_run_irrevocability_exit_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "builtin_protocol", lambda spec: flip)
     code = run_cli("run", "--model", "iis2", "--protocol", "flip", "--task", "consensus", "--depth", "2")
     assert code == 3
-    assert "irrevocability" in capsys.readouterr().err
+    # process 0 alone decides 0 at round 0 and revokes it at round 1
+    assert capsys.readouterr().err == "irrevocability violation: ('[0=0](0,0)', 0, 1, 0, 1)\n"
 
 
 def test_table_protocol_from_file(tmp_path):
@@ -265,11 +266,16 @@ GOLDEN_RUN_SHA256 = {
     "iis2 own-input 3": "6bf125fc525793918330aea0ed7579eb486a642c37d8d81a7fe82d9854bb6180",
     # a two-process task in a three-process model: a subset of its processes
     "iis3 own-input 2": "0616407fdf8de65aa51140da3cbeefe34c5df5cd089bde8c0cf138cdc993f99f",
+    # written before `run` asked the protocol once per distinct view
+    "m2 constant:0 3": "0cb990b46d843ac76ccf932800a024a1c660aa6cb1f9493139aecf4adadd96f8",
+    "iis2 never 4": "04d1a7dd0f9c628df420b9dd81d1b14da4090098e9601b0c04a0524e5d5a574c",
+    "ll winner 3": "7b1ffa4b9353b4f07009aff419148898bd43a5f065cea25969fc1990a776b5eb",
 }
 
 
 @pytest.mark.parametrize("model, protocol, depth, code", [
     ("m1", "winner", "4", 0), ("iis2", "own-input", "3", 1), ("iis3", "own-input", "2", 1),
+    ("m2", "constant:0", "3", 1), ("iis2", "never", "4", 5), ("ll", "winner", "3", 1),
 ])
 def test_run_stdout_matches_golden_hash(model, protocol, depth, code, capsys):
     assert run_cli("run", "--model", model, "--protocol", protocol, "--task", "consensus", "--depth", depth) == code

@@ -3,13 +3,23 @@ from fractions import Fraction
 import pytest
 
 from chrotop.errors import (
+    ChrotopError,
     InvalidOutput,
     IrrevocabilityViolation,
     NotBoundedBy,
     Unsupported,
 )
 from chrotop.models import builtin_model
-from chrotop.simplicial import SimplicialMap, Vertex, carried_by, check_simplicial_chromatic
+from chrotop.simplicial import (
+    CarrierMap,
+    Complex,
+    Simplex,
+    SimplicialMap,
+    Vertex,
+    carried_by,
+    check_simplicial_chromatic,
+    vertex_string,
+)
 from chrotop.subdivision import (
     TerminatingSubdivision,
     chr_iterate,
@@ -34,13 +44,14 @@ from chrotop.protocol import (
     run,
     synthesize_from_stable_map,
     synthesize_from_time_map,
+    table_protocol,
     view_chain,
     view_depth,
     winner_protocol,
 )
-from chrotop.tasks import inputless_consensus, load_task_json_obj
+from chrotop.tasks import Task, inputless_consensus, load_task_json_obj, set_agreement
 from chrotop.checker import build_time_T
-from oracles import diameter, reference_coordinates
+from oracles import diameter, reference_check_solves, reference_coordinates, reference_run
 
 M1 = builtin_model("m1")
 IIS2 = builtin_model("iis2")
@@ -256,6 +267,108 @@ def test_execution_cells_match_reference_replay(model, max_depth):
                 # equal views of two executions are one object
                 for view in chain:
                     assert first_built.setdefault(view, view) is view
+
+
+def _late_flip(color, view):
+    # own input, revoked from round 3 on by process 0 alone, and only
+    # where it heard nothing in round 1 and someone in round 2
+    chain = view_chain(view)
+    flipped = color == 0 and len(chain) > 3 and len(chain[1].label) == 1 and len(chain[2].label) > 1
+    return chain[0].label + 1 if flipped else chain[0].label
+
+
+def _round_one_text(color, view):
+    # from round 1: own input after a solo round, else the text of the
+    # round-1 view, which is no output label
+    chain = view_chain(view)
+    if len(chain) < 2:
+        return None
+    return chain[0].label if len(chain[1].label) == 1 else vertex_string(chain[1])
+
+
+def _ball_rule(task):
+    if task.n == 2:
+        ts = TerminatingSubdivision(task.inputs, M1_POLICY)
+        return synthesize_from_stable_map(split_delta(ts.stable_complex(2), task.inputs), ts, 2)
+    ts = TerminatingSubdivision(task.inputs, policy_all_at_zero)
+    return synthesize_from_stable_map(
+        SimplicialMap({v: Vertex(v.color, v.color) for v in ts.stable_complex(0).vertices()}), ts, 0)
+
+
+def _table(task):
+    model, T, source = (M1, 2, winner_protocol()) if task.n == 2 else (builtin_model("iis3"), 1, own_input_protocol())
+    table = {vertex_string(v): o.label for v, o in extract_map(source, model, task, T).items()}
+    return table_protocol(table, model, task, T)
+
+
+def binary_consensus():
+    """Two-process consensus on inputs 0 and 1: a solo process decides
+    its input, and a pair agrees on an input one of them holds."""
+    inputs = Complex([Simplex([Vertex(0, a), Vertex(1, b)]) for a in (0, 1) for b in (0, 1)])
+    outputs = Complex([Simplex([Vertex(0, x), Vertex(1, x)]) for x in (0, 1)])
+    images = {
+        face: Complex([Simplex(Vertex(v.color, x) for v in face) for x in sorted({v.label for v in face})])
+        for face in inputs.simplexes()
+    }
+    return Task("binary-consensus", inputs, outputs, CarrierMap(images))
+
+
+VIEW_PROTOCOLS = {
+    "winner": lambda task: winner_protocol(),
+    "own-input": lambda task: own_input_protocol(),
+    "never": lambda task: never_protocol(),
+    "constant:0": lambda task: constant_protocol(0),
+    "flip": lambda task: DecisionProtocol("flip", lambda color, view: view_depth(view) % 2),
+    "late-flip": lambda task: DecisionProtocol("late-flip", _late_flip),
+    "round-one-text": lambda task: DecisionProtocol("round-one-text", _round_one_text),
+}
+# built over the one input facet of an inputless task
+MAP_PROTOCOLS = {"ball-rule": _ball_rule, "table": _table}
+TASKS = {
+    "consensus": inputless_consensus,
+    "set-agreement": set_agreement,
+    "binary-consensus": lambda n: binary_consensus(),
+}
+
+
+def _result_or_error(call):
+    try:
+        return call()
+    except ChrotopError as exc:
+        return type(exc), getattr(exc, "witness", str(exc))
+
+
+@pytest.mark.parametrize("model, task, depth", [
+    *((m, "consensus", d) for m in ("m1", "m2", "iis2", "ll") for d in range(6)),
+    *(("iis3", t, d) for t in ("consensus", "set-agreement") for d in range(3)),
+    *((m, "binary-consensus", d) for m in ("m1", "iis2") for d in range(4)),
+])
+def test_run_and_check_solves_match_the_reference_simulation(model, task, depth):
+    spec = builtin_model(model)
+    task = TASKS[task](spec.n)
+    protocols = VIEW_PROTOCOLS if task.name == "binary-consensus" else {**VIEW_PROTOCOLS, **MAP_PROTOCOLS}
+    for name, make in protocols.items():
+        # a fresh protocol per call, so no memo of a protocol is shared
+        got = _result_or_error(lambda: run(make(task), spec, task.inputs, depth))
+        want = _result_or_error(lambda: reference_run(make(task), spec, task.inputs, depth))
+        assert got == want, name
+        got = _result_or_error(lambda: check_solves(make(task), task, spec, depth))
+        want = _result_or_error(lambda: reference_check_solves(make(task), task, spec, depth))
+        assert got == want, name
+
+
+@pytest.mark.parametrize("model, depth", [("iis2", 6), ("m1", 7)])
+def test_run_asks_the_protocol_once_per_distinct_view(model, depth):
+    spec = builtin_model(model)
+    asked = []
+    winner = winner_protocol()
+    counted = DecisionProtocol("counted", lambda color, view: asked.append(view) or winner(color, view))
+    run(counted, spec, CONS.inputs, depth)
+    views = {
+        v for _, _, cell in execution_cells(spec, CONS.inputs.simplexes(), depth)
+        for color in cell.colors() for v in view_chain(cell.vertex_of_color(color))
+    }
+    assert len(asked) == len(views) and set(asked) == views
 
 
 def test_builtin_protocol_lookup():

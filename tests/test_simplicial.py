@@ -342,6 +342,21 @@ def test_a_complex_of_depth_400_cells_builds_and_orders():
             _assert_sorted_like_keys(K)
 
 
+@pytest.mark.parametrize("depth", [5, 400, 1200])
+def test_a_map_over_deep_views_lists_in_key_order(depth):
+    # sorting by the nested keys recursed once per level of the key tuple
+    # and overflowed the stack near 400 rounds
+    (edge,) = inputless_consensus(2).inputs.facets
+    right, left = (cell_of_word(edge, (first,) + (BOTH,) * depth) for first in (RIGHT, LEFT))
+    views = [v for cell in (left, right) for v in reversed(cell.vertices)]
+    h = SimplicialMap({v: Vertex(v.color, i) for i, v in enumerate(views)})
+    want = [cell.vertex_of_color(c) for c in (0, 1) for cell in (right, left)]
+    listed = h.items()
+    assert len(listed) == 4 and all(v is w and o is h(w) for (v, o), w in zip(listed, want))
+    if depth == 5:
+        assert listed == sorted(h.mapping.items(), key=lambda kv: vertex_key(kv[0]))
+
+
 def test_deep_equal_cells_built_apart_compare_equal():
     # the recursive comparison took time exponential in the depth (3.9 s
     # at 22 rounds of BOTH) and overflowed the stack at about 165 rounds;
