@@ -19,7 +19,7 @@ from .checker import solve
 from .errors import ChrotopError, IrrevocabilityViolation, Unsupported
 from .models import MAX_PROCESSES, builtin_model, load_model_json_obj
 from .protocol import builtin_protocol, check_solves, load_table_protocol_json_obj
-from .render import render_dot, render_svg
+from .render import render_dot, render_json, render_svg
 from .simplicial import Complex, Simplex, Vertex, label_string, parse_label
 from .subdivision import chr_iterate, diameter_Dk
 from .tasks import Task, inputless_consensus, load_task_json_obj, set_agreement, validate_task
@@ -70,6 +70,12 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _write(path: Path, writer, *args) -> None:
+    """Stream `writer(*args, out)` into the file at `path`."""
+    with path.open("w", encoding="utf-8") as out:
+        writer(*args, out)
+
+
 def cmd_subdivide(args) -> int:
     if args.simplex < 1 or args.simplex > 3:
         print("error: --simplex must be between 1 and 3", file=sys.stderr)
@@ -90,15 +96,13 @@ def cmd_subdivide(args) -> int:
     stem = f"chr{args.k}_simplex{args.simplex}"
     written = []
     if "json" in formats:
-        # one expression, so the payload is freed before the drawings are built
-        (outdir / f"{stem}.json").write_text(
-            _dump({"schema": 1, "seed": args.seed, "k": args.k, "Dk": str(d_k), **K.to_json_obj()}),
-            encoding="utf-8")
+        header = {"schema": 1, "seed": args.seed, "k": args.k, "Dk": str(d_k)}
+        _write(outdir / f"{stem}.json", render_json, K, header)
         written.append("JSON")
     if "svg" in formats and args.simplex <= 2:
-        (outdir / f"{stem}.svg").write_text(render_svg(K, base), encoding="utf-8")
+        _write(outdir / f"{stem}.svg", render_svg, K, base)
     if "dot" in formats:
-        (outdir / f"{stem}.dot").write_text(render_dot(K), encoding="utf-8")
+        _write(outdir / f"{stem}.dot", render_dot, K)
         written.append("DOT")
     if "svg" in formats and args.simplex > 2:
         wrote = f"wrote {'/'.join(written)} instead" if written else "wrote no file"

@@ -142,6 +142,12 @@ def label_string(label) -> str:
     return _label_text(label, {})
 
 
+def label_strings(labels: Iterable) -> list[str]:
+    """The `label_string` of each label, written with one shared memo."""
+    memo: dict = {}
+    return [_label_text(label, memo) for label in labels]
+
+
 def vertex_string(v: Vertex) -> str:
     """The `"color:label"` text of a vertex; a view's is its ball id."""
     return _vertex_text(v, {})

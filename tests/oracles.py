@@ -5,13 +5,15 @@ the plain way, from exact points.  A point comes from the recursion over
 `Fraction` weights that `coordinates` used before the integer weight
 kernel replaced it; a convex solve is a fraction-free elimination over
 integer vectors.  A simulation replays every execution on its own and
-asks the protocol at every round of it.
+asks the protocol at every round of it.  A drawing is an ElementTree
+tree, serialized whole.
 """
 
 import random
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, sqrt
 from typing import Sequence
 
 from chrotop.checker import SpernerReport
@@ -24,6 +26,7 @@ from chrotop.protocol import (
     all_executions,
     execution_configurations,
 )
+from chrotop.render import PROCESS_COLORS, SIZE
 from chrotop.simplicial import Complex, Simplex, Vertex, vertex_key
 from chrotop.subdivision import BarycentricPoint, chr_iterate, geometric_distance
 
@@ -152,6 +155,47 @@ def geometric_containment(
 ) -> bool:
     """True iff every point of sigma lies in the closed hull of tau."""
     return all(point_in_hull(p, tau) for p in sigma)
+
+
+def reference_svg(base: Complex, cells, points: dict) -> str:
+    """The SVG of `cells`, (facet, fill, line stroke, line width) tuples
+    drawn as polygons or lines, under a dot per vertex of `points`, which
+    maps each vertex, in drawing order, to its exact point over `base`.
+    Built as an ElementTree tree, as the library drew before it wrote
+    its elements as text."""
+    margin = 30.0
+    span = SIZE - 2 * margin
+    corners = base.vertices()
+    if base.dim == 1:
+        corner_xy = {v: (margin + span * i / max(1, len(corners) - 1), SIZE / 2) for i, v in enumerate(corners)}
+    else:
+        template = [(margin, SIZE - margin), (SIZE - margin, SIZE - margin),
+                    (SIZE / 2, SIZE - margin - span * (sqrt(3) / 2))]
+        corner_xy = {v: template[i % 3] for i, v in enumerate(corners)}
+    plane = {}
+    for v, point in points.items():
+        x = y = 0.0
+        for c, w in point.items:
+            x += float(w) * corner_xy[c][0]
+            y += float(w) * corner_xy[c][1]
+        plane[v] = (f"{x:.4f}", f"{y:.4f}")
+    svg = ET.Element("svg", xmlns="http://www.w3.org/2000/svg", width=f"{SIZE}px",
+                     height=f"{SIZE}px", viewBox=f"0 0 {SIZE} {SIZE}")
+    group = ET.SubElement(svg, "g", attrib={"stroke": "#333333", "stroke-width": "1"})
+    for facet, fill, stroke, width in cells:
+        pts = [plane[v] for v in facet]
+        if len(pts) >= 3:
+            ET.SubElement(group, "polygon", points=" ".join(f"{x},{y}" for x, y in pts), fill=fill)
+        elif len(pts) == 2:
+            (x1, y1), (x2, y2) = pts
+            # ElementTree writes `attrib` before the keyword attributes
+            ET.SubElement(group, "line", x1=x1, y1=y1, x2=x2, y2=y2,
+                          attrib={"stroke": stroke, "stroke-width": width})
+    group = ET.SubElement(svg, "g")
+    for v, (x, y) in plane.items():
+        ET.SubElement(group, "circle", cx=x, cy=y, r="4",
+                      fill=PROCESS_COLORS[v.color % len(PROCESS_COLORS)])
+    return ET.tostring(svg, encoding="unicode")
 
 
 def reference_sperner(n, k, seed=0, sample_size=2000):

@@ -77,6 +77,23 @@ def test_subdivide_svg_notice_names_what_was_written(tmp_path, capsys):
     assert "notice" not in capsys.readouterr().out
 
 
+def test_subdivide_out_naming_a_file_exits_two(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept", encoding="utf-8")
+    assert run_cli("subdivide", "--simplex", "1", "--k", "1", "--out", str(taken)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert taken.read_text(encoding="utf-8") == "kept"
+
+
+def test_subdivide_output_path_taken_by_a_directory_exits_two(tmp_path, capsys):
+    (tmp_path / "chr1_simplex1.dot").mkdir()
+    assert run_cli("subdivide", "--simplex", "1", "--k", "1", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "chr1_simplex1.dot" in err
+
+
 def test_subdivide_help_names_the_accepted_dimensions(capsys):
     assert run_cli("subdivide", "--help") == 0
     assert "1 to 3" in " ".join(capsys.readouterr().out.split())

@@ -1,12 +1,14 @@
 """The DOT and JSON writers of a complex against plain reference copies:
-the face poset built from `K.simplexes()` and `Simplex.faces()`, and the
-vertex texts written one vertex at a time by a recursion with no memo."""
+the face poset built from `K.simplexes()` and `Simplex.faces()`, the
+vertex texts written one vertex at a time by a recursion with no memo,
+and the standard library's indent encoder."""
 
+import io
 import json
 
 import pytest
 
-from chrotop.render import render_dot
+from chrotop.render import render_dot, render_json, render_svg
 from chrotop.simplicial import (Complex, Simplex, Vertex, label_string, vertex_json,
                                 vertex_string, vertex_strings)
 from chrotop.subdivision import TerminatingSubdivision, cell_of_word, chr_iterate, prefix_policy
@@ -16,6 +18,13 @@ R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
 
 def standard_simplex(n):
     return Complex([Simplex(Vertex(i, i) for i in range(n))])
+
+
+def written(writer, *args):
+    """The text `writer(*args, out)` writes to a text file."""
+    out = io.StringIO()
+    writer(*args, out)
+    return out.getvalue()
 
 
 def reference_label(label):
@@ -95,7 +104,7 @@ def assert_same_items(got, want):
 @pytest.mark.parametrize("build", [b for _, b in CASES], ids=[name for name, _ in CASES])
 def test_writers_match_reference(build):
     K = build()
-    assert_same_items(render_dot(K).split("\n"), reference_dot(K).split("\n"))
+    assert_same_items(written(render_dot, K).split("\n"), reference_dot(K).split("\n"))
     assert_same_items(json.dumps(K.to_json_obj(), indent=2).split("\n"),
                       json.dumps(reference_json(K), indent=2).split("\n"))
     names = reference_names(K)
@@ -108,7 +117,7 @@ def test_writers_match_reference(build):
 
 def test_dot_escapes_quotes_and_backslashes():
     K = Complex([Simplex([Vertex(0, 'a"b'), Vertex(1, "c\\d")])])
-    assert render_dot(K) == "\n".join([
+    assert written(render_dot, K) == "\n".join([
         "digraph faceposet {",
         "  rankdir=BT;",
         '  s0 [label="0:a\\"b"];',
@@ -131,3 +140,55 @@ def test_deep_views_are_written():
     assert vertex_string(view) == text and vertex_strings([view]) == [text]
     assert label_string(view.label) == text[2:]
     assert vertex_json(view) == {"color": 1, "label": text[2:]}
+
+
+def escaped_labels():
+    # labels that JSON must escape, bare and inside a nested label
+    quote, backslash, newline, accent = Vertex(0, 'a"b'), Vertex(1, "c\\d"), Vertex(2, "e\nf"), Vertex(0, "é")
+    nested = Vertex(2, Simplex([Vertex(0, 'q"'), Vertex(1, "é\\")]))
+    return Complex([Simplex([quote, backslash, newline]), Simplex([accent, backslash, nested])])
+
+
+JSON_CASES = (
+    [(f"edge-k{k}", lambda k=k: chr_iterate(standard_simplex(2), k), 0) for k in range(6)]
+    + [(f"triangle-k{k}", lambda k=k: chr_iterate(standard_simplex(3), k), 0) for k in range(3)]
+    + [(f"tetrahedron-k{k}", lambda k=k: chr_iterate(standard_simplex(4), k), 0) for k in range(2)]
+    + [("mixed-ABC-CD", mixed_dimension, -1),
+       ("string-labels", string_labels, 20261018),
+       ("escaped-labels", escaped_labels, -7),
+       ("stable-complex", stable_complex, 0)]
+)
+
+
+@pytest.mark.parametrize("build,seed", [(b, s) for _, b, s in JSON_CASES], ids=[name for name, _, _ in JSON_CASES])
+def test_json_writer_matches_the_indent_encoder(build, seed):
+    K = build()
+    header = {"schema": 1, "seed": seed, "k": 2, "Dk": "1/9"}
+    want = json.dumps({**header, **K.to_json_obj()}, indent=2) + "\n"
+    assert_same_items(written(render_json, K, header).split("\n"), want.split("\n"))
+
+
+class RecordingSink(io.StringIO):
+    """A text file that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("writer", ["json", "svg", "dot"])
+def test_writers_write_in_bounded_pieces(writer):
+    base = standard_simplex(2)
+    K = chr_iterate(base, 7)
+    args = {"json": (render_json, K, {"schema": 1}), "svg": (render_svg, K, base), "dot": (render_dot, K)}
+    write, *rest = args[writer]
+    sink = RecordingSink()
+    write(*rest, sink)
+    # every character went through a recorded write, none of them 64 KiB long
+    assert sum(sink.sizes) == len(sink.getvalue())
+    assert max(sink.sizes) <= 64 * 1024
+    assert len(sink.getvalue()) > {"json": 1_500_000, "svg": 300_000, "dot": 2_000_000}[writer]
