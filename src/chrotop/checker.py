@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import islice, product
 from typing import Iterator, Optional, Sequence
 
-from .errors import BadArity, BadIndices, ChrotopError, Unsupported
+from .errors import BadIndices, ChrotopError, Unsupported
 from .models import (
     MAX_PROCESSES,
     ExecutionWord,
@@ -60,7 +60,7 @@ from .subdivision import (
     walk_cells,
     weight_scale,
 )
-from .tasks import Task, inputless_consensus, set_agreement
+from .tasks import Task, check_arity, inputless_consensus, set_agreement
 
 
 # -- time-T complexes --------------------------------------------------------
@@ -161,14 +161,14 @@ def _search_order(
 ) -> list[Vertex]:
     """Most-constrained-first order that walks the constraint adjacency.
 
-    `vertices` come in `vertex_key` order, as `Complex.vertices()` gives
-    them, and a stable sort by number of candidates makes the rank order:
-    (number of candidates, vertex_key), unique per vertex.  The next
-    vertex is the least-ranked unplaced vertex that shares a constraint
-    with a placed one, or else the least-ranked unplaced vertex.  Each
-    vertex gets its position in the rank order once; the frontier is a
-    heap of positions, each pushed at most once, and the fallback is a
-    cursor into the rank order.
+    `vertices` come in rank order (`_rank_vertices`), as
+    `Complex.vertices()` gives them, and a stable sort by number of
+    candidates makes the priority order: (number of candidates, place in
+    `vertices`), unique per vertex.  The next vertex is the first unplaced
+    vertex in that order that shares a constraint with a placed one, or
+    else the first unplaced vertex.  Each vertex gets its position in the
+    priority order once; the frontier is a heap of positions, each pushed
+    at most once, and the fallback is a cursor into the priority order.
     """
     ranked = sorted(vertices, key=lambda v: len(candidates[v]))
     position = {v: i for i, v in enumerate(ranked)}
@@ -279,8 +279,7 @@ def verify_termination_certificate(
         radius of each vertex's stabilization round, and its values
         agree around every excluded limit execution.
     """
-    if task.n != model.n:
-        raise BadArity(f"task has {task.n} processes but model {model.name} has {model.n}")
+    check_arity(task, model)
     tsub.materialize(depth)
     base = tsub.base
     if len(base.facets) != 1:
@@ -760,8 +759,7 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
     """
     if max_depth < 0:
         raise Unsupported("max depth must be nonnegative")
-    if task.n != model.n:
-        raise BadArity(f"task has {task.n} processes but model {model.name} has {model.n}")
+    check_arity(task, model)
 
     def shaped_like(other: Task) -> bool:  # structure, never the name
         return (task.inputs, task.outputs, task.delta.images) == (other.inputs, other.outputs, other.delta.images)

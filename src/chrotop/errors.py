@@ -39,7 +39,8 @@ class UnknownVertex(ChrotopError):
 
 
 class BadArity(ChrotopError):
-    """A task constructor got an unsupported process count."""
+    """A task constructor got an unsupported process count, or a task and
+    a model disagree on it."""
 
 
 class Unsupported(ChrotopError):

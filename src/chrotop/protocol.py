@@ -24,7 +24,7 @@ from .models import ModelSpec, RoundSchedule, Word, enumerate_prefixes
 from .simplicial import Complex, Simplex, SimplicialMap, Vertex, label_string, parse_label
 from .simplicial import vertex_string, vertex_strings
 from .subdivision import apply_schedule, diameters_Dk, integer_weights, walk_cells, weight_scale
-from .tasks import Task
+from .tasks import Task, check_arity
 
 ball_id = vertex_string  # a view's ball id is its vertex text
 
@@ -237,6 +237,7 @@ def check_solves(protocol: DecisionProtocol, task: Task, model: ModelSpec, depth
     inconclusive, not failures: termination is a liveness property.
     Each distinct (input face, decisions) pattern is judged once, and
     every execution that shows a failing pattern is one failure."""
+    check_arity(task, model)
     result = run(protocol, model, task.inputs, depth)
     valid_labels = task.output_labels()
     # (face, decisions) -> None if the decision simplex lies in delta(face), else the simplex

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import IncompleteMap, InvalidCarrier, InvalidVertex, Unsupported
 
@@ -22,9 +23,9 @@ class Vertex:
     """A colored, labeled vertex. Equality and hashing are by value; the
     hash is `hash((color, label))`, computed once at construction, and a
     nested label's own hash is one level deep, so a view's hash costs
-    the same at every depth.  The sort key is kept too, computed by the
-    first `vertex_key` call, so a label that has no order (a float, say)
-    still makes a vertex.
+    the same at every depth.  A vertex keeps no sort key: vertices order
+    by their ranks (`_rank_vertices`), so a label that has no order (a
+    float, say) still makes a vertex.
 
     Equal vertices may be distinct objects.  `execution_cells` makes
     equal views of one walk one object, so comparing them stops at an
@@ -34,11 +35,9 @@ class Vertex:
     color: int
     label: object
     _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.color, self.label)))
-        object.__setattr__(self, "_key", None)
 
     def __eq__(self, other):
         if self is other:
@@ -81,27 +80,21 @@ def _equal_labels(x, y) -> bool:
 
 
 def label_key(label):
-    """Total order key over all label kinds, so vertices sort deterministically."""
+    """Order key of a plain label: ints, then strings, then labels with a
+    `_label_key` hook (points).  A `Simplex` label has no key of its own:
+    it orders by its carrier's ranks (`_rank_vertices`)."""
     if isinstance(label, int):
         return (0, label)
     if isinstance(label, str):
         return (1, label)
-    if isinstance(label, Simplex):
-        return (2, label.key)
     if hasattr(label, "_label_key"):
         return (3, label._label_key())
     raise TypeError(f"unorderable vertex label: {label!r}")
 
 
 def vertex_key(v: Vertex):
-    """`(color, label_key(label))`, computed once per vertex and then
-    read from it.  A nested label's key holds its vertices' own keys, so
-    a simplex key built over shared vertices shares their key tuples."""
-    key = v._key
-    if key is None:
-        key = (v.color, label_key(v.label))
-        object.__setattr__(v, "_key", key)
-    return key
+    """`(color, label_key(label))` of a vertex with a plain label."""
+    return (v.color, label_key(v.label))
 
 
 def _label_text(label, memo: dict) -> str:
@@ -129,14 +122,6 @@ def _label_text(label, memo: dict) -> str:
     return memo[label]
 
 
-def _vertex_text(v: Vertex, memo: dict) -> str:
-    return f"{v.color}:{_label_text(v.label, memo)}"
-
-
-def _vertex_json(v: Vertex, memo: dict) -> dict:
-    return {"color": v.color, "label": _label_text(v.label, memo)}
-
-
 def label_string(label) -> str:
     """Canonical printable form of a label; nested simplexes render recursively."""
     return _label_text(label, {})
@@ -150,19 +135,19 @@ def label_strings(labels: Iterable) -> list[str]:
 
 def vertex_string(v: Vertex) -> str:
     """The `"color:label"` text of a vertex; a view's is its ball id."""
-    return _vertex_text(v, {})
+    return f"{v.color}:{label_string(v.label)}"
 
 
 def vertex_strings(vertices: Iterable[Vertex]) -> list[str]:
     """The `vertex_string` of each vertex, written with one shared memo,
     so the texts of a whole subdivision cost what they are long."""
-    memo: dict = {}
-    return [_vertex_text(v, memo) for v in vertices]
+    vertices = tuple(vertices)
+    return [f"{v.color}:{text}" for v, text in zip(vertices, label_strings(v.label for v in vertices))]
 
 
 def vertex_json(v: Vertex) -> dict:
     """The `{"color", "label"}` JSON object of a vertex."""
-    return _vertex_json(v, {})
+    return {"color": v.color, "label": label_string(v.label)}
 
 
 def parse_label(raw):
@@ -177,28 +162,29 @@ def parse_label(raw):
 
 
 class Simplex:
-    """An immutable set of vertices kept in canonical (color, label) order.
+    """An immutable set of vertices kept in rank order (`_rank_vertices`).
 
-    `key` is the tuple of the vertices' `vertex_key`s, which is how a view
-    orders by its carrier.  The hash is built from the vertices' cached
-    hashes, one level down, never through the nested key.  Equality
-    compares the hashes, then the vertex tuples: identical vertices match
-    in C, and only distinct ones go to `Vertex.__eq__`.
+    Vertices of distinct colors order by color alone; only when a color
+    repeats are the vertices ranked, which orders a nested label by its
+    carrier, level by level.  The hash is built from the vertices' cached
+    hashes, one level down.  Equality compares the hashes, then the
+    vertex tuples: identical vertices match in C, and only distinct ones
+    go to `Vertex.__eq__`.
     """
 
-    __slots__ = ("_verts", "key", "_hash")
+    __slots__ = ("_verts", "_hash")
 
     def __init__(self, vertices: Iterable[Vertex]):
-        verts = sorted(set(vertices), key=vertex_key)
+        verts = sorted(set(vertices), key=attrgetter("color"))
         if not verts:
             raise ValueError("empty simplex")
-        # only same-color vertices can collide; rendering labels is exponential in depth
+        # only same-color vertices need ranks or can collide; rendering labels is exponential in depth
         if len({v.color for v in verts}) < len(verts):
+            verts = _rank_vertices(verts)[0]
             pairs = {(v.color, label_string(v.label)) for v in verts}
             if len(pairs) != len(verts):
-                raise InvalidVertex(f"distinct vertices share a (color, label) identity: {verts}")
+                raise InvalidVertex(f"distinct vertices share a (color, label) identity: {list(verts)}")
         self._verts = tuple(verts)
-        self.key = tuple(vertex_key(v) for v in verts)
         self._hash = hash(self._verts)
 
     def __iter__(self) -> Iterator[Vertex]:
@@ -255,16 +241,18 @@ class Simplex:
 
 
 def _rank_vertices(vertices: list[Vertex]) -> tuple[tuple[Vertex, ...], dict[Vertex, int]]:
-    """The vertices in `vertex_key` order, with the rank of each: its place
-    among their distinct keys, so equal keys get equal ranks.
+    """The vertices in rank order, with the rank of each: its place among
+    their distinct order keys, so equal keys get equal ranks.  This is the
+    one order on vertices.
 
-    One pass over the label history, with no nested key compared: level 0
+    One pass over the label history, with no nested key built: level 0
     is the vertices, level j+1 the vertices of the `Simplex` labels in
-    level j.  Each level, deepest first, is keyed like `vertex_key`, but
-    a `Simplex` label's payload is the tuple of its vertices' ranks one
-    level down.  `vertex_key` compares carriers position by position, so
-    two vertices it compares j levels down are both in level j; a vertex
-    found in two levels is ranked in each."""
+    level j.  Each level, deepest first, is keyed by color and then by
+    label: a plain label by `vertex_key`, and a `Simplex` label (after
+    ints and strings, before points) by the tuple of its vertices' ranks
+    one level down.  So a view orders by its carrier, position by
+    position, and two vertices compared j levels down are both in level
+    j; a vertex found in two levels is ranked in each."""
     levels = [dict.fromkeys(vertices)]
     while True:
         below = dict.fromkeys([
@@ -285,13 +273,20 @@ def _rank_vertices(vertices: list[Vertex]) -> tuple[tuple[Vertex, ...], dict[Ver
     return tuple(sorted(level, key=rank.__getitem__)), rank
 
 
+def rank_simplexes(simplexes: Collection[Simplex]) -> tuple[tuple[Vertex, ...], list[Simplex]]:
+    """The vertices of `simplexes` in rank order, and the simplexes sorted
+    by their tuples of vertex ranks; equal tuples keep their input order."""
+    vertices, rank = _rank_vertices([v for s in simplexes for v in s._verts])
+    return vertices, sorted(simplexes, key=lambda s: tuple(map(rank.__getitem__, s._verts)))
+
+
 class Complex:
     """A finite simplicial complex given by its facets, closed under faces.
 
-    Construction ranks the vertices once (`_rank_vertices`) and orders
-    `vertices()` and the facets by those integer ranks, which is the
-    `vertex_key` and `Simplex.key` order; `simplexes()` sorts the faces
-    by their vertices' positions in `vertices()`, the same order."""
+    Construction ranks the vertices once (`rank_simplexes`) and orders
+    `vertices()` and the facets by those integer ranks; `simplexes()`
+    sorts the faces by their vertices' positions in `vertices()`, the
+    same order."""
 
     __slots__ = ("facets", "_faces", "_vertices")
 
@@ -315,10 +310,8 @@ class Complex:
                 if any(len(g) > len(f) and f.issubset(g) for g in by_vertex[f.vertices[0]])
             }
             kept = [f for f in kept if f not in dominated]
-        self._vertices, rank = _rank_vertices([v for f in kept for v in f._verts])
-        self.facets: tuple[Simplex, ...] = tuple(
-            sorted(kept, key=lambda f: tuple(map(rank.__getitem__, f._verts)))
-        )
+        self._vertices, facets = rank_simplexes(kept)
+        self.facets: tuple[Simplex, ...] = tuple(facets)
         self._faces = None
 
     # -- queries ------------------------------------------------------
@@ -370,8 +363,9 @@ class Complex:
     # -- serialization -------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        memo: dict = {}
-        encoded = {v: _vertex_json(v, memo) for v in self.vertices()}
+        vertices = self.vertices()
+        encoded = {v: {"color": v.color, "label": text}
+                   for v, text in zip(vertices, label_strings(v.label for v in vertices))}
         return {
             "n": max(self.colors()) + 1,
             "facets": [[encoded[v] for v in f] for f in self.facets],
@@ -420,8 +414,7 @@ class SimplicialMap:
         return Simplex(self(v) for v in simplex)
 
     def items(self):
-        """The pairs in `vertex_key` order of their sources, ranked level
-        by level (`_rank_vertices`), so no nested key is compared."""
+        """The pairs in the rank order of their sources (`_rank_vertices`)."""
         return [(v, self.mapping[v]) for v in _rank_vertices(list(self.mapping))[0]]
 
     def __eq__(self, other):
@@ -480,7 +473,8 @@ class CarrierMap:
             raise InvalidCarrier(f"carrier map undefined on {simplex!r}") from None
 
     def domain(self) -> list[Simplex]:
-        return sorted(self.images, key=lambda s: s.key)
+        """The simplexes the map is defined on, in rank order."""
+        return rank_simplexes(self.images)[1]
 
     def to_json_obj(self) -> list:
         return [

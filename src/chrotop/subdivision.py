@@ -30,7 +30,7 @@ from .errors import (
     UnknownVertex,
     UnsupportedCoarsening,
 )
-from .simplicial import Complex, Simplex, Vertex, vertex_key
+from .simplicial import Complex, Simplex, Vertex, rank_simplexes, vertex_key
 
 # A round schedule, combinatorially: an ordered partition of a color set,
 # encoded as a tuple of sorted tuples of colors.
@@ -530,13 +530,11 @@ class TerminatingSubdivision:
         for s in additions:
             if s not in level.complex:
                 raise InvalidTermination(f"policy terminated {s!r}, not a simplex of level {k}")
-        for s in additions:
-            if s in level.terminated_facets:
-                continue
-            level.terminated_facets.add(s)
-            self._stable.append(
-                StableCell(k, s, geometric_simplex(s, self.base))
-            )
+        new = [s for s in dict.fromkeys(additions) if s not in level.terminated_facets]
+        level.terminated_facets.update(new)
+        # depths come in order, so `_stable` stays sorted by (depth, rank)
+        for s in rank_simplexes(new)[1]:
+            self._stable.append(StableCell(k, s, geometric_simplex(s, self.base)))
 
     def _deepen(self) -> None:
         k = self.max_depth_materialized
@@ -566,11 +564,10 @@ class TerminatingSubdivision:
         return cell
 
     def stable_cells(self, depth: int) -> list[StableCell]:
+        """The cells terminated at depths <= `depth`, by depth and then in
+        rank order (`rank_simplexes`), as `_apply_policy` appends them."""
         self.materialize(depth)
-        return sorted(
-            (c for c in self._stable if c.depth <= depth),
-            key=lambda c: (c.depth, c.simplex.key),
-        )
+        return [c for c in self._stable if c.depth <= depth]
 
     def stable_complex(self, depth: int) -> Complex | None:
         """Union of all terminated simplexes up to `depth`, with vertices

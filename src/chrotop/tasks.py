@@ -41,6 +41,12 @@ class Task:
         }
 
 
+def check_arity(task: Task, model) -> None:
+    """`BadArity` unless `task` has as many processes as `model`."""
+    if task.n != model.n:
+        raise BadArity(f"task has {task.n} processes but model {model.name} has {model.n}")
+
+
 def inputless_consensus(n: int) -> Task:
     """Consensus where process i has fixed input i.
 

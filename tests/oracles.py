@@ -31,6 +31,37 @@ from chrotop.simplicial import Complex, Simplex, Vertex, vertex_key
 from chrotop.subdivision import BarycentricPoint, chr_iterate, geometric_distance
 
 
+def reference_vertex_key(v: Vertex, memo: dict | None = None):
+    """A vertex's order key, built afresh from its label as nested tuples:
+    `(color, (0, int))`, `(color, (1, str))`, `(color, (2, carrier key))`
+    for a nested label and `(color, (3, weights))` for a point, where a
+    carrier's key is `reference_simplex_key` and a point's weights are
+    `(base vertex key, numerator, denominator)` triples in key order.
+    `memo` keeps the keys of one caller's vertices.  It recurses once per
+    level, so it serves histories of a few hundred levels at most."""
+    memo = {} if memo is None else memo
+    if v not in memo:
+        label = v.label
+        if isinstance(label, Simplex):
+            key = (2, reference_simplex_key(label, memo))
+        elif isinstance(label, int):
+            key = (0, label)
+        elif isinstance(label, str):
+            key = (1, label)
+        else:
+            key = (3, tuple(sorted(
+                (reference_vertex_key(u, memo), w.numerator, w.denominator) for u, w in label.weights.items()
+            )))
+        memo[v] = (v.color, key)
+    return memo[v]
+
+
+def reference_simplex_key(s: Simplex, memo: dict | None = None) -> tuple:
+    """A simplex's order key: its vertices' `reference_vertex_key`s, sorted."""
+    memo = {} if memo is None else memo
+    return tuple(sorted(reference_vertex_key(v, memo) for v in s))
+
+
 def reference_coordinates(v: Vertex, base: Complex, memo: dict | None = None) -> BarycentricPoint:
     """Exact barycentric coordinates of a subdivision vertex, by recursion
     over its history: a vertex (p, sigma) puts weight 1/(2m-1) on its own

@@ -25,7 +25,6 @@ from chrotop.simplicial import (
     Vertex,
     carried_by,
     check_simplicial_chromatic,
-    vertex_key,
 )
 from chrotop.subdivision import (
     TerminatingSubdivision,
@@ -69,7 +68,9 @@ from oracles import (
     geometric_containment,
     reference_coordinates,
     reference_points,
+    reference_simplex_key,
     reference_sperner,
+    reference_vertex_key,
 )
 
 M1 = builtin_model("m1")
@@ -217,8 +218,10 @@ def test_search_depth_exceeds_recursion_limit():
 def quadratic_search_order(vertices, candidates, constraints, by_vertex):
     """Reference: rescan the unplaced frontier for its least-ranked vertex
     at every step."""
+    memo: dict = {}
+
     def rank(v):
-        return (len(candidates[v]), vertex_key(v))
+        return (len(candidates[v]), reference_vertex_key(v, memo))
 
     order = []
     frontier = set()
@@ -381,7 +384,8 @@ def maximal_facets(facets):
     pairwise."""
     distinct = set(facets)
     maximal = [f for f in distinct if not any(set(f) < set(g) for g in distinct)]
-    return tuple(sorted(maximal, key=lambda s: s.key))
+    memo: dict = {}
+    return tuple(sorted(maximal, key=lambda s: reference_simplex_key(s, memo)))
 
 
 @pytest.mark.parametrize("model, task, depth", [
@@ -561,18 +565,6 @@ def test_chr_iterate_builds_one_complex(monkeypatch):
     assert built == [K] and len(K.facets) == 13**3
 
 
-def _reference_key(v: Vertex, memo: dict):
-    """A vertex's order key built afresh from its label, by the rule of
-    `label_key`, without reading the key the vertex keeps."""
-    if id(v) not in memo:
-        label = v.label
-        if isinstance(label, Simplex):
-            memo[id(v)] = (v.color, (2, tuple(sorted(_reference_key(w, memo) for w in label))))
-        else:
-            memo[id(v)] = (v.color, (0, label) if isinstance(label, int) else (1, label))
-    return memo[id(v)]
-
-
 @pytest.mark.parametrize("build", [
     lambda: build_time_T(IIS2, CONS, 6).complex,
     lambda: build_time_T(IIS3, set_agreement(3), 3).complex,
@@ -588,12 +580,9 @@ def test_cached_keys_sort_like_keys_built_afresh(build):
     def same_objects(got, want):
         return len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
-    def facet_key(f):
-        return tuple(sorted(_reference_key(v, memo) for v in f))
-
     vertices = K.vertices()
-    assert same_objects(vertices, sorted(vertices, key=lambda v: _reference_key(v, memo)))
-    assert same_objects(K.facets, sorted(K.facets, key=facet_key))
+    assert same_objects(vertices, sorted(vertices, key=lambda v: reference_vertex_key(v, memo)))
+    assert same_objects(K.facets, sorted(K.facets, key=lambda f: reference_simplex_key(f, memo)))
 
 
 def test_connecting_map_bad_indices():
@@ -681,7 +670,8 @@ def reference_termination_report(ts, delta, model, task, depth):
     for sc in stable_cells:
         for v in sc.geom_simplex():
             stable_depth[v] = max(stable_depth.get(v, 0), sc.depth)
-    verts = sorted(stable_depth, key=vertex_key)
+    memo: dict = {}
+    verts = sorted(stable_depth, key=lambda v: reference_vertex_key(v, memo))
     radius = {k: diameter(chr_iterate(base, k), base) for k in set(stable_depth.values())}
     continuity_witness = next((
         (v, w, delta(v).label, delta(w).label)

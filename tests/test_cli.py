@@ -281,8 +281,6 @@ GOLDEN_RUN_SHA256 = {
     "int5.txt": "512e11b47d6615730969f63c8474a00f57ec924f419abd89d2f0633bc22658b3",
     "m1 winner 4": "edd2c75ba00fc2afea13cae76693680b58809e6bb2468954b73017c0f5e6b8e0",
     "iis2 own-input 3": "6bf125fc525793918330aea0ed7579eb486a642c37d8d81a7fe82d9854bb6180",
-    # a two-process task in a three-process model: a subset of its processes
-    "iis3 own-input 2": "0616407fdf8de65aa51140da3cbeefe34c5df5cd089bde8c0cf138cdc993f99f",
     # written before `run` asked the protocol once per distinct view
     "m2 constant:0 3": "0cb990b46d843ac76ccf932800a024a1c660aa6cb1f9493139aecf4adadd96f8",
     "iis2 never 4": "04d1a7dd0f9c628df420b9dd81d1b14da4090098e9601b0c04a0524e5d5a574c",
@@ -291,8 +289,8 @@ GOLDEN_RUN_SHA256 = {
 
 
 @pytest.mark.parametrize("model, protocol, depth, code", [
-    ("m1", "winner", "4", 0), ("iis2", "own-input", "3", 1), ("iis3", "own-input", "2", 1),
-    ("m2", "constant:0", "3", 1), ("iis2", "never", "4", 5), ("ll", "winner", "3", 1),
+    ("m1", "winner", "4", 0), ("iis2", "own-input", "3", 1), ("m2", "constant:0", "3", 1),
+    ("iis2", "never", "4", 5), ("ll", "winner", "3", 1),
 ])
 def test_run_stdout_matches_golden_hash(model, protocol, depth, code, capsys):
     assert run_cli("run", "--model", model, "--protocol", protocol, "--task", "consensus", "--depth", depth) == code
@@ -507,6 +505,18 @@ def test_check_rejects_negative_depth_and_arity_mismatch(capsys):
     assert "max depth" in capsys.readouterr().err
     assert run_cli("check", "--model", "iis2", "--task", "consensus:3", "--max-depth", "1") == 2
     assert "3 processes" in capsys.readouterr().err
+
+
+def test_run_rejects_an_arity_mismatch_like_check(capsys):
+    # `run` simulated the two-process task on iis3 with process 2 left
+    # out, printed FAIL and exited 1
+    assert run_cli("check", "--model", "iis3", "--task", "consensus", "--max-depth", "1") == 2
+    refused = capsys.readouterr()
+    assert refused.err == "error: task has 2 processes but model iis3 has 3\n" and refused.out == ""
+    for depth in ("1", "2"):
+        argv = ("run", "--model", "iis3", "--task", "consensus", "--protocol", "own-input", "--depth", depth)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr() == refused
 
 
 def test_check_bounds_the_task_process_count_before_building_it(monkeypatch, capsys):

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import chrotop.protocol
 from chrotop.errors import (
+    BadArity,
     ChrotopError,
     InvalidOutput,
     IrrevocabilityViolation,
@@ -120,6 +122,14 @@ def test_check_solves_never_undecided():
     assert check_solves(never_protocol(), CONS, IIS2, 2).status == "UNDECIDED"
 
 
+def test_check_solves_refuses_a_task_of_another_arity_before_simulating(monkeypatch):
+    monkeypatch.setattr(chrotop.protocol, "run", lambda *args: pytest.fail("simulated"))
+    with pytest.raises(BadArity, match="^task has 2 processes but model iis3 has 3$"):
+        check_solves(own_input_protocol(), CONS, builtin_model("iis3"), 1)
+    with pytest.raises(BadArity, match="^task has 3 processes but model iis2 has 2$"):
+        check_solves(own_input_protocol(), inputless_consensus(3), IIS2, 1)
+
+
 def test_invalid_output_label():
     bad = constant_protocol("zebra")
     with pytest.raises(InvalidOutput):
@@ -127,7 +137,7 @@ def test_invalid_output_label():
 
 
 def test_an_unorderable_label_makes_a_vertex_and_an_invalid_output():
-    # a vertex's sort key is computed only when first asked for
+    # a vertex keeps no sort key, so any hashable label makes one
     v = Vertex(0, 1.5)
     assert v == v and v == Vertex(0, 1.5) and v != Vertex(0, 2.5)
     with pytest.raises(InvalidOutput):

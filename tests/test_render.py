@@ -6,7 +6,7 @@ import pytest
 from chrotop.render import DEPTH_FILLS, render_dot, render_svg, render_terminating_svg
 from chrotop.simplicial import Complex, Simplex, Vertex
 from chrotop.subdivision import TerminatingSubdivision, chr_iterate, policy_all_at_zero, prefix_policy
-from oracles import reference_coordinates, reference_svg
+from oracles import reference_coordinates, reference_simplex_key, reference_svg
 
 R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
 
@@ -96,6 +96,20 @@ def test_terminating_svg_matches_the_element_tree_drawing_and_its_golden_hash(ca
     fills = [DEPTH_FILLS[depth_by_facet[f] % len(DEPTH_FILLS)] for f in stable.facets]
     cells = [(facet, fill, fill, "6") for facet, fill in zip(stable.facets, fills)]
     assert svg == reference_svg(ts.base, cells, {v: v.label for v in stable.vertices()})
+
+
+@pytest.mark.parametrize("case", [*TERMINATING, "m1-prefix-d2-reversed"])
+def test_stable_cells_come_by_depth_then_reference_key(case):
+    # the m1 words listed backwards, so the policy names its cells against the rank order
+    reversed_m1 = (2, lambda: prefix_policy({1: [(R,)], 2: [(L, s) for s in (L, B, R)]}), 2)
+    n, policy, depth = TERMINATING.get(case, reversed_m1)
+    ts = TerminatingSubdivision(standard_simplex(n), policy())
+    memo: dict = {}
+    for d in range(depth + 1):
+        cells = ts.stable_cells(d)
+        want = sorted(cells, key=lambda c: (c.depth, reference_simplex_key(c.simplex, memo)))
+        assert [c.simplex for c in cells] == [c.simplex for c in want]
+        assert {c.depth for c in cells} <= set(range(d + 1))
 
 
 def test_svg_of_cells_without_an_edge_writes_an_empty_group():

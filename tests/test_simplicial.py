@@ -28,6 +28,7 @@ from chrotop.subdivision import (
     prefix_policy,
 )
 from chrotop.tasks import inputless_consensus, set_agreement
+from oracles import reference_simplex_key, reference_vertex_key
 
 A = Vertex(0, "a")
 B = Vertex(1, "b")
@@ -229,10 +230,13 @@ def test_vertex_hash_is_cached_and_unchanged():
     for color, label in ((0, 5), (1, "b"), (1, nested), (0, point)):
         v = Vertex(color, label)
         assert hash(v) == hash((color, label))
-        # the key is kept like the hash, and is the key label_key gives
-        assert vertex_key(v) == (color, label_key(label))
-        assert vertex_key(v) is vertex_key(v)
         assert not hasattr(v, "__dict__")
+        # a plain label has a key of its own; a nested one orders by its ranks
+        if isinstance(label, Simplex):
+            with pytest.raises(TypeError):
+                label_key(label)
+        else:
+            assert vertex_key(v) == (color, label_key(label)) == reference_vertex_key(v)
     v = Vertex(0, 5)
     with pytest.raises(AttributeError):
         v.color = 1
@@ -256,13 +260,14 @@ def _standard_simplex(n: int) -> Complex:
 
 
 def _assert_sorted_like_keys(K: Complex):
-    """Reference: sort the vertices by their nested `vertex_key`s and the
-    facets and faces by their nested `Simplex.key`s."""
+    """Reference: sort the vertices by their nested `reference_vertex_key`s
+    and the facets and faces by their nested `reference_simplex_key`s."""
     vertices = {v for f in K.facets for v in f}
     faces = {face for f in K.facets for face in f.faces()}
-    assert K.vertices() == tuple(sorted(vertices, key=vertex_key))
-    assert K.facets == tuple(sorted(set(K.facets), key=lambda s: s.key))
-    assert K.simplexes() == sorted(faces, key=lambda s: s.key)
+    memo: dict = {}
+    assert K.vertices() == tuple(sorted(vertices, key=lambda v: reference_vertex_key(v, memo)))
+    assert K.facets == tuple(sorted(set(K.facets), key=lambda s: reference_simplex_key(s, memo)))
+    assert K.simplexes() == sorted(faces, key=lambda s: reference_simplex_key(s, memo))
 
 
 @pytest.mark.parametrize("n, k", [(2, j) for j in range(7)] + [(3, j) for j in range(4)]
@@ -354,7 +359,41 @@ def test_a_map_over_deep_views_lists_in_key_order(depth):
     listed = h.items()
     assert len(listed) == 4 and all(v is w and o is h(w) for (v, o), w in zip(listed, want))
     if depth == 5:
-        assert listed == sorted(h.mapping.items(), key=lambda kv: vertex_key(kv[0]))
+        assert listed == sorted(h.mapping.items(), key=lambda kv: reference_vertex_key(kv[0]))
+
+
+@pytest.mark.parametrize("depth", [5, 1200])
+def test_a_carrier_map_over_deep_cells_lists_its_domain_in_key_order(depth):
+    # sorting the domain by the nested simplex keys overflowed the stack
+    # between 300 and 1200 rounds
+    (edge,) = inputless_consensus(2).inputs.facets
+    right, left = (cell_of_word(edge, (first,) + (BOTH,) * depth) for first in (RIGHT, LEFT))
+    phi = CarrierMap({left: Complex([left]), right: Complex([right])})
+    domain = phi.domain()
+    assert len(domain) == 2 and domain[0] is right and domain[1] is left
+    if depth == 5:
+        assert domain == sorted([left, right], key=reference_simplex_key)
+
+
+def test_same_color_vertices_order_like_the_reference_key():
+    # a repeated color is the one case where a simplex ranks its vertices
+    edge = _standard_simplex(2)
+    views = [v for k in range(3) for v in chr_iterate(edge, k).vertices()]
+    memo: dict = {}
+
+    def reference(vertices):
+        return sorted(vertices, key=lambda v: reference_vertex_key(v, memo))
+
+    for color in (0, 1):
+        same = [v for v in views if v.color == color]
+        for a in same:
+            for b in same:
+                if a != b:
+                    assert list(Simplex([a, b])) == reference([a, b])
+    rng = random.Random(7)
+    for _ in range(200):
+        picked = rng.sample(views, rng.randint(2, 5))
+        assert list(Simplex(picked)) == reference(picked)
 
 
 def test_deep_equal_cells_built_apart_compare_equal():
@@ -383,7 +422,7 @@ def test_point_labelled_simplexes_hash_like_they_compare():
     half = {a: Fraction(1, 2), b: Fraction(1, 2)}
     on_edge = Simplex([Vertex(0, BarycentricPoint(half, edge))])
     on_path = Simplex([Vertex(0, BarycentricPoint(half, path))])
-    assert on_edge.key == on_path.key
+    assert reference_simplex_key(on_edge) == reference_simplex_key(on_path)
     assert on_edge != on_path and len({on_edge, on_path}) == 2
     again = Simplex([Vertex(0, BarycentricPoint(dict(half), edge))])
     assert again == on_edge and hash(again) == hash(on_edge) and again is not on_edge

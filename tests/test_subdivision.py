@@ -36,7 +36,7 @@ from chrotop.subdivision import (
     weight_scale,
     wrap_simplex,
 )
-from oracles import diameter, geometric_containment, reference_coordinates
+from oracles import diameter, geometric_containment, reference_coordinates, reference_simplex_key
 
 R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
 
@@ -361,7 +361,7 @@ def test_volume_of_a_cell_across_base_facets_is_a_base_mismatch():
 def test_partial_step_everything_terminated():
     K = chr_subdivision(EDGE)
     out = partial_chr_step(K, K)
-    assert out.facets == tuple(sorted((wrap_simplex(f) for f in K.facets), key=lambda s: s.key))
+    assert out.facets == tuple(sorted((wrap_simplex(f) for f in K.facets), key=reference_simplex_key))
 
 
 def test_partial_step_nothing_terminated_matches_chr():
