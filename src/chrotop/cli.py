@@ -20,8 +20,8 @@ from .errors import ChrotopError, IrrevocabilityViolation, Unsupported
 from .models import MAX_PROCESSES, builtin_model, load_model_json_obj
 from .protocol import builtin_protocol, check_solves, load_table_protocol_json_obj
 from .render import render_dot, render_json, render_svg
-from .simplicial import Complex, Simplex, Vertex, label_string, parse_label
-from .subdivision import chr_iterate, diameter_Dk
+from .simplicial import Complex, Simplex, Vertex, label_string, label_strings, parse_label
+from .subdivision import chr_iterate, integer_weights, mesh
 from .tasks import Task, inputless_consensus, load_task_json_obj, set_agreement, validate_task
 
 FORMATS = ("json", "svg", "dot")
@@ -87,22 +87,27 @@ def cmd_subdivide(args) -> int:
     n = args.simplex + 1
     base = Complex([Simplex(Vertex(i, i) for i in range(n))])
     K = chr_iterate(base, args.k)
-    d_k = diameter_Dk(base, args.k)
+    # D_k and the SVG read one set of weights, the JSON and DOT one set of label texts
+    vertices = K.vertices()
+    weights = integer_weights(vertices, base)
+    d_k = mesh(K, weights, base)
     print(f"facets: {len(K.facets)}")
-    print(f"vertices: {len(K.vertices())}")
+    print(f"vertices: {len(vertices)}")
     print(f"D_{args.k}: {d_k}")
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     stem = f"chr{args.k}_simplex{args.simplex}"
+    if "svg" in formats and args.simplex <= 2:
+        _write(outdir / f"{stem}.svg", render_svg, K, base, weights)
+    del weights  # freed before the texts are written, so the two are never held at once
+    texts = label_strings(v.label for v in vertices) if {"json", "dot"} & set(formats) else []
     written = []
     if "json" in formats:
         header = {"schema": 1, "seed": args.seed, "k": args.k, "Dk": str(d_k)}
-        _write(outdir / f"{stem}.json", render_json, K, header)
+        _write(outdir / f"{stem}.json", render_json, K, header, texts)
         written.append("JSON")
-    if "svg" in formats and args.simplex <= 2:
-        _write(outdir / f"{stem}.svg", render_svg, K, base)
     if "dot" in formats:
-        _write(outdir / f"{stem}.dot", render_dot, K)
+        _write(outdir / f"{stem}.dot", render_dot, K, texts)
         written.append("DOT")
     if "svg" in formats and args.simplex > 2:
         wrote = f"wrote {'/'.join(written)} instead" if written else "wrote no file"

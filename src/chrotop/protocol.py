@@ -46,6 +46,16 @@ def view_depth(v: Vertex) -> int:
     return len(view_chain(v)) - 1
 
 
+def _first_views(v: Vertex) -> tuple[Vertex, Vertex | None]:
+    """Entries 0 and 1 of `view_chain(v)`, the process's input vertex and
+    its view after one round (None for an input vertex), walked down to
+    without building the chain."""
+    above = None
+    while isinstance(v.label, Simplex):
+        above, v = v, v.label.vertex_of_color(v.color)
+    return v, above
+
+
 @dataclass(frozen=True)
 class Execution:
     """A finite execution shadow: an input face and a schedule word over
@@ -121,7 +131,7 @@ def constant_protocol(value) -> DecisionProtocol:
 
 
 def own_input_protocol() -> DecisionProtocol:
-    return DecisionProtocol("own-input", lambda color, view: view_chain(view)[0].label)
+    return DecisionProtocol("own-input", lambda color, view: _first_views(view)[0].label)
 
 
 def never_protocol() -> DecisionProtocol:
@@ -135,12 +145,12 @@ def winner_protocol() -> DecisionProtocol:
     cannot happen in the first round."""
 
     def decide(color: int, view: Vertex):
-        chain = view_chain(view)
-        if len(chain) < 2:
+        own_input, first = _first_views(view)
+        if first is None:
             return None
-        carrier = chain[1].label  # the input views heard in round one
+        carrier = first.label  # the input views heard in round one
         if carrier.colors() == {color}:
-            return chain[0].label
+            return own_input.label
         others = sorted(carrier.colors() - {color})
         if len(carrier.colors()) != 2 or len(others) != 1:
             raise Unsupported("winner protocol is a two-process rule")

@@ -3,10 +3,16 @@ realizations, and DOT face posets.  Each writes its text piece by piece
 into an open text file, a facet, an element or a line at a time, so no
 writer holds a whole file as one string.  The SVG is formatted directly,
 in the attribute order and with the ` />` endings that ElementTree
-writes.  A subdivision vertex's weights stay exact integers
-(`integer_weights`) until one correctly rounded division turns each into
-a float, the same float as `float` of the exact `Fraction` weight; output
-is deterministic for a given input."""
+writes.
+
+The writers compute neither label texts nor weights: the JSON and DOT
+writers read the label text of each of `K.vertices()` from one
+`label_strings` list, and `render_svg` reads each vertex's exact integer
+weights from one `integer_weights` dict, so a caller that writes several
+files, as `subdivide` does, computes each once.  A weight stays an
+integer until one correctly rounded division turns it into a float, the
+same float as `float` of the exact `Fraction` weight; output is
+deterministic for a given input."""
 
 from __future__ import annotations
 
@@ -14,8 +20,8 @@ import json
 from itertools import combinations
 
 from .errors import Unsupported
-from .simplicial import Complex, label_strings, vertex_strings
-from .subdivision import integer_weights, weight_scale
+from .simplicial import Complex
+from .subdivision import weight_scale
 
 PROCESS_COLORS = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b"]
 DEPTH_FILLS = ["#f7fbff", "#deebf7", "#c6dbef", "#9ecae1", "#6baed6", "#4292c6"]
@@ -26,17 +32,17 @@ _SQRT3_OVER_2 = 0.8660254037844386
 SIZE = 480
 
 
-def render_json(K: Complex, header: dict, out) -> None:
+def render_json(K: Complex, header: dict, texts: list[str], out) -> None:
     """Write `json.dumps({**header, **K.to_json_obj()}, indent=2)` and a
-    newline to `out`, a facet at a time.  Each distinct vertex's
-    `{"color", "label"}` block is encoded once, its label text from one
-    shared memo, and every facet is joined from those blocks.  `header`
-    holds neither `n` nor `facets`."""
+    newline to `out`, a facet at a time.  `texts` holds the label text of
+    each of `K.vertices()`, in order (`label_strings`).  Each distinct
+    vertex's `{"color", "label"}` block is encoded once, and every facet
+    is joined from those blocks.  `header` holds neither `n` nor
+    `facets`."""
     head = json.dumps({**header, "n": max(K.colors()) + 1}, indent=2)
     colors = {c: f'      {{\n        "color": {json.dumps(c)},\n        "label": ' for c in K.colors()}
-    vertices = K.vertices()
     blocks = {v: f"{colors[v.color]}{json.dumps(text)}\n      }}"
-              for v, text in zip(vertices, label_strings(v.label for v in vertices))}
+              for v, text in zip(K.vertices(), texts)}
     # the header without its closing brace, then the facets as the list it closed
     out.write(head[:-2] + ',\n  "facets": [')
     separator = "\n"
@@ -114,11 +120,11 @@ def _draw(out, base: Complex, place, cells, dots) -> None:
     out.write("</svg>")
 
 
-def render_svg(K: Complex, base: Complex, out) -> None:
-    """Draw a subdivision of a 1- or 2-dimensional base into `out`."""
+def render_svg(K: Complex, base: Complex, weights: dict, out) -> None:
+    """Draw a subdivision of a 1- or 2-dimensional base into `out`;
+    `weights` holds the `integer_weights` of its vertices over `base`."""
 
     def place(dots):
-        weights = integer_weights(dots, base)
         scale = weight_scale(base)
         corners = base.vertices()
         for v in dots:
@@ -154,18 +160,22 @@ def render_terminating_svg(tsub, depth: int, out) -> None:
     )
 
 
-def render_dot(K: Complex, out) -> None:
+def render_dot(K: Complex, texts: list[str], out) -> None:
     """Write the face poset of a complex to `out` as a DOT digraph: a
     node per face in canonical order, an edge per covering containment,
-    lowest-dimensional faces at the bottom.
+    lowest-dimensional faces at the bottom.  `texts` holds the label text
+    of each of `K.vertices()`, in order (`label_strings`).
 
     A face is the ascending tuple of its vertices' positions in
     `K.vertices()`, which is the complex's rank order, so sorting these
     int tuples gives the order of `K.simplexes()`, as its ranks do."""
     vertices = K.vertices()
     position = {v: i for i, v in enumerate(vertices)}
-    # a label is quoted, so `\` and `"` inside it are escaped
-    names = [text.replace("\\", "\\\\").replace('"', '\\"') for text in vertex_strings(vertices)]
+    # a label is quoted, so `\` and `"` inside it are escaped; a text with
+    # neither stays the caller's object, and the color is prefixed line by
+    # line, so no second copy of the texts is held
+    names = [text.replace("\\", "\\\\").replace('"', '\\"') for text in texts]
+    colors = [v.color for v in vertices]
     faces = set()
     for facet in K.facets:
         at = tuple(position[v] for v in facet)
@@ -175,7 +185,8 @@ def render_dot(K: Complex, out) -> None:
     del faces
     ids = {s: f"s{i}" for i, s in enumerate(ordered)}
     out.write("digraph faceposet {\n  rankdir=BT;\n")
-    out.writelines(f'  {ids[s]} [label="{"|".join([names[i] for i in s])}"];\n' for s in ordered)
+    out.writelines(f'  {ids[s]} [label="{"|".join([f"{colors[i]}:{names[i]}" for i in s])}"];\n'
+                   for s in ordered)
     # the covering faces, in the order `Simplex.faces()` yields them
     out.writelines(f"  {ids[face]} -> {ids[s]};\n"
                    for s in ordered if len(s) > 1 for face in combinations(s, len(s) - 1))

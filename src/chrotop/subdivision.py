@@ -1,24 +1,33 @@
 """Standard chromatic subdivision, exact geometry, terminating subdivisions.
 
+Chr^k is built level by level (`walk_cells`): one `apply_schedule` per
+cell and schedule, all sharing one intern table, so each face of a cell
+is built once whatever schedules reach it, each view once however many
+cells it belongs to, and each color set's schedules are listed once per
+walk.
+
 All geometry is exact.  A vertex produced by subdividing carries its
 whole history: its label is the simplex of the previous level it was
 derived from, recursively down to the base vertices (see `walk_cells`).
 `integer_weights` reads a level-k vertex's position off that history as
 integers: its barycentric weights over the base vertices times
 scale**k, with scale = lcm(1, 3, ..., 2n - 1) for the largest base facet
-size n.  `diameters_Dk` walks cells in the same integers.  An exact
-point, a `BarycentricPoint` of `Fraction` weights, is built only where a
-point is a vertex label (the stable complexes of terminating
-subdivisions) or asked for through `coordinates`.  Distances are half
-1-norms, so a base edge has length 1.
+size n.  `mesh` reads a complex's largest cell diameter off those
+weights, and `diameters_Dk` walks cells in the same integers
+without building a vertex.  An exact point, a `BarycentricPoint` of
+`Fraction` weights, is built only where a point is a vertex label (the
+stable complexes of terminating subdivisions) or asked for through
+`coordinates`.  Distances are half 1-norms, so a base edge has length 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm, prod
+from operator import sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -68,20 +77,29 @@ def apply_schedule(facet: Simplex, schedule: Schedule, table: dict | None = None
     Every color p in block i gets the new vertex (p, prefix) where
     prefix is the face of `facet` spanned by blocks 1..i.
 
-    With a `table`, each carrier and each new vertex is replaced by the
-    equal one the table already holds, or recorded there as the first of
-    its value, so the steps that share a table keep one object per value.
+    The intern table maps each carrier to the equal carrier it met first,
+    each color set to one frozenset of it, (`facet`, color set) to the
+    interned carrier of that face of `facet`, and (color, interned
+    carrier) to the view.  The steps that share a table so build each face
+    of a cell once, whatever schedules reach it, keep one object per
+    carrier value, and build each view once.  Without a table the step
+    uses one of its own, so every carrier and view is new.
     """
-    seen: list[Vertex] = []
+    table = {} if table is None else table
+    colors = frozenset()
     new_vertices = []
     for block in schedule:
-        seen.extend(facet.vertex_of_color(c) for c in block)
-        carrier = Simplex(seen)
-        if table is not None:
-            carrier = table.setdefault(carrier, carrier)
+        colors = colors.union(block)
+        colors = table.setdefault(colors, colors)  # one object per color set, shared by its keys
+        carrier = table.get((facet, colors))
+        if carrier is None:
+            carrier = Simplex(facet.vertex_of_color(c) for c in colors)
+            carrier = table[facet, colors] = table.setdefault(carrier, carrier)
         for c in block:
-            v = Vertex(c, carrier)
-            new_vertices.append(v if table is None else table.setdefault(v, v))
+            view = table.get((c, carrier))
+            if view is None:
+                view = table[c, carrier] = Vertex(c, carrier)
+            new_vertices.append(view)
     return Simplex(new_vertices)
 
 
@@ -98,8 +116,18 @@ def walk_cells(roots: Sequence[Simplex], depth: int, letters: Callable) -> list[
     return level
 
 
-def _every_schedule(word: tuple, cell: Simplex) -> Iterator[Schedule]:
-    return ordered_partitions(cell.colors())
+def _schedule_letters() -> Callable:
+    """A `walk_cells` letters function naming every schedule of a cell's
+    colors; each color set's are listed by one `ordered_partitions` call."""
+    alphabets: dict = {}
+
+    def letters(word: tuple, cell: Simplex) -> tuple:
+        colors = cell.colors()
+        if colors not in alphabets:
+            alphabets[colors] = tuple(ordered_partitions(colors))
+        return alphabets[colors]
+
+    return letters
 
 
 def chr_subdivision(K: Complex) -> Complex:
@@ -115,7 +143,7 @@ def chr_iterate(K: Complex, k: int) -> Complex:
         raise NotChromatic("standard chromatic subdivision needs a chromatic complex")
     if k and not K.is_pure():
         raise Unsupported("standard chromatic subdivision of a non-pure complex")
-    return Complex(cell for _, _, cell in walk_cells(K.facets, k, _every_schedule))
+    return Complex(cell for _, _, cell in walk_cells(K.facets, k, _schedule_letters()))
 
 
 def cell_of_word(base_facet: Simplex, word: Sequence[Schedule]) -> Simplex:
@@ -246,10 +274,7 @@ def integer_weights(vertices: Iterable[Vertex], base: Complex, memo: dict | None
             m = len(carrier)
             if scale % (2 * m - 1):
                 raise Unsupported(f"the carrier of {u!r} has more vertices than any base facet")
-            entries = [memo[w] for w in carrier]
-            depth = max(d for d, _ in entries)
-            vectors = [ints if d == depth else tuple(a * scale ** (depth - d) for a in ints)
-                       for d, ints in entries]
+            depth, vectors = _lifted([memo[w] for w in carrier], scale)
             seen = [sum(column) for column in zip(*vectors)]
             weights = _child_weights(scale // (2 * m - 1), seen, vectors[own[0]])
             support = [i for i, a in enumerate(weights) if a]
@@ -257,6 +282,14 @@ def integer_weights(vertices: Iterable[Vertex], base: Complex, memo: dict | None
                 raise UnknownVertex(f"the support of {u!r} is not a simplex of the base")
             memo[u] = (depth + 1, weights)
     return memo
+
+
+def _lifted(entries: list, scale: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The greatest depth of some `integer_weights` entries, and the
+    weights of each lifted to it: times scale**(depth - its own depth)."""
+    depth = max(d for d, _ in entries)
+    return depth, [ints if d == depth else tuple(a * scale ** (depth - d) for a in ints)
+                   for d, ints in entries]
 
 
 def _point(weights: tuple[int, tuple[int, ...]], base: Complex) -> BarycentricPoint:
@@ -361,6 +394,23 @@ def diameter_Dk(base: Complex, k: int) -> Fraction:
     return diameters_Dk(base, k)[-1]
 
 
+def mesh(K: Complex, weights: dict, base: Complex) -> Fraction:
+    """The mesh of K, the largest distance between two vertices of one of
+    its facets, read off `weights`, which holds the `integer_weights` of
+    its vertices over `base`.  For `chr_iterate(base, k)` it is
+    `diameter_Dk(base, k)`, from weights a caller already has instead of
+    a walk over the cells of levels 0..k."""
+    scale = weight_scale(base)
+    vertices = K.vertices()
+    # lifting every vertex to one depth scales each 1-norm by the same factor
+    depth, vectors = _lifted([weights[v] for v in vertices], scale)
+    lifted = dict(zip(vertices, vectors))
+    top = max((sum(map(abs, map(sub, p, q))) for facet in K.facets
+               for p, q in combinations([lifted[v] for v in facet.vertices], 2)), default=0)
+    # the distance is half the 1-norm, over the scale of the depth
+    return Fraction(top, 2 * scale**depth)
+
+
 def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, Fraction]]:
     """Exact Gauss-Jordan elimination of `rows`, in place, over their
     first `ncols` columns; later columns ride along as right-hand sides.
@@ -396,11 +446,9 @@ def _host_and_volume(simplex: Simplex, base: Complex, weights: dict) -> tuple[Si
     """The base facet a cell lies in, and `facet_volume_fraction` of it;
     `weights` holds the `integer_weights` of the cell's vertices."""
     corners = base.vertices()
-    entries = [weights[v] for v in simplex]
-    depth = max(d for d, _ in entries)
     scale = weight_scale(base)
     # each vertex's weights over scale**depth, the cell's deepest level
-    rows = [[a * scale ** (depth - d) for a in ints] for d, ints in entries]
+    depth, rows = _lifted([weights[v] for v in simplex], scale)
     support = {corners[i] for row in rows for i, a in enumerate(row) if a}
     host = next((f for f in base.facets if support <= set(f.vertices)), None)
     if host is None:
@@ -471,7 +519,7 @@ def partial_chr_step(I_k: Complex, sigma_k: Complex | None) -> Complex:
                     f"live facet {f!r} has terminated face {face!r} of dimension >= 1"
                 )
         live.append(f)
-    facets.extend(cell for _, _, cell in walk_cells(live, 1, _every_schedule))
+    facets.extend(cell for _, _, cell in walk_cells(live, 1, _schedule_letters()))
     return Complex(facets)
 
 
@@ -547,6 +595,12 @@ class TerminatingSubdivision:
 
     # -- queries ---------------------------------------------------------
 
+    @cached_property
+    def _schedules(self) -> frozenset:
+        """The schedules a word may name over a single base facet, listed
+        once per subdivision, when a word is first walked."""
+        return frozenset(ordered_partitions(self.base.colors()))
+
     def cell(self, word: tuple) -> Simplex | None:
         """Facet of level len(word) reached by a schedule word from the
         single base facet, or None if the path entered a terminated
@@ -558,7 +612,7 @@ class TerminatingSubdivision:
         cell = self.base.facets[0]
         for level, schedule in zip(self._levels, word):
             # a full-dimensional cell is a terminated face only as a terminated facet
-            if cell in level.terminated_facets or schedule not in set(ordered_partitions(cell.colors())):
+            if cell in level.terminated_facets or schedule not in self._schedules:
                 return None
             cell = apply_schedule(cell, schedule)
         return cell
@@ -592,12 +646,11 @@ def prefix_policy(words_by_depth: dict[int, list[tuple]]):
     def policy(k, level, tsub):
         if words_by_depth.get(k) and len(tsub.base.facets) != 1:
             raise InvalidTermination("prefix policies need a single-facet base")
-        schedules = set(ordered_partitions(tsub.base.colors()))
         out = []
         for word in words_by_depth.get(k, []):
             if len(word) != k:
                 raise InvalidTermination(f"word {word} has length {len(word)}, expected {k}")
-            if not schedules.issuperset(word):
+            if not tsub._schedules.issuperset(word):
                 raise InvalidTermination(f"word {word} has a schedule that is not an ordered partition of the base colors")
             cell = tsub.cell(tuple(word))
             if cell is None:

@@ -572,7 +572,7 @@ def test_chr_iterate_builds_one_complex(monkeypatch):
     lambda: build_time_T(M2, CONS, 4).complex,
     lambda: chr_iterate(TRIANGLE, 2),
 ], ids=["iis2", "iis3-set-agreement", "m1", "m2", "triangle-k2"])
-def test_cached_keys_sort_like_keys_built_afresh(build):
+def test_rank_order_matches_reference_vertex_key(build):
     # the JSON, SVG and DOT orders are the orders of vertices() and facets
     K = build()
     memo: dict = {}

@@ -1,14 +1,18 @@
 import hashlib
 import json
-from collections import deque
+import sys
+from collections import Counter, deque
 
 import pytest
 
+import chrotop.simplicial
+import chrotop.subdivision
 from chrotop import cli
 from chrotop.checker import build_time_T, certify_consensus_impossible
 from chrotop.models import builtin_model
 from chrotop.protocol import DecisionProtocol, ball_id, extract_map, view_depth, winner_protocol
 from chrotop.simplicial import CarrierMap, Complex, Simplex, Vertex
+from chrotop.subdivision import diameters_Dk
 from chrotop.tasks import Task, inputless_consensus
 from oracles import reference_sperner
 
@@ -137,6 +141,37 @@ def test_subdivide_tetrahedron_outputs_match_golden_hashes(tmp_path):
     assert run_cli("subdivide", "--simplex", "3", "--k", "2", "--out", str(tmp_path)) == 0
     for name, digest in GOLDEN_TETRAHEDRON_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("simplex, k", [(1, k) for k in range(6)] + [(2, k) for k in range(4)]
+                         + [(3, k) for k in range(3)])
+def test_subdivide_dk_line_matches_the_diameter_table(tmp_path, capsys, simplex, k):
+    # the line is read off the subdivision's own weights; the table walks every cell afresh
+    assert run_cli("subdivide", "--simplex", str(simplex), "--k", str(k), "--out", str(tmp_path)) == 0
+    base = Complex([Simplex(Vertex(i, i) for i in range(simplex + 1))])
+    assert f"D_{k}: {diameters_Dk(base, k)[-1]}\n" in capsys.readouterr().out
+
+
+def test_subdivide_computes_weights_and_texts_once(tmp_path, monkeypatch):
+    calls = Counter()
+    originals = {"integer_weights": chrotop.subdivision.integer_weights,
+                 "diameters_Dk": chrotop.subdivision.diameters_Dk,
+                 "label_strings": chrotop.simplicial.label_strings}
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "chrotop"]
+    for name, original in originals.items():
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # wherever a module holds the function, as the CLI and the writers import it
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    for simplex, k in ((1, 4), (2, 2)):
+        calls.clear()
+        assert run_cli("subdivide", "--simplex", str(simplex), "--k", str(k), "--out", str(tmp_path)) == 0
+        assert calls == Counter({"integer_weights": 1, "label_strings": 1})
 
 
 def test_check_exit_codes(tmp_path):

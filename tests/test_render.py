@@ -4,8 +4,9 @@ import io
 import pytest
 
 from chrotop.render import DEPTH_FILLS, render_dot, render_svg, render_terminating_svg
-from chrotop.simplicial import Complex, Simplex, Vertex
-from chrotop.subdivision import TerminatingSubdivision, chr_iterate, policy_all_at_zero, prefix_policy
+from chrotop.simplicial import Complex, Simplex, Vertex, label_strings
+from chrotop.subdivision import (TerminatingSubdivision, chr_iterate, integer_weights, policy_all_at_zero,
+                                 prefix_policy)
 from oracles import reference_coordinates, reference_simplex_key, reference_svg
 
 R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
@@ -22,18 +23,28 @@ def written(writer, *args):
     return out.getvalue()
 
 
+def svg_text(K, base):
+    """`render_svg` of K, from its vertices' `integer_weights`."""
+    return written(render_svg, K, base, integer_weights(K.vertices(), base))
+
+
+def dot_text(K):
+    """`render_dot` of K, from its vertices' `label_strings`."""
+    return written(render_dot, K, label_strings(v.label for v in K.vertices()))
+
+
 def test_svg_edge_subdivision():
     base = standard_simplex(2)
-    svg = written(render_svg, chr_iterate(base, 2), base)
+    svg = svg_text(chr_iterate(base, 2), base)
     assert svg.startswith("<svg")
     assert svg.count("<line") == 9
     assert svg.count("<circle") == 10
-    assert svg == written(render_svg, chr_iterate(base, 2), base)
+    assert svg == svg_text(chr_iterate(base, 2), base)
 
 
 def test_svg_triangle_subdivision():
     base = standard_simplex(3)
-    svg = written(render_svg, chr_iterate(base, 1), base)
+    svg = svg_text(chr_iterate(base, 1), base)
     assert svg.count("<polygon") == 13
     assert svg.count("<circle") == 12
 
@@ -51,11 +62,11 @@ def test_terminating_svg_shades_by_depth():
 
 def test_dot_face_poset():
     base = standard_simplex(2)
-    dot = written(render_dot, chr_iterate(base, 1))
+    dot = dot_text(chr_iterate(base, 1))
     assert dot.startswith("digraph faceposet")
     # 7 simplexes, and each edge covers its 2 endpoints
     assert dot.count("->") == 6
-    assert dot == written(render_dot, chr_iterate(base, 1))
+    assert dot == dot_text(chr_iterate(base, 1))
 
 
 @pytest.mark.parametrize("n,k", [(2, k) for k in range(6)] + [(3, k) for k in range(4)])
@@ -65,7 +76,7 @@ def test_svg_matches_the_element_tree_drawing(n, k):
     memo = {}
     points = {v: reference_coordinates(v, base, memo) for facet in K.facets for v in facet}
     cells = [(facet, DEPTH_FILLS[0], "#333333", "4") for facet in K.facets]
-    assert written(render_svg, K, base) == reference_svg(base, cells, points)
+    assert svg_text(K, base) == reference_svg(base, cells, points)
 
 
 # three terminating subdivisions: the m1 prefix policy at depth 2, the
@@ -115,7 +126,7 @@ def test_stable_cells_come_by_depth_then_reference_key(case):
 def test_svg_of_cells_without_an_edge_writes_an_empty_group():
     base = standard_simplex(2)
     dots = Complex([Simplex([v]) for v in base.vertices()])
-    svg = written(render_svg, dots, base)
+    svg = svg_text(dots, base)
     points = {v: reference_coordinates(v, base) for v in dots.vertices()}
     assert svg == reference_svg(base, [(f, DEPTH_FILLS[0], "#333333", "4") for f in dots.facets], points)
     assert '<g stroke="#333333" stroke-width="1" />' in svg

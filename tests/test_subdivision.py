@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+import chrotop.subdivision
 from chrotop.errors import (
     BaseMismatch,
     InvalidTermination,
@@ -28,6 +29,7 @@ from chrotop.subdivision import (
     facet_volume_fraction,
     geometric_simplex,
     integer_weights,
+    mesh,
     ordered_partitions,
     partial_chr_step,
     policy_all_at_zero,
@@ -55,6 +57,7 @@ TETRAHEDRON = standard_simplex(4)
 TWO_TRIANGLES = Complex([Simplex([Vertex(0, 0), Vertex(1, 1), Vertex(2, 2)]),
                          Simplex([Vertex(0, 0), Vertex(1, 1), Vertex(2, 3)])])
 TWO_EDGES = Complex([Simplex([Vertex(0, 0), Vertex(1, 1)]), Simplex([Vertex(0, 0), Vertex(1, 2)])])
+TWO_COLOR_SETS = Complex([Simplex([Vertex(0, 0), Vertex(1, 1)]), Simplex([Vertex(1, 2), Vertex(2, 3)])])
 LABELED_TRIANGLE = Complex([Simplex([Vertex(0, "c"), Vertex(1, "a"), Vertex(2, "b")])])
 
 
@@ -302,6 +305,9 @@ def test_diameter_table_matches_each_level_subdivided_afresh(base, depth):
     table = diameters_Dk(base, depth)
     assert table == [diameter(chr_iterate(base, k), base) for k in range(depth + 1)]
     assert diameter_Dk(base, depth) == table[-1]
+    for k in range(depth + 1):
+        K = chr_iterate(base, k)
+        assert mesh(K, integer_weights(K.vertices(), base), base) == table[k]
     with pytest.raises(Unsupported):
         diameter_Dk(base, -1)
     with pytest.raises(Unsupported):
@@ -323,6 +329,17 @@ def test_diameter_table_refuses_the_bases_the_subdivision_refuses(base, error):
             chr_iterate(base, depth)
         with pytest.raises(error):
             diameters_Dk(base, depth)
+
+
+def test_mesh_of_cells_of_different_depths():
+    # a level-1 cell, whose weights are lifted to level 3, beside a level-3 one
+    (edge,) = EDGE.facets
+    K = Complex([cell_of_word(edge, (R,)), cell_of_word(edge, (L, B, B))])
+    weights = integer_weights(K.vertices(), EDGE)
+    assert {weights[v][0] for v in K.vertices()} == {1, 3}
+    assert mesh(K, weights, EDGE) == diameter(K, EDGE) == Fraction(1, 3)
+    assert mesh(Complex([Simplex([v]) for v in EDGE.vertices()]), integer_weights(EDGE.vertices(), EDGE),
+                EDGE) == 0
 
 
 def test_diameter_table_builds_no_exact_point(monkeypatch):
@@ -543,3 +560,84 @@ def test_cell_walk_matches_stored_cells(base, policy, depth):
     for word in words:
         assert ts.cell(word) == stored.get(word), word
     assert sum(ts.cell(word) is not None for word in words) == len(stored)
+
+
+# -- what the walk builds -------------------------------------------------
+
+
+def counted_constructions(monkeypatch, build):
+    """(Simplex, Vertex) constructions made by `build()`."""
+    made = {"simplexes": 0, "vertices": 0}
+    simplex_init, vertex_post_init = Simplex.__init__, Vertex.__post_init__
+
+    def simplex(self, vertices):
+        made["simplexes"] += 1
+        simplex_init(self, vertices)
+
+    def vertex(self):
+        made["vertices"] += 1
+        vertex_post_init(self)
+
+    monkeypatch.setattr(Simplex, "__init__", simplex)
+    monkeypatch.setattr(Vertex, "__post_init__", vertex)
+    build()
+    monkeypatch.undo()
+    return made["simplexes"], made["vertices"]
+
+
+@pytest.mark.parametrize("base, k, simplexes, vertices", [
+    (TRIANGLE, 3, 3660, 1251),
+    (EDGE, 7, 6558, 3286),
+    (TETRAHEDRON, 2, 6840, 1156),
+], ids=["triangle-k3", "edge-k7", "tetrahedron-k2"])
+def test_chr_iterate_builds_each_face_and_view_once(monkeypatch, base, k, simplexes, vertices):
+    n = base.dim + 1
+    # a level-j cell has fubini(n) children and 2^n - 1 faces, each built
+    # once as a carrier; the cells of levels 1..k are built once each
+    faces = sum(fubini(n) ** j for j in range(k)) * (2**n - 1)
+    assert simplexes == faces + sum(fubini(n) ** j for j in range(1, k + 1))
+    # the views of level j are (c, sigma) for each face sigma of level j - 1
+    # and color c of sigma, each built once
+    assert vertices == sum(len(s) for j in range(k) for s in chr_iterate(base, j).simplexes())
+    if n == 2:
+        assert vertices == sum(3**j + 1 for j in range(1, k + 1))
+    if n == 3:
+        assert vertices == sum(1 + (13**j + 3 * 3**j) // 2 for j in range(1, k + 1))
+    assert counted_constructions(monkeypatch, lambda: chr_iterate(base, k)) == (simplexes, vertices)
+
+
+def counted_partitions(monkeypatch, build):
+    """The color sets `ordered_partitions` is called on while `build()` runs."""
+    calls = []
+
+    def counted(items):
+        calls.append(frozenset(items))
+        return ordered_partitions(items)
+
+    monkeypatch.setattr(chrotop.subdivision, "ordered_partitions", counted)
+    build()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("base, k", [(EDGE, 7), (TRIANGLE, 3), (TWO_TRIANGLES, 2), (TWO_COLOR_SETS, 3)],
+                         ids=["edge-k7", "triangle-k3", "two-triangles-k2", "two-color-sets-k3"])
+def test_each_color_set_lists_its_schedules_once(monkeypatch, base, k):
+    color_sets = {f.colors() for f in base.facets}
+    calls = counted_partitions(monkeypatch, lambda: chr_iterate(base, k))
+    assert sorted(calls, key=sorted) == sorted(color_sets, key=sorted)
+    level = chr_iterate(base, k - 1)
+    calls = counted_partitions(monkeypatch, lambda: partial_chr_step(level, None))
+    assert sorted(calls, key=sorted) == sorted(color_sets, key=sorted)
+
+
+def test_cell_navigation_lists_the_base_schedules_once(monkeypatch):
+    words = {1: [(R,)], 2: [(L, s) for s in (R, B, L)], 3: [(B, B, s) for s in (R, B, L)]}
+    ts = TerminatingSubdivision(EDGE, prefix_policy(words))
+    ts.materialize(3)
+    walked = [(B, L, R), (L, L), (B, B, L), (R, B)]
+    calls = counted_partitions(monkeypatch, lambda: [ts.cell(word) for word in walked])
+    assert calls == []
+    # a fresh subdivision lists the base's schedules once, then once per deepened level
+    calls = counted_partitions(monkeypatch, lambda: TerminatingSubdivision(EDGE, prefix_policy(words)).materialize(3))
+    assert len(calls) == 1 + 3

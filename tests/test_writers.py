@@ -9,9 +9,10 @@ import json
 import pytest
 
 from chrotop.render import render_dot, render_json, render_svg
-from chrotop.simplicial import (Complex, Simplex, Vertex, label_string, vertex_json,
+from chrotop.simplicial import (Complex, Simplex, Vertex, label_string, label_strings, vertex_json,
                                 vertex_string, vertex_strings)
-from chrotop.subdivision import TerminatingSubdivision, cell_of_word, chr_iterate, prefix_policy
+from chrotop.subdivision import (TerminatingSubdivision, cell_of_word, chr_iterate, integer_weights,
+                                 prefix_policy)
 
 R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
 
@@ -25,6 +26,11 @@ def written(writer, *args):
     out = io.StringIO()
     writer(*args, out)
     return out.getvalue()
+
+
+def texts_of(K):
+    """The label texts of `K.vertices()`, which the JSON and DOT writers read."""
+    return label_strings(v.label for v in K.vertices())
 
 
 def reference_label(label):
@@ -104,7 +110,7 @@ def assert_same_items(got, want):
 @pytest.mark.parametrize("build", [b for _, b in CASES], ids=[name for name, _ in CASES])
 def test_writers_match_reference(build):
     K = build()
-    assert_same_items(written(render_dot, K).split("\n"), reference_dot(K).split("\n"))
+    assert_same_items(written(render_dot, K, texts_of(K)).split("\n"), reference_dot(K).split("\n"))
     assert_same_items(json.dumps(K.to_json_obj(), indent=2).split("\n"),
                       json.dumps(reference_json(K), indent=2).split("\n"))
     names = reference_names(K)
@@ -117,7 +123,7 @@ def test_writers_match_reference(build):
 
 def test_dot_escapes_quotes_and_backslashes():
     K = Complex([Simplex([Vertex(0, 'a"b'), Vertex(1, "c\\d")])])
-    assert written(render_dot, K) == "\n".join([
+    assert written(render_dot, K, texts_of(K)) == "\n".join([
         "digraph faceposet {",
         "  rankdir=BT;",
         '  s0 [label="0:a\\"b"];',
@@ -165,7 +171,7 @@ def test_json_writer_matches_the_indent_encoder(build, seed):
     K = build()
     header = {"schema": 1, "seed": seed, "k": 2, "Dk": "1/9"}
     want = json.dumps({**header, **K.to_json_obj()}, indent=2) + "\n"
-    assert_same_items(written(render_json, K, header).split("\n"), want.split("\n"))
+    assert_same_items(written(render_json, K, header, texts_of(K)).split("\n"), want.split("\n"))
 
 
 class RecordingSink(io.StringIO):
@@ -184,7 +190,9 @@ class RecordingSink(io.StringIO):
 def test_writers_write_in_bounded_pieces(writer):
     base = standard_simplex(2)
     K = chr_iterate(base, 7)
-    args = {"json": (render_json, K, {"schema": 1}), "svg": (render_svg, K, base), "dot": (render_dot, K)}
+    args = {"json": (render_json, K, {"schema": 1}, texts_of(K)),
+            "svg": (render_svg, K, base, integer_weights(K.vertices(), base)),
+            "dot": (render_dot, K, texts_of(K))}
     write, *rest = args[writer]
     sink = RecordingSink()
     write(*rest, sink)
