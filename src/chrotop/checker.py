@@ -290,7 +290,8 @@ def verify_termination_certificate(
     stable_cells = tsub.stable_cells(depth)
 
     # (a) admissibility at depth: one walk over the model's words cuts each
-    # word whose cell is a stable cell of its depth
+    # word whose cell is a stable cell of its depth; it walks with the
+    # subdivision's intern table, so each of its cells is the level's facet
     stable = {(sc.depth, sc.simplex) for sc in stable_cells}
     processes = base_facet.colors()
     alphabet = model.schedules(processes)
@@ -301,7 +302,8 @@ def verify_termination_certificate(
         return [s for s in alphabet if model.allowed_prefix(processes, word + (s,))]
 
     roots = [base_facet] if model.allowed_prefix(processes, ()) else []
-    uncovered = [w for _, w, cell in walk_cells(roots, depth, letters) if (depth, cell) not in stable]
+    uncovered = [w for _, w, cell in walk_cells(roots, depth, letters, tsub.table)
+                 if (depth, cell) not in stable]
     only_excluded = bool(uncovered) and all(
         any(w == e.prefix(len(w)) for e in model.excluded) for w in uncovered
     )

@@ -43,7 +43,13 @@ def view_chain(v: Vertex) -> list[Vertex]:
 
 
 def view_depth(v: Vertex) -> int:
-    return len(view_chain(v)) - 1
+    """The rounds a view has seen: the length of its walk down to its
+    input vertex, counted without building `view_chain`."""
+    depth = 0
+    while isinstance(v.label, Simplex):
+        v = v.label.vertex_of_color(v.color)
+        depth += 1
+    return depth
 
 
 def _first_views(v: Vertex) -> tuple[Vertex, Vertex | None]:
@@ -296,9 +302,10 @@ def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> De
 
     Distances are taken on integer weights (`integer_weights`): a stable
     point's over scale**max_depth, a view's over scale**depth, both lifted
-    to the finer of the two.  The protocol keeps one weight memo and one
-    memo of decided values for all the views it is asked about, each
-    cleared when it outgrows `_BALL_ATTEMPTS_MAXSIZE`.
+    to the finer of the two.  The protocol keeps one weight memo, and one
+    memo of answers for every view it is asked about or walks through on
+    the way down to an answered one, each cleared when it outgrows
+    `_BALL_ATTEMPTS_MAXSIZE`.
     """
     tsub.materialize(max_depth)
     base = tsub.base
@@ -315,8 +322,8 @@ def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> De
             stable_by_color.setdefault(v.color, []).append((v, ints))
     memo: dict = {}
     # (color, view) -> the value decided at or before that view, or None,
-    # for each view whose ball was tried; a view's decision is asked for
-    # again by every later round and execution
+    # for each view asked about or walked through; a view's decision is
+    # asked for again by every later round and execution
     decided: dict = {}
 
     def attempt(color: int, view: Vertex):
@@ -348,22 +355,23 @@ def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> De
     def decide(color: int, view: Vertex):
         # decisions are irrevocable: the first round whose ball is
         # unanimous fixes the value for every later view, so the walk
-        # down the view stops at the nearest view already tried, and no
-        # view after a decided one is tried or kept
+        # down the view stops at the nearest view already answered, no
+        # view after a decided one is tried, and every view walked keeps
+        # its answer
         if len(decided) > _BALL_ATTEMPTS_MAXSIZE:
             decided.clear()
-        untried = []
+        unanswered = []
         v = view
         while (color, v) not in decided:
-            untried.append(v)
+            unanswered.append(v)
             if not isinstance(v.label, Simplex):
                 break
             v = v.label.vertex_of_color(v.color)
         answer = decided.get((color, v))
-        for v in reversed(untried):
-            if answer is not None:
-                break
-            answer = decided[color, v] = attempt(color, v)
+        for v in reversed(unanswered):
+            if answer is None:
+                answer = attempt(color, v)
+            decided[color, v] = answer
         return answer
 
     return DecisionProtocol("ball-rule", decide)
@@ -380,8 +388,11 @@ def synthesize_from_time_map(delta_T: SimplicialMap, time_complex) -> DecisionPr
             by_prefix.setdefault(prefix, set()).add(ball)
 
     def decide(color: int, view: Vertex):
-        chain = view_chain(view)
-        group = by_prefix.get(chain[min(T, len(chain) - 1)])
+        # entry min(T, depth) of the view's chain, walked down to
+        prefix = view
+        for _ in range(view_depth(view) - T):
+            prefix = prefix.label.vertex_of_color(prefix.color)
+        group = by_prefix.get(prefix)
         if not group:
             raise IncompleteMap(f"view {view!r} is outside the time complex")
         values = set()

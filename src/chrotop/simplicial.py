@@ -187,6 +187,15 @@ class Simplex:
         self._verts = tuple(verts)
         self._hash = hash(self._verts)
 
+    @classmethod
+    def _chromatic(cls, verts: tuple[Vertex, ...]) -> "Simplex":
+        """The simplex of `verts`, which hold one vertex of each color, in
+        color order: `__init__` without its set, sort and collision pass."""
+        simplex = object.__new__(cls)
+        simplex._verts = verts
+        simplex._hash = hash(verts)
+        return simplex
+
     def __iter__(self) -> Iterator[Vertex]:
         return iter(self._verts)
 
@@ -437,7 +446,27 @@ class MapReport:
 
 
 def check_simplicial_chromatic(h: SimplicialMap, K: Complex, L: Complex) -> MapReport:
-    """Check that h carries simplexes of K into L and preserves colors."""
+    """Check that h carries simplexes of K into L and preserves colors.
+
+    h is looked up once per vertex of K, and only the images of K's
+    facets are tested: L is closed under faces, so a facet whose image
+    lies in L clears all of its faces.  On a failure, a missing vertex or
+    a colliding image the check reruns `_scan_simplicial_chromatic`, which
+    finds the first witness, or raises, as a scan of every simplex does."""
+    try:
+        images = {v: h(v) for v in K.vertices()}
+        if all(w.color == v.color for v, w in images.items()) and all(
+                image in L for image in {Simplex(images[v] for v in f) for f in K.facets}):
+            return MapReport(True, True)
+    except (IncompleteMap, InvalidVertex):
+        pass  # the scan raises it again, from the simplex that first meets it
+    return _scan_simplicial_chromatic(h, K, L)
+
+
+def _scan_simplicial_chromatic(h: SimplicialMap, K: Complex, L: Complex) -> MapReport:
+    """`check_simplicial_chromatic` by a scan: the first vertex of K whose
+    color h changes, and the first simplex of K, in canonical order, whose
+    image is not in L."""
     witness_vertex = None
     chromatic = True
     for v in K.vertices():
@@ -556,7 +585,29 @@ class CarriedReport:
 
 def carried_by(delta: SimplicialMap, xi: CarrierMap, delta_map: CarrierMap, I: Complex) -> CarriedReport:
     """Check that, for every sigma in I and tau in xi(sigma), the image
-    delta[tau] lies in delta_map(sigma)."""
+    delta[tau] lies in delta_map(sigma).
+
+    delta is looked up once per vertex of each xi(sigma), and only the
+    images of its facets are tested, as in `check_simplicial_chromatic`.
+    On a failure, a missing vertex or carrier or a colliding image the
+    check reruns `_scan_carried_by`, which finds the first witness, or
+    raises, as the full scan does."""
+    try:
+        for sigma in I.simplexes():
+            allowed, carried = delta_map(sigma), xi(sigma)
+            images = {v: delta(v) for v in carried.vertices()}
+            if not all(image in allowed for image in {Simplex(images[v] for v in f) for f in carried.facets}):
+                break
+        else:
+            return CarriedReport(True)
+    except (IncompleteMap, InvalidCarrier, InvalidVertex):
+        pass  # the scan raises it again, from the pair that first meets it
+    return _scan_carried_by(delta, xi, delta_map, I)
+
+
+def _scan_carried_by(delta: SimplicialMap, xi: CarrierMap, delta_map: CarrierMap, I: Complex) -> CarriedReport:
+    """`carried_by` by a scan of every sigma of I and every tau of
+    xi(sigma), in canonical order; the first failing pair is the witness."""
     for sigma in I.simplexes():
         allowed = delta_map(sigma)
         for tau in xi(sigma).simplexes():

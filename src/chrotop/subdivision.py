@@ -1,10 +1,13 @@
 """Standard chromatic subdivision, exact geometry, terminating subdivisions.
 
 Chr^k is built level by level (`walk_cells`): one `apply_schedule` per
-cell and schedule, all sharing one intern table, so each face of a cell
-is built once whatever schedules reach it, each view once however many
-cells it belongs to, and each color set's schedules are listed once per
-walk.
+cell and schedule, all sharing one intern table, so each proper face of
+a cell is built once whatever schedules reach it, the cell itself being
+the carrier of all its colors, each view once however many cells it
+belongs to, and each color set's schedules are listed once per walk.
+A `TerminatingSubdivision` keeps one such table for its levels, its
+`cell` lookups and the certificate's walk of schedule words, so a cell
+met again is the same object.
 
 All geometry is exact.  A vertex produced by subdividing carries its
 whole history: its label is the simplex of the previous level it was
@@ -13,8 +16,8 @@ derived from, recursively down to the base vertices (see `walk_cells`).
 integers: its barycentric weights over the base vertices times
 scale**k, with scale = lcm(1, 3, ..., 2n - 1) for the largest base facet
 size n.  `mesh` reads a complex's largest cell diameter off those
-weights, and `diameters_Dk` walks cells in the same integers
-without building a vertex.  An exact point, a `BarycentricPoint` of
+weights, and `diameters_Dk` walks the distinct cell shapes in the same
+integers without building a vertex.  An exact point, a `BarycentricPoint` of
 `Fraction` weights, is built only where a point is a vertex label (the
 stable complexes of terminating subdivisions) or asked for through
 `coordinates`.  Distances are half 1-norms, so a base edge has length 1.
@@ -27,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm, prod
-from operator import sub
+from operator import add, attrgetter, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -77,13 +80,19 @@ def apply_schedule(facet: Simplex, schedule: Schedule, table: dict | None = None
     Every color p in block i gets the new vertex (p, prefix) where
     prefix is the face of `facet` spanned by blocks 1..i.
 
-    The intern table maps each carrier to the equal carrier it met first,
-    each color set to one frozenset of it, (`facet`, color set) to the
-    interned carrier of that face of `facet`, and (color, interned
+    The intern table maps each carrier and each cell to the equal one it
+    met first, each color set to one frozenset of it, (`facet`, color set)
+    to the interned carrier of that face of `facet`, and (color, interned
     carrier) to the view.  The steps that share a table so build each face
     of a cell once, whatever schedules reach it, keep one object per
-    carrier value, and build each view once.  Without a table the step
-    uses one of its own, so every carrier and view is new.
+    carrier and cell value, and build each view once.  Without a table
+    the step uses one of its own, so every carrier, view and cell is new.
+
+    A carrier holds one vertex of each of its colors, so it is built in
+    color order without the set and collision pass of `Simplex`, and the
+    carrier of all the colors of a chromatic facet is the facet itself.
+    When the blocks are disjoint the cell, too, has one vertex per color
+    and is built the same way; any other schedule builds it by `Simplex`.
     """
     table = {} if table is None else table
     colors = frozenset()
@@ -93,22 +102,39 @@ def apply_schedule(facet: Simplex, schedule: Schedule, table: dict | None = None
         colors = table.setdefault(colors, colors)  # one object per color set, shared by its keys
         carrier = table.get((facet, colors))
         if carrier is None:
-            carrier = Simplex(facet.vertex_of_color(c) for c in colors)
+            carrier = _face_of_colors(facet, colors)
             carrier = table[facet, colors] = table.setdefault(carrier, carrier)
         for c in block:
             view = table.get((c, carrier))
             if view is None:
                 view = table[c, carrier] = Vertex(c, carrier)
             new_vertices.append(view)
-    return Simplex(new_vertices)
+    if 0 < len(new_vertices) == len(colors):
+        cell = Simplex._chromatic(tuple(sorted(new_vertices, key=attrgetter("color"))))
+    else:
+        cell = Simplex(new_vertices)
+    return table.setdefault(cell, cell)
 
 
-def walk_cells(roots: Sequence[Simplex], depth: int, letters: Callable) -> list[tuple]:
+def _face_of_colors(facet: Simplex, colors: frozenset) -> Simplex:
+    """The face of `facet` that holds its vertex of each of `colors`, a
+    missing color raising `KeyError`.  One vertex per color, in color
+    order, is a simplex without the checks of `Simplex`, and a face that
+    holds as many vertices as the facet is the facet itself."""
+    face = tuple(map(facet.vertex_of_color, sorted(colors)))
+    if len(face) == len(facet):
+        return facet
+    # an empty block names no color, and `Simplex` refuses the empty face
+    return Simplex._chromatic(face) if face else Simplex(face)
+
+
+def walk_cells(roots: Sequence[Simplex], depth: int, letters: Callable, table: dict | None = None) -> list[tuple]:
     """(root, word, cell) for the depth-`depth` cells under the roots, level
     by level: a word extends by each schedule `letters(word, cell)` names,
-    its child cell one `apply_schedule` from its own.  One intern table
-    serves the call, so equal carriers and views are one object."""
-    table: dict = {}
+    its child cell one `apply_schedule` from its own.  One intern table,
+    `table` or one of the call's own, serves every step, so equal carriers,
+    views and cells are one object."""
+    table = {} if table is None else table
     level = [(root, (), root) for root in roots]
     for _ in range(depth):
         level = [(root, word + (s,), apply_schedule(cell, s, table))
@@ -333,17 +359,26 @@ def diameters_Dk(base: Complex, depth: int) -> list[Fraction]:
     `base`: the largest pairwise vertex distance within any cell of each
     level.
 
-    Exact, from one depth-first walk over the cells of levels 0..depth
-    with integer arithmetic only.  A level-k cell is the tuple of its
-    vertices' barycentric weights over the corners of its base facet, in
+    Exact, with integer arithmetic only, from one walk over the distinct
+    cell shapes of levels 0..depth.  A level-k cell is the tuple of its
+    vertices' barycentric weights over the corners of a base facet, in
     the facet's vertex order, times scale**k with scale = lcm(1, 3, ...,
     2n - 1) for the largest base facet size n, so every weight is an
     integer.  A child cell follows `_child_weights`, the rule of
     `integer_weights`: under a schedule, the vertex of color c in a block
     becomes (scale // (2m - 1)) * (2 S - p_c), where S sums the vectors of
-    the m colors seen up to that block.  Every base facet is walked; no
-    vertex, simplex or exact point is built.
-    Depths of one or more refuse the bases `chr_subdivision` refuses.
+    the m colors seen up to that block.  That rule is linear, and it maps
+    a cell translated by t to its child translated by scale * t, so a
+    cell's pairwise distances, and those of all its descendants, depend
+    only on its shape: its vertices minus its first vertex.  Each level
+    is the set of its cells' shapes, the children of each shape of the
+    level before; the last level keeps every child, since it has no
+    children to share.  Every base facet of the largest size starts from
+    the same corners, and a smaller one, met only at depth 0, is no
+    wider.  The edge has two shapes per level, so any depth is cheap
+    there; a triangle's cells barely repeat.  No vertex, simplex or exact
+    point is built.  Depths of one or more refuse the bases
+    `chr_subdivision` refuses.
     """
     if depth < 0:
         raise Unsupported("subdivision depth must be nonnegative")
@@ -352,39 +387,38 @@ def diameters_Dk(base: Complex, depth: int) -> list[Fraction]:
     if depth > 0 and not base.is_pure():
         raise Unsupported("standard chromatic subdivision of a non-pure complex")
     scale = weight_scale(base)
+    size = max(len(f) for f in base.facets)
+    # each schedule of the corner positions as its blocks: (positions, scale // (2m - 1))
+    schedules = []
+    for schedule in ordered_partitions(range(size)) if depth else ():
+        m, blocks = 0, []
+        for block in schedule:
+            m += len(block)
+            blocks.append((block, scale // (2 * m - 1)))
+        schedules.append(blocks)
+    level = {tuple(tuple(int(i == j) for j in range(size)) for i in range(size))}
     # best[k]: the largest 1-norm of a vertex difference in a level-k cell
-    best = [0] * (depth + 1)
-    for facet in base.facets:
-        size = len(facet)
-        # each schedule as its blocks: (positions, scale // (2m - 1))
-        schedules = []
-        if depth:
-            position = {v.color: i for i, v in enumerate(facet.vertices)}
-            for schedule in ordered_partitions(position):
-                m, blocks = 0, []
-                for block in schedule:
-                    m += len(block)
-                    blocks.append((tuple(position[c] for c in block), scale // (2 * m - 1)))
-                schedules.append(blocks)
-        corners = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-        stack = [(0, corners)]
-        while stack:
-            k, cell = stack.pop()
-            for p, q in combinations(cell, 2):
-                d = sum(abs(a - b) for a, b in zip(p, q))
-                if d > best[k]:
-                    best[k] = d
-            if k == depth:
-                continue
+    best = []
+    for k in range(depth + 1):
+        best.append(max((sum(map(abs, map(sub, p, q))) for cell in level for p, q in combinations(cell, 2)),
+                        default=0))
+        if k == depth:
+            break
+        children = []
+        for cell in level:
             for blocks in schedules:
                 child = list(cell)
                 seen = [0] * size
                 for positions, factor in blocks:
                     for i in positions:
-                        seen = [s + a for s, a in zip(seen, cell[i])]
+                        seen = list(map(add, seen, cell[i]))
                     for i in positions:
                         child[i] = _child_weights(factor, seen, cell[i])
-                stack.append((k + 1, tuple(child)))
+                children.append(child)
+        if k + 1 < depth:
+            # a level that is subdivided again keeps one cell per shape
+            children = {tuple(tuple(map(sub, p, child[0])) for p in child) for child in children}
+        level = children
     # the distance is half the 1-norm, over the scale of the level
     return [Fraction(b, 2 * scale**k) for k, b in enumerate(best)]
 
@@ -489,20 +523,35 @@ def edge_position(pt: BarycentricPoint, base: Complex) -> Fraction:
 # -- terminating subdivisions ---------------------------------------------
 
 
-def wrap_simplex(simplex: Simplex) -> Simplex:
+def wrap_simplex(simplex: Simplex, table: dict | None = None) -> Simplex:
     """Copy a terminated simplex into the next level: each vertex v becomes
-    (color, {v}), the same geometric point."""
-    return Simplex(Vertex(v.color, Simplex([v])) for v in simplex)
+    (color, {v}), the same geometric point.  With an `apply_schedule`
+    intern table, the carriers, vertices and copy are its objects: a
+    vertex (c, {v}) is also the view of a process that saw only itself."""
+    table = {} if table is None else table
+    vertices = []
+    for v in simplex:
+        carrier = Simplex([v])
+        carrier = table.setdefault(carrier, carrier)
+        view = table.get((v.color, carrier))
+        if view is None:
+            view = table[v.color, carrier] = Vertex(v.color, carrier)
+        vertices.append(view)
+    wrapped = Simplex(vertices)
+    return table.setdefault(wrapped, wrapped)
 
 
-def partial_chr_step(I_k: Complex, sigma_k: Complex | None) -> Complex:
+def partial_chr_step(I_k: Complex, sigma_k: Complex | None, table: dict | None = None) -> Complex:
     """One partial chromatic subdivision step.
 
     Facets inside the terminated subcomplex are copied verbatim (as
     singleton-carrier vertices); every other facet is replaced by its
     standard chromatic subdivision.  A live facet with a terminated
     proper face of dimension >= 1 cannot be coarsened here and raises.
+    The copies and the subdivision share `table`, an `apply_schedule`
+    intern table, or one of the call's own.
     """
+    table = {} if table is None else table
     if sigma_k is not None and not sigma_k.is_subcomplex_of(I_k):
         raise InvalidTermination("terminated simplexes must form a subcomplex of the level")
     terminated = set()
@@ -511,7 +560,7 @@ def partial_chr_step(I_k: Complex, sigma_k: Complex | None) -> Complex:
     facets, live = [], []
     for f in I_k.facets:
         if f in terminated:
-            facets.append(wrap_simplex(f))
+            facets.append(wrap_simplex(f, table))
             continue
         for face in f.faces():
             if face.dim >= 1 and face != f and face in terminated:
@@ -519,7 +568,7 @@ def partial_chr_step(I_k: Complex, sigma_k: Complex | None) -> Complex:
                     f"live facet {f!r} has terminated face {face!r} of dimension >= 1"
                 )
         live.append(f)
-    facets.extend(cell for _, _, cell in walk_cells(live, 1, _schedule_letters()))
+    facets.extend(cell for _, _, cell in walk_cells(live, 1, _schedule_letters(), table))
     return Complex(facets)
 
 
@@ -550,6 +599,11 @@ class TerminatingSubdivision:
     and returns the simplexes of the level to terminate at that depth
     (newly, in addition to everything already terminated).  Terminated
     simplexes are never subdivided again.
+
+    `table` is the one `apply_schedule` intern table of the subdivision:
+    its levels are built with it, and `cell` and the certificate's walk
+    of schedule words (`verify_termination_certificate`) walk with it, so
+    a cell of a level met again is that level's facet, the same object.
     """
 
     def __init__(self, base: Complex, policy: Callable[[int, Complex, "TerminatingSubdivision"], Iterable[Simplex]]):
@@ -557,6 +611,7 @@ class TerminatingSubdivision:
             raise NotChromatic("terminating subdivisions need a chromatic base")
         self.base = base
         self.policy = policy
+        self.table: dict = {}
         self._levels: list[_Level] = []
         self._stable: list[StableCell] = []
         self._levels.append(_Level(base, set()))
@@ -588,8 +643,8 @@ class TerminatingSubdivision:
         k = self.max_depth_materialized
         level = self._levels[k]
         sigma = Complex(level.terminated_facets) if level.terminated_facets else None
-        next_complex = partial_chr_step(level.complex, sigma)
-        carried = {wrap_simplex(s) for s in level.terminated_facets}
+        next_complex = partial_chr_step(level.complex, sigma, self.table)
+        carried = {wrap_simplex(s, self.table) for s in level.terminated_facets}
         self._levels.append(_Level(next_complex, carried))
         self._apply_policy(k + 1)
 
@@ -614,7 +669,7 @@ class TerminatingSubdivision:
             # a full-dimensional cell is a terminated face only as a terminated facet
             if cell in level.terminated_facets or schedule not in self._schedules:
                 return None
-            cell = apply_schedule(cell, schedule)
+            cell = apply_schedule(cell, schedule, self.table)
         return cell
 
     def stable_cells(self, depth: int) -> list[StableCell]:

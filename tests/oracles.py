@@ -27,8 +27,14 @@ from chrotop.protocol import (
     execution_configurations,
 )
 from chrotop.render import PROCESS_COLORS, SIZE
-from chrotop.simplicial import Complex, Simplex, Vertex, vertex_key
-from chrotop.subdivision import BarycentricPoint, chr_iterate, geometric_distance
+from chrotop.simplicial import CarriedReport, Complex, MapReport, Simplex, Vertex, vertex_key
+from chrotop.subdivision import (
+    BarycentricPoint,
+    chr_iterate,
+    geometric_distance,
+    ordered_partitions,
+    weight_scale,
+)
 
 
 def reference_vertex_key(v: Vertex, memo: dict | None = None):
@@ -103,6 +109,67 @@ def diameter(K: Complex, base: Complex) -> Fraction:
                 if d > best:
                     best = d
     return best
+
+
+def reference_diameters_Dk(base: Complex, depth: int) -> list[Fraction]:
+    """D_0..D_depth by a depth-first walk over every cell of levels
+    0..depth of each base facet, one cell per schedule word: a cell is
+    its vertices' integer weights over the facet's corners times
+    scale**k, and a child puts (scale // (2m - 1)) * (2 S - p_c) on the
+    vertex of color c, S summing the m vectors seen up to its block.  It
+    checks no base; a level has fubini(n)**k cells."""
+    scale = weight_scale(base)
+    best = [0] * (depth + 1)
+    for facet in base.facets:
+        size = len(facet)
+        position = {v.color: i for i, v in enumerate(facet.vertices)}
+        schedules = []
+        for schedule in ordered_partitions(position) if depth else ():
+            m, blocks = 0, []
+            for block in schedule:
+                m += len(block)
+                blocks.append((tuple(position[c] for c in block), scale // (2 * m - 1)))
+            schedules.append(blocks)
+        corners = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+        stack = [(0, corners)]
+        while stack:
+            k, cell = stack.pop()
+            for i in range(size):
+                for j in range(i + 1, size):
+                    best[k] = max(best[k], sum(abs(a - b) for a, b in zip(cell[i], cell[j])))
+            if k == depth:
+                continue
+            for blocks in schedules:
+                child = list(cell)
+                seen = [0] * size
+                for positions, factor in blocks:
+                    for i in positions:
+                        seen = [s + a for s, a in zip(seen, cell[i])]
+                    for i in positions:
+                        child[i] = tuple(factor * (2 * s - a) for s, a in zip(seen, cell[i]))
+                stack.append((k + 1, tuple(child)))
+    return [Fraction(b, 2 * scale**k) for k, b in enumerate(best)]
+
+
+def reference_check_simplicial_chromatic(h, K: Complex, L: Complex) -> MapReport:
+    """Whether h keeps colors and carries simplexes of K into L, by a scan:
+    the first vertex of K whose color h changes, then the first simplex
+    of K, in canonical order, whose image is not in L."""
+    witness_vertex = next((v for v in K.vertices() if h(v).color != v.color), None)
+    witness_simplex = next((s for s in K.simplexes() if h.image(s) not in L), None)
+    return MapReport(witness_simplex is None, witness_vertex is None, witness_simplex, witness_vertex)
+
+
+def reference_carried_by(delta, xi, delta_map, I: Complex) -> CarriedReport:
+    """Whether delta[tau] lies in delta_map(sigma) for every sigma of I and
+    tau of xi(sigma), by a scan in canonical order; the first failing
+    pair is the witness."""
+    for sigma in I.simplexes():
+        allowed = delta_map(sigma)
+        for tau in xi(sigma).simplexes():
+            if delta.image(tau) not in allowed:
+                return CarriedReport(False, (sigma, tau))
+    return CarriedReport(True)
 
 
 def _integer_system(columns: Sequence[BarycentricPoint], x: BarycentricPoint) -> list[list[int]]:

@@ -809,6 +809,36 @@ def test_admissibility_extends_only_the_live_prefixes(monkeypatch):
     assert report.uncovered_only_excluded and report.carried and not report.continuous
 
 
+@pytest.mark.parametrize("model, policy, depth", [(M1, M1_POLICY, 5), (M2, m2_naive_policy(7), 7)],
+                         ids=["m1", "m2-naive"])
+def test_stable_cells_are_the_cells_the_admissibility_walk_meets(monkeypatch, model, policy, depth):
+    """The certificate walks with the subdivision's intern table, so the
+    cell of each word is the level's facet and each stable cell is met as
+    itself, the same object."""
+    ts = TerminatingSubdivision(CONS.inputs, policy)
+    delta = split_delta(ts.stable_complex(depth), CONS.inputs)
+    walk = chrotop.checker.walk_cells
+    met = {}  # the blocks of each word the walk reaches -> its cell
+
+    def walked(roots, depth, letters, table=None):
+        def noted(word, cell):
+            met[tuple(s.blocks for s in word)] = cell
+            return letters(word, cell)
+
+        level = walk(roots, depth, noted, table)
+        met.update((tuple(s.blocks for s in w), cell) for _, w, cell in level)
+        return level
+
+    monkeypatch.setattr(chrotop.checker, "walk_cells", walked)
+    verify_termination_certificate(ts, delta, model, CONS, depth)
+    for word, cell in met.items():
+        assert ts.cell(word) is cell
+        assert any(cell is f for f in ts._levels[len(word)].complex.facets)
+    for sc in ts.stable_cells(depth):
+        word = next(w for w, cell in met.items() if cell is sc.simplex)
+        assert len(word) == sc.depth
+
+
 def test_termination_certificate_refuses_a_model_that_does_not_match_the_base():
     edge = TerminatingSubdivision(CONS.inputs, policy_all_at_zero)
     with pytest.raises(BadArity, match="task has 2 processes but model iis3 has 3"):

@@ -56,6 +56,7 @@ from chrotop.checker import build_time_T
 from oracles import diameter, reference_check_solves, reference_coordinates, reference_run
 
 M1 = builtin_model("m1")
+M2 = builtin_model("m2")
 IIS2 = builtin_model("iis2")
 CONS = inputless_consensus(2)
 
@@ -153,19 +154,20 @@ def test_ball_rule_end_to_end_on_m1():
 
 
 def reference_ball_rule(delta, ts, max_depth):
-    """The ball rule with nothing remembered between calls: every round's
-    ball is gathered afresh, with D_k from the k-th subdivision."""
+    """The ball rule with no answer remembered between calls: every round's
+    ball is gathered afresh, from exact points, with D_k from the k-th
+    subdivision.  Only the points, which depend on a view alone, are kept."""
     base = ts.base
     stable = ts.stable_complex(max_depth).vertices()
+    radius = [diameter(chr_iterate(base, k), base) for k in range(max_depth + 1)]
+    points: dict = {}
 
     def decide(color, view):
         for v in view_chain(view):
-            k = min(view_depth(v), max_depth)
-            radius = diameter(chr_iterate(base, k), base)
-            point = reference_coordinates(v, base)
+            point = reference_coordinates(v, base, points)
             values = {
                 delta(w).label for w in stable
-                if w.color == color and geometric_distance(point, w.label) <= radius
+                if w.color == color and geometric_distance(point, w.label) <= radius[min(view_depth(v), max_depth)]
             }
             if len(values) == 1:
                 return values.pop()
@@ -174,18 +176,34 @@ def reference_ball_rule(delta, ts, max_depth):
     return decide
 
 
-@pytest.mark.parametrize("max_depth", [2, 3])
-def test_ball_rule_matches_uncached_reference_on_every_m1_view(max_depth):
+def assert_ball_rule_matches_reference(model, max_depth, T):
+    """The m1 prefix policy's ball rule answers as `reference_ball_rule`
+    on every view of `model` up to depth T, asked in any order."""
     ts = TerminatingSubdivision(CONS.inputs, M1_POLICY)
     delta = split_delta(ts.stable_complex(max_depth), CONS.inputs)
     proto = synthesize_from_stable_map(delta, ts, max_depth)
     reference = reference_ball_rule(delta, ts, max_depth)
-    views = {v for T in range(6) for v in build_time_T(M1, CONS, T).complex.vertices()}
+    views = {v for t in range(T + 1) for v in build_time_T(model, CONS, t).complex.vertices()}
+    expected = {v: reference(v.color, v) for v in views}
     for v in views:
-        assert proto(v.color, v) == reference(v.color, v)
-    # asked again, in the reverse order, the remembered answers agree
+        assert proto(v.color, v) == expected[v]
+    # asked again, deepest first, the remembered answers agree
     for v in sorted(views, key=view_depth, reverse=True):
-        assert proto(v.color, v) == reference(v.color, v)
+        assert proto(v.color, v) == expected[v]
+    # and so do a fresh protocol's, asked deepest first
+    proto = synthesize_from_stable_map(delta, ts, max_depth)
+    for v in sorted(views, key=view_depth, reverse=True):
+        assert proto(v.color, v) == expected[v]
+
+
+@pytest.mark.parametrize("max_depth", [2, 3])
+def test_ball_rule_matches_uncached_reference_on_every_m1_view(max_depth):
+    assert_ball_rule_matches_reference(M1, max_depth, 5)
+
+
+@pytest.mark.parametrize("model", [M1, M2], ids=["m1", "m2"])
+def test_ball_rule_matches_uncached_reference_up_to_depth_7(model):
+    assert_ball_rule_matches_reference(model, 2, 7)
 
 
 def test_ball_rule_constant_map_decides_at_zero():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from chrotop.checker import build_time_T
-from chrotop.errors import IncompleteMap, InvalidVertex
+from chrotop.errors import ChrotopError, IncompleteMap, InvalidVertex
 from chrotop.models import builtin_model
 from chrotop.simplicial import (
     CarrierMap,
@@ -28,7 +28,12 @@ from chrotop.subdivision import (
     prefix_policy,
 )
 from chrotop.tasks import inputless_consensus, set_agreement
-from oracles import reference_simplex_key, reference_vertex_key
+from oracles import (
+    reference_carried_by,
+    reference_check_simplicial_chromatic,
+    reference_simplex_key,
+    reference_vertex_key,
+)
 
 A = Vertex(0, "a")
 B = Vertex(1, "b")
@@ -203,6 +208,73 @@ def test_carried_by_undefined_vertex_raises():
     partial = SimplicialMap({v: o for v, o in delta.mapping.items() if v != first})
     with pytest.raises(IncompleteMap):
         carried_by(partial, P1.xi, task.delta, task.inputs)
+
+
+def _altered_maps():
+    """The winner map of m1 at T = 3, and that map altered at one vertex
+    in the middle of the complex's vertex order."""
+    from chrotop.protocol import extract_map, winner_protocol
+
+    task, m1 = inputless_consensus(2), builtin_model("m1")
+    P3 = build_time_T(m1, task, 3)
+    delta = extract_map(winner_protocol(), m1, task, 3)
+    vertices = P3.complex.vertices()
+    v = vertices[len(vertices) // 2]
+    other = next(w for f in P3.complex.facets if v in f for w in f if w != v)
+    out = delta(v)
+
+    def altered(image):
+        return SimplicialMap({**delta.mapping, v: image})
+
+    maps = {
+        "correct": delta,
+        "flipped": altered(Vertex(out.color, 1 - out.label)),
+        "not-chromatic": altered(Vertex(1 - out.color, out.label)),
+        # two images of one color whose labels write the same text
+        "colliding": altered(Vertex(delta(other).color, str(delta(other).label))),
+        "missing": SimplicialMap({w: o for w, o in delta.mapping.items() if w != v}),
+    }
+    return task, P3, maps
+
+
+@pytest.mark.parametrize("case", ["correct", "flipped", "not-chromatic", "colliding", "missing"])
+def test_map_checks_match_the_reference_scans(case):
+    task, P3, maps = _altered_maps()
+    h = maps[case]
+    checks = [
+        (check_simplicial_chromatic, reference_check_simplicial_chromatic, (h, P3.complex, task.outputs)),
+        (carried_by, reference_carried_by, (h, P3.xi, task.delta, task.inputs)),
+    ]
+    for check, reference, args in checks:
+        try:
+            expected = reference(*args)
+        except ChrotopError as error:
+            with pytest.raises(type(error)) as raised:
+                check(*args)
+            assert str(raised.value) == str(error)
+        else:
+            assert check(*args) == expected
+    if case == "correct":
+        assert checks[0][0](*checks[0][2]).ok and checks[1][0](*checks[1][2]).carried
+
+
+def test_map_checks_look_up_each_vertex_once():
+    task, P3, maps = _altered_maps()
+    delta = maps["correct"]
+    looked_up = []
+    lookup = SimplicialMap.__call__
+
+    class Counted(SimplicialMap):
+        def __call__(self, v):
+            looked_up.append(v)
+            return lookup(self, v)
+
+    counted = Counted(delta.mapping)
+    assert check_simplicial_chromatic(counted, P3.complex, task.outputs).ok
+    assert sorted(map(id, looked_up)) == sorted(map(id, P3.complex.vertices()))
+    looked_up.clear()
+    assert carried_by(counted, P3.xi, task.delta, task.inputs).carried
+    assert len(looked_up) == sum(len(P3.xi(s).vertices()) for s in task.inputs.simplexes())
 
 
 def test_json_round_trip_and_determinism():

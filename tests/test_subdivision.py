@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -38,7 +39,13 @@ from chrotop.subdivision import (
     weight_scale,
     wrap_simplex,
 )
-from oracles import diameter, geometric_containment, reference_coordinates, reference_simplex_key
+from oracles import (
+    diameter,
+    geometric_containment,
+    reference_coordinates,
+    reference_diameters_Dk,
+    reference_simplex_key,
+)
 
 R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
 
@@ -314,6 +321,21 @@ def test_diameter_table_matches_each_level_subdivided_afresh(base, depth):
         diameters_Dk(base, -1)
 
 
+@pytest.mark.parametrize("base, depth", [
+    (EDGE, 8), (TRIANGLE, 3), (TETRAHEDRON, 2), (TWO_TRIANGLES, 2), (TWO_COLOR_SETS, 3), (LABELED_TRIANGLE, 2),
+], ids=["edge", "triangle", "tetrahedron", "two-triangles", "two-color-sets", "labeled-triangle"])
+def test_diameter_table_matches_the_walk_over_every_cell(base, depth):
+    for k in range(depth + 1):
+        assert diameters_Dk(base, k) == reference_diameters_Dk(base, k)
+
+
+def test_diameter_table_walks_shapes_not_cells():
+    # the edge has two cell shapes per level, and 3**40 cells at level 40
+    start = time.perf_counter()
+    assert diameters_Dk(EDGE, 40) == [Fraction(1, 3**k) for k in range(41)]
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("base, error", [
     (Complex([Simplex([Vertex(0, 0), Vertex(0, 1)])]), NotChromatic),
     # the lone vertex comes first, so level 0 needs the second facet
@@ -566,19 +588,26 @@ def test_cell_walk_matches_stored_cells(base, policy, depth):
 
 
 def counted_constructions(monkeypatch, build):
-    """(Simplex, Vertex) constructions made by `build()`."""
+    """(Simplex, Vertex) constructions made by `build()`; a simplex is
+    made by `Simplex.__init__` or by the chromatic `Simplex._chromatic`."""
     made = {"simplexes": 0, "vertices": 0}
-    simplex_init, vertex_post_init = Simplex.__init__, Vertex.__post_init__
+    simplex_init, chromatic_simplex = Simplex.__init__, Simplex._chromatic
+    vertex_post_init = Vertex.__post_init__
 
     def simplex(self, vertices):
         made["simplexes"] += 1
         simplex_init(self, vertices)
+
+    def chromatic(cls, verts):
+        made["simplexes"] += 1
+        return chromatic_simplex(verts)
 
     def vertex(self):
         made["vertices"] += 1
         vertex_post_init(self)
 
     monkeypatch.setattr(Simplex, "__init__", simplex)
+    monkeypatch.setattr(Simplex, "_chromatic", classmethod(chromatic))
     monkeypatch.setattr(Vertex, "__post_init__", vertex)
     build()
     monkeypatch.undo()
@@ -586,15 +615,16 @@ def counted_constructions(monkeypatch, build):
 
 
 @pytest.mark.parametrize("base, k, simplexes, vertices", [
-    (TRIANGLE, 3, 3660, 1251),
-    (EDGE, 7, 6558, 3286),
-    (TETRAHEDRON, 2, 6840, 1156),
+    (TRIANGLE, 3, 3477, 1251),
+    (EDGE, 7, 5465, 3286),
+    (TETRAHEDRON, 2, 6764, 1156),
 ], ids=["triangle-k3", "edge-k7", "tetrahedron-k2"])
 def test_chr_iterate_builds_each_face_and_view_once(monkeypatch, base, k, simplexes, vertices):
     n = base.dim + 1
-    # a level-j cell has fubini(n) children and 2^n - 1 faces, each built
-    # once as a carrier; the cells of levels 1..k are built once each
-    faces = sum(fubini(n) ** j for j in range(k)) * (2**n - 1)
+    # a level-j cell has fubini(n) children and 2^n - 2 proper faces, each
+    # built once as a carrier; its full face is the cell itself, and the
+    # cells of levels 1..k are built once each
+    faces = sum(fubini(n) ** j for j in range(k)) * (2**n - 2)
     assert simplexes == faces + sum(fubini(n) ** j for j in range(1, k + 1))
     # the views of level j are (c, sigma) for each face sigma of level j - 1
     # and color c of sigma, each built once
