@@ -24,7 +24,6 @@ from .tasks import Task, inputless_consensus, set_agreement, validate_task
 from .models import (
     ExecutionWord,
     ModelSpec,
-    RoundSchedule,
     builtin_model,
     enumerate_prefixes,
     enumerate_round_schedules,

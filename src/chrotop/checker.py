@@ -23,10 +23,10 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import BadIndices, ChrotopError, Unsupported
 from .models import (
+    ARROW_SCHEDULES,
     MAX_PROCESSES,
     ExecutionWord,
     ModelSpec,
-    RoundSchedule,
     Word,
     is_excluded_limit,
 )
@@ -50,6 +50,7 @@ from .simplicial import (
 )
 from .subdivision import (
     BarycentricPoint,
+    Schedule,
     TerminatingSubdivision,
     cell_of_word,
     chr_iterate,
@@ -296,7 +297,7 @@ def verify_termination_certificate(
     processes = base_facet.colors()
     alphabet = model.schedules(processes)
 
-    def letters(word: Word, cell: Simplex) -> list[RoundSchedule]:
+    def letters(word: Word, cell: Simplex) -> list[Schedule]:
         if (len(word), cell) in stable:
             return []
         return [s for s in alphabet if model.allowed_prefix(processes, word + (s,))]
@@ -506,7 +507,7 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
     horizon = depth if model.predicate is not None else 1
     base = inputless_consensus(2).inputs
     base_facet = base.facets[0]
-    solos = (RoundSchedule(((0,), (1,))), RoundSchedule(((1,), (0,))))
+    solos = (ARROW_SCHEDULES["->"], ARROW_SCHEDULES["<-"])
     if any(is_excluded_limit(model, ExecutionWord((), (solo,))) for solo in solos):
         return None
 
@@ -514,7 +515,7 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
     alphabet = model.schedules(processes)
     gap = False
 
-    def letters(word: Word, cell: Simplex) -> list[RoundSchedule]:
+    def letters(word: Word, cell: Simplex) -> list[Schedule]:
         nonlocal gap
         if gap:
             return []

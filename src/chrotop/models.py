@@ -7,6 +7,11 @@ and itself.  For two processes the three schedules are written with the
 arrows of the lossy-link reading: "->" means the left process goes
 first (it hears nobody this round), "<-" means the right process goes
 first, "<->" means both see each other.
+
+Everywhere in chrotop a schedule is one value, the `Schedule` of
+`subdivision`: the tuple of its blocks, each a sorted tuple of colors,
+and a word is a tuple of schedules.  Input is read into that form, and
+checked, only by `parse_schedule`; `schedule_text` writes it back.
 """
 
 from __future__ import annotations
@@ -29,63 +34,38 @@ ARROW_NAMES = {
 ARROW_SCHEDULES = {name: blocks for blocks, name in ARROW_NAMES.items()}
 
 
-@dataclass(frozen=True)
-class RoundSchedule:
-    """An ordered partition of the processes 0..n-1."""
-
-    blocks: Schedule  # tuple of sorted tuples of colors
-
-    def __post_init__(self):
-        seen = set()
-        for block in self.blocks:
-            if not block or tuple(sorted(block)) != tuple(block):
-                raise ValueError(f"blocks must be nonempty sorted tuples: {self.blocks}")
-            if seen & set(block):
-                raise ValueError(f"blocks must be disjoint: {self.blocks}")
-            seen.update(block)
-
-    def __iter__(self):  # its blocks, so `apply_schedule` takes it as a `Schedule`
-        return iter(self.blocks)
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def __str__(self):
-        name = ARROW_NAMES.get(self.blocks)
-        if name is not None:
-            return name
-        return "|".join(",".join(str(c) for c in b) for b in self.blocks)
-
-    def to_json_obj(self):
-        return [list(b) for b in self.blocks]
-
-    @classmethod
-    def parse(cls, raw) -> "RoundSchedule":
-        if isinstance(raw, RoundSchedule):
-            return raw
-        if isinstance(raw, str):
-            if raw in ARROW_SCHEDULES:
-                return cls(ARROW_SCHEDULES[raw])
-            blocks = tuple(
-                tuple(sorted(int(x) for x in part.split(","))) for part in raw.split("|")
-            )
-            return cls(blocks)
-        return cls(tuple(tuple(sorted(int(c) for c in b)) for b in raw))
+def parse_schedule(raw) -> Schedule:
+    """A round schedule from an arrow, a "0,1|2" string or a list of int
+    lists, with each block sorted; raises `ValueError` unless the blocks
+    are nonempty and name each color once."""
+    if isinstance(raw, str):
+        if raw in ARROW_SCHEDULES:
+            return ARROW_SCHEDULES[raw]
+        raw = [part.split(",") for part in raw.split("|")]
+    schedule = tuple(tuple(sorted(int(c) for c in b)) for b in raw)
+    colors = [c for b in schedule for c in b]
+    if not all(schedule) or len(set(colors)) < len(colors):
+        raise ValueError(f"blocks must be nonempty and name each color once: {schedule}")
+    return schedule
 
 
-Word = tuple  # tuple[RoundSchedule, ...]
+def schedule_text(schedule: Schedule) -> str:
+    """The arrow of a two-process schedule, otherwise "0,1|2"."""
+    return ARROW_NAMES.get(schedule) or "|".join(",".join(map(str, b)) for b in schedule)
+
+
+Word = tuple  # tuple[Schedule, ...]
 
 
 def word(*schedules) -> Word:
-    return tuple(RoundSchedule.parse(s) for s in schedules)
+    return tuple(parse_schedule(s) for s in schedules)
 
 
-def enumerate_round_schedules(n: int) -> list[RoundSchedule]:
+def enumerate_round_schedules(n: int) -> list[Schedule]:
     """All round schedules on n processes, canonical order."""
     if not 1 <= n <= MAX_PROCESSES:
         raise Unsupported(f"round schedules supported for 1..{MAX_PROCESSES} processes")
-    return [RoundSchedule(blocks) for blocks in ordered_partitions(range(n))]
+    return list(ordered_partitions(range(n)))
 
 
 @dataclass(frozen=True)
@@ -99,7 +79,7 @@ class ExecutionWord:
         if not self.cycle:
             raise ValueError("cycle must be nonempty")
 
-    def letter(self, i: int) -> RoundSchedule:
+    def letter(self, i: int) -> Schedule:
         if i < len(self.stem):
             return self.stem[i]
         return self.cycle[(i - len(self.stem)) % len(self.cycle)]
@@ -121,14 +101,14 @@ class ExecutionWord:
         return ExecutionWord(tuple(stem), tuple(cycle))
 
     def __str__(self):
-        stem = ",".join(str(s) for s in self.stem)
-        cycle = ",".join(str(s) for s in self.cycle)
+        stem = ",".join(map(schedule_text, self.stem))
+        cycle = ",".join(map(schedule_text, self.cycle))
         return f"({stem})({cycle})^w" if stem else f"({cycle})^w"
 
     def to_json_obj(self):
         return {
-            "stem": [s.to_json_obj() for s in self.stem],
-            "cycle": [s.to_json_obj() for s in self.cycle],
+            "stem": [[list(b) for b in s] for s in self.stem],
+            "cycle": [[list(b) for b in s] for s in self.cycle],
         }
 
     @classmethod
@@ -148,7 +128,7 @@ def _json_rounds(raw) -> Word:
             and all(isinstance(b, list) and all(type(c) is int for c in b) for b in r)
         ):
             raise Unsupported(f"a round must be a string or a list of lists of ints, not {r!r}")
-    return tuple(RoundSchedule.parse(r) for r in raw)
+    return tuple(parse_schedule(r) for r in raw)
 
 
 PrefixPredicate = Callable[[frozenset, Word], bool]
@@ -167,11 +147,11 @@ class ModelSpec:
     n: int
     name: str
     kind: str  # "iis" | "firstRoundRestricted" | "custom"
-    allowed_first_rounds: tuple[RoundSchedule, ...] | None = None
+    allowed_first_rounds: tuple[Schedule, ...] | None = None
     excluded: tuple[ExecutionWord, ...] = ()
     predicate: PrefixPredicate | None = field(default=None, compare=False)
 
-    def schedules(self, participants: frozenset) -> list[RoundSchedule]:
+    def schedules(self, participants: frozenset) -> list[Schedule]:
         """The round schedules of the given participants, which must be
         processes of this model: a color outside 0..n-1 would silently
         fail every full-participation rule."""
@@ -180,7 +160,7 @@ class ModelSpec:
         outside = participants - frozenset(range(self.n))
         if outside:
             raise Unsupported(f"colors {sorted(outside)} are not processes 0..{self.n - 1} of model {self.name}")
-        return [RoundSchedule(blocks) for blocks in ordered_partitions(sorted(participants))]
+        return list(ordered_partitions(participants))
 
     def allowed_prefix(self, participants: frozenset, prefix: Word) -> bool:
         if len(participants) < self.n:
@@ -198,7 +178,7 @@ class ModelSpec:
     def to_json_obj(self) -> dict:
         obj = {"schema": 1, "n": self.n, "kind": self.kind, "name": self.name}
         if self.allowed_first_rounds is not None:
-            obj["allowedFirstRounds"] = [s.to_json_obj() for s in self.allowed_first_rounds]
+            obj["allowedFirstRounds"] = [[list(b) for b in s] for s in self.allowed_first_rounds]
         obj["excluded"] = [w.to_json_obj() for w in self.excluded]
         return obj
 
@@ -239,10 +219,7 @@ def m1() -> ModelSpec:
         n=2,
         name="m1",
         kind="firstRoundRestricted",
-        allowed_first_rounds=(
-            RoundSchedule(ARROW_SCHEDULES["->"]),
-            RoundSchedule(ARROW_SCHEDULES["<-"]),
-        ),
+        allowed_first_rounds=(ARROW_SCHEDULES["->"], ARROW_SCHEDULES["<-"]),
     )
 
 
@@ -288,8 +265,8 @@ def load_model_json_obj(obj: dict) -> ModelSpec:
     if not isinstance(kind, str) or not isinstance(name, str):
         raise Unsupported(f"model kind and name must be strings, not {kind!r} and {name!r}")
     for letter in (first_rounds or ()) + tuple(s for e in excluded for s in e.stem + e.cycle):
-        if set().union(*letter.blocks) != set(range(n)):  # blocks are already disjoint
-            raise Unsupported(f"round {letter} is not an ordered partition of 0..{n - 1}")
+        if set().union(*letter) != set(range(n)):  # blocks are already disjoint
+            raise Unsupported(f"round {schedule_text(letter)} is not an ordered partition of 0..{n - 1}")
     if kind == "iis":
         first_rounds = None
     return ModelSpec(

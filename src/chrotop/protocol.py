@@ -20,10 +20,10 @@ from .errors import (
     NotBoundedBy,
     Unsupported,
 )
-from .models import ModelSpec, RoundSchedule, Word, enumerate_prefixes
+from .models import ModelSpec, Word, enumerate_prefixes, schedule_text
 from .simplicial import Complex, Simplex, SimplicialMap, Vertex, label_string, parse_label
 from .simplicial import vertex_string, vertex_strings
-from .subdivision import apply_schedule, diameters_Dk, integer_weights, walk_cells, weight_scale
+from .subdivision import Schedule, apply_schedule, diameters_Dk, integer_weights, walk_cells, weight_scale
 from .tasks import Task, check_arity
 
 ball_id = vertex_string  # a view's ball id is its vertex text
@@ -72,11 +72,11 @@ class Execution:
 
     @property
     def participants(self) -> frozenset:
-        return frozenset(self.face.colors())
+        return self.face.colors()
 
     def describe(self) -> str:
         inputs = ",".join(f"{v.color}={label_string(v.label)}" for v in self.face)
-        sched = ",".join(str(s) for s in self.word)
+        sched = ",".join(map(schedule_text, self.word))
         return f"[{inputs}]({sched})"
 
 
@@ -110,7 +110,7 @@ def execution_cells(model: ModelSpec, faces: Sequence[Simplex], depth: int) -> l
         raise Unsupported("depth must be nonnegative")
     alphabets = {p: model.schedules(p) for p in dict.fromkeys(f.colors() for f in faces)}
 
-    def letters(word: Word, cell: Simplex) -> list[RoundSchedule]:
+    def letters(word: Word, cell: Simplex) -> list[Schedule]:
         participants = cell.colors()
         return [s for s in alphabets[participants] if model.allowed_prefix(participants, word + (s,))]
 

@@ -45,7 +45,9 @@ from .errors import (
 from .simplicial import Complex, Simplex, Vertex, rank_simplexes, vertex_key
 
 # A round schedule, combinatorially: an ordered partition of a color set,
-# encoded as a tuple of sorted tuples of colors.
+# encoded as a tuple of sorted tuples of colors.  It is chrotop's only
+# schedule value: model words are tuples of it, and `models.parse_schedule`
+# reads and checks one from input.
 Schedule = tuple
 
 
@@ -75,7 +77,8 @@ def ordered_partitions(items: Sequence[int]) -> Iterator[Schedule]:
 
 
 def apply_schedule(facet: Simplex, schedule: Schedule, table: dict | None = None) -> Simplex:
-    """One subdivision step of `facet` under a round schedule.
+    """One subdivision step of `facet` under a round schedule, the plain
+    tuple of its blocks that a model word holds.
 
     Every color p in block i gets the new vertex (p, prefix) where
     prefix is the face of `facet` spanned by blocks 1..i.

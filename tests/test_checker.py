@@ -11,10 +11,10 @@ from chrotop.errors import BadArity, BadIndices, Unsupported
 from chrotop.models import (
     ExecutionWord,
     ModelSpec,
-    RoundSchedule,
     builtin_model,
     enumerate_prefixes,
     load_model_json_obj,
+    schedule_text,
     word,
 )
 from chrotop.simplicial import (
@@ -617,6 +617,39 @@ def test_termination_certificate_m1_all_conditions_pass():
     assert report.ok
 
 
+def test_model_words_name_the_cells_of_a_terminating_subdivision():
+    """`cell` takes a model's words as they are: the cell of each m1 word
+    is the one `cell_of_word` builds, and it is the level's own facet."""
+    levels = []
+
+    def nothing(k, level, ts):
+        levels.append(level)
+        return []
+
+    ts = TerminatingSubdivision(CONS.inputs, nothing)
+    ts.materialize(3)
+    words = enumerate_prefixes(M1, 3)
+    assert len(words) == 18
+    facets = {id(f) for f in levels[3].facets}
+    for w in words:
+        assert ts.cell(w) == cell_of_word(CONS.inputs.facets[0], w)
+        assert id(ts.cell(w)) in facets
+    assert id(ts.cell(word("<-", "->"))) in {id(f) for f in levels[2].facets}
+
+
+def test_prefix_policy_takes_model_words():
+    """The m1 policy spelled with `word` terminates the same cells, and
+    gets the same certificate report, as its R/L/B spelling."""
+    by_words = prefix_policy({1: [word("->")], 2: [word("<-", s) for s in ("->", "<->", "<-")]})
+    from_words = TerminatingSubdivision(CONS.inputs, by_words)
+    from_tuples = TerminatingSubdivision(CONS.inputs, M1_POLICY)
+    assert from_words.stable_cells(5) == from_tuples.stable_cells(5)
+    delta = split_delta(from_tuples.stable_complex(5), CONS.inputs)
+    report = verify_termination_certificate(from_words, delta, M1, CONS, 5)
+    assert report.ok
+    assert report == verify_termination_certificate(from_tuples, delta, M1, CONS, 5)
+
+
 def test_termination_certificate_m2_naive_candidate_discontinuous_at_excluded():
     ts = TerminatingSubdivision(CONS.inputs, m2_naive_policy(4))
     delta = split_delta(ts.stable_complex(4), CONS.inputs)
@@ -649,7 +682,7 @@ def reference_termination_report(ts, delta, model, task, depth):
     uncovered = []
     points: dict = {}
     for w in enumerate_prefixes(model, depth):
-        cells = [cell_of_word(base_facet, tuple(s.blocks for s in w[:k])) for k in range(depth + 1)]
+        cells = [cell_of_word(base_facet, w[:k]) for k in range(depth + 1)]
         if not any(
             sc.depth <= k and geometric_containment(reference_points(cell, base, points), sc.points)
             for k, cell in enumerate(cells) for sc in stable_cells
@@ -805,7 +838,7 @@ def test_admissibility_extends_only_the_live_prefixes(monkeypatch):
     monkeypatch.setattr(chrotop.checker, "walk_cells", walked)
     report = verify_termination_certificate(ts, delta, M2, CONS, 7)
     assert len(calls) == 21
-    assert [tuple(s.blocks for s in w) for w in report.uncovered] == [(B,) + (L,) * 6]
+    assert report.uncovered == [(B,) + (L,) * 6]
     assert report.uncovered_only_excluded and report.carried and not report.continuous
 
 
@@ -818,15 +851,15 @@ def test_stable_cells_are_the_cells_the_admissibility_walk_meets(monkeypatch, mo
     ts = TerminatingSubdivision(CONS.inputs, policy)
     delta = split_delta(ts.stable_complex(depth), CONS.inputs)
     walk = chrotop.checker.walk_cells
-    met = {}  # the blocks of each word the walk reaches -> its cell
+    met = {}  # each word the walk reaches -> its cell
 
     def walked(roots, depth, letters, table=None):
         def noted(word, cell):
-            met[tuple(s.blocks for s in word)] = cell
+            met[word] = cell
             return letters(word, cell)
 
         level = walk(roots, depth, noted, table)
-        met.update((tuple(s.blocks for s in w), cell) for _, w, cell in level)
+        met.update((w, cell) for _, w, cell in level)
         return level
 
     monkeypatch.setattr(chrotop.checker, "walk_cells", walked)
@@ -905,13 +938,13 @@ def reference_certificate(model, depth):
     """The interval certificate with no shortcut: the cells of every
     allowed depth-d word, as edge intervals, merged into components."""
     words = enumerate_prefixes(model, depth)
-    solo = [tuple(RoundSchedule(blocks) for _ in range(depth)) for blocks in (R, L)]
+    solo = [(blocks,) * depth for blocks in (R, L)]
     if any(w not in words for w in solo):
         return None
     base = CONS.inputs
     intervals = []
     for w in words:
-        cell = cell_of_word(base.facets[0], tuple(s.blocks for s in w))
+        cell = cell_of_word(base.facets[0], w)
         positions = [edge_position(coordinates(v, base), base) for v in cell]
         intervals.append((min(positions), max(positions)))
     components = []
@@ -935,7 +968,7 @@ def reference_certificate(model, depth):
 # the edge but the depth-2 cells leave a gap, so depth 1 cannot stand in
 ROUND_TWO = ModelSpec(
     n=2, name="round-two", kind="custom",
-    predicate=lambda participants, w: not (len(w) >= 2 and w[0].blocks == B and w[1].blocks == B),
+    predicate=lambda participants, w: not (len(w) >= 2 and w[0] == B and w[1] == B),
 )
 
 
@@ -943,7 +976,7 @@ ROUND_TWO = ModelSpec(
 # loses the cell of "<->", "<->"
 ONE_EXCHANGE = ModelSpec(
     n=2, name="one-exchange", kind="custom",
-    predicate=lambda participants, w: sum(s.blocks == B for s in w) <= 1,
+    predicate=lambda participants, w: sum(s == B for s in w) <= 1,
 )
 ALLOW_ALL = ModelSpec(n=2, name="allow-all", kind="custom", predicate=lambda participants, w: True)
 
@@ -1131,14 +1164,14 @@ def test_solve_certifies_two_process_consensus_before_building_any_P_T(monkeypat
         assert (verdict.depth, verdict.certificate.depth) == (9, 9)
 
 
-LETTERS = [RoundSchedule(blocks) for blocks in (R, B, L)]
+LETTERS = [R, B, L]
 SWEEP_DEPTH = 5
 
 
 def first_round_models():
     """Every restriction of the first round to a subset of the three schedules."""
     return [
-        ModelSpec(n=2, name="first-" + ("".join(str(s) for s in subset) or "none"),
+        ModelSpec(n=2, name="first-" + ("".join(map(schedule_text, subset)) or "none"),
                   kind="firstRoundRestricted", allowed_first_rounds=subset)
         for r in range(4) for subset in combinations(LETTERS, r)
     ]

@@ -230,6 +230,22 @@ def test_check_rejects_malformed_model_and_task_files(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("model", [
+    {"n": 2, "kind": "custom", "allowedFirstRounds": ["0,0|1"]},
+    {"n": 2, "kind": "custom", "allowedFirstRounds": [[[0, 0], [1]]]},
+    {"n": 2, "kind": "custom", "excluded": [{"stem": [], "cycle": [[[0, 1, 1]]]}]},
+], ids=["first-round-string", "first-round-lists", "excluded-cycle"])
+def test_check_rejects_a_round_that_repeats_a_color(model, tmp_path, capsys):
+    """A round naming a color twice is no ordered partition, even when its
+    blocks cover 0..n-1: the model exits 2 rather than being checked."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert run_cli("check", "--model", str(path), "--task", "consensus", "--max-depth", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: malformed model: ")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("edit", [
     lambda images, edge: {**images, edge: images[edge] + [Simplex([Vertex(0, 7), Vertex(1, 7)])]},
     lambda images, edge: {**images, edge: [Simplex([Vertex(0, 1), Vertex(1, 1)])]},

@@ -172,8 +172,8 @@ def test_ball_trichotomy_examples():
         Ball(universe[0], Fraction(1, 4)), Ball(universe[0], Fraction(1, 2)), universe, exec_distance
     )
     assert nested == "b1<=b2"
-    w_left = next(w for w in universe if str(w[0]) == "->")
-    w_right = next(w for w in universe if str(w[0]) == "<-")
+    w_left = next(w for w in universe if w[0] == ((0,), (1,)))
+    w_right = next(w for w in universe if w[0] == ((1,), (0,)))
     assert (
         ball_trichotomy(Ball(w_left, Fraction(1, 4)), Ball(w_right, Fraction(1, 4)), universe, exec_distance)
         == "disjoint"

@@ -5,13 +5,14 @@ import pytest
 from chrotop.errors import Unsupported
 from chrotop.models import (
     ExecutionWord,
-    RoundSchedule,
     builtin_model,
     enumerate_prefixes,
     enumerate_round_schedules,
     iis,
     is_excluded_limit,
     load_model_json_obj,
+    parse_schedule,
+    schedule_text,
     word,
 )
 from chrotop.simplicial import Complex, Simplex, Vertex
@@ -28,9 +29,9 @@ def test_schedule_counts():
 
 def test_arrow_parsing_round_trip():
     for name in ("->", "<-", "<->"):
-        s = RoundSchedule.parse(name)
-        assert str(s) == name
-        assert RoundSchedule.parse(s.to_json_obj()) == s
+        s = parse_schedule(name)
+        assert schedule_text(s) == name
+        assert parse_schedule([list(b) for b in s]) == s
 
 
 def test_prefix_counts():
@@ -41,7 +42,7 @@ def test_prefix_counts():
 
 def test_m1_first_round_restriction():
     prefixes = enumerate_prefixes(builtin_model("m1"), 1)
-    names = {str(p[0]) for p in prefixes}
+    names = {schedule_text(p[0]) for p in prefixes}
     assert names == {"->", "<-"}
 
 
@@ -72,7 +73,7 @@ def test_prefix_chr_correspondence():
         model = builtin_model(name)
         for depth in (1, 2):
             prefixes = enumerate_prefixes(model, depth)
-            cells = {cell_of_word(facet, tuple(s.blocks for s in p)) for p in prefixes}
+            cells = {cell_of_word(facet, p) for p in prefixes}
             assert len(cells) == len(prefixes)
             all_facets = set(chr_iterate(base, depth).facets)
             assert cells <= all_facets
@@ -154,7 +155,7 @@ def test_sub_participation_unrestricted():
 
 def test_participants_must_be_processes_of_the_model():
     iis3 = builtin_model("iis3")
-    assert [str(s) for s in iis3.schedules(frozenset({0, 2}))] == ["0|2", "0,2", "2|0"]
+    assert [schedule_text(s) for s in iis3.schedules(frozenset({0, 2}))] == ["0|2", "0,2", "2|0"]
     assert len(enumerate_prefixes(iis3, 2, frozenset({0, 1}))) == 9
     custom = load_model_json_obj({"n": 2, "kind": "custom", "allowedFirstRounds": ["->", "<-", "<->"]})
     for participants in ({0, 2}, {2}, {-1}):

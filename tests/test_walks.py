@@ -151,9 +151,8 @@ def no_second_full_exchange(participants, w):
     """A test-local predicate: the full exchange at most once, and never
     right after "<-" (a dead end for words that cannot be extended)."""
     full = ((0, 1),)
-    blocks = [s.blocks for s in w]
-    return blocks.count(full) <= 1 and all(
-        not (a == ((1,), (0,)) and b == full) for a, b in zip(blocks, blocks[1:])
+    return w.count(full) <= 1 and all(
+        not (a == ((1,), (0,)) and b == full) for a, b in zip(w, w[1:])
     )
 
 
