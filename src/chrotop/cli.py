@@ -28,9 +28,13 @@ FORMATS = ("json", "svg", "dot")
 
 
 def _resolve(ref: str, from_json, builtin):
-    """`from_json` of the JSON file `ref` names, or `builtin(ref)`."""
+    """`from_json` of the JSON file `ref` names, or `builtin(ref)`.  A file
+    nested past the recursion limit is `Unsupported`."""
     if ref.endswith(".json") or "/" in ref:
-        return from_json(json.loads(Path(ref).read_text(encoding="utf-8")))
+        try:
+            return from_json(json.loads(Path(ref).read_text(encoding="utf-8")))
+        except RecursionError:
+            raise Unsupported(f"{ref} is nested too deeply") from None
     return builtin(ref)
 
 
@@ -42,7 +46,7 @@ def _builtin_task(ref: str) -> Task:
         raise Unsupported(f"task {ref!r} needs a process count from 2 to {MAX_PROCESSES}")
     if name == "consensus":
         return inputless_consensus(n)
-    if name in ("set-agreement", "setagreement"):
+    if name == "set-agreement":
         return set_agreement(n)
     raise ChrotopError(f"unknown task {ref!r}")
 

@@ -448,40 +448,30 @@ class MapReport:
 def check_simplicial_chromatic(h: SimplicialMap, K: Complex, L: Complex) -> MapReport:
     """Check that h carries simplexes of K into L and preserves colors.
 
-    h is looked up once per vertex of K, and only the images of K's
-    facets are tested: L is closed under faces, so a facet whose image
-    lies in L clears all of its faces.  On a failure, a missing vertex or
-    a colliding image the check reruns `_scan_simplicial_chromatic`, which
-    finds the first witness, or raises, as a scan of every simplex does."""
+    h is looked up once per vertex of K, in rank order, so an incomplete
+    map raises `IncompleteMap` naming its first unmapped vertex.  The
+    witness vertex is the first vertex of K whose color h changes, and
+    the witness simplex the first simplex of K, in canonical order, whose
+    image is not in L (`_first_outside`)."""
+    images = {v: h(v) for v in K.vertices()}
+    witness_vertex = next((v for v, w in images.items() if w.color != v.color), None)
+    witness_simplex = _first_outside(images, K, L)
+    return MapReport(witness_simplex is None, witness_vertex is None, witness_simplex, witness_vertex)
+
+
+def _first_outside(images: dict[Vertex, Vertex], K: Complex, L: Complex) -> Simplex | None:
+    """The first simplex of K, in canonical order, whose image under
+    `images` is not in L, or None if there is none; if that simplex's
+    image collides, `InvalidVertex` is raised there.
+
+    Each distinct image of a facet of K is tested first: L is closed under
+    faces, so if every facet image lies in L, every simplex's does."""
     try:
-        images = {v: h(v) for v in K.vertices()}
-        if all(w.color == v.color for v, w in images.items()) and all(
-                image in L for image in {Simplex(images[v] for v in f) for f in K.facets}):
-            return MapReport(True, True)
-    except (IncompleteMap, InvalidVertex):
+        if all(image in L for image in {Simplex(images[v] for v in f) for f in K.facets}):
+            return None
+    except InvalidVertex:
         pass  # the scan raises it again, from the simplex that first meets it
-    return _scan_simplicial_chromatic(h, K, L)
-
-
-def _scan_simplicial_chromatic(h: SimplicialMap, K: Complex, L: Complex) -> MapReport:
-    """`check_simplicial_chromatic` by a scan: the first vertex of K whose
-    color h changes, and the first simplex of K, in canonical order, whose
-    image is not in L."""
-    witness_vertex = None
-    chromatic = True
-    for v in K.vertices():
-        if h(v).color != v.color:
-            chromatic = False
-            witness_vertex = v
-            break
-    simplicial = True
-    witness_simplex = None
-    for s in K.simplexes():
-        if h.image(s) not in L:
-            simplicial = False
-            witness_simplex = s
-            break
-    return MapReport(simplicial, chromatic, witness_simplex, witness_vertex)
+    return next(s for s in K.simplexes() if Simplex(images[v] for v in s) not in L)
 
 
 # -- carrier maps --------------------------------------------------------
@@ -587,30 +577,15 @@ def carried_by(delta: SimplicialMap, xi: CarrierMap, delta_map: CarrierMap, I: C
     """Check that, for every sigma in I and tau in xi(sigma), the image
     delta[tau] lies in delta_map(sigma).
 
-    delta is looked up once per vertex of each xi(sigma), and only the
-    images of its facets are tested, as in `check_simplicial_chromatic`.
-    On a failure, a missing vertex or carrier or a colliding image the
-    check reruns `_scan_carried_by`, which finds the first witness, or
-    raises, as the full scan does."""
-    try:
-        for sigma in I.simplexes():
-            allowed, carried = delta_map(sigma), xi(sigma)
-            images = {v: delta(v) for v in carried.vertices()}
-            if not all(image in allowed for image in {Simplex(images[v] for v in f) for f in carried.facets}):
-                break
-        else:
-            return CarriedReport(True)
-    except (IncompleteMap, InvalidCarrier, InvalidVertex):
-        pass  # the scan raises it again, from the pair that first meets it
-    return _scan_carried_by(delta, xi, delta_map, I)
-
-
-def _scan_carried_by(delta: SimplicialMap, xi: CarrierMap, delta_map: CarrierMap, I: Complex) -> CarriedReport:
-    """`carried_by` by a scan of every sigma of I and every tau of
-    xi(sigma), in canonical order; the first failing pair is the witness."""
+    The sigmas are taken in canonical order.  delta is looked up once per
+    vertex of each xi(sigma), in rank order, so an incomplete map raises
+    `IncompleteMap` naming the first unmapped vertex of the first xi(sigma)
+    that has one.  The witness is the first sigma that fails, with the
+    first tau of xi(sigma), in canonical order, whose image is not in
+    delta_map(sigma) (`_first_outside`)."""
     for sigma in I.simplexes():
-        allowed = delta_map(sigma)
-        for tau in xi(sigma).simplexes():
-            if delta.image(tau) not in allowed:
-                return CarriedReport(False, (sigma, tau))
+        allowed, carried = delta_map(sigma), xi(sigma)
+        tau = _first_outside({v: delta(v) for v in carried.vertices()}, carried, allowed)
+        if tau is not None:
+            return CarriedReport(False, (sigma, tau))
     return CarriedReport(True)

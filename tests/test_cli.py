@@ -541,6 +541,26 @@ def test_run_rejects_malformed_protocol_files(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--model", "DEEP", "--task", "consensus"),
+    ("check", "--model", "m1", "--task", "DEEP"),
+    ("run", "--model", "m1", "--task", "consensus", "--protocol", "DEEP"),
+], ids=["model", "task", "protocol"])
+def test_deeply_nested_json_files_exit_two(argv, tmp_path, capsys):
+    """A file nested past the recursion limit is refused, not a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert run_cli(*(str(deep) if a == "DEEP" else a for a in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {deep} is nested too deeply\n"
+
+
+def test_setagreement_is_not_a_task_name(capsys):
+    assert run_cli("check", "--model", "iis3", "--task", "setagreement:3", "--max-depth", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: unknown task 'setagreement:3'\n"
+
+
 def test_model_and_task_from_json_files(tmp_path):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(builtin_model("m2").to_json_obj()))

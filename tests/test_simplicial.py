@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 from fractions import Fraction
@@ -211,8 +212,12 @@ def test_carried_by_undefined_vertex_raises():
 
 
 def _altered_maps():
-    """The winner map of m1 at T = 3, and that map altered at one vertex
-    in the middle of the complex's vertex order."""
+    """The winner map of m1 at T = 3, and that map altered: at one vertex
+    in the middle of the complex's vertex order, at two vertices far apart
+    in it, or at a vertex whose image collides with a neighbor's.  Colors
+    come first in the vertex order, so the edge of that collision comes
+    before the vertex's own singleton when the vertex has color 1, and
+    after it when the vertex has color 0."""
     from chrotop.protocol import extract_map, winner_protocol
 
     task, m1 = inputless_consensus(2), builtin_model("m1")
@@ -220,47 +225,107 @@ def _altered_maps():
     delta = extract_map(winner_protocol(), m1, task, 3)
     vertices = P3.complex.vertices()
     v = vertices[len(vertices) // 2]
-    other = next(w for f in P3.complex.facets if v in f for w in f if w != v)
     out = delta(v)
 
-    def altered(image):
-        return SimplicialMap({**delta.mapping, v: image})
+    def altered(*pairs):
+        return SimplicialMap({**delta.mapping, **dict(pairs)})
+
+    def flipped(w):
+        return w, Vertex(delta(w).color, 1 - delta(w).label)
+
+    def colliding(w):
+        # two images of one color whose labels write the same text
+        other = next(u for u in vertices
+                     if u.color != w.color and any(u in f and w in f for f in P3.complex.facets))
+        return w, Vertex(delta(other).color, str(delta(other).label))
 
     maps = {
         "correct": delta,
-        "flipped": altered(Vertex(out.color, 1 - out.label)),
-        "not-chromatic": altered(Vertex(1 - out.color, out.label)),
-        # two images of one color whose labels write the same text
-        "colliding": altered(Vertex(delta(other).color, str(delta(other).label))),
+        "flipped": altered(flipped(v)),
+        "two-flipped": altered(flipped(vertices[1]), flipped(vertices[-2])),
+        "not-chromatic": altered((v, Vertex(1 - out.color, out.label))),
+        "colliding": altered(colliding(v)),
+        "colliding-edge-first": altered(colliding(vertices[-1])),
+        "colliding-edge-after": altered(colliding(vertices[0])),
         "missing": SimplicialMap({w: o for w, o in delta.mapping.items() if w != v}),
     }
     return task, P3, maps
 
 
-@pytest.mark.parametrize("case", ["correct", "flipped", "not-chromatic", "colliding", "missing"])
+ALTERED = ["correct", "flipped", "two-flipped", "not-chromatic", "colliding",
+           "colliding-edge-first", "colliding-edge-after", "missing"]
+
+
+def _same_outcome(check, reference, args):
+    """`check(*args)` returns what `reference(*args)` returns, or raises
+    an error of the same type and text."""
+    try:
+        expected = reference(*args)
+    except ChrotopError as error:
+        with pytest.raises(type(error)) as raised:
+            check(*args)
+        assert str(raised.value) == str(error)
+    else:
+        assert check(*args) == expected
+
+
+@pytest.mark.parametrize("case", ALTERED)
 def test_map_checks_match_the_reference_scans(case):
     task, P3, maps = _altered_maps()
     h = maps[case]
-    checks = [
-        (check_simplicial_chromatic, reference_check_simplicial_chromatic, (h, P3.complex, task.outputs)),
-        (carried_by, reference_carried_by, (h, P3.xi, task.delta, task.inputs)),
-    ]
-    for check, reference, args in checks:
-        try:
-            expected = reference(*args)
-        except ChrotopError as error:
-            with pytest.raises(type(error)) as raised:
-                check(*args)
-            assert str(raised.value) == str(error)
-        else:
-            assert check(*args) == expected
+    _same_outcome(check_simplicial_chromatic, reference_check_simplicial_chromatic, (h, P3.complex, task.outputs))
+    _same_outcome(carried_by, reference_carried_by, (h, P3.xi, task.delta, task.inputs))
     if case == "correct":
-        assert checks[0][0](*checks[0][2]).ok and checks[1][0](*checks[1][2]).carried
+        assert check_simplicial_chromatic(h, P3.complex, task.outputs).ok
+        assert carried_by(h, P3.xi, task.delta, task.inputs).carried
+    elif case == "colliding-edge-first":
+        with pytest.raises(InvalidVertex):
+            check_simplicial_chromatic(h, P3.complex, task.outputs)
+    elif case == "colliding-edge-after":
+        report = check_simplicial_chromatic(h, P3.complex, task.outputs)
+        assert report.witness_simplex == Simplex([P3.complex.vertices()[0]])
+    elif case == "two-flipped":
+        vertices = P3.complex.vertices()
+        failing = [f for f in P3.complex.facets if h.image(f) not in task.outputs]
+        assert any(vertices[1] in f for f in failing) and any(vertices[-2] in f for f in failing)
+
+
+@pytest.mark.parametrize("T", [2, 3, 4])
+def test_map_checks_match_the_reference_scans_on_random_maps(T):
+    """The m1 winner map altered at 1 to 3 random vertices, each flipped,
+    recolored, sent outside the outputs or made to collide, 100 maps at
+    each T: both checks give the reference's report, or its error."""
+    from chrotop.protocol import extract_map, winner_protocol
+
+    task, m1 = inputless_consensus(2), builtin_model("m1")
+    PT = build_time_T(m1, task, T)
+    delta = extract_map(winner_protocol(), m1, task, T)
+    vertices = PT.complex.vertices()
+    images = sorted({delta(v) for v in vertices}, key=vertex_key)
+    rng = random.Random(T)
+    for _ in range(100):
+        mapping = dict(delta.mapping)
+        for v in rng.sample(vertices, rng.randint(1, 3)):
+            out, other = delta(v), rng.choice(images)
+            mapping[v] = rng.choice([
+                Vertex(out.color, 1 - out.label),
+                Vertex(1 - out.color, out.label),
+                Vertex(out.color, 2),
+                Vertex(other.color, str(other.label)),
+            ])
+        h = SimplicialMap(mapping)
+        _same_outcome(check_simplicial_chromatic, reference_check_simplicial_chromatic,
+                      (h, PT.complex, task.outputs))
+        _same_outcome(carried_by, reference_carried_by, (h, PT.xi, task.delta, task.inputs))
 
 
 def test_map_checks_look_up_each_vertex_once():
+    """Passing, failing or colliding, `check_simplicial_chromatic` looks h
+    up once per vertex of K, in rank order, and `carried_by` once per
+    vertex of each xi(sigma) it reaches, up to the first that fails."""
     task, P3, maps = _altered_maps()
-    delta = maps["correct"]
+    blocks = [P3.xi(s).vertices() for s in task.inputs.simplexes()]
+    reached = [[id(v) for block in blocks[:j] for v in block] for j in range(1, len(blocks) + 1)]
     looked_up = []
     lookup = SimplicialMap.__call__
 
@@ -269,12 +334,41 @@ def test_map_checks_look_up_each_vertex_once():
             looked_up.append(v)
             return lookup(self, v)
 
-    counted = Counted(delta.mapping)
-    assert check_simplicial_chromatic(counted, P3.complex, task.outputs).ok
-    assert sorted(map(id, looked_up)) == sorted(map(id, P3.complex.vertices()))
-    looked_up.clear()
-    assert carried_by(counted, P3.xi, task.delta, task.inputs).carried
-    assert len(looked_up) == sum(len(P3.xi(s).vertices()) for s in task.inputs.simplexes())
+    for case in ALTERED:
+        if case == "missing":
+            continue
+        counted = Counted(maps[case].mapping)
+        collides = case.startswith("colliding")
+        looked_up.clear()
+        with contextlib.suppress(InvalidVertex) if collides else contextlib.nullcontext():
+            mapped = check_simplicial_chromatic(counted, P3.complex, task.outputs).ok
+        assert list(map(id, looked_up)) == list(map(id, P3.complex.vertices())), case
+        looked_up.clear()
+        with contextlib.suppress(InvalidVertex) if collides else contextlib.nullcontext():
+            carried = carried_by(counted, P3.xi, task.delta, task.inputs).carried
+        assert list(map(id, looked_up)) in reached, case
+        if case == "correct":
+            assert mapped and carried and list(map(id, looked_up)) == reached[-1]
+
+
+def test_an_incomplete_map_names_its_first_unmapped_vertex():
+    """A map that changes a color and also lacks later vertices raises
+    `IncompleteMap` at its first unmapped vertex in rank order, in both
+    checks, though a scan would meet a failing simplex first."""
+    task, P3, maps = _altered_maps()
+    delta = maps["correct"]
+    vertices = P3.complex.vertices()
+    out = delta(vertices[1])
+    missing = vertices[-3:-1]
+    h = SimplicialMap({**{w: o for w, o in delta.mapping.items() if w not in missing},
+                       vertices[1]: Vertex(1 - out.color, 1 - out.label)})
+    with pytest.raises(IncompleteMap) as raised:
+        check_simplicial_chromatic(h, P3.complex, task.outputs)
+    assert str(raised.value) == f"map undefined on {missing[0]!r}"
+    first = next(w for s in task.inputs.simplexes() for w in P3.xi(s).vertices() if w in missing)
+    with pytest.raises(IncompleteMap) as raised:
+        carried_by(h, P3.xi, task.delta, task.inputs)
+    assert str(raised.value) == f"map undefined on {first!r}"
 
 
 def test_json_round_trip_and_determinism():
