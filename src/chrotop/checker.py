@@ -56,8 +56,8 @@ from .subdivision import (
     chr_iterate,
     diameters_Dk,
     edge_position,
-    geometric_distance,
     integer_weights,
+    stable_ball,
     walk_cells,
     weight_scale,
 )
@@ -278,7 +278,8 @@ def verify_termination_certificate(
         delta of the minimal input simplex carrying it; (c) the map is
         constant on same-color stable vertices within the shrinking
         radius of each vertex's stabilization round, and its values
-        agree around every excluded limit execution.
+        agree around every excluded limit point that an allowed
+        execution reaches (`_disconnecting`).
     """
     check_arity(task, model)
     tsub.materialize(depth)
@@ -325,32 +326,29 @@ def verify_termination_certificate(
             carrier_witness = (sigma_min, sc.simplex, image)
             break
 
-    # (c1) local constancy at the stabilization radius
+    # (c1) local constancy at the stabilization radius: each stable vertex
+    # against the first vertex of its ball whose value differs
     stable_vertices: dict[Vertex, int] = {}
     for sc in stable_cells:
         for v in sc.geom_simplex():
             stable_vertices[v] = max(stable_vertices.get(v, 0), sc.depth)
-    continuous = True
-    continuity_witness = None
     diameters = diameters_Dk(base, depth)
-    verts = sorted(stable_vertices, key=vertex_key)
-    for v in verts:
-        radius = diameters[stable_vertices[v]]
-        for w in verts:
-            if w.color != v.color or w == v:
-                continue
-            if geometric_distance(v.label, w.label) <= radius:
-                if delta(v).label != delta(w).label:
-                    continuous = False
-                    continuity_witness = (v, w, delta(v).label, delta(w).label)
-                    break
-        if not continuous:
-            break
+    ball = stable_ball(tsub, depth)
+    continuity_witness = next((
+        (v, w, delta(v).label, delta(w).label)
+        for v in sorted(stable_vertices, key=vertex_key)
+        for w in ball(v.color, v.label, diameters[stable_vertices[v]])
+        if w != v and delta(v).label != delta(w).label
+    ), None)
+    continuous = continuity_witness is None
 
     # (c2) closure analysis around excluded limit executions
     closure_witness = None
     if model.excluded and model.n == 2:
+        cuts = _disconnecting(model, base)
         for excluded in model.excluded:
+            if excluded in cuts:
+                continue  # no allowed execution reaches the point, so none need agree there
             verdict = _excluded_point_values(tsub, delta, excluded, depth)
             if verdict is not None and len(verdict["values"]) > 1:
                 continuous = False
@@ -390,6 +388,28 @@ def excluded_limit_point(base: Complex, excluded: ExecutionWord) -> BarycentricP
     return BarycentricPoint(
         {c: Fraction(beta * p + alpha * q, denominator) for c, p, q in zip(corners, a0, a1)}, base
     )
+
+
+def _disconnecting(model: ModelSpec, base: Complex) -> set[ExecutionWord]:
+    """The excluded words of a two-process model whose limit points cut
+    the edge in two: every execution that converges to the point is
+    excluded.  One execution reaches a position that is not a triadic
+    rational; two, one from each side, reach an inner vertex of some
+    Chr^k, and one an end of the edge, which cuts nothing.  So a word cuts
+    when it has no triadic position, or when two distinct `normalized()`
+    excluded words share its inner position."""
+    position = {e: edge_position(excluded_limit_point(base, e), base) for e in model.excluded}
+    words_at: dict[Fraction, set[ExecutionWord]] = {}
+    for e, p in position.items():
+        words_at.setdefault(p, set()).add(e.normalized())
+    cuts = set()
+    for e, p in position.items():
+        denominator = p.denominator
+        while denominator % 3 == 0:
+            denominator //= 3
+        if denominator != 1 or (0 < p < 1 and len(words_at[p]) > 1):
+            cuts.add(e)
+    return cuts
 
 
 def _excluded_point_values(
@@ -486,8 +506,10 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
     merges them into connected components, and fires when the component
     that contains the forced-0 endpoint also contains the forced-1
     endpoint.  Excluded limit executions never remove a finite cell, and
-    their limit points are reported when they sit inside the bridging
-    component.
+    their limit points, all inside the bridging component, are reported.
+    A point that disconnects the edge (`_disconnecting`) stops the
+    certificate: the executions on either side of it may decide
+    differently, so it returns None.
 
     The depth is clamped to at least 1 so first-round restrictions enter
     the structure; that depth is reported.  A model without a custom
@@ -549,12 +571,10 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
     bridging = next((c for c in components if c[0] <= zero <= c[1] and c[0] <= one <= c[1]), None)
     if bridging is None:
         return None
-    excluded_inside = []
-    for e in model.excluded:
-        x = excluded_limit_point(base, e)
-        pos = edge_position(x, base)
-        if bridging[0] <= pos <= bridging[1]:
-            excluded_inside.append(str(e))
+    # the bridging component spans the edge, so every excluded point lies in it
+    if _disconnecting(model, base):
+        return None
+    excluded_inside = [str(e) for e in model.excluded]
     forced = [
         {"endpoint": "0", "color": 0, "value": "0", "reason": "solo execution of process 0"},
         {"endpoint": "1", "color": 1, "value": "1", "reason": "solo execution of process 1"},

@@ -23,7 +23,7 @@ from .errors import (
 from .models import ModelSpec, Word, enumerate_prefixes, schedule_text
 from .simplicial import Complex, Simplex, SimplicialMap, Vertex, label_string, parse_label
 from .simplicial import vertex_string, vertex_strings
-from .subdivision import Schedule, apply_schedule, diameters_Dk, integer_weights, walk_cells, weight_scale
+from .subdivision import Schedule, apply_schedule, coordinates, diameters_Dk, stable_ball, walk_cells
 from .tasks import Task, check_arity
 
 ball_id = vertex_string  # a view's ball id is its vertex text
@@ -285,9 +285,8 @@ def check_solves(protocol: DecisionProtocol, task: Task, model: ModelSpec, depth
 
 # -- protocol from a decision map ---------------------------------------------
 
-# Bounds the ball-rule answers one protocol keeps, one per (color, view),
-# and the views whose integer weights it keeps: every view of the
-# two-process models up to depth 7 fits.
+# Bounds the ball-rule answers one protocol keeps, one per (color, view):
+# every view of the two-process models up to depth 7 fits.
 _BALL_ATTEMPTS_MAXSIZE = 1 << 15
 
 
@@ -300,47 +299,22 @@ def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> De
     geometric stable vertices (color plus exact coordinates) to output
     vertices and must cover every stable vertex it is asked about.
 
-    Distances are taken on integer weights (`integer_weights`): a stable
-    point's over scale**max_depth, a view's over scale**depth, both lifted
-    to the finer of the two.  The protocol keeps one weight memo, and one
-    memo of answers for every view it is asked about or walks through on
-    the way down to an answered one, each cleared when it outgrows
-    `_BALL_ATTEMPTS_MAXSIZE`.
+    A ball is `stable_ball`'s, around the view's exact point
+    (`coordinates`).  The protocol keeps one memo of answers for every
+    view it is asked about or walks through on the way down to an
+    answered one, cleared when it outgrows `_BALL_ATTEMPTS_MAXSIZE`, so
+    a view's point is built once per answer.
     """
-    tsub.materialize(max_depth)
     base = tsub.base
     diameters = diameters_Dk(base, max_depth)
-    scale = weight_scale(base)
-    top = scale**max_depth
-    # each stable vertex with its weights over base.vertices() times top; a
-    # stable point of depth <= max_depth has denominators that divide top
-    stable_by_color: dict[int, list[tuple[Vertex, list[int]]]] = {}
-    stable = tsub.stable_complex(max_depth)
-    if stable is not None:
-        for v in stable.vertices():
-            ints = [(v.label.weight(c) * top).numerator for c in base.vertices()]
-            stable_by_color.setdefault(v.color, []).append((v, ints))
-    memo: dict = {}
+    ball_of = stable_ball(tsub, max_depth)
     # (color, view) -> the value decided at or before that view, or None,
     # for each view asked about or walked through; a view's decision is
     # asked for again by every later round and execution
     decided: dict = {}
 
     def attempt(color: int, view: Vertex):
-        k = min(view_depth(view), max_depth)
-        if len(memo) > _BALL_ATTEMPTS_MAXSIZE:
-            memo.clear()
-        depth, point = integer_weights([view], base, memo)[view]
-        # over scale**deep: half the 1-norm is at most D_k = num / den
-        deep = max(depth, max_depth)
-        view_lift, stable_lift = scale ** (deep - depth), scale ** (deep - max_depth)
-        limit = 2 * diameters[k].numerator * scale**deep
-        ball = [
-            w
-            for w, weights in stable_by_color.get(color, [])
-            if sum(abs(a * view_lift - b * stable_lift) for a, b in zip(point, weights))
-            * diameters[k].denominator <= limit
-        ]
+        ball = ball_of(color, coordinates(view, base), diameters[min(view_depth(view), max_depth)])
         if not ball:
             return None
         values = set()

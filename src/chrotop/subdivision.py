@@ -20,7 +20,9 @@ weights, and `diameters_Dk` walks the distinct cell shapes in the same
 integers without building a vertex.  An exact point, a `BarycentricPoint` of
 `Fraction` weights, is built only where a point is a vertex label (the
 stable complexes of terminating subdivisions) or asked for through
-`coordinates`.  Distances are half 1-norms, so a base edge has length 1.
+`coordinates`, as the ball rule asks for the views it tries.  Distances
+are half 1-norms, so a base edge has length 1; `stable_ball` gathers the
+stable vertices near a point for the ball rule and the certificate.
 """
 
 from __future__ import annotations
@@ -257,22 +259,20 @@ def _child_weights(factor: int, seen: Sequence[int], own: Sequence[int]) -> tupl
     return tuple(factor * (2 * s - a) for s, a in zip(seen, own))
 
 
-def integer_weights(vertices: Iterable[Vertex], base: Complex, memo: dict | None = None) -> dict:
+def integer_weights(vertices: Iterable[Vertex], base: Complex) -> dict:
     """Maps each of `vertices`, and every vertex of its history, to (depth,
     weights): its barycentric weights over `base.vertices()`, in that
     order, times `weight_scale(base)`**depth, all integers.  A base vertex
     has depth 0; a vertex (c, carrier) has depth one more than its
     deepest carrier vertex, whose weights the others are lifted to.
 
-    One walk on an explicit stack; `memo`, which is returned, holds what
-    the call has found, so a caller that passes the same dict again, with
-    the same base, reads the vertices it already has.  A leaf that is not a base vertex, or a
-    support that is not a simplex of the base, raises `UnknownVertex`; a
-    carrier without exactly one vertex of the vertex's own color raises
-    `ValueError`, and one with more vertices than any base facet
-    `Unsupported`.
+    One walk on an explicit stack, each vertex of the histories once.  A
+    leaf that is not a base vertex, or a support that is not a simplex of
+    the base, raises `UnknownVertex`; a carrier without exactly one vertex
+    of the vertex's own color raises `ValueError`, and one with more
+    vertices than any base facet `Unsupported`.
     """
-    memo = {} if memo is None else memo
+    memo: dict = {}
     corners = base.vertices()
     position = {v: i for i, v in enumerate(corners)}
     scale = weight_scale(base)
@@ -688,6 +688,22 @@ class TerminatingSubdivision:
         if not cells:
             return None
         return Complex([c.geom_simplex() for c in cells])
+
+
+def stable_ball(tsub: TerminatingSubdivision, depth: int) -> Callable:
+    """`ball(color, point, radius)`: the stable vertices of `tsub` up to
+    `depth` of that color within `geometric_distance` `radius` of the exact
+    `point`, boundary included, in rank order.  The ball rule and the
+    certificate's local constancy condition gather their balls here."""
+    stable = tsub.stable_complex(depth)
+    by_color: dict[int, list[Vertex]] = {}
+    for v in stable.vertices() if stable is not None else ():
+        by_color.setdefault(v.color, []).append(v)
+
+    def ball(color: int, point: BarycentricPoint, radius: Fraction) -> list[Vertex]:
+        return [w for w in by_color.get(color, ()) if geometric_distance(point, w.label) <= radius]
+
+    return ball
 
 
 # -- built-in policies ----------------------------------------------------

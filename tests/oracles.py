@@ -31,7 +31,6 @@ from chrotop.simplicial import CarriedReport, Complex, MapReport, Simplex, Verte
 from chrotop.subdivision import (
     BarycentricPoint,
     chr_iterate,
-    geometric_distance,
     ordered_partitions,
     weight_scale,
 )
@@ -97,6 +96,15 @@ def reference_points(simplex: Simplex, base: Complex, memo: dict | None = None) 
     return tuple(reference_coordinates(v, base, memo) for v in simplex)
 
 
+def reference_distance(x: BarycentricPoint, y: BarycentricPoint) -> Fraction:
+    """Half the 1-norm of the weight difference, summed over every base
+    vertex that either point weighs."""
+    total = Fraction(0)
+    for v in set(x.weights) | set(y.weights):
+        total += abs(x.weights.get(v, Fraction(0)) - y.weights.get(v, Fraction(0)))
+    return total / 2
+
+
 def diameter(K: Complex, base: Complex) -> Fraction:
     """Largest pairwise vertex distance within any facet of K."""
     best = Fraction(0)
@@ -105,7 +113,7 @@ def diameter(K: Complex, base: Complex) -> Fraction:
         pts = reference_points(f, base, memo)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                d = geometric_distance(pts[i], pts[j])
+                d = reference_distance(pts[i], pts[j])
                 if d > best:
                     best = d
     return best
@@ -368,3 +376,86 @@ def reference_check_solves(protocol, task, model, depth) -> SolveReport:
                  for color, rec in sorted(oc.decisions.items()) if rec is None]
     status = "FAIL" if failures else "UNDECIDED" if undecided else "PASS"
     return SolveReport(status, depth, failures, undecided, result)
+
+
+def _edge_cell(word, ends=(Fraction(0), Fraction(1))) -> tuple[Fraction, Fraction]:
+    """The edge positions of the color-0 and color-1 vertices of the cell
+    that a two-process schedule word reaches from the cell `ends`: each
+    round, a process that sees only itself stays, and one that sees the
+    other moves to a third of the way from the other's position to its own."""
+    ends = list(ends)
+    for schedule in word:
+        seen, moved = set(), list(ends)
+        for block in schedule:
+            seen.update(block)
+            for c in block:
+                if len(seen) == 2:
+                    moved[c] = (ends[c] + 2 * ends[1 - c]) / 3
+        ends = moved
+    return ends[0], ends[1]
+
+
+def reference_limit_position(e) -> Fraction:
+    """The edge position that the execution stem . cycle^w converges to,
+    from nested exact intervals: the stem's cell, then the point that keeps
+    the same place in the cycle's cell of a cell as in the cell itself."""
+    a, b = _edge_cell(e.stem)
+    c0, c1 = _edge_cell(e.cycle)
+    # t = c0 + t * (c1 - c0), and c1 - c0 is +-3**-len(cycle)
+    t = c0 / (1 - c1 + c0)
+    return a + t * (b - a)
+
+
+def reference_executions_reaching(x: Fraction) -> int:
+    """How many two-process executions converge to position x: the closed
+    cells of Chr^j of the edge that hold x, nested level by level, at a
+    level j past the power of 3 in x's denominator.  From there on each
+    cell holds x inside or as the one corner that a child keeps."""
+    depth, d = 1, x.denominator
+    while d % 3 == 0:
+        depth, d = depth + 1, d // 3
+    letters = [((0,), (1,)), ((1,), (0,)), ((0, 1),)]
+    cells = [(Fraction(0), Fraction(1))]
+    for _ in range(depth):
+        cells = [child for ends in cells for child in (_edge_cell([s], ends) for s in letters)
+                 if min(child) <= x <= max(child)]
+    return len(cells)
+
+
+def reference_disconnecting(excluded) -> set:
+    """The words of `excluded` whose limit point is inside the edge and is
+    reached by no execution but excluded ones.  Two words are one
+    execution when they agree on a prefix past both stems and a common
+    multiple of the cycles."""
+
+    def same(e, f):
+        length = max(len(e.stem), len(f.stem)) + len(e.cycle) * len(f.cycle)
+        return e.prefix(length) == f.prefix(length)
+
+    cuts = set()
+    for e in excluded:
+        x = reference_limit_position(e)
+        executions = []
+        for f in excluded:
+            if reference_limit_position(f) == x and not any(same(f, g) for g in executions):
+                executions.append(f)
+        if 0 < x < 1 and len(executions) == reference_executions_reaching(x):
+            cuts.add(e)
+    return cuts
+
+
+def reference_consensus(n: int) -> tuple[Complex, Complex, dict]:
+    """Inputless consensus from its definition, by brute force over value
+    tuples: process i has input i, and a face's image holds every simplex
+    on its colors whose processes all decide one value among its inputs.
+    Returns the inputs, the outputs (the input facet's image) and the
+    images of the faces."""
+    facet = Simplex(Vertex(i, i) for i in range(n))
+    images = {}
+    for face in facet.faces():
+        colors = sorted(face.colors())
+        simplexes = [Simplex(Vertex(c, value) for c, value in zip(colors, values))
+                     for values in product(range(n), repeat=len(colors))
+                     if len(set(values)) == 1 and values[0] in colors]
+        images[face] = Complex(simplexes)
+    return Complex([facet]), images[facet], images

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -33,7 +34,6 @@ from chrotop.subdivision import (
     chr_iterate,
     coordinates,
     edge_position,
-    geometric_distance,
     ordered_partitions,
     policy_all_at_zero,
     prefix_policy,
@@ -51,6 +51,7 @@ import chrotop.subdivision
 from chrotop.checker import (
     TerminationCertificateReport,
     Verdict,
+    _disconnecting,
     _excluded_point_values,
     _search_constraints,
     _search_order,
@@ -66,7 +67,11 @@ from chrotop.checker import (
 from oracles import (
     diameter,
     geometric_containment,
+    reference_consensus,
     reference_coordinates,
+    reference_disconnecting,
+    reference_distance,
+    reference_limit_position,
     reference_points,
     reference_simplex_key,
     reference_sperner,
@@ -710,7 +715,7 @@ def reference_termination_report(ts, delta, model, task, depth):
         (v, w, delta(v).label, delta(w).label)
         for v in verts for w in verts
         if w.color == v.color and w != v
-        and geometric_distance(v.label, w.label) <= radius[stable_depth[v]]
+        and reference_distance(v.label, w.label) <= radius[stable_depth[v]]
         and delta(v).label != delta(w).label
     ), None)
     closure_witness = None
@@ -991,6 +996,112 @@ def test_certificate_matches_full_depth_reference(model, depth):
     else:
         assert cert.depth == depth
         assert (cert.component, cert.components, cert.excluded_inside) == want
+
+
+# the two-process model minus the one execution (<->)^w, at position 1/2,
+# and the one minus both executions that reach position 1/3
+CUT_AT_HALF = load_model_json_obj({"n": 2, "kind": "custom", "excluded": [{"stem": [], "cycle": ["<->"]}]})
+CUT_AT_THIRD = load_model_json_obj({"n": 2, "kind": "custom", "excluded": [
+    {"stem": ["<->"], "cycle": ["<-"]}, {"stem": ["->"], "cycle": ["<-"]}]})
+
+
+def cut_at_half_policy(max_depth):
+    """Terminate, at each depth j >= 2, the words (<->)^(j-2) X Y with X a
+    solo round: the live cells close in on position 1/2 and no stable
+    cell touches a live one."""
+    return prefix_policy({j: [(B,) * (j - 2) + (x, y) for x in (R, L) for y in (R, L, B)]
+                          for j in range(2, max_depth + 1)})
+
+
+@pytest.mark.parametrize("model", [CUT_AT_HALF, CUT_AT_THIRD], ids=["half", "third"])
+def test_a_disconnecting_excluded_point_stops_the_certificate(model):
+    """Every execution through the point is excluded, so the edge falls
+    apart there and deciding 0 on one side and 1 on the other is
+    continuous: the bridge is no certificate, and the search is left to
+    answer unknown."""
+    assert _disconnecting(model, CONS.inputs) == set(model.excluded) == reference_disconnecting(model.excluded)
+    for depth in range(6):
+        assert certify_consensus_impossible(model, depth) is None
+    assert solve(model, CONS, 4).kind == "unknown"
+
+
+def test_m2_keeps_its_certificate_through_the_other_execution_at_one_third():
+    assert reference_limit_position(M2.excluded[0]) == Fraction(1, 3)
+    assert _disconnecting(M2, CONS.inputs) == set() == reference_disconnecting(M2.excluded)
+    assert certify_consensus_impossible(M2, 5).excluded_inside == ["(<->)(<-)^w"]
+
+
+def test_closure_condition_skips_a_disconnecting_excluded_point():
+    """Deciding by side of 1/2 with the execution (<->)^w removed: no
+    execution reaches 1/2, so the two values there are no discontinuity."""
+    ts = TerminatingSubdivision(CONS.inputs, cut_at_half_policy(6))
+    stable = ts.stable_complex(6)
+    delta = SimplicialMap({v: Vertex(v.color, int(edge_position(v.label, CONS.inputs) > Fraction(1, 2)))
+                           for v in stable.vertices()})
+    report = verify_termination_certificate(ts, delta, CUT_AT_HALF, CONS, 6)
+    assert report.carried and report.continuous
+    assert report.continuity_witness is None and report.closure_witness is None
+    # the sides of 1/2 hold both values, so the point is met and skipped
+    values = _excluded_point_values(ts, delta, CUT_AT_HALF.excluded[0], 6)["values"]
+    assert values == ["0", "1"]
+
+
+def eventually_periodic_words():
+    """Every two-process word with a stem of up to two rounds and a cycle
+    of one or two."""
+    letters = [R, L, B]
+    stems = [s for k in range(3) for s in product(letters, repeat=k)]
+    cycles = [c for k in (1, 2) for c in product(letters, repeat=k)]
+    return [ExecutionWord(stem, cycle) for stem in stems for cycle in cycles]
+
+
+EP_WORDS = eventually_periodic_words()
+# pairs of distinct executions that converge to one inner point of the edge
+TWINS = [(e, f) for e, f in combinations(EP_WORDS, 2)
+         if 0 < reference_limit_position(e) == reference_limit_position(f) < 1
+         and reference_disconnecting((e, f)) == {e, f}]
+
+
+def random_excluding_model(rng, index):
+    """A model that excludes one random word, two random words, or two
+    executions at one inner point, in equal shares."""
+    kind = index % 3
+    if kind == 0:
+        excluded = (rng.choice(EP_WORDS),)
+    elif kind == 1:
+        excluded = tuple(rng.sample(EP_WORDS, 2))
+    else:
+        excluded = rng.choice(TWINS)
+    return ModelSpec(n=2, name=f"excluding-{index}", kind="custom", excluded=excluded)
+
+
+_excluding_rng = random.Random(20261019)
+EXCLUDING_MODELS = [random_excluding_model(_excluding_rng, i) for i in range(60)]
+
+
+@pytest.mark.parametrize("model", EXCLUDING_MODELS, ids=lambda m: m.name)
+def test_disconnecting_points_match_the_nested_interval_reference(model):
+    """The certificate fires on these unrestricted models exactly when no
+    solo execution is excluded and no excluded point disconnects the edge,
+    as counted by nested exact intervals; the closure condition never
+    names a disconnecting point."""
+    cuts = reference_disconnecting(model.excluded)
+    assert _disconnecting(model, CONS.inputs) == cuts
+    # only the solo executions reach the ends of the edge
+    solo = any(reference_limit_position(e) in (0, 1) for e in model.excluded)
+    for depth in (1, 3):
+        cert = certify_consensus_impossible(model, depth)
+        assert (cert is None) == (solo or bool(cuts))
+    ts = TerminatingSubdivision(CONS.inputs, m2_naive_policy(3))
+    witness = verify_termination_certificate(ts, split_delta(ts.stable_complex(3), CONS.inputs),
+                                             model, CONS, 3).closure_witness
+    assert witness is None or witness["excluded"] not in {str(e) for e in cuts}
+
+
+def test_the_excluding_sweep_meets_cuts_and_bridges():
+    kinds = Counter((bool(reference_disconnecting(m.excluded)), len(m.excluded)) for m in EXCLUDING_MODELS)
+    assert all(kinds[cut, size] for cut in (False, True) for size in (1, 2))
+    assert TWINS
 
 
 def test_certificate_requires_two_processes():

@@ -189,6 +189,22 @@ def test_check_exit_codes(tmp_path):
     assert verdict["kind"] == "solvable_bounded" and verdict["T"] <= 2
 
 
+@pytest.mark.parametrize("excluded", [
+    [{"stem": [], "cycle": ["<->"]}],
+    [{"stem": ["<->"], "cycle": ["<-"]}, {"stem": ["->"], "cycle": ["<-"]}],
+], ids=["half", "third"])
+def test_check_leaves_a_model_cut_by_its_excluded_point_unknown(excluded, tmp_path):
+    """Every execution through the excluded point is excluded, so the
+    bridging cells certify nothing: the bounded search answers unknown."""
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"n": 2, "kind": "custom", "excluded": excluded}))
+    out = tmp_path / "v.json"
+    assert run_cli("check", "--model", str(model_path), "--task", "consensus",
+                   "--max-depth", "8", "--out", str(out)) == 12
+    verdict = json.loads(out.read_text())
+    assert verdict["kind"] == "unknown" and "certificate" not in verdict
+
+
 def test_check_parse_failure_exit_two(tmp_path, capsys):
     assert run_cli("check", "--model", "nope", "--task", "consensus") == 2
     bad = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,6 @@ from chrotop.subdivision import (
     TerminatingSubdivision,
     chr_iterate,
     edge_position,
-    geometric_distance,
     policy_all_at_zero,
     prefix_policy,
 )
@@ -53,7 +53,7 @@ from chrotop.protocol import (
 )
 from chrotop.tasks import Task, inputless_consensus, load_task_json_obj, set_agreement
 from chrotop.checker import build_time_T
-from oracles import diameter, reference_check_solves, reference_coordinates, reference_run
+from oracles import diameter, reference_check_solves, reference_coordinates, reference_distance, reference_run
 
 M1 = builtin_model("m1")
 M2 = builtin_model("m2")
@@ -153,6 +153,25 @@ def test_ball_rule_end_to_end_on_m1():
     assert check_solves(proto, CONS, M1, 3).status == "PASS"
 
 
+def test_ball_rule_builds_one_point_per_view_it_tries(monkeypatch):
+    """The tsub-ball-rule-m1-d7 simulation: the answers the protocol keeps
+    leave six views whose ball is gathered, and each view's exact point is
+    built once."""
+    ts = TerminatingSubdivision(CONS.inputs, M1_POLICY)
+    proto = synthesize_from_stable_map(split_delta(ts.stable_complex(2), CONS.inputs), ts, 2)
+    coordinates = chrotop.protocol.coordinates
+    tried = Counter()
+
+    def counted(view, base):
+        tried[view.color, view] += 1
+        return coordinates(view, base)
+
+    monkeypatch.setattr(chrotop.protocol, "coordinates", counted)
+    assert check_solves(proto, CONS, M1, 7).status == "PASS"
+    assert sum(tried.values()) == 6
+    assert max(tried.values()) == 1
+
+
 def reference_ball_rule(delta, ts, max_depth):
     """The ball rule with no answer remembered between calls: every round's
     ball is gathered afresh, from exact points, with D_k from the k-th
@@ -167,7 +186,7 @@ def reference_ball_rule(delta, ts, max_depth):
             point = reference_coordinates(v, base, points)
             values = {
                 delta(w).label for w in stable
-                if w.color == color and geometric_distance(point, w.label) <= radius[min(view_depth(v), max_depth)]
+                if w.color == color and reference_distance(point, w.label) <= radius[min(view_depth(v), max_depth)]
             }
             if len(values) == 1:
                 return values.pop()

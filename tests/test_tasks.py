@@ -11,6 +11,7 @@ from chrotop.tasks import (
     set_agreement,
     validate_task,
 )
+from oracles import reference_consensus
 
 
 def test_consensus_two_processes():
@@ -42,6 +43,13 @@ def test_consensus_agreement_and_validity_invariant():
             values = {v.label for v in facet}
             assert len(values) == 1
             assert values <= inputs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_consensus_matches_its_definition(n):
+    task = inputless_consensus(n)
+    inputs, outputs, images = reference_consensus(n)
+    assert (task.inputs, task.outputs, task.delta.images) == (inputs, outputs, images)
 
 
 def test_set_agreement_two_matches_boundary():
