@@ -18,7 +18,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import groupby, islice, product
 from typing import Iterator, Optional, Sequence
 
 from .errors import BadIndices, ChrotopError, Unsupported
@@ -604,31 +604,42 @@ def _sampled_rows(choices: list[list[int]], seed: int, count: int) -> Iterator[b
     w >> (32 - k) < len(c), with k = len(c).bit_length(), and takes that
     index; `getrandbits(32 * m)` is the next m words, little-endian.  So
     only a word's top byte b matters: the list takes it when
-    b < len(c) << (8 - k), as the value c[b >> (8 - k)].  One match of a
-    pattern with one group per list, each after the bytes its list
-    rejects, is one row of taken bytes; a table per list turns its column
-    into values.  A list takes a word with chance at least 1/2, so each
-    draw is 2 words per list for 128 rows: 25,344 words, 101 kB, for the
-    99 vertices of Chr^2 of the triangle.
+    b < len(c) << (8 - k), as the value c[b >> (8 - k)].  Every list
+    rejects the bytes from the largest such threshold `top` up, so each
+    refill deletes them, and a list whose threshold is `top` then takes
+    the next byte whatever it is.  One match is one row of taken bytes:
+    a group `(.{r})` per run of r such lists, and for every other list
+    one group after the bytes it rejects.  A table per distinct list turns
+    a column into values.
     """
     rng = random.Random(seed)
     width = len(choices)
-    groups, tables = [], []
-    for c in choices:
+    thresholds = [len(c) << (8 - len(c).bit_length()) for c in choices]
+    top = max(thresholds)
+    rejected = bytes(range(top, 256))
+    groups = []
+    for taken, run in groupby(thresholds):
+        repeat = len(list(run))
+        if taken == top:
+            groups.append(b"(.{%d})" % repeat)
+        else:
+            groups += [b"[%c-%c]*([\0-%c])" % (taken, top - 1, taken - 1)] * repeat
+    match = re.compile(b"".join(groups), re.DOTALL).match
+    tables = {}
+    for c in set(map(tuple, choices)):
         shift = 8 - len(c).bit_length()
-        taken = len(c) << shift
-        groups.append(b"[%c-\xff]*([\0-%c])" % (taken, taken - 1))
-        tables.append(bytes(c[b >> shift] for b in range(taken)).ljust(256, b"\0"))
-    match = re.compile(b"".join(groups)).match
+        tables[c] = bytes(c[b >> shift] for b in range(len(c) << shift)).ljust(256, b"\0")
+    columns = [tables[tuple(c)] for c in choices]
     buf, pos = b"", 0
     while count > 0:
         block = bytearray()
         for _ in range(min(count, 128)):
             while (m := match(buf, pos)) is None:
-                buf, pos = buf[pos:] + rng.getrandbits(8192 * width).to_bytes(1024 * width, "little")[3::4], 0
+                words = rng.getrandbits(8192 * width).to_bytes(1024 * width, "little")
+                buf, pos = buf[pos:] + words[3::4].translate(None, rejected), 0
             block += b"".join(m.groups())
             pos = m.end()
-        for i, table in enumerate(tables):
+        for i, table in enumerate(columns):
             block[i::width] = block[i::width].translate(table)
         for start in range(0, len(block), width):
             yield block[start : start + width]
@@ -774,7 +785,10 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
     P_T is built: each P_T is Chr^T of the input simplex, a map carried by
     delta is a Sperner coloring of it, and some facet then shows all n
     values, which no output simplex holds, so every time T fails.
-    Otherwise it searches for a decision map at times 0..max_depth; a
+    Consensus on n >= 3 processes is decided on one edge: models restrict
+    only full-participation words, so xi of the edge {0, 1} is Chr^T of
+    it, connected with solo ends forced to 0 and 1, and no time T has a
+    map.  Otherwise it searches for a decision map at times 0..max_depth; a
     witness is validated end to end by simulating its synthesized
     protocol.  When no time has a map, set agreement on n <= 3 processes
     gets parity evidence.  Bounded failure alone never claims
@@ -796,7 +810,8 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
             return Verdict("unsolvable_certified", max_depth, certificate=certificate)
     unrestricted = model.predicate is None and model.allowed_first_rounds is None
     sperner = unrestricted and like_set_agreement()
-    for T in () if sperner else range(max_depth + 1):
+    edge = not sperner and model.n >= 3 and shaped_like(inputless_consensus(model.n))
+    for T in () if sperner or edge else range(max_depth + 1):
         PT = build_time_T(model, task, T)
         delta = search_decision_map(PT, task)
         if delta is None:

@@ -1171,13 +1171,27 @@ def test_sperner_matches_set_per_facet_reference(n, k, seed, sample_size):
     assert report == reference_sperner(n, k, seed=seed, sample_size=sample_size)
 
 
-@pytest.mark.parametrize("seed", range(50))
-def test_sampled_rows_are_the_seeded_choices(seed):
-    """The bulk draws are `Random(seed).choice` per list per row, on this
-    interpreter, for lists of 1 to 3 values and for row counts on both
-    sides of a refill."""
+def random_choices(seed, most):
+    """1 to 99 seeded lists of 1 to `most` values, each a sorted sample of range(`most`)."""
     shapes = random.Random(1000 + seed)
-    choices = [sorted(shapes.sample(range(3), shapes.randint(1, 3))) for _ in range(shapes.randint(1, 99))]
+    return [sorted(shapes.sample(range(most), shapes.randint(1, most))) for _ in range(shapes.randint(1, 99))]
+
+
+@pytest.mark.parametrize("seed, choices", [
+    *(pytest.param(seed, random_choices(seed, 3), id=str(seed)) for seed in range(50)),
+    # thresholds 128, 160, 192 and 224
+    *(pytest.param(seed, random_choices(seed, 8), id=f"up-to-8-values-{seed}") for seed in range(50, 70)),
+    # one threshold for every list: the whole row is one group
+    pytest.param(1, [[v] for v in range(3)] * 33, id="all-singletons"),
+    pytest.param(2, [[0, 1], [1, 2], [0, 2]] * 33, id="all-pairs"),
+    pytest.param(3, [[0, 1, 2]] * 40, id="all-triples"),
+    pytest.param(4, [[0], [0, 1], list(range(255)), [1, 2], [2], [0, 1, 2]], id="255-values"),
+])
+def test_sampled_rows_are_the_seeded_choices(seed, choices):
+    """The bulk draws are `Random(seed).choice` per list per row, on this
+    interpreter, for lists of 1 to 8 values, for shapes whose lists share
+    one threshold, for a list of 255 values, and for row counts on both
+    sides of a refill."""
     for count in (1, 127, 128, 129, 2000):
         rng = random.Random(seed)
         expected = [[rng.choice(c) for c in choices] for _ in range(count)]
@@ -1396,12 +1410,13 @@ def test_sperner_first_matches_the_search_at_every_time(model, max_depth):
     (M1, set_agreement(2), [0, 1, 2]),
     (FIRST3, set_agreement(3), [0, 1, 2]),
     (ROUND_TWO, set_agreement(2), [0, 1, 2]),
-    (IIS3, inputless_consensus(3), [0, 1, 2]),
+    (IIS3, inputless_consensus(3), []),
 ], ids=lambda x: ("per-time" if x else "none") if isinstance(x, list) else x.name)
 def test_sperner_first_builds_no_time_complex(monkeypatch, model, task, times):
-    """Set agreement on a model that restricts no prefix builds no P_T;
-    a restricted model, or another task, still builds one P_T per time.
-    Set agreement gets parity evidence for n <= 3 either way."""
+    """Set agreement on a model that restricts no prefix builds no P_T,
+    and neither does consensus on three processes on any model; set
+    agreement on a restricted model still builds one P_T per time.  Set
+    agreement gets parity evidence for n <= 3 either way."""
     built = []
     build = chrotop.checker.build_time_T
     monkeypatch.setattr(chrotop.checker, "build_time_T", lambda m, t, T: built.append(T) or build(m, t, T))
@@ -1409,6 +1424,33 @@ def test_sperner_first_builds_no_time_complex(monkeypatch, model, task, times):
     assert verdict.kind in ("unsolvable_at_all_depths", "unknown")
     assert built == times
     assert (verdict.evidence is not None) == (task.name == "set-agreement" and model.n <= 3)
+
+
+def random_first3(seed):
+    """A model on three processes that allows a seeded random set of first rounds."""
+    rng = random.Random(seed)
+    allowed = rng.sample(list(ordered_partitions(range(3))), rng.randint(1, 13))
+    return load_model_json_obj({"n": 3, "kind": "firstRoundRestricted", "name": f"first3-random{seed}",
+                                "allowedFirstRounds": [schedule_text(s) for s in allowed]})
+
+
+RANDOM_FIRST3 = [random_first3(seed) for seed in range(6)]
+
+
+@pytest.mark.parametrize("model", [IIS3, IIS3_EXCLUDED, FIRST3, *RANDOM_FIRST3], ids=lambda m: m.name)
+def test_consensus_on_three_processes_is_decided_on_one_edge(monkeypatch, model):
+    """The search is the oracle: consensus on three processes has no
+    decision map on P_T for T <= 2, and `solve`, which builds no P_T for
+    it, writes the JSON and exit code of that exhaustion at every depth."""
+    task = inputless_consensus(3)
+    found = [search_decision_map(build_time_T(model, task, T), task) for T in range(3)]
+    assert found == [None] * 3
+    monkeypatch.setattr(chrotop.checker, "build_time_T", None)
+    for d in range(3):
+        expected = search_first(model, d, found, None)
+        verdict = solve(model, task, d)
+        assert json.dumps(verdict.to_json_obj()) == json.dumps(expected.to_json_obj())
+        assert verdict.exit_code() == (11 if model.is_compact() else 12)
 
 
 def test_solve_set_agreement_compact_reports_depth_exhaustion():
