@@ -54,7 +54,7 @@ from .subdivision import (
     TerminatingSubdivision,
     cell_of_word,
     chr_iterate,
-    diameters_Dk,
+    diameter_Dk,
     edge_position,
     integer_weights,
     stable_ball,
@@ -332,12 +332,11 @@ def verify_termination_certificate(
     for sc in stable_cells:
         for v in sc.geom_simplex():
             stable_vertices[v] = max(stable_vertices.get(v, 0), sc.depth)
-    diameters = diameters_Dk(base, depth)
     ball = stable_ball(tsub, depth)
     continuity_witness = next((
         (v, w, delta(v).label, delta(w).label)
         for v in sorted(stable_vertices, key=vertex_key)
-        for w in ball(v.color, v.label, diameters[stable_vertices[v]])
+        for w in ball(v.color, v.label, diameter_Dk(base, stable_vertices[v]))
         if w != v and delta(v).label != delta(w).label
     ), None)
     continuous = continuity_witness is None

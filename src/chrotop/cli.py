@@ -21,7 +21,7 @@ from .models import MAX_PROCESSES, builtin_model, load_model_json_obj
 from .protocol import builtin_protocol, check_solves, load_table_protocol_json_obj
 from .render import render_dot, render_json, render_svg
 from .simplicial import Complex, Simplex, Vertex, label_string, label_strings, parse_label
-from .subdivision import chr_iterate, integer_weights, mesh
+from .subdivision import chr_iterate, diameter_Dk, integer_weights
 from .tasks import Task, inputless_consensus, load_task_json_obj, set_agreement, validate_task
 
 FORMATS = ("json", "svg", "dot")
@@ -91,10 +91,8 @@ def cmd_subdivide(args) -> int:
     n = args.simplex + 1
     base = Complex([Simplex(Vertex(i, i) for i in range(n))])
     K = chr_iterate(base, args.k)
-    # D_k and the SVG read one set of weights, the JSON and DOT one set of label texts
+    d_k = diameter_Dk(base, args.k)
     vertices = K.vertices()
-    weights = integer_weights(vertices, base)
-    d_k = mesh(K, weights, base)
     print(f"facets: {len(K.facets)}")
     print(f"vertices: {len(vertices)}")
     print(f"D_{args.k}: {d_k}")
@@ -102,8 +100,8 @@ def cmd_subdivide(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     stem = f"chr{args.k}_simplex{args.simplex}"
     if "svg" in formats and args.simplex <= 2:
-        _write(outdir / f"{stem}.svg", render_svg, K, base, weights)
-    del weights  # freed before the texts are written, so the two are never held at once
+        _write(outdir / f"{stem}.svg", render_svg, K, base, integer_weights(vertices, base))
+    # the JSON and DOT read one list of label texts, made after the weights are freed
     texts = label_strings(v.label for v in vertices) if {"json", "dot"} & set(formats) else []
     written = []
     if "json" in formats:

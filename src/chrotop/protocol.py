@@ -23,7 +23,7 @@ from .errors import (
 from .models import ModelSpec, Word, enumerate_prefixes, schedule_text
 from .simplicial import Complex, Simplex, SimplicialMap, Vertex, label_string, parse_label
 from .simplicial import vertex_string, vertex_strings
-from .subdivision import Schedule, apply_schedule, coordinates, diameters_Dk, stable_ball, walk_cells
+from .subdivision import Schedule, apply_schedule, coordinates, diameter_Dk, stable_ball, walk_cells
 from .tasks import Task, check_arity
 
 ball_id = vertex_string  # a view's ball id is its vertex text
@@ -306,7 +306,6 @@ def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> De
     a view's point is built once per answer.
     """
     base = tsub.base
-    diameters = diameters_Dk(base, max_depth)
     ball_of = stable_ball(tsub, max_depth)
     # (color, view) -> the value decided at or before that view, or None,
     # for each view asked about or walked through; a view's decision is
@@ -314,7 +313,7 @@ def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> De
     decided: dict = {}
 
     def attempt(color: int, view: Vertex):
-        ball = ball_of(color, coordinates(view, base), diameters[min(view_depth(view), max_depth)])
+        ball = ball_of(color, coordinates(view, base), diameter_Dk(base, min(view_depth(view), max_depth)))
         if not ball:
             return None
         values = set()

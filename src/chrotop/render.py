@@ -7,9 +7,10 @@ writes.
 
 The writers compute neither label texts nor weights: the JSON and DOT
 writers read the label text of each of `K.vertices()` from one
-`label_strings` list, and `render_svg` reads each vertex's exact integer
-weights from one `integer_weights` dict, so a caller that writes several
-files, as `subdivide` does, computes each once.  A weight stays an
+`label_strings` list, so a caller that writes both, as `subdivide` does,
+computes the texts once, and `render_svg` reads each vertex's exact
+integer weights from an `integer_weights` dict, which `subdivide`
+computes only when it draws.  A weight stays an
 integer until one correctly rounded division turns it into a float, the
 same float as `float` of the exact `Fraction` weight; output is
 deterministic for a given input."""

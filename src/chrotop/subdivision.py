@@ -15,11 +15,11 @@ derived from, recursively down to the base vertices (see `walk_cells`).
 `integer_weights` reads a level-k vertex's position off that history as
 integers: its barycentric weights over the base vertices times
 scale**k, with scale = lcm(1, 3, ..., 2n - 1) for the largest base facet
-size n.  `mesh` reads a complex's largest cell diameter off those
-weights, and `diameters_Dk` walks the distinct cell shapes in the same
-integers without building a vertex.  An exact point, a `BarycentricPoint` of
-`Fraction` weights, is built only where a point is a vertex label (the
-stable complexes of terminating subdivisions) or asked for through
+size n.  Cells shrink by the same factor every level, so the cell
+diameter `diameter_Dk` is a closed form, ((2n - 3)/(2n - 1))**k, and
+builds no vertex.  An exact point, a `BarycentricPoint` of `Fraction`
+weights, is built only where a point is a vertex label (the stable
+complexes of terminating subdivisions) or asked for through
 `coordinates`, as the ball rule asks for the views it tries.  Distances
 are half 1-norms, so a base edge has length 1; `stable_ball` gathers the
 stable vertices near a point for the ball rule and the certificate.
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm, prod
-from operator import add, attrgetter, sub
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -168,13 +168,19 @@ def chr_subdivision(K: Complex) -> Complex:
 
 def chr_iterate(K: Complex, k: int) -> Complex:
     """Chr^k of a pure chromatic complex, built by one `walk_cells` as one `Complex`."""
+    _check_subdividable(K, k)
+    return Complex(cell for _, _, cell in walk_cells(K.facets, k, _schedule_letters()))
+
+
+def _check_subdividable(K: Complex, k: int) -> None:
+    """Refuse a negative depth and, from depth 1 on, a complex that is not
+    chromatic or not pure: `chr_iterate` builds no other Chr^k."""
     if k < 0:
         raise Unsupported("subdivision depth must be nonnegative")
     if k and not K.is_chromatic():
         raise NotChromatic("standard chromatic subdivision needs a chromatic complex")
     if k and not K.is_pure():
         raise Unsupported("standard chromatic subdivision of a non-pure complex")
-    return Complex(cell for _, _, cell in walk_cells(K.facets, k, _schedule_letters()))
 
 
 def cell_of_word(base_facet: Simplex, word: Sequence[Schedule]) -> Simplex:
@@ -250,15 +256,6 @@ def weight_scale(base: Complex) -> int:
     return lcm(*range(1, 2 * max((len(f) for f in base.facets), default=1), 2))
 
 
-def _child_weights(factor: int, seen: Sequence[int], own: Sequence[int]) -> tuple[int, ...]:
-    """The subdivision rule on integer weights.  A vertex whose carrier has
-    m vertices, with weight vectors summing to `seen` and its own color's
-    vector `own`, puts 1/(2m-1) on its own corner and 2/(2m-1) on each
-    other; one level finer, with factor = scale // (2m - 1), that is
-    factor * (2 seen - own)."""
-    return tuple(factor * (2 * s - a) for s, a in zip(seen, own))
-
-
 def integer_weights(vertices: Iterable[Vertex], base: Complex) -> dict:
     """Maps each of `vertices`, and every vertex of its history, to (depth,
     weights): its barycentric weights over `base.vertices()`, in that
@@ -304,8 +301,11 @@ def integer_weights(vertices: Iterable[Vertex], base: Complex) -> dict:
             if scale % (2 * m - 1):
                 raise Unsupported(f"the carrier of {u!r} has more vertices than any base facet")
             depth, vectors = _lifted([memo[w] for w in carrier], scale)
+            # 1/(2m-1) on the carrier vertex of its own color and 2/(2m-1)
+            # on each other: one level finer, factor * (2 * seen - own)
+            factor = scale // (2 * m - 1)
             seen = [sum(column) for column in zip(*vectors)]
-            weights = _child_weights(scale // (2 * m - 1), seen, vectors[own[0]])
+            weights = tuple(factor * (2 * s - a) for s, a in zip(seen, vectors[own[0]]))
             support = [i for i, a in enumerate(weights) if a]
             if not any(f.issuperset(support) for f in facets):
                 raise UnknownVertex(f"the support of {u!r} is not a simplex of the base")
@@ -357,95 +357,33 @@ def geometric_simplex(simplex: Simplex, base: Complex) -> tuple[BarycentricPoint
     return tuple(_point(weights[v], base) for v in simplex)
 
 
-def diameters_Dk(base: Complex, depth: int) -> list[Fraction]:
-    """D_0..D_depth, the cell diameters of the chromatic subdivisions of
-    `base`: the largest pairwise vertex distance within any cell of each
-    level.
-
-    Exact, with integer arithmetic only, from one walk over the distinct
-    cell shapes of levels 0..depth.  A level-k cell is the tuple of its
-    vertices' barycentric weights over the corners of a base facet, in
-    the facet's vertex order, times scale**k with scale = lcm(1, 3, ...,
-    2n - 1) for the largest base facet size n, so every weight is an
-    integer.  A child cell follows `_child_weights`, the rule of
-    `integer_weights`: under a schedule, the vertex of color c in a block
-    becomes (scale // (2m - 1)) * (2 S - p_c), where S sums the vectors of
-    the m colors seen up to that block.  That rule is linear, and it maps
-    a cell translated by t to its child translated by scale * t, so a
-    cell's pairwise distances, and those of all its descendants, depend
-    only on its shape: its vertices minus its first vertex.  Each level
-    is the set of its cells' shapes, the children of each shape of the
-    level before; the last level keeps every child, since it has no
-    children to share.  Every base facet of the largest size starts from
-    the same corners, and a smaller one, met only at depth 0, is no
-    wider.  The edge has two shapes per level, so any depth is cheap
-    there; a triangle's cells barely repeat.  No vertex, simplex or exact
-    point is built.  Depths of one or more refuse the bases
-    `chr_subdivision` refuses.
-    """
-    if depth < 0:
-        raise Unsupported("subdivision depth must be nonnegative")
-    if depth > 0 and not base.is_chromatic():
-        raise NotChromatic("standard chromatic subdivision needs a chromatic complex")
-    if depth > 0 and not base.is_pure():
-        raise Unsupported("standard chromatic subdivision of a non-pure complex")
-    scale = weight_scale(base)
-    size = max(len(f) for f in base.facets)
-    # each schedule of the corner positions as its blocks: (positions, scale // (2m - 1))
-    schedules = []
-    for schedule in ordered_partitions(range(size)) if depth else ():
-        m, blocks = 0, []
-        for block in schedule:
-            m += len(block)
-            blocks.append((block, scale // (2 * m - 1)))
-        schedules.append(blocks)
-    level = {tuple(tuple(int(i == j) for j in range(size)) for i in range(size))}
-    # best[k]: the largest 1-norm of a vertex difference in a level-k cell
-    best = []
-    for k in range(depth + 1):
-        best.append(max((sum(map(abs, map(sub, p, q))) for cell in level for p, q in combinations(cell, 2)),
-                        default=0))
-        if k == depth:
-            break
-        children = []
-        for cell in level:
-            for blocks in schedules:
-                child = list(cell)
-                seen = [0] * size
-                for positions, factor in blocks:
-                    for i in positions:
-                        seen = list(map(add, seen, cell[i]))
-                    for i in positions:
-                        child[i] = _child_weights(factor, seen, cell[i])
-                children.append(child)
-        if k + 1 < depth:
-            # a level that is subdivided again keeps one cell per shape
-            children = {tuple(tuple(map(sub, p, child[0])) for p in child) for child in children}
-        level = children
-    # the distance is half the 1-norm, over the scale of the level
-    return [Fraction(b, 2 * scale**k) for k, b in enumerate(best)]
-
-
 def diameter_Dk(base: Complex, k: int) -> Fraction:
-    """Diameter of the cells of the k-th chromatic subdivision of `base`."""
-    return diameters_Dk(base, k)[-1]
+    """D_k, the largest distance between two vertices of one cell of the
+    k-th chromatic subdivision of `base`: ((2n - 3)/(2n - 1))**k for the
+    largest base facet size n, and 0 when n = 1.  Depths of one or more
+    refuse the bases `chr_iterate` refuses.
 
-
-def mesh(K: Complex, weights: dict, base: Complex) -> Fraction:
-    """The mesh of K, the largest distance between two vertices of one of
-    its facets, read off `weights`, which holds the `integer_weights` of
-    its vertices over `base`.  For `chr_iterate(base, k)` it is
-    `diameter_Dk(base, k)`, from weights a caller already has instead of
-    a walk over the cells of levels 0..k."""
-    scale = weight_scale(base)
-    vertices = K.vertices()
-    # lifting every vertex to one depth scales each 1-norm by the same factor
-    depth, vectors = _lifted([weights[v] for v in vertices], scale)
-    lifted = dict(zip(vertices, vectors))
-    top = max((sum(map(abs, map(sub, p, q))) for facet in K.facets
-               for p, q in combinations([lifted[v] for v in facet.vertices], 2)), default=0)
-    # the distance is half the 1-norm, over the scale of the depth
-    return Fraction(top, 2 * scale**depth)
+    D_1 = (2n - 3)/(2n - 1).  A distance is 1 minus the weight two points
+    share.  The carriers of one level-1 cell are nested, so take two of
+    its vertices (c, s) and (d, t) with s a face of t, |s| = m <= |t| = l
+    <= n; they share at least 2/(2l - 1).  If s = {c}, that is the weight
+    of c in (d, t).  Otherwise the corners of s other than c hold at
+    least (2m - 3)/(2l - 1) of (d, t), each no more than in (c, s), and c
+    holds at least 1/(2l - 1) of both.  A process that saw only itself,
+    at its corner, and one that saw all n meet the bound.
+    D_{k+1} <= D_1 * D_k.  A child vertex is a level-1 point of its
+    parent cell, so two children differ by a zero-sum combination of the
+    parent's vertices.  Its positive mass, their level-1 distance, is at
+    most D_1, and it is that mass times the difference of two points of
+    the parent cell, at most D_k apart.
+    D_k >= D_1**k.  Under the word ({c}, rest)**k vertex c stays at its
+    corner.  The weight a_k that each other vertex puts on that corner
+    follows 1 - a_{k+1} = (2n - 3)/(2n - 1) * (1 - a_k) from a_0 = 0, and
+    1 - a_k is its distance to c.
+    """
+    _check_subdividable(base, k)
+    n = max(len(f) for f in base.facets)
+    return Fraction(2 * n - 3, 2 * n - 1) ** k if n > 1 else Fraction(0)
 
 
 def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, Fraction]]:
@@ -627,6 +565,8 @@ class TerminatingSubdivision:
         return len(self._levels) - 1
 
     def materialize(self, depth: int) -> None:
+        if depth < 0:
+            raise Unsupported("subdivision depth must be nonnegative")
         while self.max_depth_materialized < depth:
             self._deepen()
 

@@ -42,6 +42,7 @@ from chrotop.protocol import (
     all_executions,
     check_solves,
     execution_configurations,
+    synthesize_from_stable_map,
     synthesize_from_time_map,
     view_chain,
 )
@@ -620,6 +621,15 @@ def test_termination_certificate_m1_all_conditions_pass():
     assert report.carried
     assert report.continuous
     assert report.ok
+
+
+def test_a_negative_depth_is_refused_by_the_certificate_and_the_ball_rule():
+    ts = TerminatingSubdivision(CONS.inputs, M1_POLICY)
+    delta = split_delta(ts.stable_complex(2), CONS.inputs)
+    with pytest.raises(Unsupported):
+        verify_termination_certificate(ts, delta, M1, CONS, -1)
+    with pytest.raises(Unsupported):
+        synthesize_from_stable_map(delta, ts, -1)
 
 
 def test_model_words_name_the_cells_of_a_terminating_subdivision():

@@ -12,9 +12,8 @@ from chrotop.checker import build_time_T, certify_consensus_impossible
 from chrotop.models import builtin_model
 from chrotop.protocol import DecisionProtocol, ball_id, extract_map, view_depth, winner_protocol
 from chrotop.simplicial import CarrierMap, Complex, Simplex, Vertex
-from chrotop.subdivision import diameters_Dk
 from chrotop.tasks import Task, inputless_consensus
-from oracles import reference_sperner
+from oracles import reference_diameters_Dk, reference_sperner
 
 
 def run_cli(*argv):
@@ -146,16 +145,16 @@ def test_subdivide_tetrahedron_outputs_match_golden_hashes(tmp_path):
 @pytest.mark.parametrize("simplex, k", [(1, k) for k in range(6)] + [(2, k) for k in range(4)]
                          + [(3, k) for k in range(3)])
 def test_subdivide_dk_line_matches_the_diameter_table(tmp_path, capsys, simplex, k):
-    # the line is read off the subdivision's own weights; the table walks every cell afresh
+    # the line is the closed form; the reference walks every cell afresh
     assert run_cli("subdivide", "--simplex", str(simplex), "--k", str(k), "--out", str(tmp_path)) == 0
     base = Complex([Simplex(Vertex(i, i) for i in range(simplex + 1))])
-    assert f"D_{k}: {diameters_Dk(base, k)[-1]}\n" in capsys.readouterr().out
+    assert f"D_{k}: {reference_diameters_Dk(base, k)[-1]}\n" in capsys.readouterr().out
 
 
 def test_subdivide_computes_weights_and_texts_once(tmp_path, monkeypatch):
     calls = Counter()
     originals = {"integer_weights": chrotop.subdivision.integer_weights,
-                 "diameters_Dk": chrotop.subdivision.diameters_Dk,
+                 "diameter_Dk": chrotop.subdivision.diameter_Dk,
                  "label_strings": chrotop.simplicial.label_strings}
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "chrotop"]
     for name, original in originals.items():
@@ -168,10 +167,13 @@ def test_subdivide_computes_weights_and_texts_once(tmp_path, monkeypatch):
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    for simplex, k in ((1, 4), (2, 2)):
+    # the weights are computed only for an SVG: not for JSON and DOT alone, nor for the tetrahedron
+    for argv, weights in ((("--simplex", "1", "--k", "4"), 1), (("--simplex", "2", "--k", "2"), 1),
+                          (("--simplex", "2", "--k", "2", "--format", "json,dot"), 0),
+                          (("--simplex", "3", "--k", "1"), 0)):
         calls.clear()
-        assert run_cli("subdivide", "--simplex", str(simplex), "--k", str(k), "--out", str(tmp_path)) == 0
-        assert calls == Counter({"integer_weights": 1, "label_strings": 1})
+        assert run_cli("subdivide", *argv, "--out", str(tmp_path)) == 0
+        assert calls == Counter({"integer_weights": weights, "diameter_Dk": 1, "label_strings": 1})
 
 
 def test_check_exit_codes(tmp_path):

@@ -1,4 +1,3 @@
-import time
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -25,12 +24,10 @@ from chrotop.subdivision import (
     chr_subdivision,
     coordinates,
     diameter_Dk,
-    diameters_Dk,
     edge_position,
     facet_volume_fraction,
     geometric_simplex,
     integer_weights,
-    mesh,
     ordered_partitions,
     partial_chr_step,
     policy_all_at_zero,
@@ -292,7 +289,8 @@ def test_integer_weights_refuse_a_carrier_larger_than_any_base_facet():
         integer_weights([vertex], EDGE)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+# level 40 of the edge has 3**40 cells
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 40])
 def test_diameter_law_on_edge(k):
     assert diameter_Dk(EDGE, k) == Fraction(1, 3**k)
 
@@ -309,31 +307,32 @@ def test_diameters_strictly_decrease():
     (LABELED_TRIANGLE, 2),
 ])
 def test_diameter_table_matches_each_level_subdivided_afresh(base, depth):
-    table = diameters_Dk(base, depth)
-    assert table == [diameter(chr_iterate(base, k), base) for k in range(depth + 1)]
-    assert diameter_Dk(base, depth) == table[-1]
-    for k in range(depth + 1):
-        K = chr_iterate(base, k)
-        assert mesh(K, integer_weights(K.vertices(), base), base) == table[k]
+    assert [diameter_Dk(base, k) for k in range(depth + 1)] == [
+        diameter(chr_iterate(base, k), base) for k in range(depth + 1)]
     with pytest.raises(Unsupported):
         diameter_Dk(base, -1)
-    with pytest.raises(Unsupported):
-        diameters_Dk(base, -1)
 
 
 @pytest.mark.parametrize("base, depth", [
     (EDGE, 8), (TRIANGLE, 3), (TETRAHEDRON, 2), (TWO_TRIANGLES, 2), (TWO_COLOR_SETS, 3), (LABELED_TRIANGLE, 2),
-], ids=["edge", "triangle", "tetrahedron", "two-triangles", "two-color-sets", "labeled-triangle"])
+    (standard_simplex(1), 3), (standard_simplex(5), 1),
+], ids=["edge", "triangle", "tetrahedron", "two-triangles", "two-color-sets", "labeled-triangle",
+        "vertex", "4-simplex"])
 def test_diameter_table_matches_the_walk_over_every_cell(base, depth):
-    for k in range(depth + 1):
-        assert diameters_Dk(base, k) == reference_diameters_Dk(base, k)
+    # the upper bound: no cell of any level, walked one by one, is wider than D_k
+    assert [diameter_Dk(base, k) for k in range(depth + 1)] == reference_diameters_Dk(base, depth)
 
 
-def test_diameter_table_walks_shapes_not_cells():
-    # the edge has two cell shapes per level, and 3**40 cells at level 40
-    start = time.perf_counter()
-    assert diameters_Dk(EDGE, 40) == [Fraction(1, 3**k) for k in range(41)]
-    assert time.perf_counter() - start < 1
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_diameter_is_met_by_the_cell_of_a_process_that_sees_only_itself(n):
+    # the lower bound: under ({c}, rest)**k, c stays at its corner and the
+    # others close in on it by the factor D_1 each round
+    base = standard_simplex(n)
+    (facet,) = base.facets
+    for c in (0, n - 1):
+        schedule = ((c,), tuple(d for d in range(n) if d != c))
+        for k in range(4):
+            assert diameter(Complex([cell_of_word(facet, (schedule,) * k)]), base) == diameter_Dk(base, k)
 
 
 @pytest.mark.parametrize("base, error", [
@@ -345,23 +344,20 @@ def test_diameter_table_walks_shapes_not_cells():
 ], ids=["not-chromatic", "not-pure", "neither"])
 def test_diameter_table_refuses_the_bases_the_subdivision_refuses(base, error):
     # level 0 is the base itself, which needs no subdividing
-    assert diameters_Dk(base, 0) == [diameter(base, base)]
+    assert diameter_Dk(base, 0) == diameter(base, base)
     for depth in (1, 2):
         with pytest.raises(error):
             chr_iterate(base, depth)
         with pytest.raises(error):
-            diameters_Dk(base, depth)
+            diameter_Dk(base, depth)
 
 
 def test_mesh_of_cells_of_different_depths():
-    # a level-1 cell, whose weights are lifted to level 3, beside a level-3 one
+    # a level-1 cell beside a level-3 one: each vertex keeps the depth it was made at
     (edge,) = EDGE.facets
     K = Complex([cell_of_word(edge, (R,)), cell_of_word(edge, (L, B, B))])
     weights = integer_weights(K.vertices(), EDGE)
     assert {weights[v][0] for v in K.vertices()} == {1, 3}
-    assert mesh(K, weights, EDGE) == diameter(K, EDGE) == Fraction(1, 3)
-    assert mesh(Complex([Simplex([v]) for v in EDGE.vertices()]), integer_weights(EDGE.vertices(), EDGE),
-                EDGE) == 0
 
 
 def test_diameter_table_builds_no_exact_point(monkeypatch):
@@ -373,8 +369,8 @@ def test_diameter_table_builds_no_exact_point(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(BarycentricPoint, "__init__", counted)
-    assert diameters_Dk(EDGE, 5)[-1] == Fraction(1, 3**5)
-    assert diameters_Dk(TRIANGLE, 2) == diameters_Dk(TRIANGLE, 2)
+    assert diameter_Dk(EDGE, 5) == Fraction(1, 3**5)
+    assert diameter_Dk(TRIANGLE, 2) == Fraction(9, 25)
     assert built == []
     coordinates(EDGE.vertices()[0], EDGE)
     assert len(built) == 1
