@@ -15,7 +15,6 @@ from .subdivision import (
     BarycentricPoint,
     TerminatingSubdivision,
     chr_iterate,
-    chr_subdivision,
     coordinates,
     diameter_Dk,
     partial_chr_step,

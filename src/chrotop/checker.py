@@ -500,85 +500,49 @@ class ConsensusCertificate:
 def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[ConsensusCertificate]:
     """Connectivity certificate for two-process consensus.
 
-    Computes the union of the cells of all allowed depth-long schedule
-    words (closed exact intervals in the realization of the input edge),
-    merges them into connected components, and fires when the component
-    that contains the forced-0 endpoint also contains the forced-1
-    endpoint.  Excluded limit executions never remove a finite cell, and
-    their limit points, all inside the bridging component, are reported.
-    A point that disconnects the edge (`_disconnecting`) stops the
-    certificate: the executions on either side of it may decide
-    differently, so it returns None.
+    Fires when the allowed executions cover the input edge in one piece
+    that joins its two forced ends: no solo execution is excluded, every
+    schedule word up to the horizon is allowed, and no excluded point
+    disconnects the edge.  The component is then the whole edge [0, 1].
+
+    Why the words decide it: a cell's children tile it, and the cells of
+    one level meet only at their ends.  So a refused word leaves an open
+    gap in the edge at every deeper level, and no later word can close
+    it; with no refused word, the horizon's cells cover [0, 1].  The
+    words are asked level by level from the empty word, and the first
+    level that holds a refused word stops the certificate.  Excluded
+    limit executions never remove a finite cell, and their limit points,
+    all inside the edge, are reported.  A point that disconnects the edge
+    (`_disconnecting`) stops the certificate: the executions on either
+    side of it may decide differently, so it returns None.
 
     The depth is clamped to at least 1 so first-round restrictions enter
     the structure; that depth is reported.  A model without a custom
-    predicate (every JSON-representable kind) restricts only the first
-    round, so its depth-d cells tile its depth-1 cells and the union is
-    read off the depth-1 words; a predicate is analysed at full depth.
-
-    The cells are built level by level from the base facet by one
-    `walk_cells`, each allowed prefix once.  The children of a cell tile
-    it, so the gap an allowed prefix leaves when it loses a child stays
-    open at every deeper level: from the first such prefix on, the walk
-    extends nothing, and its last level cannot bridge the edge.
+    predicate (every JSON model) restricts only the first
+    round, so its horizon is 1; a predicate is asked at full depth.
     """
     if model.n != 2:
         raise Unsupported("the interval certificate is specific to two processes")
     depth = max(1, depth)
     horizon = depth if model.predicate is not None else 1
     base = inputless_consensus(2).inputs
-    base_facet = base.facets[0]
     solos = (ARROW_SCHEDULES["->"], ARROW_SCHEDULES["<-"])
     if any(is_excluded_limit(model, ExecutionWord((), (solo,))) for solo in solos):
         return None
-
-    processes = base_facet.colors()
+    processes = base.facets[0].colors()
     alphabet = model.schedules(processes)
-    gap = False
-
-    def letters(word: Word, cell: Simplex) -> list[Schedule]:
-        nonlocal gap
-        if gap:
-            return []
-        allowed = [s for s in alphabet if model.allowed_prefix(processes, word + (s,))]
-        gap = len(allowed) < len(alphabet)
-        return allowed
-
-    roots = [base_facet] if model.allowed_prefix(processes, ()) else []
-    cells = [cell for _, _, cell in walk_cells(roots, horizon, letters)]
-    # every last-level vertex has depth `horizon`, so its integer weight of
-    # the color-1 corner is its position times one common denominator
-    weights = integer_weights((v for cell in cells for v in cell), base)
-    corner1 = base.vertices().index(base_facet.vertex_of_color(1))
-    intervals = []
-    for cell in cells:
-        positions = sorted(weights[v][1][corner1] for v in cell)
-        intervals.append((positions[0], positions[-1]))
-    intervals.sort()
-    components = []
-    for lo, hi in intervals:
-        if components and lo <= components[-1][1]:
-            last_lo, last_hi = components[-1]
-            components[-1] = (last_lo, max(last_hi, hi))
-        else:
-            components.append((lo, hi))
-    denominator = weight_scale(base) ** horizon
-    components = [(Fraction(lo, denominator), Fraction(hi, denominator)) for lo, hi in components]
-
-    zero = Fraction(0)
-    one = Fraction(1)
-    bridging = next((c for c in components if c[0] <= zero <= c[1] and c[0] <= one <= c[1]), None)
-    if bridging is None:
-        return None
-    # the bridging component spans the edge, so every excluded point lies in it
+    for k in range(horizon + 1):
+        if not all(model.allowed_prefix(processes, w) for w in product(alphabet, repeat=k)):
+            return None
     if _disconnecting(model, base):
         return None
+    edge = (Fraction(0), Fraction(1))
     excluded_inside = [str(e) for e in model.excluded]
     forced = [
         {"endpoint": "0", "color": 0, "value": "0", "reason": "solo execution of process 0"},
         {"endpoint": "1", "color": 1, "value": "1", "reason": "solo execution of process 1"},
     ]
-    return ConsensusCertificate(depth, bridging, components, excluded_inside, forced)
+    return ConsensusCertificate(depth, edge, [edge], excluded_inside, forced)
 
 
 # -- Sperner parity evidence ---------------------------------------------------
@@ -775,15 +739,17 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
     `validate_task`.
 
     Two-process consensus first tries the interval certificate, before
-    any P_T is built: when it fires, the allowed cells of every time
-    T <= max_depth cover the input edge, touching cells share a view and
-    the solo views are forced to 0 and 1, so no time searched below
-    could have a map.  Set agreement on a model that restricts no prefix
-    (no predicate, no allowed first rounds; excluded limit executions
-    remove no finite prefix) is decided by Sperner's lemma, before any
-    P_T is built: each P_T is Chr^T of the input simplex, a map carried by
-    delta is a Sperner coloring of it, and some facet then shows all n
-    values, which no output simplex holds, so every time T fails.
+    any P_T is built.  It fires when no solo execution is excluded, no
+    word up to its horizon is refused and no excluded point disconnects
+    the edge; the allowed cells of every time T <= max_depth then cover
+    the input edge, touching cells share a view and the solo views are
+    forced to 0 and 1, so no time searched below could have a map.
+    Set agreement on a model that restricts no prefix (no predicate, no
+    allowed first rounds; excluded limit executions remove no finite
+    prefix) is decided by Sperner's lemma, before any P_T is built: each
+    P_T is Chr^T of the input simplex, a map carried by delta is a
+    Sperner coloring of it, and some facet then shows all n values,
+    which no output simplex holds, so every time T fails.
     Consensus on n >= 3 processes is decided on one edge: models restrict
     only full-participation words, so xi of the edge {0, 1} is Chr^T of
     it, connected with solo ends forced to 0 and 1, and no time T has a

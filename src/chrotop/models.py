@@ -146,7 +146,7 @@ class ModelSpec:
 
     n: int
     name: str
-    kind: str  # "iis" | "firstRoundRestricted" | "custom"
+    kind: str  # a label only: the fields below define the model
     allowed_first_rounds: tuple[Schedule, ...] | None = None
     excluded: tuple[ExecutionWord, ...] = ()
     predicate: PrefixPredicate | None = field(default=None, compare=False)
@@ -267,8 +267,6 @@ def load_model_json_obj(obj: dict) -> ModelSpec:
     for letter in (first_rounds or ()) + tuple(s for e in excluded for s in e.stem + e.cycle):
         if set().union(*letter) != set(range(n)):  # blocks are already disjoint
             raise Unsupported(f"round {schedule_text(letter)} is not an ordered partition of 0..{n - 1}")
-    if kind == "iis":
-        first_rounds = None
     return ModelSpec(
         n=n,
         name=name,

@@ -161,11 +161,6 @@ def _schedule_letters() -> Callable:
     return letters
 
 
-def chr_subdivision(K: Complex) -> Complex:
-    """The standard chromatic subdivision of a pure chromatic complex."""
-    return chr_iterate(K, 1)
-
-
 def chr_iterate(K: Complex, k: int) -> Complex:
     """Chr^k of a pure chromatic complex, built by one `walk_cells` as one `Complex`."""
     _check_subdividable(K, k)

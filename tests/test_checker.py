@@ -2,6 +2,7 @@ import json
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -111,13 +112,11 @@ def split_delta(stable, base):
 
 
 def test_time_complex_iis_round_one():
-    from chrotop.subdivision import chr_subdivision
-
     P1 = build_time_T(IIS2, CONS, 1)
     assert len(P1.complex.vertices()) == 4
     assert len(P1.complex.facets) == 3
     # views are subdivision vertices, so the complexes coincide exactly
-    assert P1.complex.facets == chr_subdivision(CONS.inputs).facets
+    assert P1.complex.facets == chr_iterate(CONS.inputs, 1).facets
 
 
 def test_time_complex_m1_round_one_misses_central_edge():
@@ -979,6 +978,12 @@ def reference_certificate(model, depth):
     return bridging[0], components, inside
 
 
+def assert_matches_reference(cert, model, depth):
+    """A fired certificate is the reference's: one component, the whole edge."""
+    assert cert.components == [cert.component] == [(Fraction(0), Fraction(1))]
+    assert (cert.component, cert.components, cert.excluded_inside) == reference_certificate(model, max(1, depth))
+
+
 # round 2 may not be "<->" after a first "<->": the depth-1 cells bridge
 # the edge but the depth-2 cells leave a gap, so depth 1 cannot stand in
 ROUND_TWO = ModelSpec(
@@ -1000,12 +1005,11 @@ ALLOW_ALL = ModelSpec(n=2, name="allow-all", kind="custom", predicate=lambda par
 @pytest.mark.parametrize("model", [IIS2, M1, M2, ROUND_TWO, ONE_EXCHANGE, ALLOW_ALL], ids=lambda m: m.name)
 def test_certificate_matches_full_depth_reference(model, depth):
     cert = certify_consensus_impossible(model, depth)
-    want = reference_certificate(model, depth)
-    if want is None:
-        assert cert is None
+    if cert is None:
+        assert reference_certificate(model, depth) is None
     else:
         assert cert.depth == depth
-        assert (cert.component, cert.components, cert.excluded_inside) == want
+        assert_matches_reference(cert, model, depth)
 
 
 # the two-process model minus the one execution (<->)^w, at position 1/2,
@@ -1102,6 +1106,8 @@ def test_disconnecting_points_match_the_nested_interval_reference(model):
     for depth in (1, 3):
         cert = certify_consensus_impossible(model, depth)
         assert (cert is None) == (solo or bool(cuts))
+        if cert is not None:
+            assert_matches_reference(cert, model, depth)
     ts = TerminatingSubdivision(CONS.inputs, m2_naive_policy(3))
     witness = verify_termination_certificate(ts, split_delta(ts.stable_complex(3), CONS.inputs),
                                              model, CONS, 3).closure_witness
@@ -1119,20 +1125,19 @@ def test_certificate_requires_two_processes():
         certify_consensus_impossible(builtin_model("iis3"), 2)
 
 
-def test_certificate_stops_at_the_first_level_with_a_gap(monkeypatch):
-    # level 1 takes 3 steps and level 2 at most its 8 allowed words; the
-    # 11263 allowed prefixes of length <= 10 are never built
-    applied = 0
+def test_certificate_stops_at_the_first_level_with_a_gap():
+    # the empty word, the 3 first rounds and the second-round words up to
+    # the first refused one are asked about; the 11263 allowed prefixes of
+    # length <= 10 are never listed
+    asked = 0
 
-    def counting(facet, schedule, table=None):
-        nonlocal applied
-        applied += 1
-        return apply_schedule(facet, schedule, table)
+    def counting(participants, w):
+        nonlocal asked
+        asked += 1
+        return ONE_EXCHANGE.predicate(participants, w)
 
-    monkeypatch.setattr(chrotop.subdivision, "apply_schedule", counting)
-    assert certify_consensus_impossible(ONE_EXCHANGE, 10) is None
-    assert 3 < applied <= 11
-    monkeypatch.undo()
+    assert certify_consensus_impossible(replace(ONE_EXCHANGE, predicate=counting), 10) is None
+    assert 3 < asked <= 13
     verdict = solve(ONE_EXCHANGE, CONS, 10)
     assert (verdict.kind, verdict.T) == ("solvable_bounded", 2)
 
@@ -1377,7 +1382,7 @@ def test_certificate_first_matches_search_first(model):
         cert = certify_consensus_impossible(model, d)
         if cert is not None:
             assert found[:d + 1] == [None] * (d + 1)
-            assert (cert.component, cert.components, cert.excluded_inside) == reference_certificate(model, max(1, d))
+            assert_matches_reference(cert, model, d)
         got = json.dumps(solve(model, CONS, d).to_json_obj())
         assert got == json.dumps(search_first(model, d, found, cert).to_json_obj())
 

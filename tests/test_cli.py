@@ -634,3 +634,15 @@ def test_check_dispatches_on_task_structure_not_name(tmp_path):
     assert run_cli("check", "--model", "iis2", "--task", str(path),
                    "--max-depth", "1", "--out", str(out1)) == 0
     assert json.loads(out1.read_text())["T"] == 1
+
+
+def test_a_model_kind_is_only_a_label(tmp_path, capsys):
+    # allowedFirstRounds restricts the model whatever its kind says
+    outputs = {}
+    for kind in ("iis", "firstRoundRestricted", "custom"):
+        model = tmp_path / f"{kind}.json"
+        model.write_text(json.dumps({"n": 2, "kind": kind, "name": "first", "allowedFirstRounds": ["->", "<-"]}))
+        assert run_cli("check", "--model", str(model), "--task", "consensus", "--max-depth", "3") == 0
+        outputs[kind] = capsys.readouterr().out
+    assert outputs["iis"] == outputs["firstRoundRestricted"] == outputs["custom"]
+    assert json.loads(outputs["iis"])["T"] == 1

@@ -21,7 +21,6 @@ from chrotop.subdivision import (
     apply_schedule,
     cell_of_word,
     chr_iterate,
-    chr_subdivision,
     coordinates,
     diameter_Dk,
     edge_position,
@@ -105,20 +104,20 @@ def test_ordered_partition_counts(n, count):
 
 
 def test_chr_edge():
-    K = chr_subdivision(EDGE)
+    K = chr_iterate(EDGE, 1)
     assert len(K.facets) == 3
     assert len(K.vertices()) == 4
 
 
 def test_chr_triangle():
-    K = chr_subdivision(TRIANGLE)
+    K = chr_iterate(TRIANGLE, 1)
     assert len(K.facets) == 13
     assert len(K.vertices()) == 12
 
 
 def test_chr_single_vertex():
     point = standard_simplex(1)
-    K = chr_subdivision(point)
+    K = chr_iterate(point, 1)
     assert len(K.facets) == 1
     (v,) = K.vertices()
     assert v.color == 0 and isinstance(v.label, Simplex)
@@ -148,7 +147,7 @@ def test_chr_iterate_is_the_per_word_replay(base, top):
 def test_chr_requires_chromatic():
     bad = Complex([Simplex([Vertex(0, "x"), Vertex(0, "y")])])
     with pytest.raises(NotChromatic):
-        chr_subdivision(bad)
+        chr_iterate(bad, 1)
 
 
 def test_chromaticity_preserved():
@@ -160,7 +159,7 @@ def test_chromaticity_preserved():
 
 
 def test_coordinates_examples():
-    K = chr_subdivision(EDGE)
+    K = chr_iterate(EDGE, 1)
     pts = {v: coordinates(v, EDGE) for v in K.vertices()}
     corner0, corner1 = EDGE.vertices()
     for v, pt in pts.items():
@@ -191,7 +190,7 @@ def test_depth2_coordinates_compose():
 
 def test_unknown_vertex_raises():
     other_base = Complex([Simplex([Vertex(0, "u"), Vertex(1, "w")])])
-    v = chr_subdivision(EDGE).vertices()[0]
+    v = chr_iterate(EDGE, 1).vertices()[0]
     with pytest.raises(UnknownVertex):
         coordinates(v, other_base)
     # a stable-complex vertex is labeled by its point, not by a carrier
@@ -394,19 +393,19 @@ def test_volume_of_a_cell_across_base_facets_is_a_base_mismatch():
 
 
 def test_partial_step_everything_terminated():
-    K = chr_subdivision(EDGE)
+    K = chr_iterate(EDGE, 1)
     out = partial_chr_step(K, K)
     assert out.facets == tuple(sorted((wrap_simplex(f) for f in K.facets), key=reference_simplex_key))
 
 
 def test_partial_step_nothing_terminated_matches_chr():
     out = partial_chr_step(EDGE, None)
-    assert out.facets == chr_subdivision(EDGE).facets
+    assert out.facets == chr_iterate(EDGE, 1).facets
     assert len(out.facets) == 3
 
 
 def test_partial_step_left_terminated():
-    K = chr_subdivision(EDGE)
+    K = chr_iterate(EDGE, 1)
     left = min(
         K.facets,
         key=lambda f: min(edge_position(p, EDGE) for p in geometric_simplex(f, EDGE)),
@@ -416,7 +415,7 @@ def test_partial_step_left_terminated():
 
 
 def test_partial_step_rejects_terminated_interior_edge():
-    K = chr_subdivision(TRIANGLE)
+    K = chr_iterate(TRIANGLE, 1)
     # terminate one edge of a live facet
     facet = K.facets[0]
     edge = Simplex(list(facet.vertices)[:2])
@@ -425,7 +424,7 @@ def test_partial_step_rejects_terminated_interior_edge():
 
 
 def test_geometric_containment_examples():
-    K1 = chr_subdivision(EDGE)
+    K1 = chr_iterate(EDGE, 1)
     K2 = chr_iterate(EDGE, 2)
 
     def leftmost(K):
@@ -446,7 +445,7 @@ def test_geometric_containment_examples():
 
 
 def test_geometric_containment_triangle():
-    K = chr_subdivision(TRIANGLE)
+    K = chr_iterate(TRIANGLE, 1)
     base_facet = TRIANGLE.facets[0]
     for f in K.facets:
         assert geometric_containment(geometric_simplex(f, TRIANGLE), geometric_simplex(base_facet, TRIANGLE))
@@ -496,7 +495,7 @@ def test_cell_of_word_matches_prefix_navigation():
 
 
 def test_schedule_children_count():
-    children = chr_subdivision(TRIANGLE).facets
+    children = chr_iterate(TRIANGLE, 1).facets
     assert len(children) == 13
     for child in children:
         assert child.colors() == {0, 1, 2}
@@ -507,7 +506,7 @@ def test_base_mismatch_between_realizations():
     from chrotop.subdivision import geometric_distance
 
     other = Complex([Simplex([Vertex(0, "u"), Vertex(1, "w")])])
-    p = coordinates(chr_subdivision(EDGE).vertices()[0], EDGE)
+    p = coordinates(chr_iterate(EDGE, 1).vertices()[0], EDGE)
     q = coordinates(other.vertices()[0], other)
     with pytest.raises(BaseMismatch):
         geometric_distance(p, q)
