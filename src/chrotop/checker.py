@@ -738,26 +738,27 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
     """Bounded-depth decision procedure for a task that passes
     `validate_task`.
 
-    Two-process consensus first tries the interval certificate, before
-    any P_T is built.  It fires when no solo execution is excluded, no
-    word up to its horizon is refused and no excluded point disconnects
+    The task's shape, never its name, is read once as consensus or as
+    set agreement, and it selects the rules, tried in this order.
+    Certificate: two-process consensus tries the interval certificate
+    before any P_T is built.  It fires when no solo execution is excluded,
+    no word up to its horizon is refused and no excluded point disconnects
     the edge; the allowed cells of every time T <= max_depth then cover
     the input edge, touching cells share a view and the solo views are
     forced to 0 and 1, so no time searched below could have a map.
-    Set agreement on a model that restricts no prefix (no predicate, no
-    allowed first rounds; excluded limit executions remove no finite
-    prefix) is decided by Sperner's lemma, before any P_T is built: each
-    P_T is Chr^T of the input simplex, a map carried by delta is a
-    Sperner coloring of it, and some facet then shows all n values,
-    which no output simplex holds, so every time T fails.
-    Consensus on n >= 3 processes is decided on one edge: models restrict
-    only full-participation words, so xi of the edge {0, 1} is Chr^T of
-    it, connected with solo ends forced to 0 and 1, and no time T has a
-    map.  Otherwise it searches for a decision map at times 0..max_depth; a
-    witness is validated end to end by simulating its synthesized
-    protocol.  When no time has a map, set agreement on n <= 3 processes
-    gets parity evidence.  Bounded failure alone never claims
-    unsolvability.
+    Sperner-first: set agreement on a model that restricts no prefix (no
+    predicate, no allowed first rounds; excluded limit executions remove
+    no finite prefix) builds no P_T.  Each P_T is Chr^T of the input
+    simplex, a map carried by delta is a Sperner coloring of it, and some
+    facet then shows all n values, which no output simplex holds.
+    One-edge rule: consensus on n >= 3 processes builds no P_T either.
+    Models restrict only full-participation words, so xi of the edge
+    {0, 1} is Chr^T of it, connected with solo ends forced to 0 and 1.
+    Search: otherwise a decision map is searched for at times
+    0..max_depth; a witness is validated end to end by simulating its
+    synthesized protocol.  Exhaustion: when no time has a map, set
+    agreement on n <= 3 processes gets parity evidence.  Bounded failure
+    alone never claims unsolvability.
     """
     if max_depth < 0:
         raise Unsupported("max depth must be nonnegative")
@@ -766,17 +767,16 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
     def shaped_like(other: Task) -> bool:  # structure, never the name
         return (task.inputs, task.outputs, task.delta.images) == (other.inputs, other.outputs, other.delta.images)
 
-    def like_set_agreement() -> bool:
-        return 2 <= model.n <= MAX_PROCESSES and shaped_like(set_agreement(model.n))
-
-    if model.n == 2 and shaped_like(inputless_consensus(2)):
+    consensus = model.n >= 2 and shaped_like(inputless_consensus(model.n))
+    agreement = not consensus and 2 <= model.n <= MAX_PROCESSES and shaped_like(set_agreement(model.n))
+    if consensus and model.n == 2:
         certificate = certify_consensus_impossible(model, max_depth)
         if certificate is not None:
             return Verdict("unsolvable_certified", max_depth, certificate=certificate)
     unrestricted = model.predicate is None and model.allowed_first_rounds is None
-    sperner = unrestricted and like_set_agreement()
-    edge = not sperner and model.n >= 3 and shaped_like(inputless_consensus(model.n))
-    for T in () if sperner or edge else range(max_depth + 1):
+    # Sperner-first and the one-edge rule decide without building any P_T
+    settled = (agreement and unrestricted) or (consensus and model.n >= 3)
+    for T in () if settled else range(max_depth + 1):
         PT = build_time_T(model, task, T)
         delta = search_decision_map(PT, task)
         if delta is None:
@@ -792,8 +792,7 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
                        protocol=protocol, solve_report=report)
 
     evidence = None
-    # an unrestricted model has asked the task's shape already
-    if model.n <= 3 and (sperner if unrestricted else like_set_agreement()):
+    if agreement and model.n <= 3:
         evidence = sperner_evidence(model.n, min(2, max_depth), seed=seed)
     if model.is_compact():
         return Verdict("unsolvable_at_all_depths", max_depth, evidence=evidence)

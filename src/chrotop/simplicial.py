@@ -509,7 +509,6 @@ class CarrierMap:
 class CarrierReport:
     total: bool
     monotone: bool
-    rigid: bool
     chromatic: bool
     color_inclusion: bool
     witness: tuple[Simplex, Simplex] | None = None
@@ -520,13 +519,14 @@ class CarrierReport:
 
 
 def check_carrier_map(phi: CarrierMap, K: Complex, L: Complex) -> CarrierReport:
-    """Check monotonicity of phi on K, plus rigidity and chromaticity info.
+    """Check monotonicity of phi on K, plus chromaticity and color
+    inclusion info.
 
     Monotonicity failures come with a witness pair (tau, tau') with
-    tau a subset of tau' whose images are not nested.  Rigidity and
-    chromaticity are informational: many useful carrier maps (output
-    specifications at the top simplex, execution maps of restricted
-    models) are monotone without being rigid.
+    tau a subset of tau' whose images are not nested.  Chromaticity is
+    informational: many useful carrier maps (output specifications at the
+    top simplex, execution maps of restricted models) are monotone
+    without being chromatic.
     """
     simplexes = K.simplexes()
     total = True
@@ -550,21 +550,18 @@ def check_carrier_map(phi: CarrierMap, K: Complex, L: Complex) -> CarrierReport:
                 break
         if witness:
             break
-    rigid = True
     chromatic = True
     color_inclusion = True
     for s in simplexes:
         if s not in phi.images:
             continue
         img = phi(s)
-        if not (img.is_pure() and img.dim == s.dim):
-            rigid = False
         if not img.colors() <= s.colors():
             color_inclusion = False
         if not (img.is_pure() and img.dim == s.dim
                 and all(f.colors() == s.colors() for f in img.facets)):
             chromatic = False
-    return CarrierReport(total, monotone, rigid, chromatic, color_inclusion, witness)
+    return CarrierReport(total, monotone, chromatic, color_inclusion, witness)
 
 
 @dataclass

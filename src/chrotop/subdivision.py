@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm, prod
+from math import lcm
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     BaseMismatch,
@@ -53,29 +53,19 @@ from .simplicial import Complex, Simplex, Vertex, rank_simplexes, vertex_key
 Schedule = tuple
 
 
-def ordered_partitions(items: Sequence[int]) -> Iterator[Schedule]:
+def ordered_partitions(items: Sequence[int]) -> list[Schedule]:
     """All ordered partitions of `items` into nonempty blocks, in a fixed
     deterministic order (lexicographic by block sequence)."""
-    items = tuple(sorted(items))
-    if not items:
-        yield ()
-        return
-
-    def rec(remaining: frozenset) -> Iterator[Schedule]:
-        if not remaining:
-            yield ()
-            return
-        blocks = []
-        rem = sorted(remaining)
-        for r in range(1, len(rem) + 1):
-            blocks.extend(combinations(rem, r))
-        blocks.sort()
-        for block in blocks:
-            rest = remaining - frozenset(block)
-            for tail in rec(rest):
-                yield (block,) + tail
-
-    yield from rec(frozenset(items))
+    done = []
+    stack = [((), tuple(sorted(items)))]
+    while stack:
+        blocks, rest = stack.pop()
+        if not rest:
+            done.append(blocks)
+        for r in range(1, len(rest) + 1):
+            for block in combinations(rest, r):
+                stack.append((blocks + (block,), tuple(c for c in rest if c not in block)))
+    return sorted(done)
 
 
 def apply_schedule(facet: Simplex, schedule: Schedule, table: dict | None = None) -> Simplex:
@@ -381,29 +371,25 @@ def diameter_Dk(base: Complex, k: int) -> Fraction:
     return Fraction(2 * n - 3, 2 * n - 1) ** k if n > 1 else Fraction(0)
 
 
-def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, Fraction]]:
-    """Exact Gauss-Jordan elimination of `rows`, in place, over their
-    first `ncols` columns; later columns ride along as right-hand sides.
-
-    Returns the (column, value) of each pivot in row order: pivot i ends
-    in row i, scaled to 1, and is zero in every other row.  A column with
-    no pivot is skipped.
-    """
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+def _determinant(rows: list[list[int]]) -> int:
+    """The determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination, on a copy: every division is exact, and the
+    last pivot is the determinant up to the sign of the row swaps."""
+    rows = [list(row) for row in rows]
+    sign, last = 1, 1
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
         if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        value = rows[r][col]
-        rows[r] = [a / value for a in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[col] != 0:
-                factor = row[col]
-                rows[i] = [a - factor * b for a, b in zip(row, rows[r])]
-        pivots.append((col, value))
-    return pivots
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        for row in rows[k + 1:]:
+            for j in range(k + 1, len(rows)):
+                row[j] = (row[j] * top[k] - row[k] * top[j]) // last
+        last = top[k]
+    return sign * last
 
 
 def facet_volume_fraction(simplex: Simplex, base: Complex) -> Fraction:
@@ -426,14 +412,9 @@ def _host_and_volume(simplex: Simplex, base: Complex, weights: dict) -> tuple[Si
     if simplex.dim != host.dim:
         raise Unsupported("volume fractions are defined for full-dimensional cells")
     cols = [corners.index(c) for c in host.vertices]
-    matrix = [[Fraction(row[i]) for i in cols] for row in rows]
-    pivots = _gauss_jordan(matrix, len(cols))
-    if len(pivots) < len(cols):
-        return host, Fraction(0)
-    # the elimination ends at the identity; swaps only flip the sign of the
-    # determinant and scaling a row by 1/value divides it by value; every
-    # row carries the factor scale**depth
-    return host, abs(prod(value for _, value in pivots)) / scale ** (depth * len(cols))
+    # every row carries the factor scale**depth
+    det = _determinant([[row[i] for i in cols] for row in rows])
+    return host, Fraction(abs(det), scale ** (depth * len(cols)))
 
 
 def volume_by_base_facet(K: Complex, base: Complex) -> dict[Simplex, Fraction]:

@@ -106,9 +106,9 @@ class TaskReport:
 
 def validate_task(task: Task) -> TaskReport:
     """Check that delta is a monotone carrier map into the outputs whose
-    images only use the colors of their input simplex.  Rigidity is
+    images only use the colors of their input simplex.  Chromaticity is
     reported but not required; output specifications at the top simplex
-    are often not rigid.  An image that leaves the outputs is reported
+    are often not chromatic.  An image that leaves the outputs is reported
     alone, since the carrier map check refuses such a map outright."""
     problems = [
         f"delta image of {s!r} is not a subcomplex of the outputs"

@@ -9,10 +9,20 @@ import chrotop.simplicial
 import chrotop.subdivision
 from chrotop import cli
 from chrotop.checker import build_time_T, certify_consensus_impossible
-from chrotop.models import builtin_model
+from chrotop.models import builtin_model, load_model_json_obj
 from chrotop.protocol import DecisionProtocol, ball_id, extract_map, view_depth, winner_protocol
-from chrotop.simplicial import CarrierMap, Complex, Simplex, Vertex
-from chrotop.tasks import Task, inputless_consensus
+from chrotop.simplicial import (
+    CarrierMap,
+    Complex,
+    Simplex,
+    SimplicialMap,
+    Vertex,
+    carried_by,
+    check_simplicial_chromatic,
+    parse_label,
+    vertex_strings,
+)
+from chrotop.tasks import Task, inputless_consensus, set_agreement
 from oracles import reference_diameters_Dk, reference_sperner
 
 
@@ -617,15 +627,20 @@ def test_check_bounds_the_task_process_count_before_building_it(monkeypatch, cap
         assert capsys.readouterr().err.startswith(f"error: task {ref!r} needs a process count")
 
 
-def test_check_dispatches_on_task_structure_not_name(tmp_path):
-    # approximate agreement on {0, h, 1}, named "consensus": no map at
-    # time 0, yet solvable at time 1, so no interval certificate applies
+def approximate_agreement() -> Task:
+    """Approximate agreement on {0, h, 1}, named "consensus": no map at
+    time 0 in iis2, yet solvable at time 1."""
     near = [(0, 0), (0, "h"), ("h", 0), ("h", "h"), ("h", 1), (1, "h"), (1, 1)]
     outputs = Complex([Simplex([Vertex(0, a), Vertex(1, b)]) for a, b in near])
     base = inputless_consensus(2).inputs
     images = {s: outputs for s in base.simplexes() if len(s) == 2}
     images.update({s: Complex([s]) for s in base.simplexes() if len(s) == 1})
-    task = Task("consensus", base, outputs, CarrierMap(images))
+    return Task("consensus", base, outputs, CarrierMap(images))
+
+
+def test_check_dispatches_on_task_structure_not_name(tmp_path):
+    # no interval certificate applies to approximate agreement
+    task = approximate_agreement()
     path = tmp_path / "approx.json"
     path.write_text(json.dumps(task.to_json_obj()))
     out0, out1 = tmp_path / "d0.json", tmp_path / "d1.json"
@@ -646,3 +661,78 @@ def test_a_model_kind_is_only_a_label(tmp_path, capsys):
         outputs[kind] = capsys.readouterr().out
     assert outputs["iis"] == outputs["firstRoundRestricted"] == outputs["custom"]
     assert json.loads(outputs["iis"])["T"] == 1
+
+
+def decision_map_holds(verdict: dict, model, task: Task) -> bool:
+    """Re-verify a solvable verdict from its JSON alone: rebuild P_T at its
+    `T`, read each ball id of `decisionMap` as the output vertex it names,
+    and check that the map is simplicial, chromatic and carried by delta.
+    A map that misses or invents a ball id is refused."""
+    PT = build_time_T(model, task, verdict["T"])
+    entries = verdict["decisionMap"]
+    vertices = PT.complex.vertices()
+    names = vertex_strings(vertices)
+    if sorted(names) != sorted(entries):
+        return False
+    h = SimplicialMap({v: Vertex(entries[name]["color"], parse_label(entries[name]["label"]))
+                       for v, name in zip(vertices, names)})
+    return (check_simplicial_chromatic(h, PT.complex, task.outputs).ok
+            and carried_by(h, PT.xi, task.delta, task.inputs).carried)
+
+
+def test_solvable_verdicts_reverify_from_their_json(tmp_path, capsys):
+    cases = [("m1", builtin_model("m1"), "consensus", inputless_consensus(2), d) for d in (1, 2, 3)]
+    for kind in ("iis", "custom"):
+        obj = {"n": 2, "kind": kind, "name": "first", "allowedFirstRounds": ["->", "<-"]}
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(obj))
+        cases += [(str(path), load_model_json_obj(obj), "consensus", inputless_consensus(2), d) for d in (1, 2, 3)]
+    approx = tmp_path / "approx.json"
+    approx.write_text(json.dumps(approximate_agreement().to_json_obj()))
+    cases.append(("iis2", builtin_model("iis2"), str(approx), approximate_agreement(), 1))
+    for model_ref, model, task_ref, task, depth in cases:
+        assert run_cli("check", "--model", model_ref, "--task", task_ref, "--max-depth", str(depth)) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert decision_map_holds(verdict, model, task)
+        entries = verdict["decisionMap"]
+        for name, output in entries.items():
+            dropped = {**verdict, "decisionMap": {k: o for k, o in entries.items() if k != name}}
+            assert not decision_map_holds(dropped, model, task), name
+            if output["label"] in ("0", "1"):
+                flipped_label = {"0": "1", "1": "0"}[output["label"]]
+                flipped = {**verdict, "decisionMap": {**entries, name: {**output, "label": flipped_label}}}
+                assert not decision_map_holds(flipped, model, task), name
+
+
+def test_builtin_shapes_under_another_name_keep_their_verdicts(tmp_path, capsys):
+    # renamed tasks reach the certificate (iis2, m2), the search (m1, FIRST3),
+    # the one-edge rule (iis3 consensus:3) and Sperner-first (iis3 set agreement)
+    first3 = tmp_path / "first3.json"
+    first3.write_text(json.dumps({"n": 3, "kind": "custom", "allowedFirstRounds": ["0|1|2", "0,1|2", "2|0,1"]}))
+    cases = [
+        ("consensus", inputless_consensus(2), ["iis2", "m2", "m1"], "3"),
+        ("consensus:3", inputless_consensus(3), ["iis3", str(first3)], "3"),
+        ("set-agreement:3", set_agreement(3), ["iis3", str(first3)], "2"),
+        ("set-agreement:2", set_agreement(2), ["m1"], "2"),
+    ]
+    kinds = set()
+    for builtin, task_obj, models, depth in cases:
+        renamed = tmp_path / f"{builtin.replace(':', '-')}.json"
+        obj = task_obj.to_json_obj()
+        renamed.write_text(json.dumps({**obj, "name": "renamed"}))
+        for model in models:
+            runs = []
+            for task, name in ((builtin, obj["name"]), (str(renamed), "renamed")):
+                code = run_cli("--seed", "7", "check", "--model", model, "--task", task, "--max-depth", depth)
+                verdict = json.loads(capsys.readouterr().out)
+                assert verdict.pop("task") == name
+                runs.append((code, verdict))
+            assert runs[1] == runs[0], (builtin, model)
+            code, verdict = runs[0]
+            kinds.add((verdict["kind"], "certificate" in verdict, "evidence" in verdict, code))
+    assert kinds == {
+        ("unsolvable_certified", True, False, 10),
+        ("solvable_bounded", False, False, 0),
+        ("unsolvable_at_all_depths", False, False, 11),
+        ("unsolvable_at_all_depths", False, True, 11),
+    }

@@ -1,5 +1,6 @@
 """Recursion lint: no function of `chrotop` may reach itself through calls
-in its own module, except the few whose depth has a stated bound.
+in its own module.  The allowlist is empty: no cycle is allowed, whatever
+bound its depth might have.
 
 Each module's call graph is built by name from its source, nested
 functions included (see `call_graph`).  A cycle of that graph is a possible
@@ -15,10 +16,7 @@ import chrotop
 SOURCE = Path(chrotop.__file__).parent
 
 # cycle (as qualified names, per module) -> why its depth stays small
-ALLOWED_CYCLES = {
-    ("subdivision", frozenset({"ordered_partitions.rec"})):
-        "depth <= n <= MAX_PROCESSES, one level per block",
-}
+ALLOWED_CYCLES: dict[tuple[str, frozenset], str] = {}
 
 
 def call_graph(tree: ast.Module) -> dict[str, set[str]]:

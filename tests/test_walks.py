@@ -9,7 +9,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import lcm
 
 import pytest
 
@@ -19,7 +19,7 @@ from chrotop.protocol import all_executions, execution_configurations, view_chai
 from chrotop.simplicial import CarrierMap, Complex, Simplex, Vertex, vertex_key
 from chrotop.subdivision import (
     BarycentricPoint,
-    _gauss_jordan,
+    _determinant,
     chr_iterate,
     facet_volume_fraction,
     geometric_simplex,
@@ -243,6 +243,9 @@ def test_volume_fraction_is_the_reference_determinant(dim, k):
 
 
 def test_elimination_pivots_give_the_determinant():
+    """The last fraction-free pivot, signed by the row swaps, is the
+    determinant: each matrix is scaled to integers by the lcm of its
+    denominators, which multiplies the determinant by that lcm**n."""
     rng = random.Random(3)
     singular = [
         [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)],
@@ -251,15 +254,15 @@ def test_elimination_pivots_give_the_determinant():
         [[Fraction(1, 3), Fraction(2, 3), Fraction(0)], [Fraction(0), Fraction(1, 2), Fraction(1, 2)],
          [Fraction(1, 3), Fraction(7, 6), Fraction(1, 2)]],
     ]
-    for matrix in singular:
-        assert reference_det(matrix) == 0
-        assert len(_gauss_jordan([row[:] for row in matrix], len(matrix))) < len(matrix)
+    randoms = []
     for _ in range(200):
         n = rng.randint(1, 4)
-        matrix = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-        pivots = _gauss_jordan([row[:] for row in matrix], n)
-        det = abs(prod(value for _, value in pivots)) if len(pivots) == n else Fraction(0)
-        assert det == abs(reference_det(matrix))
+        randoms.append([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+    for matrix in singular + randoms:
+        scale = lcm(*(a.denominator for row in matrix for a in row))
+        integers = [[int(a * scale) for a in row] for row in matrix]
+        assert _determinant(integers) == reference_det(matrix) * scale ** len(matrix)
+    assert all(reference_det(matrix) == 0 for matrix in singular)
 
 
 def random_point(rng, base, corners):
