@@ -70,10 +70,6 @@ class Execution:
     face: Simplex
     word: Word
 
-    @property
-    def participants(self) -> frozenset:
-        return self.face.colors()
-
     def describe(self) -> str:
         inputs = ",".join(f"{v.color}={label_string(v.label)}" for v in self.face)
         sched = ",".join(map(schedule_text, self.word))
@@ -203,16 +199,18 @@ def run(protocol: DecisionProtocol, model: ModelSpec, inputs: Complex, depth: in
     simplexes, so a view met by several executions is one object, and
     the protocol is asked once per distinct view: the record of a view
     (its first decision along its chain, or None) is kept, and a chain
-    is walked down only to the nearest view already asked.
-    Irrevocability is checked where a view is first met, which is where
-    a step-by-step walk of every execution would first fail."""
+    is walked down only to the nearest view already asked.  A leaf
+    cell's vertices are its participants' views, one per color in color
+    order, so they are read off the cell as they stand.  Irrevocability
+    is checked where a view is first met, which is where a step-by-step
+    walk of every execution would first fail."""
     outcomes = []
     records: dict[Vertex, Optional[DecisionRecord]] = {}
     for face, word, cell in execution_cells(model, inputs.simplexes(), depth):
         execution = Execution(face, word)
         decisions: dict[int, Optional[DecisionRecord]] = {}
-        for color in sorted(execution.participants):
-            view, unasked = cell.vertex_of_color(color), []
+        for view in cell.vertices:
+            color, unasked = view.color, []
             while view not in records:
                 unasked.append(view)
                 if not isinstance(view.label, Simplex):

@@ -18,14 +18,15 @@ from typing import Collection, Iterable, Iterator, Mapping
 from .errors import IncompleteMap, InvalidCarrier, InvalidVertex, Unsupported
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Vertex:
-    """A colored, labeled vertex. Equality and hashing are by value; the
-    hash is `hash((color, label))`, computed once at construction, and a
-    nested label's own hash is one level deep, so a view's hash costs
-    the same at every depth.  A vertex keeps no sort key: vertices order
-    by their ranks (`_rank_vertices`), so a label that has no order (a
-    float, say) still makes a vertex.
+    """A colored, labeled vertex, frozen. Equality and hashing are by
+    value; the hash is `hash((color, label))`, computed once by the plain
+    `__init__`, the one construction every view of a subdivision walk
+    goes through, and a nested label's own hash is one level deep, so a
+    view's hash costs the same at every depth.  A vertex keeps no sort
+    key: vertices order by their ranks (`_rank_vertices`), so a label
+    that has no order (a float, say) still makes a vertex.
 
     Equal vertices may be distinct objects.  `execution_cells` makes
     equal views of one walk one object, so comparing them stops at an
@@ -34,10 +35,12 @@ class Vertex:
 
     color: int
     label: object
-    _hash: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.color, self.label)))
+    def __init__(self, color: int, label: object):
+        object.__setattr__(self, "color", color)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_hash", hash((color, label)))
 
     def __eq__(self, other):
         if self is other:

@@ -1,11 +1,15 @@
 """Standard chromatic subdivision, exact geometry, terminating subdivisions.
 
-Chr^k is built level by level (`walk_cells`): one `apply_schedule` per
-cell and schedule, all sharing one intern table, so each proper face of
-a cell is built once whatever schedules reach it, the cell itself being
-the carrier of all its colors, each view once however many cells it
-belongs to, and each color set's schedules are listed once per walk.
-A `TerminatingSubdivision` keeps one such table for its levels, its
+Chr^k is built level by level (`walk_cells`): one subdivision step per
+cell (`_children`) expands it under all the schedules named for it, so
+each face of a cell is built once whatever schedules reach it, the cell
+itself being the carrier of all its colors.  Every step of a walk
+shares one intern table, so each view is built once, a face or view met
+from another cell is that cell's object, and a schedule's plan, its
+prefix color sets and color-order slots, is worked out once per table;
+each color set's schedules are listed once per walk.
+`apply_schedule` is the same step under one schedule.  A
+`TerminatingSubdivision` keeps one intern table for its levels, its
 `cell` lookups and the certificate's walk of schedule words, so a cell
 met again is the same object.
 
@@ -32,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from operator import attrgetter
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -70,70 +74,100 @@ def ordered_partitions(items: Sequence[int]) -> list[Schedule]:
 
 def apply_schedule(facet: Simplex, schedule: Schedule, table: dict | None = None) -> Simplex:
     """One subdivision step of `facet` under a round schedule, the plain
-    tuple of its blocks that a model word holds.
+    tuple of its blocks that a model word holds: the one-schedule call of
+    `_children`.
 
     Every color p in block i gets the new vertex (p, prefix) where
-    prefix is the face of `facet` spanned by blocks 1..i.
-
-    The intern table maps each carrier and each cell to the equal one it
-    met first, each color set to one frozenset of it, (`facet`, color set)
-    to the interned carrier of that face of `facet`, and (color, interned
-    carrier) to the view.  The steps that share a table so build each face
-    of a cell once, whatever schedules reach it, keep one object per
-    carrier and cell value, and build each view once.  Without a table
-    the step uses one of its own, so every carrier, view and cell is new.
-
-    A carrier holds one vertex of each of its colors, so it is built in
-    color order without the set and collision pass of `Simplex`, and the
-    carrier of all the colors of a chromatic facet is the facet itself.
-    When the blocks are disjoint the cell, too, has one vertex per color
-    and is built the same way; any other schedule builds it by `Simplex`.
+    prefix is the face of `facet` spanned by blocks 1..i.  Steps that
+    share the intern table `table` share its carriers, views, cells and
+    plans; without one the step uses a table of its own, so every
+    carrier, view and cell is new.
     """
-    table = {} if table is None else table
-    colors = frozenset()
-    new_vertices = []
-    for block in schedule:
-        colors = colors.union(block)
-        colors = table.setdefault(colors, colors)  # one object per color set, shared by its keys
-        carrier = table.get((facet, colors))
-        if carrier is None:
-            carrier = _face_of_colors(facet, colors)
-            carrier = table[facet, colors] = table.setdefault(carrier, carrier)
-        for c in block:
+    return _children(facet, (schedule,), {} if table is None else table)[0]
+
+
+def _children(cell: Simplex, schedules: Sequence[Schedule], table: dict) -> list[Simplex]:
+    """The subdivision step of `cell` under each of `schedules`, in order.
+
+    Each face of the cell that a prefix of a schedule spans is built and
+    interned once, the cell itself being the face of all its colors, and
+    each view (color, face) once; every child is then a tuple of those
+    views.  The intern table maps each carrier and each cell to the equal
+    one it met first, (color, interned carrier) to the view, and each
+    schedule to its plan (`_plan`), so the steps that share it keep one
+    object per carrier, view and cell value and make each plan once.
+    """
+    faces: dict = {}  # prefix color set -> the interned face of the cell
+    children = []
+    for schedule in schedules:
+        plan = table.get(schedule)
+        if plan is None:
+            plan = table[schedule] = _plan(schedule, table)
+        slots, chromatic = plan
+        views = []
+        for colors, c in slots:
+            carrier = faces.get(colors)
+            if carrier is None:
+                carrier = _face_of_colors(cell, colors)
+                carrier = faces[colors] = table.setdefault(carrier, carrier)
             view = table.get((c, carrier))
             if view is None:
                 view = table[c, carrier] = Vertex(c, carrier)
-            new_vertices.append(view)
-    if 0 < len(new_vertices) == len(colors):
-        cell = Simplex._chromatic(tuple(sorted(new_vertices, key=attrgetter("color"))))
-    else:
-        cell = Simplex(new_vertices)
-    return table.setdefault(cell, cell)
+            views.append(view)
+        child = Simplex._chromatic(tuple(views)) if chromatic else Simplex(views)
+        children.append(table.setdefault(child, child))
+    return children
+
+
+def _plan(schedule: Schedule, table: dict) -> tuple:
+    """(slots, chromatic) of a schedule.  A slot is one vertex of the
+    child: its prefix color set, one object per intern table, and its
+    color.  An empty block raises `ValueError`.  When the blocks are
+    disjoint the child has one vertex per color, so the slots are in
+    color order and the child is a simplex without the checks of
+    `Simplex`; any other schedule lists its slots in block order for
+    `Simplex` to build."""
+    slots, colors = [], frozenset()
+    for block in schedule:
+        if not block:
+            raise ValueError(f"empty block in schedule {schedule}")
+        colors = colors.union(block)
+        colors = table.setdefault(colors, colors)
+        slots += [(colors, c) for c in block]
+    chromatic = 0 < len(slots) == len(colors)
+    if chromatic:
+        slots.sort(key=itemgetter(1))
+    return tuple(slots), chromatic
 
 
 def _face_of_colors(facet: Simplex, colors: frozenset) -> Simplex:
-    """The face of `facet` that holds its vertex of each of `colors`, a
-    missing color raising `KeyError`.  One vertex per color, in color
-    order, is a simplex without the checks of `Simplex`, and a face that
-    holds as many vertices as the facet is the facet itself."""
-    face = tuple(map(facet.vertex_of_color, sorted(colors)))
-    if len(face) == len(facet):
-        return facet
-    # an empty block names no color, and `Simplex` refuses the empty face
-    return Simplex._chromatic(face) if face else Simplex(face)
+    """The face of `facet` that holds its vertex of each of `colors`, read
+    off the facet's vertices, which are in color order; a color the facet
+    lacks or holds twice raises `KeyError`.  One vertex per color, in
+    color order, is a simplex without the checks of `Simplex`, and a face
+    that holds as many vertices as the facet is the facet itself."""
+    face = tuple([v for v in facet._verts if v.color in colors])
+    if len(face) != len(colors):
+        raise KeyError(f"{facet!r} has not one vertex of each color in {sorted(colors)}")
+    return facet if len(face) == len(facet) else Simplex._chromatic(face)
 
 
 def walk_cells(roots: Sequence[Simplex], depth: int, letters: Callable, table: dict | None = None) -> list[tuple]:
     """(root, word, cell) for the depth-`depth` cells under the roots, level
-    by level: a word extends by each schedule `letters(word, cell)` names,
-    its child cell one `apply_schedule` from its own.  One intern table,
-    `table` or one of the call's own, serves every step, so equal carriers,
-    views and cells are one object."""
+    by level: a word extends by each schedule of the sequence
+    `letters(word, cell)` names, and one `_children` call expands the
+    cell under all of them.  One intern table, `table` or one of the
+    call's own, serves every step, so equal carriers, views and cells are
+    one object, and each schedule's plan is made once."""
     table = {} if table is None else table
     level = [(root, (), root) for root in roots]
     for _ in range(depth):
-        level = [(root, word + (s,), apply_schedule(cell, s, table))
-                 for root, word, cell in level for s in letters(word, cell)]
+        deeper = []
+        for root, word, cell in level:
+            schedules = letters(word, cell)
+            deeper += [(root, word + (s,), child)
+                       for s, child in zip(schedules, _children(cell, schedules, table))]
+        level = deeper
     return level
 
 
@@ -169,10 +203,12 @@ def _check_subdividable(K: Complex, k: int) -> None:
 
 
 def cell_of_word(base_facet: Simplex, word: Sequence[Schedule]) -> Simplex:
-    """The depth-len(word) cell reached from `base_facet` by a schedule word."""
+    """The depth-len(word) cell reached from `base_facet` by a schedule
+    word, its steps sharing one intern table of the call's own."""
+    table: dict = {}
     cell = base_facet
     for schedule in word:
-        cell = apply_schedule(cell, schedule)
+        cell = apply_schedule(cell, schedule, table)
     return cell
 
 

@@ -336,6 +336,22 @@ def reference_sperner(n, k, seed=0, sample_size=2000):
     return SpernerReport(n, k, mode, colorings, counterexample is None, min_rainbow or 0, counterexample)
 
 
+def reference_cell(facet: Simplex, word) -> Simplex:
+    """The cell of a schedule word replayed on its own, round by round from
+    the definition: each color of block i sees the face of the previous
+    cell spanned by blocks 1..i.  Nothing is kept between rounds or words,
+    and every simplex goes through the checks of `Simplex`."""
+    cell = facet
+    for schedule in word:
+        seen, views = [], []
+        for block in schedule:
+            seen += block
+            carrier = Simplex(cell.vertex_of_color(c) for c in seen)
+            views += [Vertex(c, carrier) for c in block]
+        cell = Simplex(views)
+    return cell
+
+
 def reference_run(protocol, model, inputs, depth) -> RunResult:
     """Every execution replayed on its own (`all_executions`,
     `execution_configurations`), with one protocol call per execution,
@@ -344,7 +360,7 @@ def reference_run(protocol, model, inputs, depth) -> RunResult:
     for execution in all_executions(model, inputs, depth):
         configs = execution_configurations(execution)
         decisions = {}
-        for color in sorted(execution.participants):
+        for color in sorted(execution.face.colors()):
             record = None
             for t, config in enumerate(configs):
                 answer = protocol(color, config.vertex_of_color(color))

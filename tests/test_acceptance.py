@@ -154,7 +154,7 @@ def test_c04_functoriality_and_projection_consistency():
                         assert maps[(r, t)](ball) == maps[(r, s)](maps[(s, t)](ball))
         for execution in all_executions(model, CONS.inputs, 4):
             configs = execution_configurations(execution)
-            for color in execution.participants:
+            for color in execution.face.colors():
                 for s in range(5):
                     assert maps[(s, 4)](configs[4].vertex_of_color(color)) == configs[s].vertex_of_color(color)
     print("ACCEPT-04 PASS functoriality f_RT = f_RS o f_ST for 0<=R<=S<=T<=4 and depth-4 projection consistency")
@@ -229,7 +229,7 @@ def test_c09_random_decision_tables_round_trip_and_locality():
         seen = {}
         for execution in executions:
             for t, config in enumerate(execution_configurations(execution)):
-                for color in execution.participants:
+                for color in execution.face.colors():
                     v = config.vertex_of_color(color)
                     answer = proto(color, v)
                     if v in seen:

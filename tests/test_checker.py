@@ -30,7 +30,6 @@ from chrotop.simplicial import (
 )
 from chrotop.subdivision import (
     TerminatingSubdivision,
-    apply_schedule,
     cell_of_word,
     chr_iterate,
     coordinates,
@@ -146,7 +145,7 @@ def test_ball_partition_invariant():
         balls = set(PT.complex.vertices())
         for execution in all_executions(IIS2, CONS.inputs, T):
             final = execution_configurations(execution)[-1]
-            for color in execution.participants:
+            for color in execution.face.colors():
                 assert final.vertex_of_color(color) in balls
 
 
@@ -507,7 +506,7 @@ def test_projection_consistency():
     Ps = {T: build_time_T(IIS2, CONS, T) for T in range(4)}
     for execution in all_executions(IIS2, CONS.inputs, 3):
         configs = execution_configurations(execution)
-        for color in execution.participants:
+        for color in execution.face.colors():
             for s in range(4):
                 for t in range(s, 4):
                     f_st = connecting_map_fST(Ps[t], Ps[s])
@@ -519,14 +518,16 @@ def test_time_T_build_applies_each_schedule_prefix_once(monkeypatch, model, call
     # iis2 at T=5: 3+9+27+81+243 full-participation prefixes plus 5 per
     # solo face; m1 keeps two first rounds: 2+6+18+54+162 plus 2x5.
     # Replaying every iis2 execution from round 0 makes 5 x 245 = 1225.
+    # Each schedule the subdivision kernel applies is counted.
     applied = 0
+    children = chrotop.subdivision._children
 
-    def counting(facet, schedule, table=None):
+    def counting(cell, schedules, table):
         nonlocal applied
-        applied += 1
-        return apply_schedule(facet, schedule, table)
+        applied += len(schedules)
+        return children(cell, schedules, table)
 
-    monkeypatch.setattr(chrotop.subdivision, "apply_schedule", counting)
+    monkeypatch.setattr(chrotop.subdivision, "_children", counting)
     build_time_T(model, CONS, 5)
     assert applied == calls
 
@@ -832,13 +833,14 @@ def test_admissibility_extends_only_the_live_prefixes(monkeypatch):
     ts = TerminatingSubdivision(CONS.inputs, m2_naive_policy(7))
     delta = split_delta(ts.stable_complex(7), CONS.inputs)
     walk = chrotop.checker.walk_cells
+    children = chrotop.subdivision._children
     calls = []
     walking = False
 
-    def counted(facet, schedule, table=None):
+    def counted(cell, schedules, table):
         if walking:
-            calls.append(schedule)
-        return apply_schedule(facet, schedule, table)
+            calls.extend(schedules)
+        return children(cell, schedules, table)
 
     def walked(*args):
         nonlocal walking
@@ -848,7 +850,7 @@ def test_admissibility_extends_only_the_live_prefixes(monkeypatch):
         finally:
             walking = False
 
-    monkeypatch.setattr(chrotop.subdivision, "apply_schedule", counted)
+    monkeypatch.setattr(chrotop.subdivision, "_children", counted)
     monkeypatch.setattr(chrotop.checker, "walk_cells", walked)
     report = verify_termination_certificate(ts, delta, M2, CONS, 7)
     assert len(calls) == 21
@@ -1049,15 +1051,33 @@ def test_closure_condition_skips_a_disconnecting_excluded_point():
     """Deciding by side of 1/2 with the execution (<->)^w removed: no
     execution reaches 1/2, so the two values there are no discontinuity."""
     ts = TerminatingSubdivision(CONS.inputs, cut_at_half_policy(6))
-    stable = ts.stable_complex(6)
-    delta = SimplicialMap({v: Vertex(v.color, int(edge_position(v.label, CONS.inputs) > Fraction(1, 2)))
-                           for v in stable.vertices()})
+    delta = side_of_half_delta(ts, 6)
     report = verify_termination_certificate(ts, delta, CUT_AT_HALF, CONS, 6)
     assert report.carried and report.continuous
     assert report.continuity_witness is None and report.closure_witness is None
     # the sides of 1/2 hold both values, so the point is met and skipped
     values = _excluded_point_values(ts, delta, CUT_AT_HALF.excluded[0], 6)["values"]
     assert values == ["0", "1"]
+
+
+def side_of_half_delta(ts, depth):
+    """Each stable vertex decides by its side of 1/2."""
+    return SimplicialMap({v: Vertex(v.color, int(edge_position(v.label, CONS.inputs) > Fraction(1, 2)))
+                          for v in ts.stable_complex(depth).vertices()})
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.parametrize("D", [5, 6, 7])
+def test_ball_rule_decides_no_wrong_value_at_its_horizon(D):
+    """The ball rule of the side-of-1/2 map over the cut-at-half policy,
+    simulated on the non-compact model without (<->)^w: every execution
+    of T = D - 1 rounds may stay undecided, but none may disagree.  Today
+    (<->)^(D-1) decides both values, each view's ball being unanimous on
+    its own side of 1/2."""
+    ts = TerminatingSubdivision(CONS.inputs, cut_at_half_policy(D))
+    protocol = synthesize_from_stable_map(side_of_half_delta(ts, D), ts, D)
+    report = check_solves(protocol, CONS, CUT_AT_HALF, D - 1)
+    assert report.failures == [], [execution.describe() for execution, _ in report.failures]
 
 
 def eventually_periodic_words():

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 
@@ -736,3 +739,35 @@ def test_builtin_shapes_under_another_name_keep_their_verdicts(tmp_path, capsys)
         ("unsolvable_at_all_depths", False, False, 11),
         ("unsolvable_at_all_depths", False, True, 11),
     }
+
+
+def test_outputs_do_not_follow_the_string_hash_seed(tmp_path):
+    """Each command in a fresh interpreter under two string hash seeds: a
+    set of views, colors or labels iterated into an output would show as
+    a difference here, and in no single-process test."""
+    task = tmp_path / "approx.json"
+    task.write_text(json.dumps(approximate_agreement().to_json_obj()))
+    commands = {
+        "check": ["check", "--model", "iis2", "--task", str(task), "--max-depth", "1"],
+        "run": ["run", "--model", "iis2", "--protocol", "winner", "--task", "consensus", "--depth", "5",
+                "--out", "run.txt"],
+        "subdivide": ["subdivide", "--simplex", "2", "--k", "2", "--out", "chr"],
+    }
+    src = str(Path(chrotop.subdivision.__file__).parents[1])
+    seen = {}
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for name, argv in commands.items():
+            cwd = tmp_path / f"{name}-{seed}"
+            cwd.mkdir()
+            done = subprocess.run([sys.executable, "-m", "chrotop", *argv], cwd=cwd, env=env,
+                                  capture_output=True, timeout=120)
+            files = {str(f.relative_to(cwd)): f.read_bytes() for f in sorted(cwd.rglob("*")) if f.is_file()}
+            seen.setdefault(name, []).append((done.returncode, done.stdout, done.stderr, files))
+    for name, (first, second) in seen.items():
+        assert first == second, name
+    assert [runs[0][0] for runs in seen.values()] == [0, 1, 0]
+    assert b'"T": 1' in seen["check"][0][1]
+    assert b"result: FAIL" in seen["run"][0][3]["run.txt"]
+    assert sorted(seen["subdivide"][0][3]) == [f"chr/chr2_simplex2.{ext}" for ext in ("dot", "json", "svg")]

@@ -108,7 +108,7 @@ def test_check_solves_winner_on_m1():
 def test_check_solves_own_input_fails_on_iis():
     report = check_solves(own_input_protocol(), CONS, IIS2, 1)
     assert report.status == "FAIL"
-    full_witnesses = [e for e, _ in report.failures if len(e.participants) == 2]
+    full_witnesses = [e for e, _ in report.failures if len(e.face) == 2]
     assert full_witnesses
 
 
@@ -289,7 +289,7 @@ def test_decision_locality_equal_views_equal_decisions():
     seen: dict[Vertex, object] = {}
     for execution in all_executions(M1, CONS.inputs, 3):
         for t, config in enumerate(execution_configurations(execution)):
-            for color in execution.participants:
+            for color in execution.face.colors():
                 v = config.vertex_of_color(color)
                 answer = proto(color, v)
                 if v in seen:
@@ -308,7 +308,7 @@ def test_execution_cells_match_reference_replay(model, max_depth):
         first_built = {}
         for execution, (_, _, cell) in zip(executions, cells):
             configs = execution_configurations(execution)
-            for color in execution.participants:
+            for color in execution.face.colors():
                 chain = view_chain(cell.vertex_of_color(color))
                 assert chain == [config.vertex_of_color(color) for config in configs]
                 # equal views of two executions are one object

@@ -584,10 +584,11 @@ def test_cell_walk_matches_stored_cells(base, policy, depth):
 
 def counted_constructions(monkeypatch, build):
     """(Simplex, Vertex) constructions made by `build()`; a simplex is
-    made by `Simplex.__init__` or by the chromatic `Simplex._chromatic`."""
+    made by `Simplex.__init__` or by the chromatic `Simplex._chromatic`,
+    a vertex by `Vertex.__init__`."""
     made = {"simplexes": 0, "vertices": 0}
     simplex_init, chromatic_simplex = Simplex.__init__, Simplex._chromatic
-    vertex_post_init = Vertex.__post_init__
+    vertex_init = Vertex.__init__
 
     def simplex(self, vertices):
         made["simplexes"] += 1
@@ -597,13 +598,13 @@ def counted_constructions(monkeypatch, build):
         made["simplexes"] += 1
         return chromatic_simplex(verts)
 
-    def vertex(self):
+    def vertex(self, color, label):
         made["vertices"] += 1
-        vertex_post_init(self)
+        vertex_init(self, color, label)
 
     monkeypatch.setattr(Simplex, "__init__", simplex)
     monkeypatch.setattr(Simplex, "_chromatic", classmethod(chromatic))
-    monkeypatch.setattr(Vertex, "__post_init__", vertex)
+    monkeypatch.setattr(Vertex, "__init__", vertex)
     build()
     monkeypatch.undo()
     return made["simplexes"], made["vertices"]

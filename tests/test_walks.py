@@ -3,7 +3,9 @@ schedule words, each against a test-local copy of the code it replaced:
 a view ancestor found by stepping back one round at a time, a recursive
 word extension, a forward-elimination determinant and a convex solve with
 its own elimination loop.  The time-T complex built by the cell walk is
-checked against every execution replayed on its own."""
+checked against every execution replayed on its own, and every cell of
+the Chr^k and execution walks against its word replayed from the
+definition (`oracles.reference_cell`)."""
 
 import random
 from collections import Counter
@@ -15,17 +17,21 @@ import pytest
 
 from chrotop.checker import build_time_T
 from chrotop.models import ModelSpec, builtin_model, enumerate_prefixes, iis
-from chrotop.protocol import all_executions, execution_configurations, view_chain, view_depth
+from chrotop.protocol import all_executions, execution_cells, execution_configurations, view_chain, view_depth
 from chrotop.simplicial import CarrierMap, Complex, Simplex, Vertex, vertex_key
 from chrotop.subdivision import (
     BarycentricPoint,
     _determinant,
+    apply_schedule,
+    cell_of_word,
     chr_iterate,
     facet_volume_fraction,
     geometric_simplex,
+    ordered_partitions,
+    walk_cells,
 )
 from chrotop.tasks import Task, inputless_consensus, set_agreement
-from oracles import _solve_convex, point_in_hull
+from oracles import _solve_convex, point_in_hull, reference_cell
 
 # -- reference copies ------------------------------------------------------------
 
@@ -303,3 +309,90 @@ def test_hull_membership_matches_the_reference_solve():
             assert point_in_hull(x, hull) is inside
             verdicts[inside] += 1
     assert verdicts[True] and verdicts[False]
+
+
+# -- the subdivision step against the per-word replay ------------------------------
+
+
+def simplex_of(n):
+    return Simplex(Vertex(i, i) for i in range(n))
+
+
+def every_schedule(word, cell):
+    return ordered_partitions(cell.colors())
+
+
+def assert_views_interned(cells):
+    """Equal views and carriers met anywhere in the cells' histories are
+    one object; the roots' own vertices are the caller's."""
+    first, walked = {}, set()
+    stack = [v for cell in cells for v in cell]
+    while stack:
+        v = stack.pop()
+        if id(v) in walked or not isinstance(v.label, Simplex):
+            continue
+        walked.add(id(v))
+        assert first.setdefault(v, v) is v
+        assert first.setdefault(v.label, v.label) is v.label
+        stack.extend(v.label)
+
+
+@pytest.mark.parametrize("roots, top", [
+    ([simplex_of(2)], 5),
+    ([simplex_of(3)], 3),
+    ([simplex_of(4)], 2),
+    ([simplex_of(3), Simplex([Vertex(0, 0), Vertex(1, 1), Vertex(2, 3)])], 2),
+    ([simplex_of(2), Simplex([Vertex(0, 0), Vertex(1, 2)])], 3),
+    ([simplex_of(2), Simplex([Vertex(1, 2), Vertex(2, 3)])], 3),
+], ids=["edge", "triangle", "tetrahedron", "two-triangles", "two-edges", "two-color-sets"])
+def test_chr_walk_is_the_per_word_replay(roots, top):
+    """Each level of the walk that builds Chr^k holds, in order, every root
+    and word of that depth with the cell the word's replay builds."""
+    for depth in range(top + 1):
+        level = walk_cells(roots, depth, every_schedule)
+        words = [(root, word) for root in roots
+                 for word in product(ordered_partitions(root.colors()), repeat=depth)]
+        assert [(root, word) for root, word, _ in level] == words
+        for root, word, cell in level:
+            assert cell == reference_cell(root, word) == cell_of_word(root, word)
+        assert_views_interned(cell for _, _, cell in level)
+    assert Complex(cell for _, _, cell in level) == chr_iterate(Complex(roots), top)
+
+
+def random_first_round_models(n, count, seed):
+    rng = random.Random(seed)
+    schedules = ordered_partitions(range(n))
+    return [ModelSpec(n=n, name=f"first{n}-{i}", kind="custom",
+                      allowed_first_rounds=tuple(rng.sample(schedules, rng.randint(1, len(schedules)))))
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("model", random_first_round_models(2, 20, 5) + random_first_round_models(3, 20, 6),
+                         ids=lambda m: m.name)
+def test_execution_walk_is_the_per_word_replay(model):
+    """The execution walk of a first-round-restricted model is
+    `all_executions`, in order, each with the cell its replay builds."""
+    inputs = Complex([simplex_of(model.n)])
+    for depth in range(4):
+        cells = execution_cells(model, inputs.simplexes(), depth)
+        executions = [(e.face, e.word) for e in all_executions(model, inputs, depth)]
+        assert [(face, word) for face, word, _ in cells] == executions
+        for face, word, cell in cells:
+            assert cell == reference_cell(face, word)
+        assert_views_interned(cell for _, _, cell in cells)
+
+
+@pytest.mark.parametrize("schedule, error", [
+    (((0,), (2,)), KeyError), (((2,),), KeyError), (((0, 1, 2),), KeyError),
+    ((), ValueError), (((), (0, 1)), ValueError), (((0,), (), (1,)), ValueError), (((0, 1), ()), ValueError),
+])
+def test_a_malformed_schedule_raises(schedule, error):
+    """A color the cell lacks raises `KeyError`, an empty schedule or block
+    `ValueError`, through each entry to the subdivision step."""
+    edge = simplex_of(2)
+    with pytest.raises(error):
+        apply_schedule(edge, schedule)
+    with pytest.raises(error):
+        walk_cells([edge], 1, lambda word, cell: [((0,), (1,)), schedule])
+    with pytest.raises(error):
+        cell_of_word(edge, (((0, 1),), schedule))
