@@ -28,7 +28,6 @@ from .models import (
     ExecutionWord,
     ModelSpec,
     Word,
-    is_excluded_limit,
 )
 from .protocol import (
     DecisionProtocol,
@@ -52,14 +51,12 @@ from .subdivision import (
     BarycentricPoint,
     Schedule,
     TerminatingSubdivision,
-    cell_of_word,
     chr_iterate,
     diameter_Dk,
     edge_position,
     integer_weights,
     stable_ball,
     walk_cells,
-    weight_scale,
 )
 from .tasks import Task, check_arity, inputless_consensus, set_agreement
 
@@ -344,7 +341,7 @@ def verify_termination_certificate(
     # (c2) closure analysis around excluded limit executions
     closure_witness = None
     if model.excluded and model.n == 2:
-        cuts = _disconnecting(model, base)
+        cuts = _disconnecting(model)
         for excluded in model.excluded:
             if excluded in cuts:
                 continue  # no allowed execution reaches the point, so none need agree there
@@ -366,38 +363,41 @@ def verify_termination_certificate(
     )
 
 
-def excluded_limit_point(base: Complex, excluded: ExecutionWord) -> BarycentricPoint:
-    """Exact limit point of an eventually periodic two-process execution:
-    evolve the cell corners through the stem, then take the stationary
-    combination of the cycle's corner map.  The corner map is read off the
-    cycle's own cell over the base edge: row c holds the weights of its
-    color-c vertex over the base corners.  The corners' integer weights
-    come from one `integer_weights` call; only the point is a `Fraction`."""
-    corners = base.vertices()
-    cell = cell_of_word(base.facets[0], excluded.stem)
-    cycle = cell_of_word(base.facets[0], excluded.cycle)
-    weights = integer_weights([*cell, *cycle], base)
-    a0, a1 = (weights[cell.vertex_of_color(c)][1] for c in (0, 1))
-    m0, m1 = (weights[cycle.vertex_of_color(c)][1] for c in (0, 1))
-    # the corner map's rows are (1 - alpha, alpha) and (beta, 1 - beta) over
-    # the cycle's scale, which cancels: it is stationary at (beta, alpha)
-    alpha = next(w for c, w in zip(corners, m0) if c.color == 1)
-    beta = next(w for c, w in zip(corners, m1) if c.color == 0)
-    denominator = (alpha + beta) * weight_scale(base) ** len(excluded.stem)
-    return BarycentricPoint(
-        {c: Fraction(beta * p + alpha * q, denominator) for c, p, q in zip(corners, a0, a1)}, base
-    )
+# A two-process schedule maps a position (the weight of the color-1 end)
+# in its child cell to p -> shift + scale * p in the parent: "->" onto the
+# first third, "<-" onto the last and "<->" onto the middle one, reversed.
+_THIRDS = {
+    ARROW_SCHEDULES["->"]: (Fraction(0), Fraction(1, 3)),
+    ARROW_SCHEDULES["<->"]: (Fraction(2, 3), Fraction(-1, 3)),
+    ARROW_SCHEDULES["<-"]: (Fraction(2, 3), Fraction(1, 3)),
+}
 
 
-def _disconnecting(model: ModelSpec, base: Complex) -> set[ExecutionWord]:
+def limit_position(e: ExecutionWord) -> Fraction:
+    """The edge position that the two-process execution stem . cycle^w
+    converges to.  The steps of each word compose to one map p -> a + b * p;
+    the cycle's fixes a / (1 - b), and the stem's carries that to the edge."""
+    maps = []
+    for w in (e.stem, e.cycle):
+        a, b = Fraction(0), Fraction(1)
+        for schedule in w:
+            shift, scale = _THIRDS[schedule]
+            a, b = a + b * shift, b * scale
+        maps.append((a, b))
+    (a, b), (c, d) = maps
+    return a + b * c / (1 - d)
+
+
+def _disconnecting(model: ModelSpec) -> set[ExecutionWord]:
     """The excluded words of a two-process model whose limit points cut
     the edge in two: every execution that converges to the point is
-    excluded.  One execution reaches a position that is not a triadic
-    rational; two, one from each side, reach an inner vertex of some
-    Chr^k, and one an end of the edge, which cuts nothing.  So a word cuts
-    when it has no triadic position, or when two distinct `normalized()`
-    excluded words share its inner position."""
-    position = {e: edge_position(excluded_limit_point(base, e), base) for e in model.excluded}
+    excluded.  Positions are read off the words (`limit_position`).  One
+    execution reaches a position that is not a triadic rational; two, one
+    from each side, reach an inner vertex of some Chr^k, and one an end of
+    the edge, which cuts nothing.  So a word cuts when it has no triadic
+    position, or when two distinct `normalized()` excluded words share its
+    inner position."""
+    position = {e: limit_position(e) for e in model.excluded}
     words_at: dict[Fraction, set[ExecutionWord]] = {}
     for e, p in position.items():
         words_at.setdefault(p, set()).add(e.normalized())
@@ -418,18 +418,18 @@ def _excluded_point_values(
     depth: int,
 ) -> Optional[dict]:
     """Values of the decision map on stable cells accumulating at the
-    excluded execution's limit point, gathered per side.  Returns None
-    when no stable structure approaches the point."""
+    excluded execution's limit point, gathered per side.  The point's
+    position is read off the word (`limit_position`), and a stable vertex
+    is at the point when its position is that one.  Returns None when no
+    stable structure approaches the point."""
     base = tsub.base
-    x = excluded_limit_point(base, excluded)
-    pos_x = edge_position(x, base)
+    pos_x = limit_position(excluded)
     sides: dict[str, list[tuple[Fraction, int, frozenset]]] = {"left": [], "right": []}
     for sc in tsub.stable_cells(depth):
-        geom = sc.geom_simplex()
-        positions = sorted(edge_position(p, base) for p in sc.points)
-        lo, hi = positions[0], positions[-1]
-        at_x = frozenset(delta(v).label for v in geom if v.label == x)
-        values = at_x or frozenset(delta(v).label for v in geom)
+        position = {v: edge_position(v.label, base) for v in sc.geom_simplex()}
+        lo, hi = min(position.values()), max(position.values())
+        at_x = frozenset(delta(v).label for v, p in position.items() if p == pos_x)
+        values = at_x or frozenset(delta(v).label for v in position)
         if hi <= pos_x:
             sides["left"].append((pos_x - hi, sc.depth, values))
         if lo >= pos_x:
@@ -463,7 +463,7 @@ def _excluded_point_values(
     all_values = frozenset().union(*accumulated.values())
     return {
         "excluded": str(excluded),
-        "point": str(x),
+        "point": str(BarycentricPoint({c: pos_x if c.color else 1 - pos_x for c in base.facets[0]}, base)),
         "position": str(pos_x),
         "sides": {s: sorted(map(str, vals)) for s, vals in accumulated.items()},
         "values": sorted(map(str, all_values)),
@@ -501,9 +501,12 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
     """Connectivity certificate for two-process consensus.
 
     Fires when the allowed executions cover the input edge in one piece
-    that joins its two forced ends: no solo execution is excluded, every
-    schedule word up to the horizon is allowed, and no excluded point
-    disconnects the edge.  The component is then the whole edge [0, 1].
+    that joins its two forced ends: no excluded limit point sits at an
+    end of the edge, every schedule word up to the horizon is allowed, and
+    no excluded point disconnects the edge.  The component is then the
+    whole edge [0, 1].  Limit points are read off their words
+    (`limit_position`), so no cell, weight or task is built; only the solo
+    executions (->)^w and (<-)^w reach an end.
 
     Why the words decide it: a cell's children tile it, and the cells of
     one level meet only at their ends.  So a refused word leaves an open
@@ -525,16 +528,14 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
         raise Unsupported("the interval certificate is specific to two processes")
     depth = max(1, depth)
     horizon = depth if model.predicate is not None else 1
-    base = inputless_consensus(2).inputs
-    solos = (ARROW_SCHEDULES["->"], ARROW_SCHEDULES["<-"])
-    if any(is_excluded_limit(model, ExecutionWord((), (solo,))) for solo in solos):
+    if any(limit_position(e) in (0, 1) for e in model.excluded):
         return None
-    processes = base.facets[0].colors()
+    processes = frozenset((0, 1))
     alphabet = model.schedules(processes)
     for k in range(horizon + 1):
         if not all(model.allowed_prefix(processes, w) for w in product(alphabet, repeat=k)):
             return None
-    if _disconnecting(model, base):
+    if _disconnecting(model):
         return None
     edge = (Fraction(0), Fraction(1))
     excluded_inside = [str(e) for e in model.excluded]

@@ -432,9 +432,6 @@ class SimplicialMap:
     def __eq__(self, other):
         return isinstance(other, SimplicialMap) and self.mapping == other.mapping
 
-    def to_json_obj(self) -> list:
-        return [{"from": vertex_json(v), "to": vertex_json(w)} for v, w in self.items()]
-
 
 @dataclass
 class MapReport:

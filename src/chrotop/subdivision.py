@@ -103,9 +103,8 @@ def _children(cell: Simplex, schedules: Sequence[Schedule], table: dict) -> list
         plan = table.get(schedule)
         if plan is None:
             plan = table[schedule] = _plan(schedule, table)
-        slots, chromatic = plan
         views = []
-        for colors, c in slots:
+        for colors, c in plan:
             carrier = faces.get(colors)
             if carrier is None:
                 carrier = _face_of_colors(cell, colors)
@@ -114,30 +113,24 @@ def _children(cell: Simplex, schedules: Sequence[Schedule], table: dict) -> list
             if view is None:
                 view = table[c, carrier] = Vertex(c, carrier)
             views.append(view)
-        child = Simplex._chromatic(tuple(views)) if chromatic else Simplex(views)
+        child = Simplex._chromatic(tuple(views))
         children.append(table.setdefault(child, child))
     return children
 
 
 def _plan(schedule: Schedule, table: dict) -> tuple:
-    """(slots, chromatic) of a schedule.  A slot is one vertex of the
-    child: its prefix color set, one object per intern table, and its
-    color.  An empty block raises `ValueError`.  When the blocks are
-    disjoint the child has one vertex per color, so the slots are in
-    color order and the child is a simplex without the checks of
-    `Simplex`; any other schedule lists its slots in block order for
-    `Simplex` to build."""
+    """The slots of a schedule, one per vertex of the child in color
+    order: its prefix color set, one object per intern table, and its
+    color.  A schedule that is empty, has an empty block or names a color
+    twice raises `ValueError`, as `models.parse_schedule` does."""
     slots, colors = [], frozenset()
     for block in schedule:
-        if not block:
-            raise ValueError(f"empty block in schedule {schedule}")
         colors = colors.union(block)
         colors = table.setdefault(colors, colors)
         slots += [(colors, c) for c in block]
-    chromatic = 0 < len(slots) == len(colors)
-    if chromatic:
-        slots.sort(key=itemgetter(1))
-    return tuple(slots), chromatic
+    if not all(schedule) or not 0 < len(slots) == len(colors):
+        raise ValueError(f"blocks must be nonempty and name each color once: {schedule}")
+    return tuple(sorted(slots, key=itemgetter(1)))
 
 
 def _face_of_colors(facet: Simplex, colors: frozenset) -> Simplex:
@@ -200,16 +193,6 @@ def _check_subdividable(K: Complex, k: int) -> None:
         raise NotChromatic("standard chromatic subdivision needs a chromatic complex")
     if k and not K.is_pure():
         raise Unsupported("standard chromatic subdivision of a non-pure complex")
-
-
-def cell_of_word(base_facet: Simplex, word: Sequence[Schedule]) -> Simplex:
-    """The depth-len(word) cell reached from `base_facet` by a schedule
-    word, its steps sharing one intern table of the call's own."""
-    table: dict = {}
-    cell = base_facet
-    for schedule in word:
-        cell = apply_schedule(cell, schedule, table)
-    return cell
 
 
 # -- exact geometry ------------------------------------------------------

@@ -6,7 +6,9 @@ the plain way, from exact points.  A point comes from the recursion over
 kernel replaced it; a convex solve is a fraction-free elimination over
 integer vectors.  A simulation replays every execution on its own and
 asks the protocol at every round of it.  A drawing is an ElementTree
-tree, serialized whole.
+tree, serialized whole.  `cell_of_word` is the one helper that is not a
+reference: it walks a word through the library's own step, for tests that
+need a word's cell as the library builds it.
 """
 
 import random
@@ -30,6 +32,7 @@ from chrotop.render import PROCESS_COLORS, SIZE
 from chrotop.simplicial import CarriedReport, Complex, MapReport, Simplex, Vertex, vertex_key
 from chrotop.subdivision import (
     BarycentricPoint,
+    apply_schedule,
     chr_iterate,
     ordered_partitions,
     weight_scale,
@@ -349,6 +352,17 @@ def reference_cell(facet: Simplex, word) -> Simplex:
             carrier = Simplex(cell.vertex_of_color(c) for c in seen)
             views += [Vertex(c, carrier) for c in block]
         cell = Simplex(views)
+    return cell
+
+
+def cell_of_word(base_facet: Simplex, word) -> Simplex:
+    """The depth-len(word) cell reached from `base_facet` by a schedule
+    word through the library's own step, `apply_schedule`, its steps
+    sharing one intern table of the call's own."""
+    table: dict = {}
+    cell = base_facet
+    for schedule in word:
+        cell = apply_schedule(cell, schedule, table)
     return cell
 
 

@@ -30,7 +30,6 @@ from chrotop.simplicial import (
 )
 from chrotop.subdivision import (
     TerminatingSubdivision,
-    cell_of_word,
     chr_iterate,
     coordinates,
     edge_position,
@@ -59,13 +58,14 @@ from chrotop.checker import (
     build_time_T,
     certify_consensus_impossible,
     connecting_map_fST,
-    excluded_limit_point,
+    limit_position,
     search_decision_map,
     solve,
     sperner_evidence,
     verify_termination_certificate,
 )
 from oracles import (
+    cell_of_word,
     diameter,
     geometric_containment,
     reference_consensus,
@@ -827,19 +827,18 @@ def test_termination_certificate_matches_per_word_reference(model, task, policy,
 
 def test_admissibility_extends_only_the_live_prefixes(monkeypatch):
     """The tsub-m2-naive-d7 certificate: each of the seven levels extends
-    its one live word by three schedules.  Only the applications inside
-    the certificate's cell walk count; `excluded_limit_point` builds its
-    stem and cycle cells outside it."""
+    its one live word by three schedules.  No subdivision step runs
+    outside the certificate's cell walk: the closure condition reads the
+    excluded limit's position off its word."""
     ts = TerminatingSubdivision(CONS.inputs, m2_naive_policy(7))
     delta = split_delta(ts.stable_complex(7), CONS.inputs)
     walk = chrotop.checker.walk_cells
     children = chrotop.subdivision._children
-    calls = []
+    calls, outside = [], []
     walking = False
 
     def counted(cell, schedules, table):
-        if walking:
-            calls.extend(schedules)
+        (calls if walking else outside).extend(schedules)
         return children(cell, schedules, table)
 
     def walked(*args):
@@ -853,7 +852,7 @@ def test_admissibility_extends_only_the_live_prefixes(monkeypatch):
     monkeypatch.setattr(chrotop.subdivision, "_children", counted)
     monkeypatch.setattr(chrotop.checker, "walk_cells", walked)
     report = verify_termination_certificate(ts, delta, M2, CONS, 7)
-    assert len(calls) == 21
+    assert len(calls) == 21 and outside == []
     assert report.uncovered == [(B,) + (L,) * 6]
     assert report.uncovered_only_excluded and report.carried and not report.continuous
 
@@ -903,22 +902,26 @@ def test_termination_certificate_refuses_a_model_that_does_not_match_the_base():
         verify_termination_certificate(gap, corner_delta(gap, 1), IIS2, CONS, 1)
 
 
-def test_excluded_limit_point_position():
-    x = excluded_limit_point(CONS.inputs, ExecutionWord(word("<->"), word("<-")))
-    assert edge_position(x, CONS.inputs) == Fraction(1, 3)
-    solo = excluded_limit_point(CONS.inputs, ExecutionWord((), word("->")))
-    assert edge_position(solo, CONS.inputs) == 0
-    mid = excluded_limit_point(CONS.inputs, ExecutionWord((), word("<->")))
-    assert edge_position(mid, CONS.inputs) == Fraction(1, 2)
-    other_solo = excluded_limit_point(CONS.inputs, ExecutionWord((), word("<-")))
-    assert edge_position(other_solo, CONS.inputs) == 1
+def test_limit_position_of_words():
+    assert limit_position(ExecutionWord(word("<->"), word("<-"))) == Fraction(1, 3)
+    assert limit_position(ExecutionWord((), word("->"))) == 0
+    assert limit_position(ExecutionWord((), word("<->"))) == Fraction(1, 2)
+    assert limit_position(ExecutionWord((), word("<-"))) == 1
     # the cycle -> then <- maps [0, 1] onto [2/9, 1/3], fixing 1/4; the
     # reversed product would fix 3/4
-    two = excluded_limit_point(CONS.inputs, ExecutionWord((), word("->", "<-")))
-    assert edge_position(two, CONS.inputs) == Fraction(1, 4)
+    assert limit_position(ExecutionWord((), word("->", "<-"))) == Fraction(1, 4)
     # the stem -> leaves [0, 1/3], whose midpoint <-> fixes
-    stemmed = excluded_limit_point(CONS.inputs, ExecutionWord(word("->"), word("<->")))
-    assert edge_position(stemmed, CONS.inputs) == Fraction(1, 6)
+    assert limit_position(ExecutionWord(word("->"), word("<->"))) == Fraction(1, 6)
+
+
+def test_limit_position_matches_the_nested_interval_reference():
+    """500 seeded words, stems of 0 to 6 rounds and cycles of 1 to 6: the
+    composed affine maps give the position the nested cells converge to."""
+    rng = random.Random(20261020)
+    for _ in range(500):
+        e = ExecutionWord(tuple(rng.choice((R, L, B)) for _ in range(rng.randint(0, 6))),
+                          tuple(rng.choice((R, L, B)) for _ in range(rng.randint(1, 6))))
+        assert limit_position(e) == reference_limit_position(e), e
 
 
 # -- consensus certificates ----------------------------------------------------------
@@ -975,7 +978,7 @@ def reference_certificate(model, depth):
         return None
     inside = [
         str(e) for e in model.excluded
-        if bridging[0][0] <= edge_position(excluded_limit_point(base, e), base) <= bridging[0][1]
+        if bridging[0][0] <= reference_limit_position(e) <= bridging[0][1]
     ]
     return bridging[0], components, inside
 
@@ -1035,7 +1038,7 @@ def test_a_disconnecting_excluded_point_stops_the_certificate(model):
     apart there and deciding 0 on one side and 1 on the other is
     continuous: the bridge is no certificate, and the search is left to
     answer unknown."""
-    assert _disconnecting(model, CONS.inputs) == set(model.excluded) == reference_disconnecting(model.excluded)
+    assert _disconnecting(model) == set(model.excluded) == reference_disconnecting(model.excluded)
     for depth in range(6):
         assert certify_consensus_impossible(model, depth) is None
     assert solve(model, CONS, 4).kind == "unknown"
@@ -1043,7 +1046,7 @@ def test_a_disconnecting_excluded_point_stops_the_certificate(model):
 
 def test_m2_keeps_its_certificate_through_the_other_execution_at_one_third():
     assert reference_limit_position(M2.excluded[0]) == Fraction(1, 3)
-    assert _disconnecting(M2, CONS.inputs) == set() == reference_disconnecting(M2.excluded)
+    assert _disconnecting(M2) == set() == reference_disconnecting(M2.excluded)
     assert certify_consensus_impossible(M2, 5).excluded_inside == ["(<->)(<-)^w"]
 
 
@@ -1120,7 +1123,7 @@ def test_disconnecting_points_match_the_nested_interval_reference(model):
     as counted by nested exact intervals; the closure condition never
     names a disconnecting point."""
     cuts = reference_disconnecting(model.excluded)
-    assert _disconnecting(model, CONS.inputs) == cuts
+    assert _disconnecting(model) == cuts
     # only the solo executions reach the ends of the edge
     solo = any(reference_limit_position(e) in (0, 1) for e in model.excluded)
     for depth in (1, 3):
@@ -1138,6 +1141,25 @@ def test_the_excluding_sweep_meets_cuts_and_bridges():
     kinds = Counter((bool(reference_disconnecting(m.excluded)), len(m.excluded)) for m in EXCLUDING_MODELS)
     assert all(kinds[cut, size] for cut in (False, True) for size in (1, 2))
     assert TWINS
+
+
+def refused(name):
+    """A stand-in for `name` that fails the test when it is called."""
+    return lambda *args, **kwargs: pytest.fail(f"called {name}")
+
+
+def test_the_interval_certificate_builds_no_cell_weight_or_task(monkeypatch):
+    """The certificate reads limit points off their words: with the
+    subdivision step, integer weights and the consensus task refused, it
+    returns what it returns with them."""
+    models = [IIS2, M2, builtin_model("ll"), CUT_AT_HALF, *EXCLUDING_MODELS]
+    cases = [(model, depth) for model in models for depth in (1, 6)]
+    expected = [certify_consensus_impossible(model, depth) for model, depth in cases]
+    assert any(cert is None for cert in expected) and any(cert is not None for cert in expected)
+    monkeypatch.setattr(chrotop.subdivision, "_children", refused("_children"))
+    monkeypatch.setattr(chrotop.checker, "integer_weights", refused("integer_weights"))
+    monkeypatch.setattr(chrotop.checker, "inputless_consensus", refused("inputless_consensus"))
+    assert [certify_consensus_impossible(model, depth) for model, depth in cases] == expected
 
 
 def test_certificate_requires_two_processes():

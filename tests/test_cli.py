@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter, deque
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from chrotop.simplicial import (
     vertex_strings,
 )
 from chrotop.tasks import Task, inputless_consensus, set_agreement
-from oracles import reference_diameters_Dk, reference_sperner
+from oracles import reference_diameters_Dk, reference_disconnecting, reference_limit_position, reference_sperner
 
 
 def run_cli(*argv):
@@ -705,6 +707,100 @@ def test_solvable_verdicts_reverify_from_their_json(tmp_path, capsys):
                 flipped_label = {"0": "1", "1": "0"}[output["label"]]
                 flipped = {**verdict, "decisionMap": {**entries, name: {**output, "label": flipped_label}}}
                 assert not decision_map_holds(flipped, model, task), name
+
+
+ARROWS = ["->", "<-", "<->"]
+FORCED = [
+    {"endpoint": "0", "color": 0, "value": "0", "reason": "solo execution of process 0"},
+    {"endpoint": "1", "color": 1, "value": "1", "reason": "solo execution of process 1"},
+]
+# the JSON of each built-in two-process model, under its own name and kind
+BUILTIN_JSON = {
+    "iis2": {"n": 2, "kind": "iis", "name": "iis2"},
+    "ll": {"n": 2, "kind": "iis", "name": "ll"},
+    "m2": {"n": 2, "kind": "custom", "name": "m2", "excluded": [{"stem": ["<->"], "cycle": ["<-"]}]},
+}
+
+
+def random_two_process_model(rng, index) -> dict:
+    """The JSON of a two-process model excluding 0 to 3 random words, with
+    a random `allowedFirstRounds` on every other index.  Two cycles in
+    three are a solo round, whose limits, past a stem, cut nothing alone."""
+    def cycle():
+        return rng.choice([["->"], ["<-"], [rng.choice(ARROWS) for _ in range(rng.randint(1, 2))]])
+
+    obj = {"n": 2, "kind": "custom", "name": f"random-{index}", "excluded": [
+        {"stem": [rng.choice(ARROWS) for _ in range(rng.randint(0, 3))], "cycle": cycle()}
+        for _ in range(rng.randint(0, 3))
+    ]}
+    if index % 2:
+        obj["allowedFirstRounds"] = rng.sample(ARROWS, rng.randint(1, 3))
+    return obj
+
+
+def must_certify(obj: dict, depth: int) -> bool:
+    """Whether the interval certificate must fire on a two-process JSON
+    model, from oracles alone: every word of up to `depth` rounds (at least
+    one) starts with an allowed first round, no excluded limit sits at an
+    end of the edge, and none disconnects it."""
+    excluded = load_model_json_obj(obj).excluded
+    first = obj.get("allowedFirstRounds", ARROWS)
+    return (all(w[0] in first for k in range(1, max(1, depth) + 1) for w in product(ARROWS, repeat=k))
+            and not any(reference_limit_position(e) in (0, 1) for e in excluded)
+            and not reference_disconnecting(excluded))
+
+
+def certificate_holds(certificate: dict, obj: dict, depth: int) -> bool:
+    """Whether a written certificate is the one the model's JSON calls
+    for: the whole edge as its one component, every excluded word inside
+    it in the model's order, and the two solo ends forced."""
+    def text(e):
+        stem, cycle = ",".join(e["stem"]), ",".join(e["cycle"])
+        return f"({stem})({cycle})^w" if stem else f"({cycle})^w"
+
+    return (certificate.get("kind") == "connected-interval"
+            and certificate.get("depth") == max(1, depth)
+            and certificate.get("component") == ["0", "1"]
+            and certificate.get("components") == [["0", "1"]]
+            and certificate.get("excludedLimitPointsInside") == [text(e) for e in obj.get("excluded", [])]
+            and certificate.get("forcedConstraints") == FORCED)
+
+
+def test_certified_verdicts_reverify_from_their_json(tmp_path, capsys):
+    """`check --task consensus` exits 10 exactly when the oracles say the
+    certificate must fire, and the certificate it writes is the one they
+    call for; a certificate missing an excluded word, or with another
+    component, is refused."""
+    rng = random.Random(20261020)
+    cases = list(BUILTIN_JSON.items())
+    for i in range(24):
+        obj = random_two_process_model(rng, i)
+        path = tmp_path / f"random-{i}.json"
+        path.write_text(json.dumps(obj))
+        cases.append((str(path), obj))
+    for name, obj in BUILTIN_JSON.items():
+        assert load_model_json_obj(obj) == builtin_model(name)
+    seen = Counter()
+    for model_ref, obj in cases:
+        for depth in (1, 5):
+            code = run_cli("check", "--model", model_ref, "--task", "consensus", "--max-depth", str(depth))
+            verdict = json.loads(capsys.readouterr().out)
+            fires = must_certify(obj, depth)
+            assert (code == 10) == fires, (model_ref, depth, code)
+            seen[fires, bool(obj.get("excluded"))] += 1
+            if not fires:
+                assert "certificate" not in verdict
+                continue
+            certificate = verdict["certificate"]
+            assert certificate_holds(certificate, obj, depth), model_ref
+            inside = certificate["excludedLimitPointsInside"]
+            for i in range(len(inside)):
+                dropped = {**certificate, "excludedLimitPointsInside": inside[:i] + inside[i + 1:]}
+                assert not certificate_holds(dropped, obj, depth), (model_ref, inside[i])
+            for component in (["0", "1/2"], ["1/3", "1"], ["1", "0"]):
+                assert not certificate_holds({**certificate, "component": component}, obj, depth)
+    # the sweep meets fired and withheld certificates, with and without excluded words
+    assert all(seen[fires, excluding] for fires in (False, True) for excluding in (False, True)), seen
 
 
 def test_builtin_shapes_under_another_name_keep_their_verdicts(tmp_path, capsys):

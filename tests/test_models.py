@@ -16,7 +16,8 @@ from chrotop.models import (
     word,
 )
 from chrotop.simplicial import Complex, Simplex, Vertex
-from chrotop.subdivision import cell_of_word, chr_iterate
+from chrotop.subdivision import chr_iterate
+from oracles import cell_of_word
 
 
 def test_schedule_counts():

@@ -23,13 +23,13 @@ from chrotop.simplicial import (
 from chrotop.subdivision import (
     BarycentricPoint,
     TerminatingSubdivision,
-    cell_of_word,
     chr_iterate,
     ordered_partitions,
     prefix_policy,
 )
 from chrotop.tasks import inputless_consensus, set_agreement
 from oracles import (
+    cell_of_word,
     reference_carried_by,
     reference_check_simplicial_chromatic,
     reference_simplex_key,

@@ -19,7 +19,6 @@ from chrotop.subdivision import (
     BarycentricPoint,
     TerminatingSubdivision,
     apply_schedule,
-    cell_of_word,
     chr_iterate,
     coordinates,
     diameter_Dk,
@@ -36,6 +35,7 @@ from chrotop.subdivision import (
     wrap_simplex,
 )
 from oracles import (
+    cell_of_word,
     diameter,
     geometric_containment,
     reference_coordinates,

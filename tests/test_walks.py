@@ -23,7 +23,6 @@ from chrotop.subdivision import (
     BarycentricPoint,
     _determinant,
     apply_schedule,
-    cell_of_word,
     chr_iterate,
     facet_volume_fraction,
     geometric_simplex,
@@ -31,7 +30,7 @@ from chrotop.subdivision import (
     walk_cells,
 )
 from chrotop.tasks import Task, inputless_consensus, set_agreement
-from oracles import _solve_convex, point_in_hull, reference_cell
+from oracles import _solve_convex, cell_of_word, point_in_hull, reference_cell
 
 # -- reference copies ------------------------------------------------------------
 
@@ -385,10 +384,12 @@ def test_execution_walk_is_the_per_word_replay(model):
 @pytest.mark.parametrize("schedule, error", [
     (((0,), (2,)), KeyError), (((2,),), KeyError), (((0, 1, 2),), KeyError),
     ((), ValueError), (((), (0, 1)), ValueError), (((0,), (), (1,)), ValueError), (((0, 1), ()), ValueError),
+    (((0,), (0, 1)), ValueError), (((0, 1), (0,)), ValueError), (((0, 0),), ValueError),
 ])
 def test_a_malformed_schedule_raises(schedule, error):
-    """A color the cell lacks raises `KeyError`, an empty schedule or block
-    `ValueError`, through each entry to the subdivision step."""
+    """A color the cell lacks raises `KeyError`; an empty schedule or
+    block, or a color named twice, `ValueError`, through each entry to the
+    subdivision step."""
     edge = simplex_of(2)
     with pytest.raises(error):
         apply_schedule(edge, schedule)

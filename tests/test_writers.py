@@ -11,8 +11,8 @@ import pytest
 from chrotop.render import render_dot, render_json, render_svg
 from chrotop.simplicial import (Complex, Simplex, Vertex, label_string, label_strings, vertex_json,
                                 vertex_string, vertex_strings)
-from chrotop.subdivision import (TerminatingSubdivision, cell_of_word, chr_iterate, integer_weights,
-                                 prefix_policy)
+from chrotop.subdivision import TerminatingSubdivision, chr_iterate, integer_weights, prefix_policy
+from oracles import cell_of_word
 
 R, L, B = ((0,), (1,)), ((1,), (0,)), ((0, 1),)
 
