@@ -5,15 +5,16 @@ Exit codes:
               11 no map at any searched depth, 12 unknown
   run:        0 pass, 1 fail, 5 undecided at depth, 3 irrevocability violation
   subdivide:  0
-  any:        2 argument or input parse failure
+  any:        0 for --help, 2 argument or input parse failure
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .checker import solve
 from .errors import ChrotopError, IrrevocabilityViolation, Unsupported
@@ -160,47 +161,61 @@ def cmd_run(args) -> int:
     return 5
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chrotop",
-        description="Chromatic subdivisions and round-based task solvability checks",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in outputs and used by sampled checks")
-    sub = parser.add_subparsers(dest="command", required=True)
+# command: (function, description, {option: (type, default or ... if required, value shown in the usage)})
+COMMANDS = {
+    "subdivide": (cmd_subdivide, "iterated chromatic subdivision of the standard simplex of dimension 1 to 3", {
+        "simplex": (int, ..., "1|2|3 (SVG for 1 and 2 only)"), "k": (int, ..., "ROUNDS"),
+        "out": (str, None, "DIR"), "format": (str, None, "json,svg,dot (any of them; all if empty)")}),
+    "check": (cmd_check, "decide bounded solvability of a task in a model", {
+        "model": (str, ..., "iis2|iis3|ll|m1|m2|PATH"), "task": (str, ..., "consensus[:n]|set-agreement[:n]|PATH"),
+        "max-depth": (int, 3, "T"), "out": (str, None, "PATH (instead of stdout)")}),
+    "run": (cmd_run, "simulate a protocol and check task conformance", {
+        "model": (str, ..., "as for check"), "task": (str, ..., "as for check"), "depth": (int, 2, "ROUNDS"),
+        "protocol": (str, ..., "winner|own-input|never|constant:<v>|PATH"), "out": (str, None, "PATH (instead of stdout)")}),
+}
 
-    p_subdivide = sub.add_parser("subdivide", help="iterated chromatic subdivision of a standard simplex")
-    p_subdivide.add_argument("--simplex", type=int, required=True, help="dimension of the base simplex (1 to 3; SVG for 1 and 2 only)")
-    p_subdivide.add_argument("--k", type=int, required=True, help="number of subdivision rounds")
-    p_subdivide.add_argument("--out", help="output directory")
-    p_subdivide.add_argument("--format", help="comma list of json,svg,dot (default all)")
-    p_subdivide.set_defaults(func=cmd_subdivide)
 
-    p_check = sub.add_parser("check", help="decide bounded solvability of a task in a model")
-    p_check.add_argument("--model", required=True, help="builtin name (iis2, iis3, ll, m1, m2) or JSON path")
-    p_check.add_argument("--task", required=True, help="builtin (consensus[:n], set-agreement[:n]) or JSON path")
-    p_check.add_argument("--max-depth", type=int, default=3)
-    p_check.add_argument("--out", help="write the verdict JSON here instead of stdout")
-    p_check.set_defaults(func=cmd_check)
+def _print_usage(names) -> None:
+    print("usage: chrotop [--seed N (default 0)] {subdivide,check,run} [options]")
+    for name in names:
+        print(f"\nchrotop {name}: {COMMANDS[name][1]}")
+        for opt, (_, default, value) in COMMANDS[name][2].items():
+            print(f"  --{opt} {value}" + {...: " (required)", None: ""}.get(default, f" (default {default})"))
 
-    p_run = sub.add_parser("run", help="simulate a protocol and check task conformance")
-    p_run.add_argument("--model", required=True)
-    p_run.add_argument("--task", required=True)
-    p_run.add_argument("--protocol", required=True, help="winner | own-input | never | constant:<v> | table JSON path")
-    p_run.add_argument("--depth", type=int, default=2)
-    p_run.add_argument("--out")
-    p_run.set_defaults(func=cmd_run)
 
-    return parser
+def _read_options(argv: list[str], options: dict, args: SimpleNamespace) -> list[str] | None:
+    """Set `options` on `args` from the front of `argv`; the rest of `argv`, or None for --help."""
+    pairs, rest = getopt.getopt(argv, "h", ["help"] + [f"{opt}=" for opt in options])
+    given = {opt.lstrip("-"): text for opt, text in pairs}
+    if given.keys() & {"h", "help"}:
+        return None
+    for opt, (kind, default, _) in options.items():
+        if given.get(opt, default) is ...:
+            raise getopt.GetoptError(f"option --{opt} is required")
+        try:
+            setattr(args, opt.replace("-", "_"), kind(given[opt]) if opt in given else default)
+        except ValueError:
+            raise getopt.GetoptError(f"option --{opt}: invalid {kind.__name__} value: {given[opt]!r}") from None
+    return rest
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    args, names = SimpleNamespace(func=None), list(COMMANDS)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        rest = _read_options(sys.argv[1:] if argv is None else argv, {"seed": (int, 0, "N")}, args)
+        if rest and rest[0] in COMMANDS:
+            names, (args.func, _, options) = rest[:1], COMMANDS[rest[0]]
+            rest = _read_options(rest[1:], options, args)
+        if rest is None:
+            _print_usage(names)
+            return 0
+        if rest or args.func is None:
+            wanted = f"a command ({', '.join(COMMANDS)})" if args.func is None else "no further argument"
+            raise getopt.GetoptError(f"expected {wanted}, got {repr(rest[0]) if rest else 'none'}")
         return args.func(args)
+    except getopt.GetoptError as exc:
+        print(f"chrotop: error: {exc}", file=sys.stderr)
+        return 2
     except (ChrotopError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

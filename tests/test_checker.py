@@ -1069,7 +1069,7 @@ def side_of_half_delta(ts, depth):
                           for v in ts.stable_complex(depth).vertices()})
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 @pytest.mark.parametrize("D", [5, 6, 7])
 def test_ball_rule_decides_no_wrong_value_at_its_horizon(D):
     """The ball rule of the side-of-1/2 map over the cut-at-half policy,

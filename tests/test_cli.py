@@ -117,6 +117,66 @@ def test_subdivide_help_names_the_accepted_dimensions(capsys):
     assert "1 to 3" in " ".join(capsys.readouterr().out.split())
 
 
+CHECK_M1 = ("check", "--model", "m1", "--task", "consensus")
+ALL_COMMANDS = ["subdivide", "check", "run"]
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    # help: exit 0, the usage of these commands on stdout
+    (["--help"], 0, ALL_COMMANDS, ""),
+    (["-h"], 0, ALL_COMMANDS, ""),
+    (["check", "--help"], 0, ["check"], ""),
+    (["run", "--help"], 0, ["run"], ""),
+    (["subdivide", "--help"], 0, ["subdivide"], ""),
+    # usage errors: exit 2, one line on stderr
+    ([], 2, "", "expected a command (subdivide, check, run), got none"),
+    (["frob"], 2, "", "expected a command (subdivide, check, run), got 'frob'"),
+    (["--seed", "7"], 2, "", "expected a command (subdivide, check, run), got none"),
+    (["check", "--model", "m1"], 2, "", "option --task is required"),
+    (["run", *CHECK_M1[1:]], 2, "", "option --protocol is required"),
+    (["subdivide", "--k", "1"], 2, "", "option --simplex is required"),
+    ([*CHECK_M1, "--bogus", "1"], 2, "", "option --bogus not recognized"),
+    ([*CHECK_M1, "-x"], 2, "", "option -x not recognized"),
+    (["check", "--m", "x"], 2, "", "option --m not a unique prefix"),
+    (["check", "--task", "consensus", "--model"], 2, "", "option --model requires argument"),
+    ([*CHECK_M1, "extra"], 2, "", "expected no further argument, got 'extra'"),
+    ([*CHECK_M1, "--seed", "7"], 2, "", "option --seed not recognized"),
+    (["subdivide", "--simplex", "1", "--k", "x"], 2, "", "option --k: invalid int value: 'x'"),
+    ([*CHECK_M1, "--max-depth", "1.5"], 2, "", "option --max-depth: invalid int value: '1.5'"),
+    (["run", *CHECK_M1[1:], "--protocol", "winner", "--depth", "two"], 2, "", "option --depth: invalid int value: 'two'"),
+    (["--seed", "x", *CHECK_M1], 2, "", "option --seed: invalid int value: 'x'"),
+    # other spellings: the exit code and verdict bytes of the spelled-out command
+    (["check", "--max", "1", "--model", "m1", "--task", "consensus"], None, [*CHECK_M1, "--max-depth", "1"], ""),
+    (["--seed", "7", "check", "--model=iis2", "--task=consensus", "--max-depth=5"], None,
+     ["--seed", "7", "check", "--model", "iis2", "--task", "consensus", "--max-depth", "5"], ""),
+])
+def test_front_end_exit_codes_and_streams(argv, code, out, err, capsys):
+    if code is None:
+        code = run_cli(*out)
+        out = capsys.readouterr().out
+        assert out.startswith("{")
+    got_code = run_cli(*argv)
+    got = capsys.readouterr()
+    assert got_code == code
+    assert got.err == (f"chrotop: error: {err}\n" if err else "")
+    if code == 0 and isinstance(out, list):
+        assert got.out.startswith("usage: chrotop [--seed N (default 0)] ")
+        assert [line.split(":")[0] for line in got.out.splitlines() if line.startswith("chrotop ")] == [
+            f"chrotop {name}" for name in out]
+    else:
+        assert got.out == out
+
+
+def test_importing_the_cli_loads_no_argparse():
+    """argparse built four parsers per call, which cost more than a
+    two-process check; the front end reads the command line with getopt."""
+    src = str(Path(chrotop.subdivision.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", "import chrotop.cli, sys; sys.exit('argparse' in sys.modules)"],
+                          env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
 # sha256 of the files the writers produced before they were made linear in
 # their output (the face poset over `Simplex` objects, per-vertex label texts)
 GOLDEN_SHA256 = {
