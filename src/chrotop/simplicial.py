@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Mapping
 
@@ -100,40 +100,26 @@ def vertex_key(v: Vertex):
     return (v.color, label_key(v.label))
 
 
-def _label_text(label, memo: dict) -> str:
-    """The one writer of label texts: a nested simplex renders as its
-    vertices' `"color:label"` texts in braces.  `memo` maps each nested
-    simplex already written to its text, so a vertex shared by many
-    nested labels is written once per memo, not once per occurrence.
-    The nested simplexes are written deepest first, from an explicit
-    stack, so a label of any depth can be written."""
-    if not isinstance(label, Simplex):
-        return str(label)
-    stack = [label]
-    while stack:
-        s = stack[-1]
-        if s in memo:
-            stack.pop()
-            continue
-        below = [v.label for v in s._verts if isinstance(v.label, Simplex) and v.label not in memo]
-        if below:
-            stack.extend(below)
-            continue
-        stack.pop()
-        texts = [memo[v.label] if isinstance(v.label, Simplex) else str(v.label) for v in s._verts]
-        memo[s] = "{" + ",".join(f"{v.color}:{text}" for v, text in zip(s._verts, texts)) + "}"
-    return memo[label]
-
-
 def label_string(label) -> str:
-    """Canonical printable form of a label; nested simplexes render recursively."""
-    return _label_text(label, {})
+    """Canonical printable form of a label: a nested simplex is written as
+    its vertices' `"color:label"` texts in braces (`label_strings`)."""
+    return label_strings([label])[0]
 
 
 def label_strings(labels: Iterable) -> list[str]:
-    """The `label_string` of each label, written with one shared memo."""
-    memo: dict = {}
-    return [_label_text(label, memo) for label in labels]
+    """The `label_string` of each label.  The nested simplexes of their
+    histories are written level by level, deepest first (`_history_levels`),
+    each once, so a label of any depth can be written, and equal labels
+    share one text."""
+    labels = list(labels)
+    text: dict = {}
+    levels = _history_levels([v for x in labels if isinstance(x, Simplex) for v in x._verts])
+    for s in chain((v.label for level in reversed(levels) for v in level), labels):
+        if isinstance(s, Simplex) and s not in text:
+            text[s] = "{" + ",".join(
+                f"{v.color}:{text[v.label] if isinstance(v.label, Simplex) else v.label}" for v in s._verts
+            ) + "}"
+    return [text[x] if isinstance(x, Simplex) else str(x) for x in labels]
 
 
 def vertex_string(v: Vertex) -> str:
@@ -142,7 +128,7 @@ def vertex_string(v: Vertex) -> str:
 
 
 def vertex_strings(vertices: Iterable[Vertex]) -> list[str]:
-    """The `vertex_string` of each vertex, written with one shared memo,
+    """The `vertex_string` of each vertex, from one `label_strings` call,
     so the texts of a whole subdivision cost what they are long."""
     vertices = tuple(vertices)
     return [f"{v.color}:{text}" for v, text in zip(vertices, label_strings(v.label for v in vertices))]
@@ -252,29 +238,34 @@ class Simplex:
                 yield Simplex(combo)
 
 
+def _history_levels(vertices: Iterable[Vertex]) -> list[list[Vertex]]:
+    """The levels of the vertices' label history, each without repeats:
+    level 0 is the vertices, level j+1 the vertices of the `Simplex`
+    labels in level j.  A vertex found in two levels is in each."""
+    levels = [list(dict.fromkeys(vertices))]
+    while True:
+        below = list(dict.fromkeys([
+            u for v in levels[-1] if isinstance(v.label, Simplex) for u in v.label._verts
+        ]))
+        if not below:
+            return levels
+        levels.append(below)
+
+
 def _rank_vertices(vertices: list[Vertex]) -> tuple[tuple[Vertex, ...], dict[Vertex, int]]:
     """The vertices in rank order, with the rank of each: its place among
     their distinct order keys, so equal keys get equal ranks.  This is the
     one order on vertices.
 
-    One pass over the label history, with no nested key built: level 0
-    is the vertices, level j+1 the vertices of the `Simplex` labels in
-    level j.  Each level, deepest first, is keyed by color and then by
+    One pass over the label history (`_history_levels`), with no nested
+    key built.  Each level, deepest first, is keyed by color and then by
     label: a plain label by `vertex_key`, and a `Simplex` label (after
     ints and strings, before points) by the tuple of its vertices' ranks
     one level down.  So a view orders by its carrier, position by
     position, and two vertices compared j levels down are both in level
     j; a vertex found in two levels is ranked in each."""
-    levels = [dict.fromkeys(vertices)]
-    while True:
-        below = dict.fromkeys([
-            u for v in levels[-1] if isinstance(v.label, Simplex) for u in v.label._verts
-        ])
-        if not below:
-            break
-        levels.append(below)
     rank: dict[Vertex, int] = {}
-    for level in reversed(levels):
+    for level in reversed(_history_levels(vertices)):
         keys = [
             (v.color, (2, tuple(map(rank.__getitem__, v.label._verts))))
             if isinstance(v.label, Simplex) else vertex_key(v)

@@ -48,7 +48,7 @@ from .errors import (
     UnknownVertex,
     UnsupportedCoarsening,
 )
-from .simplicial import Complex, Simplex, Vertex, rank_simplexes, vertex_key
+from .simplicial import Complex, Simplex, Vertex, _history_levels, rank_simplexes, vertex_key
 
 # A round schedule, combinatorially: an ordered partition of a color set,
 # encoded as a tuple of sorted tuples of colors.  It is chrotop's only
@@ -267,37 +267,27 @@ def integer_weights(vertices: Iterable[Vertex], base: Complex) -> dict:
     has depth 0; a vertex (c, carrier) has depth one more than its
     deepest carrier vertex, whose weights the others are lifted to.
 
-    One walk on an explicit stack, each vertex of the histories once.  A
-    leaf that is not a base vertex, or a support that is not a simplex of
-    the base, raises `UnknownVertex`; a carrier without exactly one vertex
-    of the vertex's own color raises `ValueError`, and one with more
-    vertices than any base facet `Unsupported`.
+    The history is read level by level, deepest first (`_history_levels`),
+    each vertex once.  A leaf that is not a base vertex, or a support that
+    is not a simplex of the base, raises `UnknownVertex`; a carrier without
+    exactly one vertex of the vertex's own color raises `ValueError`, and
+    one with more vertices than any base facet `Unsupported`.
     """
     memo: dict = {}
     corners = base.vertices()
     position = {v: i for i, v in enumerate(corners)}
     scale = weight_scale(base)
     facets = [frozenset(position[v] for v in f) for f in base.facets]
-    for v in vertices:
-        stack = [v]
-        while stack:
-            u = stack[-1]
+    for level in reversed(_history_levels(vertices)):
+        for u in level:
             if u in memo:
-                stack.pop()
                 continue
             carrier = u.label
             if not isinstance(carrier, Simplex):
                 if u not in position:
                     raise UnknownVertex(f"{u!r} is not a vertex of the base")
                 memo[u] = (0, tuple(int(i == position[u]) for i in range(len(corners))))
-                stack.pop()
                 continue
-            pending = [w for w in carrier if w not in memo]
-            if pending:
-                # the first carrier vertex is done first, as a recursion would
-                stack.extend(reversed(pending))
-                continue
-            stack.pop()
             own = [i for i, w in enumerate(carrier) if w.color == u.color]
             if len(own) != 1:
                 raise ValueError(f"the carrier of {u!r} holds {len(own)} vertices of its color, not one")

@@ -288,6 +288,20 @@ def test_integer_weights_refuse_a_carrier_larger_than_any_base_facet():
         integer_weights([vertex], EDGE)
 
 
+@pytest.mark.parametrize("k", [0, 1, 5, 1200])
+def test_integer_weights_of_a_deep_view(k):
+    # process 1 goes first and alone after one joint round, so its view
+    # nests one level per round; by the 1/(2m-1), 2/(2m-1) rule it stays
+    # at 1/3, and process 0, which sees it, closes in from 2/3
+    (edge,) = EDGE.facets
+    cell = cell_of_word(edge, (B,) + (L,) * k)
+    weights = integer_weights(cell, EDGE)
+    for v in cell:
+        assert weights[v][0] == k + 1
+    position = {v.color: edge_position(coordinates(v, EDGE), EDGE) for v in cell}
+    assert position == {0: Fraction(1, 3) + Fraction(1, 3 ** (k + 1)), 1: Fraction(1, 3)}
+
+
 # level 40 of the edge has 3**40 cells
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 40])
 def test_diameter_law_on_edge(k):

@@ -148,6 +148,15 @@ def test_deep_views_are_written():
     assert vertex_json(view) == {"color": 1, "label": text[2:]}
 
 
+def test_equal_labels_share_one_text():
+    # one text object per distinct label, as the writers' lists hold them
+    vertices = chr_iterate(standard_simplex(2), 3).vertices()
+    texts = label_strings(v.label for v in vertices)
+    pairs = [(i, j) for j in range(len(vertices)) for i in range(j) if vertices[i].label == vertices[j].label]
+    assert len(pairs) == 9
+    assert all(texts[i] is texts[j] for i, j in pairs)
+
+
 def escaped_labels():
     # labels that JSON must escape, bare and inside a nested label
     quote, backslash, newline, accent = Vertex(0, 'a"b'), Vertex(1, "c\\d"), Vertex(2, "e\nf"), Vertex(0, "é")
