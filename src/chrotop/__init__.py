@@ -31,14 +31,6 @@ from .models import (
     m1,
     m2,
 )
-from .metric import (
-    Ball,
-    ViewSequence,
-    ball_trichotomy,
-    exec_distance,
-    product_distance,
-    view_distance,
-)
 from .protocol import (
     DecisionProtocol,
     check_solves,
@@ -60,3 +52,15 @@ from .checker import (
 )
 
 __version__ = "0.1.0"
+
+_METRIC_NAMES = ("Ball", "ViewSequence", "ball_trichotomy", "exec_distance", "product_distance", "view_distance")
+
+
+def __getattr__(name: str):
+    """The names of `chrotop.metric`, which no command uses, loaded on
+    their first use (PEP 562), so importing chrotop does not load it."""
+    if name not in _METRIC_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .metric import Ball, ViewSequence, ball_trichotomy, exec_distance, product_distance, view_distance
+
+    return locals()[name]

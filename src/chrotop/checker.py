@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, islice, product
 from typing import Iterator, Optional, Sequence
@@ -39,6 +38,7 @@ from .protocol import (
 from .simplicial import (
     CarrierMap,
     Complex,
+    Record,
     Simplex,
     SimplicialMap,
     Vertex,
@@ -64,11 +64,11 @@ from .tasks import Task, check_arity, inputless_consensus, set_agreement
 # -- time-T complexes --------------------------------------------------------
 
 
-@dataclass
 class TimeTComplex:
-    T: int
-    complex: Complex
-    xi: CarrierMap
+    __slots__ = ("T", "complex", "xi")
+
+    def __init__(self, T: int, complex: Complex, xi: CarrierMap):
+        self.T, self.complex, self.xi = T, complex, xi
 
 
 def build_time_T(model: ModelSpec, task: Task, T: int) -> TimeTComplex:
@@ -242,16 +242,16 @@ def search_decision_map(PT: TimeTComplex, task: Task) -> Optional[SimplicialMap]
 # -- terminating-subdivision certificate verification ----------------------------
 
 
-@dataclass
-class TerminationCertificateReport:
-    admissible: bool
-    uncovered: list[Word]
-    uncovered_only_excluded: bool
-    carried: bool
-    carrier_witness: Optional[tuple]
-    continuous: bool
-    continuity_witness: Optional[tuple]
-    closure_witness: Optional[dict]
+class TerminationCertificateReport(Record):
+    __slots__ = ("admissible", "uncovered", "uncovered_only_excluded", "carried", "carrier_witness",
+                 "continuous", "continuity_witness", "closure_witness")
+
+    def __init__(self, admissible: bool, uncovered: list[Word], uncovered_only_excluded: bool, carried: bool,
+                 carrier_witness: Optional[tuple], continuous: bool, continuity_witness: Optional[tuple],
+                 closure_witness: Optional[dict]):
+        self.admissible, self.uncovered, self.uncovered_only_excluded = admissible, uncovered, uncovered_only_excluded
+        self.carried, self.carrier_witness = carried, carrier_witness
+        self.continuous, self.continuity_witness, self.closure_witness = continuous, continuity_witness, closure_witness
 
     @property
     def ok(self) -> bool:
@@ -473,13 +473,13 @@ def _excluded_point_values(
 # -- consensus impossibility certificate ------------------------------------------
 
 
-@dataclass
-class ConsensusCertificate:
-    depth: int
-    component: tuple[Fraction, Fraction]
-    components: list[tuple[Fraction, Fraction]]
-    excluded_inside: list[str]
-    forced: list[dict]
+class ConsensusCertificate(Record):
+    __slots__ = ("depth", "component", "components", "excluded_inside", "forced")
+
+    def __init__(self, depth: int, component: tuple[Fraction, Fraction], components: list[tuple[Fraction, Fraction]],
+                 excluded_inside: list[str], forced: list[dict]):
+        self.depth, self.component, self.components = depth, component, components
+        self.excluded_inside, self.forced = excluded_inside, forced
 
     def to_json_obj(self) -> dict:
         return {
@@ -549,15 +549,14 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
 # -- Sperner parity evidence ---------------------------------------------------
 
 
-@dataclass
-class SpernerReport:
-    n: int
-    k: int
-    mode: str  # "exhaustive" | "sampled"
-    colorings: int
-    all_odd: bool
-    min_rainbow: int
-    counterexample: Optional[dict] = None
+class SpernerReport(Record):
+    __slots__ = ("n", "k", "mode", "colorings", "all_odd", "min_rainbow", "counterexample")
+
+    def __init__(self, n: int, k: int, mode: str, colorings: int, all_odd: bool, min_rainbow: int,
+                 counterexample: Optional[dict]):
+        # mode is "exhaustive" or "sampled"
+        self.n, self.k, self.mode, self.colorings = n, k, mode, colorings
+        self.all_odd, self.min_rainbow, self.counterexample = all_odd, min_rainbow, counterexample
 
 
 def _sampled_rows(choices: list[list[int]], seed: int, count: int) -> Iterator[bytearray]:
@@ -688,17 +687,16 @@ def sperner_evidence(n: int, k: int, seed: int = 0, sample_size: int = 2000) -> 
 # -- top-level verdicts ----------------------------------------------------------
 
 
-@dataclass
 class Verdict:
-    kind: str  # solvable_bounded | unsolvable_certified | unsolvable_at_all_depths | unknown
-    depth: int
-    T: Optional[int] = None
-    delta: Optional[SimplicialMap] = None
-    protocol: Optional[DecisionProtocol] = None
-    solve_report: object = None
-    certificate: Optional[ConsensusCertificate] = None
-    evidence: Optional[SpernerReport] = None
-    note: str = ""
+    __slots__ = ("kind", "depth", "T", "delta", "protocol", "solve_report", "certificate", "evidence", "note")
+
+    def __init__(self, kind: str, depth: int, T: Optional[int] = None, delta: Optional[SimplicialMap] = None,
+                 protocol: Optional[DecisionProtocol] = None, solve_report: object = None,
+                 certificate: Optional[ConsensusCertificate] = None, evidence: Optional[SpernerReport] = None,
+                 note: str = ""):
+        # kind is solvable_bounded, unsolvable_certified, unsolvable_at_all_depths or unknown
+        self.kind, self.depth, self.T, self.delta, self.protocol = kind, depth, T, delta, protocol
+        self.solve_report, self.certificate, self.evidence, self.note = solve_report, certificate, evidence, note
 
     def exit_code(self) -> int:
         return {

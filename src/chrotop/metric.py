@@ -10,29 +10,28 @@ can deepen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
 from .errors import UndeterminedDistance, Unsupported
 from .models import ExecutionWord
+from .simplicial import Frozen
 
 DIFFERENT_PART_DISTANCE = Fraction(2)
 
 
-@dataclass(frozen=True)
-class ViewSequence:
+class ViewSequence(Frozen):
     """Per-step views of one process; entry t is the view right after
     step t.  `complete` marks the truncation as the whole point, which
     makes equality of truncations mean distance zero."""
 
-    color: int
-    entries: tuple
-    complete: bool = False
+    __slots__ = ("color", "entries", "complete")
 
-    def __len__(self):
-        return len(self.entries)
+    def __init__(self, color: int, entries: tuple, complete: bool):
+        object.__setattr__(self, "color", color)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "complete", complete)
 
 
 def view_distance(a: ViewSequence, b: ViewSequence) -> Fraction:
@@ -88,17 +87,16 @@ def exec_distance(w1, w2) -> Fraction:
     return Fraction(0)
 
 
-@dataclass(frozen=True)
 class Ball:
     """An open ball of dyadic radius 2**-T."""
 
-    center: object
-    radius: Fraction
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        r = Fraction(self.radius)
+    def __init__(self, center: object, radius: Fraction):
+        r = Fraction(radius)
         if r <= 0 or r > 1 or r.numerator != 1 or (r.denominator & (r.denominator - 1)):
-            raise Unsupported(f"radius must be 2**-T for some T >= 0, got {self.radius}")
+            raise Unsupported(f"radius must be 2**-T for some T >= 0, got {radius}")
+        self.center, self.radius = center, radius
 
 
 def ball_members(ball: Ball, universe: Sequence, distance: Callable) -> list:
@@ -123,10 +121,11 @@ def ball_trichotomy(b1: Ball, b2: Ball, universe: Sequence, distance: Callable) 
     raise Unsupported("balls overlap without nesting; not an ultrametric universe")
 
 
-@dataclass(frozen=True)
 class ProductDistance:
-    value: Fraction
-    tail_bound: Fraction
+    __slots__ = ("value", "tail_bound")
+
+    def __init__(self, value: Fraction, tail_bound: Fraction):
+        self.value, self.tail_bound = value, tail_bound
 
 
 def product_distance(

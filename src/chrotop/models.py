@@ -16,10 +16,10 @@ checked, only by `parse_schedule`; `schedule_text` writes it back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import Unsupported
+from .simplicial import Frozen
 from .subdivision import Schedule, ordered_partitions
 
 MAX_PROCESSES = 5
@@ -68,16 +68,16 @@ def enumerate_round_schedules(n: int) -> list[Schedule]:
     return list(ordered_partitions(range(n)))
 
 
-@dataclass(frozen=True)
-class ExecutionWord:
+class ExecutionWord(Frozen):
     """The eventually periodic infinite word stem . cycle^omega."""
 
-    stem: Word
-    cycle: Word
+    __slots__ = ("stem", "cycle")
 
-    def __post_init__(self):
-        if not self.cycle:
+    def __init__(self, stem: Word, cycle: Word):
+        if not cycle:
             raise ValueError("cycle must be nonempty")
+        object.__setattr__(self, "stem", stem)
+        object.__setattr__(self, "cycle", cycle)
 
     def letter(self, i: int) -> Schedule:
         if i < len(self.stem):
@@ -134,22 +134,30 @@ def _json_rounds(raw) -> Word:
 PrefixPredicate = Callable[[frozenset, Word], bool]
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Frozen):
     """A round-based model: which finite schedule prefixes can happen,
     plus finitely many excluded limit executions.
 
     `allowed_prefix(participants, word)` must be prefix-closed and
     extendable.  Built-in models only restrict full-participation
     words; executions of a proper participation set are unrestricted.
+    `kind` is a label only: the fields after it define the model.  The
+    predicate is left out of equality and hashing (`_fields`).
     """
 
-    n: int
-    name: str
-    kind: str  # a label only: the fields below define the model
-    allowed_first_rounds: tuple[Schedule, ...] | None = None
-    excluded: tuple[ExecutionWord, ...] = ()
-    predicate: PrefixPredicate | None = field(default=None, compare=False)
+    __slots__ = ("n", "name", "kind", "allowed_first_rounds", "excluded", "predicate")
+
+    def __init__(self, n: int, name: str, kind: str, allowed_first_rounds: tuple[Schedule, ...] | None = None,
+                 excluded: tuple[ExecutionWord, ...] = (), predicate: PrefixPredicate | None = None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "allowed_first_rounds", allowed_first_rounds)
+        object.__setattr__(self, "excluded", excluded)
+        object.__setattr__(self, "predicate", predicate)
+
+    def _fields(self) -> tuple:
+        return (self.n, self.name, self.kind, self.allowed_first_rounds, self.excluded)
 
     def schedules(self, participants: frozenset) -> list[Schedule]:
         """The round schedules of the given participants, which must be

@@ -10,7 +10,6 @@ as canonical ball representatives of the view ultrametric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     Unsupported,
 )
 from .models import ModelSpec, Word, enumerate_prefixes, schedule_text
-from .simplicial import Complex, Simplex, SimplicialMap, Vertex, label_string, parse_label
+from .simplicial import Complex, Frozen, Record, Simplex, SimplicialMap, Vertex, label_string, parse_label
 from .simplicial import vertex_string, vertex_strings
 from .subdivision import Schedule, apply_schedule, coordinates, diameter_Dk, stable_ball, walk_cells
 from .tasks import Task, check_arity
@@ -62,13 +61,15 @@ def _first_views(v: Vertex) -> tuple[Vertex, Vertex | None]:
     return v, above
 
 
-@dataclass(frozen=True)
-class Execution:
+class Execution(Frozen):
     """A finite execution shadow: an input face and a schedule word over
     its participants."""
 
-    face: Simplex
-    word: Word
+    __slots__ = ("face", "word")
+
+    def __init__(self, face: Simplex, word: Word):
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "word", word)
 
     def describe(self) -> str:
         inputs = ",".join(f"{v.color}={label_string(v.label)}" for v in self.face)
@@ -116,13 +117,14 @@ def execution_cells(model: ModelSpec, faces: Sequence[Simplex], depth: int) -> l
 # -- protocols ---------------------------------------------------------------
 
 
-@dataclass
 class DecisionProtocol:
     """A pure decision function from (color, view vertex) to an output
     label or None.  Determinism and irrevocability are checked by run()."""
 
-    name: str
-    decide: Callable[[int, Vertex], object]
+    __slots__ = ("name", "decide")
+
+    def __init__(self, name: str, decide: Callable[[int, Vertex], object]):
+        self.name, self.decide = name, decide
 
     def __call__(self, color: int, view: Vertex):
         return self.decide(color, view)
@@ -164,25 +166,28 @@ def winner_protocol() -> DecisionProtocol:
 # -- simulation ---------------------------------------------------------------
 
 
-@dataclass
-class DecisionRecord:
-    value: object
-    round: int
+class DecisionRecord(Record):
+    __slots__ = ("value", "round")
+
+    def __init__(self, value: object, round: int):
+        self.value, self.round = value, round
 
 
-@dataclass
-class ExecutionOutcome:
-    execution: Execution
-    decisions: dict[int, Optional[DecisionRecord]]
+class ExecutionOutcome(Record):
+    __slots__ = ("execution", "decisions")
+
+    def __init__(self, execution: Execution, decisions: dict[int, Optional[DecisionRecord]]):
+        self.execution, self.decisions = execution, decisions
 
     def all_decided(self) -> bool:
         return all(d is not None for d in self.decisions.values())
 
 
-@dataclass
-class RunResult:
-    depth: int
-    outcomes: list[ExecutionOutcome]
+class RunResult(Record):
+    __slots__ = ("outcomes",)
+
+    def __init__(self, outcomes: list[ExecutionOutcome]):
+        self.outcomes = outcomes
 
     def undecided(self) -> list[tuple[Execution, int]]:
         out = []
@@ -229,16 +234,15 @@ def run(protocol: DecisionProtocol, model: ModelSpec, inputs: Complex, depth: in
                 records[view] = record
             decisions[color] = record
         outcomes.append(ExecutionOutcome(execution, decisions))
-    return RunResult(depth, outcomes)
+    return RunResult(outcomes)
 
 
-@dataclass
-class SolveReport:
-    status: str  # "PASS" | "FAIL" | "UNDECIDED"
-    depth: int
-    failures: list[tuple[Execution, Simplex]]
-    undecided: list[tuple[Execution, int]]
-    run_result: RunResult
+class SolveReport(Record):
+    __slots__ = ("status", "failures", "run_result")
+
+    def __init__(self, status: str, failures: list[tuple[Execution, Simplex]], run_result: RunResult):
+        # status is "PASS", "FAIL" or "UNDECIDED"
+        self.status, self.failures, self.run_result = status, failures, run_result
 
     @property
     def ok(self) -> bool:
@@ -271,14 +275,13 @@ def check_solves(protocol: DecisionProtocol, task: Task, model: ModelSpec, depth
             verdicts[key] = None if decision_simplex in task.delta(face) else decision_simplex
         if verdicts[key] is not None:
             failures.append((outcome.execution, verdicts[key]))
-    undecided = result.undecided()
     if failures:
         status = "FAIL"
-    elif undecided:
+    elif result.undecided():
         status = "UNDECIDED"
     else:
         status = "PASS"
-    return SolveReport(status, depth, failures, undecided, result)
+    return SolveReport(status, failures, result)
 
 
 # -- protocol from a decision map ---------------------------------------------

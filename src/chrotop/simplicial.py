@@ -10,7 +10,6 @@ are enumerated on demand.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import chain, combinations
 from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Mapping
@@ -18,8 +17,42 @@ from typing import Collection, Iterable, Iterator, Mapping
 from .errors import IncompleteMap, InvalidCarrier, InvalidVertex, Unsupported
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Vertex:
+class Record:
+    """Base of the records that are checked against a reference's by
+    `==`: equal, as a dataclass is, when of one class and with equal
+    tuples of fields (`_fields`, all of `__slots__` unless a subclass
+    says otherwise)."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+
+class Frozen(Record):
+    """Base of the value types, read-only and hashed by their compared
+    fields, and written `Name(field=value, ...)`, as a frozen dataclass
+    is.  `__init__` sets each field once, through `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Vertex(Frozen):
     """A colored, labeled vertex, frozen. Equality and hashing are by
     value; the hash is `hash((color, label))`, computed once by the plain
     `__init__`, the one construction every view of a subdivision walk
@@ -33,9 +66,7 @@ class Vertex:
     identity check.  Equal views of two walks compare by color and then
     by `_equal_labels`, which does not recurse, so at any depth."""
 
-    color: int
-    label: object
-    _hash: int = field(repr=False, compare=False)
+    __slots__ = ("color", "label", "_hash")
 
     def __init__(self, color: int, label: object):
         object.__setattr__(self, "color", color)
@@ -103,7 +134,7 @@ def vertex_key(v: Vertex):
 def label_string(label) -> str:
     """Canonical printable form of a label: a nested simplex is written as
     its vertices' `"color:label"` texts in braces (`label_strings`)."""
-    return label_strings([label])[0]
+    return label_strings([label])[0] if isinstance(label, Simplex) else str(label)
 
 
 def label_strings(labels: Iterable) -> list[str]:
@@ -424,12 +455,13 @@ class SimplicialMap:
         return isinstance(other, SimplicialMap) and self.mapping == other.mapping
 
 
-@dataclass
-class MapReport:
-    simplicial: bool
-    chromatic: bool
-    witness_simplex: Simplex | None = None
-    witness_vertex: Vertex | None = None
+class MapReport(Record):
+    __slots__ = ("simplicial", "chromatic", "witness_simplex", "witness_vertex")
+
+    def __init__(self, simplicial: bool, chromatic: bool, witness_simplex: Simplex | None,
+                 witness_vertex: Vertex | None):
+        self.simplicial, self.chromatic = simplicial, chromatic
+        self.witness_simplex, self.witness_vertex = witness_simplex, witness_vertex
 
     @property
     def ok(self) -> bool:
@@ -496,13 +528,13 @@ class CarrierMap:
         ]
 
 
-@dataclass
 class CarrierReport:
-    total: bool
-    monotone: bool
-    chromatic: bool
-    color_inclusion: bool
-    witness: tuple[Simplex, Simplex] | None = None
+    __slots__ = ("total", "monotone", "chromatic", "color_inclusion", "witness")
+
+    def __init__(self, total: bool, monotone: bool, chromatic: bool, color_inclusion: bool,
+                 witness: tuple[Simplex, Simplex] | None):
+        self.total, self.monotone, self.chromatic = total, monotone, chromatic
+        self.color_inclusion, self.witness = color_inclusion, witness
 
     @property
     def ok(self) -> bool:
@@ -555,10 +587,11 @@ def check_carrier_map(phi: CarrierMap, K: Complex, L: Complex) -> CarrierReport:
     return CarrierReport(total, monotone, chromatic, color_inclusion, witness)
 
 
-@dataclass
-class CarriedReport:
-    carried: bool
-    witness: tuple[Simplex, Simplex] | None = None
+class CarriedReport(Record):
+    __slots__ = ("carried", "witness")
+
+    def __init__(self, carried: bool, witness: tuple[Simplex, Simplex] | None = None):
+        self.carried, self.witness = carried, witness
 
 
 def carried_by(delta: SimplicialMap, xi: CarrierMap, delta_map: CarrierMap, I: Complex) -> CarriedReport:

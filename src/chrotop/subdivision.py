@@ -31,7 +31,6 @@ stable vertices near a point for the ball rule and the certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -48,7 +47,7 @@ from .errors import (
     UnknownVertex,
     UnsupportedCoarsening,
 )
-from .simplicial import Complex, Simplex, Vertex, _history_levels, rank_simplexes, vertex_key
+from .simplicial import Complex, Record, Simplex, Vertex, _history_levels, rank_simplexes, vertex_key
 
 # A round schedule, combinatorially: an ordered partition of a color set,
 # encoded as a tuple of sorted tuples of colors.  It is chrotop's only
@@ -498,13 +497,13 @@ def partial_chr_step(I_k: Complex, sigma_k: Complex | None, table: dict | None =
     return Complex(facets)
 
 
-@dataclass
-class StableCell:
+class StableCell(Record):
     """A terminated simplex, remembered with the depth it appeared at."""
 
-    depth: int
-    simplex: Simplex
-    points: tuple[BarycentricPoint, ...]
+    __slots__ = ("depth", "simplex", "points")
+
+    def __init__(self, depth: int, simplex: Simplex, points: tuple[BarycentricPoint, ...]):
+        self.depth, self.simplex, self.points = depth, simplex, points
 
     def geom_simplex(self) -> Simplex:
         return Simplex(
@@ -512,10 +511,12 @@ class StableCell:
         )
 
 
-@dataclass
 class _Level:
-    complex: Complex
-    terminated_facets: set  # facets of `complex` generating the terminated subcomplex
+    __slots__ = ("complex", "terminated_facets")
+
+    def __init__(self, complex: Complex, terminated_facets: set):
+        # the facets of `complex` generating the terminated subcomplex
+        self.complex, self.terminated_facets = complex, terminated_facets
 
 
 class TerminatingSubdivision:

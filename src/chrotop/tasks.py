@@ -3,25 +3,26 @@ specification carrier map, with the two built-in benchmark tasks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BadArity, Unsupported
 from .simplicial import (
     CarrierMap,
     CarrierReport,
     Complex,
+    Frozen,
     Simplex,
     Vertex,
     check_carrier_map,
 )
 
 
-@dataclass(frozen=True)
-class Task:
-    name: str
-    inputs: Complex
-    outputs: Complex
-    delta: CarrierMap
+class Task(Frozen):
+    __slots__ = ("name", "inputs", "outputs", "delta")
+
+    def __init__(self, name: str, inputs: Complex, outputs: Complex, delta: CarrierMap):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "delta", delta)
 
     @property
     def n(self) -> int:
@@ -97,11 +98,12 @@ def set_agreement(n: int) -> Task:
     return Task("set-agreement", inputs, outputs, CarrierMap(images))
 
 
-@dataclass
 class TaskReport:
-    carrier: CarrierReport | None  # None when an image leaves the outputs
-    valid: bool
-    problems: list[str]
+    __slots__ = ("carrier", "valid", "problems")
+
+    def __init__(self, carrier: CarrierReport | None, valid: bool, problems: list[str]):
+        # carrier is None when an image leaves the outputs
+        self.carrier, self.valid, self.problems = carrier, valid, problems
 
 
 def validate_task(task: Task) -> TaskReport:

@@ -385,7 +385,7 @@ def reference_run(protocol, model, inputs, depth) -> RunResult:
                     raise IrrevocabilityViolation((execution.describe(), color, t, record.value, answer))
             decisions[color] = record
         outcomes.append(ExecutionOutcome(execution, decisions))
-    return RunResult(depth, outcomes)
+    return RunResult(outcomes)
 
 
 def reference_check_solves(protocol, task, model, depth) -> SolveReport:
@@ -402,10 +402,9 @@ def reference_check_solves(protocol, task, model, depth) -> SolveReport:
         decision_simplex = Simplex(Vertex(color, rec.value) for color, rec in outcome.decisions.items())
         if decision_simplex not in task.delta(outcome.execution.face):
             failures.append((outcome.execution, decision_simplex))
-    undecided = [(oc.execution, color) for oc in result.outcomes
-                 for color, rec in sorted(oc.decisions.items()) if rec is None]
+    undecided = any(rec is None for oc in result.outcomes for rec in oc.decisions.values())
     status = "FAIL" if failures else "UNDECIDED" if undecided else "PASS"
-    return SolveReport(status, depth, failures, undecided, result)
+    return SolveReport(status, failures, result)
 
 
 def _edge_cell(word, ends=(Fraction(0), Fraction(1))) -> tuple[Fraction, Fraction]:

@@ -2,7 +2,6 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -1178,7 +1177,8 @@ def test_certificate_stops_at_the_first_level_with_a_gap():
         asked += 1
         return ONE_EXCHANGE.predicate(participants, w)
 
-    assert certify_consensus_impossible(replace(ONE_EXCHANGE, predicate=counting), 10) is None
+    counted = ModelSpec(n=2, name="one-exchange", kind="custom", predicate=counting)
+    assert certify_consensus_impossible(counted, 10) is None
     assert 3 < asked <= 13
     verdict = solve(ONE_EXCHANGE, CONS, 10)
     assert (verdict.kind, verdict.T) == ("solvable_bounded", 2)

@@ -167,14 +167,43 @@ def test_front_end_exit_codes_and_streams(argv, code, out, err, capsys):
         assert got.out == out
 
 
-def test_importing_the_cli_loads_no_argparse():
-    """argparse built four parsers per call, which cost more than a
-    two-process check; the front end reads the command line with getopt."""
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """`code` run by a new interpreter that imports chrotop from this tree."""
     src = str(Path(chrotop.subdivision.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", "import chrotop.cli, sys; sys.exit('argparse' in sys.modules)"],
-                          env=env, capture_output=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+
+
+def test_importing_the_cli_loads_no_argparse():
+    """Start-up is most of a `check`, so importing the front end loads
+    nothing it does not use: argparse built four parsers per call (the
+    command line is read with getopt), dataclasses and inspect decorated
+    the records (they are plain classes), and no command uses
+    `chrotop.metric`."""
+    done = _fresh_python("import chrotop.cli, sys\n"
+                         "unused = ('argparse', 'dataclasses', 'inspect', 'chrotop.metric')\n"
+                         "print(*(m for m in unused if m in sys.modules))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"\n", b"")
+
+
+def test_metric_names_are_exported_on_first_use():
+    """The six names of `chrotop.metric` are still exported by `chrotop`,
+    which loads the module only when one of them is asked for; an unknown
+    name is an `AttributeError`, and loads nothing."""
+    done = _fresh_python(
+        "import sys, chrotop\n"
+        "loaded = lambda: 'chrotop.metric' in sys.modules\n"
+        "before = loaded()\n"
+        "try:\n"
+        "    chrotop.no_such_name\n"
+        "except AttributeError as error:\n"
+        "    print(error)\n"
+        "unknown = loaded()\n"
+        "from chrotop import Ball, ViewSequence, ball_trichotomy, exec_distance, product_distance, view_distance\n"
+        "import chrotop.metric as metric\n"
+        "print(before, unknown, loaded(), Ball is metric.Ball and view_distance is metric.view_distance)\n")
     assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == b"module 'chrotop' has no attribute 'no_such_name'\nFalse False True True\n"
 
 
 # sha256 of the files the writers produced before they were made linear in

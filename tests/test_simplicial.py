@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import chrotop.simplicial
 from chrotop.checker import build_time_T
 from chrotop.errors import ChrotopError, IncompleteMap, InvalidVertex
-from chrotop.models import builtin_model
+from chrotop.models import ExecutionWord, ModelSpec, builtin_model
+from chrotop.protocol import Execution
 from chrotop.simplicial import (
     CarrierMap,
     Complex,
@@ -18,7 +20,9 @@ from chrotop.simplicial import (
     check_carrier_map,
     check_simplicial_chromatic,
     label_key,
+    label_string,
     vertex_key,
+    vertex_string,
 )
 from chrotop.subdivision import (
     BarycentricPoint,
@@ -27,7 +31,7 @@ from chrotop.subdivision import (
     ordered_partitions,
     prefix_policy,
 )
-from chrotop.tasks import inputless_consensus, set_agreement
+from chrotop.tasks import Task, inputless_consensus, set_agreement
 from oracles import (
     cell_of_word,
     reference_carried_by,
@@ -392,7 +396,7 @@ def test_vertex_hash_is_cached_and_unchanged():
     edge = Complex([Simplex([Vertex(0, 0), Vertex(1, 1)])])
     point = BarycentricPoint({Vertex(0, 0): Fraction(1, 3), Vertex(1, 1): Fraction(2, 3)}, edge)
     nested = Simplex([Vertex(0, 0), Vertex(1, Simplex([Vertex(0, 0), Vertex(1, 1)]))])
-    # the hash the frozen dataclass generated, so set and dict orders stay
+    # the hash of the tuple of the compared fields, the frozen dataclass rule, so set and dict orders stay
     for color, label in ((0, 5), (1, "b"), (1, nested), (0, point)):
         v = Vertex(color, label)
         assert hash(v) == hash((color, label))
@@ -413,6 +417,59 @@ def test_vertex_hash_is_cached_and_unchanged():
     assert repr(Vertex(0, 5)) == "v(0:5)"
     assert repr(Vertex(1, "b")) == "v(1:b)"
     assert repr(Vertex(1, nested)) == "v(1:{0:0,1:{0:0,1:1}})"
+
+
+EDGE = Simplex([Vertex(0, 0), Vertex(1, 1)])
+STEM, CYCLE = (((0, 1),),), (((1,), (0,)),)  # the words "<->" and "<-"
+CARRIER = CarrierMap({EDGE: Complex([EDGE])})
+LIMIT = ExecutionWord(STEM, CYCLE)
+
+
+@pytest.mark.parametrize("value, compared, text, field", [
+    (Vertex(0, 5), (0, 5), "v(0:5)", "label"),
+    (LIMIT, (STEM, CYCLE), "ExecutionWord(stem=(((0, 1),),), cycle=(((1,), (0,)),))", "cycle"),
+    (Execution(EDGE, STEM), (EDGE, STEM), "Execution(face=s{v(0:0),v(1:1)}, word=(((0, 1),),))", "face"),
+    (ModelSpec(2, "m2", "custom", excluded=(LIMIT,)), (2, "m2", "custom", None, (LIMIT,)),
+     "ModelSpec(n=2, name='m2', kind='custom', allowed_first_rounds=None, excluded=("
+     "ExecutionWord(stem=(((0, 1),),), cycle=(((1,), (0,)),)),), predicate=None)", "predicate"),
+    (Task("t", Complex([EDGE]), Complex([EDGE]), CARRIER), ("t", Complex([EDGE]), Complex([EDGE]), CARRIER),
+     f"Task(name='t', inputs=Complex(1 facets, 2 vertices), outputs=Complex(1 facets, 2 vertices), delta={CARRIER!r})",
+     "name"),
+], ids=["Vertex", "ExecutionWord", "Execution", "ModelSpec", "Task"])
+def test_value_types_keep_the_frozen_dataclass_semantics(value, compared, text, field):
+    """Equal by the tuple of compared fields, hashed as that tuple, written
+    `Name(field=value, ...)` (a vertex by its own text), and read-only."""
+    twin = type(value)(*compared)
+    assert value == twin and hash(value) == hash(twin) == hash(compared)
+    assert value != compared and repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert not hasattr(value, "__dict__")
+
+
+def test_a_plain_label_is_written_without_a_history_walk(monkeypatch):
+    """`run` writes the label of every decision; a label that is not a
+    simplex is its own `str`, with no level walk of a history."""
+
+    def refused(vertices):
+        raise AssertionError("_history_levels was called")
+
+    monkeypatch.setattr(chrotop.simplicial, "_history_levels", refused)
+    assert [label_string(x) for x in (3, -1, "b")] == ["3", "-1", "b"]
+    assert vertex_string(Vertex(1, 0)) == "1:0"
+
+
+def test_a_model_predicate_is_not_compared():
+    deny, allow = (lambda participants, w: False), (lambda participants, w: True)
+    a = ModelSpec(n=2, name="p", kind="custom", predicate=deny)
+    assert a == ModelSpec(n=2, name="p", kind="custom", predicate=allow) == ModelSpec(2, "p", "custom")
+    assert hash(a) == hash((2, "p", "custom", None, ()))
+    assert a != ModelSpec(n=2, name="q", kind="custom", predicate=deny)
+    # a task's carrier map compares by identity
+    assert Task("t", Complex([EDGE]), Complex([EDGE]), CARRIER) != Task(
+        "t", Complex([EDGE]), Complex([EDGE]), CarrierMap({EDGE: Complex([EDGE])}))
 
 
 # -- rank order ------------------------------------------------------------
