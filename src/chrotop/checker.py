@@ -502,7 +502,7 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
 
     Fires when the allowed executions cover the input edge in one piece
     that joins its two forced ends: no excluded limit point sits at an
-    end of the edge, every schedule word up to the horizon is allowed, and
+    end of the edge, no schedule word up to the depth is refused, and
     no excluded point disconnects the edge.  The component is then the
     whole edge [0, 1].  Limit points are read off their words
     (`limit_position`), so no cell, weight or task is built; only the solo
@@ -511,31 +511,21 @@ def certify_consensus_impossible(model: ModelSpec, depth: int) -> Optional[Conse
     Why the words decide it: a cell's children tile it, and the cells of
     one level meet only at their ends.  So a refused word leaves an open
     gap in the edge at every deeper level, and no later word can close
-    it; with no refused word, the horizon's cells cover [0, 1].  The
-    words are asked level by level from the empty word, and the first
-    level that holds a refused word stops the certificate.  Excluded
+    it; with no refused word, the depth's cells cover [0, 1].  Which
+    lengths are asked is `ModelSpec.first_refusal`'s rule.  Excluded
     limit executions never remove a finite cell, and their limit points,
     all inside the edge, are reported.  A point that disconnects the edge
     (`_disconnecting`) stops the certificate: the executions on either
     side of it may decide differently, so it returns None.
 
     The depth is clamped to at least 1 so first-round restrictions enter
-    the structure; that depth is reported.  A model without a custom
-    predicate (every JSON model) restricts only the first
-    round, so its horizon is 1; a predicate is asked at full depth.
+    the structure; that depth is reported.
     """
     if model.n != 2:
         raise Unsupported("the interval certificate is specific to two processes")
     depth = max(1, depth)
-    horizon = depth if model.predicate is not None else 1
-    if any(limit_position(e) in (0, 1) for e in model.excluded):
-        return None
-    processes = frozenset((0, 1))
-    alphabet = model.schedules(processes)
-    for k in range(horizon + 1):
-        if not all(model.allowed_prefix(processes, w) for w in product(alphabet, repeat=k)):
-            return None
-    if _disconnecting(model):
+    if (any(limit_position(e) in (0, 1) for e in model.excluded)
+            or model.first_refusal(frozenset((0, 1)), depth) <= depth or _disconnecting(model)):
         return None
     edge = (Fraction(0), Fraction(1))
     excluded_inside = [str(e) for e in model.excluded]
@@ -741,23 +731,20 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
     set agreement, and it selects the rules, tried in this order.
     Certificate: two-process consensus tries the interval certificate
     before any P_T is built.  It fires when no solo execution is excluded,
-    no word up to its horizon is refused and no excluded point disconnects
+    no word up to max_depth is refused and no excluded point disconnects
     the edge; the allowed cells of every time T <= max_depth then cover
     the input edge, touching cells share a view and the solo views are
     forced to 0 and 1, so no time searched below could have a map.
-    Sperner-first: set agreement on a model that restricts no prefix (no
-    predicate, no allowed first rounds; excluded limit executions remove
-    no finite prefix) builds no P_T.  Each P_T is Chr^T of the input
-    simplex, a map carried by delta is a Sperner coloring of it, and some
-    facet then shows all n values, which no output simplex holds.
-    One-edge rule: consensus on n >= 3 processes builds no P_T either.
-    Models restrict only full-participation words, so xi of the edge
-    {0, 1} is Chr^T of it, connected with solo ends forced to 0 and 1.
-    Search: otherwise a decision map is searched for at times
-    0..max_depth; a witness is validated end to end by simulating its
-    synthesized protocol.  Exhaustion: when no time has a map, set
-    agreement on n <= 3 processes gets parity evidence.  Bounded failure
-    alone never claims unsolvability.
+    Search: a decision map is searched for at times up to max_depth, and
+    a witness is validated by simulating its synthesized protocol.  For
+    consensus (colors 0 and 1) and set agreement (all colors) it starts
+    at `ModelSpec.first_refusal` of those colors, before which xi of
+    their face is Chr^T of it: for consensus an edge, connected with solo
+    ends forced to 0 and 1, and for set agreement a simplex on which a
+    map carried by delta is a Sperner coloring, with a facet showing all
+    n values.  Exhaustion: when no time has a map, set agreement on
+    n <= 3 processes gets parity evidence.  Bounded failure alone never
+    claims unsolvability.
     """
     if max_depth < 0:
         raise Unsupported("max depth must be nonnegative")
@@ -772,10 +759,8 @@ def solve(model: ModelSpec, task: Task, max_depth: int, seed: int = 0) -> Verdic
         certificate = certify_consensus_impossible(model, max_depth)
         if certificate is not None:
             return Verdict("unsolvable_certified", max_depth, certificate=certificate)
-    unrestricted = model.predicate is None and model.allowed_first_rounds is None
-    # Sperner-first and the one-edge rule decide without building any P_T
-    settled = (agreement and unrestricted) or (consensus and model.n >= 3)
-    for T in () if settled else range(max_depth + 1):
+    colors = frozenset((0, 1) if consensus else range(model.n))
+    for T in range(model.first_refusal(colors, max_depth) if consensus or agreement else 0, max_depth + 1):
         PT = build_time_T(model, task, T)
         delta = search_decision_map(PT, task)
         if delta is None:

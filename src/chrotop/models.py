@@ -16,6 +16,7 @@ checked, only by `parse_schedule`; `schedule_text` writes it back.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable
 
 from .errors import Unsupported
@@ -179,6 +180,20 @@ class ModelSpec(Frozen):
             if prefix[0] not in self.allowed_first_rounds:
                 return False
         return True
+
+    def first_refusal(self, participants: frozenset, depth: int) -> int:
+        """The least length k <= depth at which a word over `participants`
+        is refused, or depth + 1 if none is; below it their time-k
+        protocol complex is Chr^k of their simplex.  A proper participation
+        set is never restricted, without a predicate only lengths 0 and 1
+        can be refused, and a predicate is asked at every length."""
+        if len(participants) < self.n:
+            return depth + 1
+        alphabet = self.schedules(participants)
+        for k in range(depth + 1 if self.predicate is not None else min(depth, 1) + 1):
+            if not all(self.allowed_prefix(participants, w) for w in product(alphabet, repeat=k)):
+                return k
+        return depth + 1
 
     def is_compact(self) -> bool:
         return not self.excluded

@@ -1018,8 +1018,9 @@ def test_certificate_matches_full_depth_reference(model, depth):
 
 # the two-process model minus the one execution (<->)^w, at position 1/2,
 # and the one minus both executions that reach position 1/3
-CUT_AT_HALF = load_model_json_obj({"n": 2, "kind": "custom", "excluded": [{"stem": [], "cycle": ["<->"]}]})
-CUT_AT_THIRD = load_model_json_obj({"n": 2, "kind": "custom", "excluded": [
+CUT_AT_HALF = load_model_json_obj({"n": 2, "kind": "custom", "name": "cut-at-half",
+                                   "excluded": [{"stem": [], "cycle": ["<->"]}]})
+CUT_AT_THIRD = load_model_json_obj({"n": 2, "kind": "custom", "name": "cut-at-third", "excluded": [
     {"stem": ["<->"], "cycle": ["<-"]}, {"stem": ["->"], "cycle": ["<-"]}]})
 
 
@@ -1381,7 +1382,9 @@ def random_prefix_closed_model(rng, index):
 
 
 _sweep_rng = random.Random(20261018)
-SWEEP_MODELS = first_round_models() + [NO_FULL_RUN, ONE_EXCHANGE] + [
+# without (->)^w, which ends at an end of the edge, so no certificate
+SOLO_EXCLUDED = ModelSpec(n=2, name="solo-excluded", kind="custom", excluded=(ExecutionWord((), (R,)),))
+SWEEP_MODELS = first_round_models() + [NO_FULL_RUN, ONE_EXCHANGE, CUT_AT_HALF, SOLO_EXCLUDED, CUT_AT_THIRD] + [
     random_prefix_closed_model(_sweep_rng, i) for i in range(100)
 ]
 
@@ -1438,9 +1441,13 @@ IIS4 = load_model_json_obj({"n": 4, "kind": "iis", "name": "iis4"})
 # set agreement on models that restrict a prefix
 FIRST3 = load_model_json_obj({"n": 3, "kind": "firstRoundRestricted", "name": "first3",
                               "allowedFirstRounds": ["0|1|2", "0,1|2", "2|0,1"]})
+# restricts the first round to all of its 13 schedules, so refuses no word
+ALL13 = load_model_json_obj({"n": 3, "kind": "firstRoundRestricted", "name": "all13",
+                             "allowedFirstRounds": [schedule_text(s) for s in ordered_partitions(range(3))]})
 
 
-@pytest.mark.parametrize("model, max_depth", [(IIS2, 6), (IIS3, 3), (IIS3_EXCLUDED, 3), (IIS4, 2)],
+@pytest.mark.parametrize("model, max_depth",
+                         [(IIS2, 6), (IIS3, 3), (IIS3_EXCLUDED, 3), (IIS4, 2), (ALL13, 3), (FIRST3, 3)],
                          ids=lambda x: getattr(x, "name", x))
 def test_sperner_first_matches_the_search_at_every_time(model, max_depth):
     """The search is the oracle: no P_T with T <= max_depth has a decision
@@ -1464,15 +1471,19 @@ def test_sperner_first_matches_the_search_at_every_time(model, max_depth):
     (IIS3, set_agreement(3), []),
     (IIS3_EXCLUDED, set_agreement(3), []),
     (IIS4, set_agreement(4), []),
-    (M1, set_agreement(2), [0, 1, 2]),
-    (FIRST3, set_agreement(3), [0, 1, 2]),
-    (ROUND_TWO, set_agreement(2), [0, 1, 2]),
+    (ALL13, set_agreement(3), []),
+    (ALLOW_ALL, set_agreement(2), []),
+    (M1, set_agreement(2), [1, 2]),
+    (FIRST3, set_agreement(3), [1, 2]),
+    (ROUND_TWO, set_agreement(2), [2]),
     (IIS3, inputless_consensus(3), []),
+    (CUT_AT_HALF, inputless_consensus(2), []),
 ], ids=lambda x: ("per-time" if x else "none") if isinstance(x, list) else x.name)
 def test_sperner_first_builds_no_time_complex(monkeypatch, model, task, times):
-    """Set agreement on a model that restricts no prefix builds no P_T,
-    and neither does consensus on three processes on any model; set
-    agreement on a restricted model still builds one P_T per time.  Set
+    """Set agreement and consensus build one P_T per time from the
+    model's first refused word over all processes, or over {0, 1} for
+    consensus, so none on a model that refuses no word up to the depth,
+    and none for consensus on three processes on any model.  Set
     agreement gets parity evidence for n <= 3 either way."""
     built = []
     build = chrotop.checker.build_time_T
@@ -1492,6 +1503,31 @@ def random_first3(seed):
 
 
 RANDOM_FIRST3 = [random_first3(seed) for seed in range(6)]
+
+
+@pytest.mark.parametrize("model, max_depth", [*((m, 5) for m in SWEEP_MODELS + [M1, M2, IIS2]),
+                                              *((m, 3) for m in [IIS3, FIRST3, *RANDOM_FIRST3])],
+                         ids=lambda x: getattr(x, "name", x))
+def test_first_refusal_matches_the_prefix_count(model, max_depth):
+    """The first refusal is the least length k whose allowed prefixes are
+    fewer than all words of length k, or depth + 1; a proper
+    participation set is never restricted."""
+    everyone = frozenset(range(model.n))
+    letters = len(model.schedules(everyone))
+    counts = [len(enumerate_prefixes(model, k, everyone)) for k in range(max_depth + 1)]
+    for depth in range(max_depth + 1):
+        expected = next((k for k in range(depth + 1) if counts[k] < letters ** k), depth + 1)
+        assert model.first_refusal(everyone, depth) == expected
+        for size in range(1, model.n):
+            for proper in combinations(range(model.n), size):
+                assert model.first_refusal(frozenset(proper), depth) == depth + 1
+
+
+def test_consensus_on_three_processes_walks_no_word():
+    """Consensus on three processes asks only about the proper set {0, 1},
+    so a predicate model is answered at depth 20 without a word asked."""
+    model = ModelSpec(n=3, name="unasked", kind="custom", predicate=refused("the predicate"))
+    assert solve(model, inputless_consensus(3), 20).kind == "unsolvable_at_all_depths"
 
 
 @pytest.mark.parametrize("model", [IIS3, IIS3_EXCLUDED, FIRST3, *RANDOM_FIRST3], ids=lambda m: m.name)

@@ -893,8 +893,8 @@ def test_certified_verdicts_reverify_from_their_json(tmp_path, capsys):
 
 
 def test_builtin_shapes_under_another_name_keep_their_verdicts(tmp_path, capsys):
-    # renamed tasks reach the certificate (iis2, m2), the search (m1, FIRST3),
-    # the one-edge rule (iis3 consensus:3) and Sperner-first (iis3 set agreement)
+    # renamed tasks reach the certificate (iis2, m2), the search from the first
+    # refusal (m1, FIRST3), and no search at all (iis3 consensus:3 and set agreement)
     first3 = tmp_path / "first3.json"
     first3.write_text(json.dumps({"n": 3, "kind": "custom", "allowedFirstRounds": ["0|1|2", "0,1|2", "2|0,1"]}))
     cases = [
