@@ -33,18 +33,18 @@ from .models import (
 )
 from .protocol import (
     DecisionProtocol,
+    TimeTComplex,
+    build_time_T,
     check_solves,
+    connecting_map_fST,
     extract_map,
     run,
     synthesize_from_stable_map,
     synthesize_from_time_map,
 )
 from .checker import (
-    TimeTComplex,
     Verdict,
-    build_time_T,
     certify_consensus_impossible,
-    connecting_map_fST,
     search_decision_map,
     solve,
     sperner_evidence,

@@ -1,14 +1,6 @@
-"""Time-bounded protocol complexes, decision-map search, admissibility
-and continuity checking, and impossibility certificates.
-
-The time-T complex quotients view sequences by their first T+1 entries.
-Because the view metric is an ultrametric, a ball of radius 2**-T is
-exactly a depth-T view vertex, so balls are represented by the view
-vertices themselves.  `build_time_T` and `run` take their executions
-from one walk, `protocol.execution_cells`, which interns its views: within
-one P_T or one simulation a ball, and every view below it, is one object
-and equal balls compare by identity.  Views of two walks are equal by
-value, and compare in time linear in their depth.
+"""Decision-map search, admissibility and continuity checking, and
+impossibility certificates.  The time-T protocol complexes they read are
+built by `protocol.build_time_T`, next to the executions they come from.
 """
 
 from __future__ import annotations
@@ -20,7 +12,7 @@ from fractions import Fraction
 from itertools import groupby, islice, product
 from typing import Iterator, Optional, Sequence
 
-from .errors import BadIndices, ChrotopError, Unsupported
+from .errors import Unsupported
 from .models import (
     ARROW_SCHEDULES,
     MAX_PROCESSES,
@@ -30,19 +22,17 @@ from .models import (
 )
 from .protocol import (
     DecisionProtocol,
+    TimeTComplex,
+    build_time_T,
     check_solves,
-    execution_cells,
     synthesize_from_time_map,
-    view_chain,
 )
 from .simplicial import (
-    CarrierMap,
     Complex,
     Record,
     Simplex,
     SimplicialMap,
     Vertex,
-    check_simplicial_chromatic,
     vertex_json,
     vertex_key,
     vertex_strings,
@@ -59,58 +49,6 @@ from .subdivision import (
     walk_cells,
 )
 from .tasks import Task, check_arity, inputless_consensus, set_agreement
-
-
-# -- time-T complexes --------------------------------------------------------
-
-
-class TimeTComplex:
-    __slots__ = ("T", "complex", "xi")
-
-    def __init__(self, T: int, complex: Complex, xi: CarrierMap):
-        self.T, self.complex, self.xi = T, complex, xi
-
-
-def build_time_T(model: ModelSpec, task: Task, T: int) -> TimeTComplex:
-    """Vertices are depth-T views over all allowed executions; a set of
-    views is a simplex when one execution produces all of them.  The
-    execution map sends each input simplex to the views of executions
-    whose participation and inputs are compatible with it.  When every
-    execution is compatible, as with the input facet of a one-facet input
-    complex, that image is P_T itself, the same `Complex` object, so its
-    facets and vertices are sorted once.
-
-    The executions are `execution_cells` over the input faces, so equal
-    views of different executions are one object."""
-    if T < 0:
-        raise Unsupported("time must be nonnegative")
-    faces = task.inputs.simplexes()
-    executions = execution_cells(model, faces, T)
-    complex_ = Complex([cell for _, _, cell in executions])
-    images: dict[Simplex, Complex] = {}
-    for sigma in faces:
-        compatible_faces = set(sigma.faces())
-        facets = [cell for face, _, cell in executions if face in compatible_faces]
-        images[sigma] = complex_ if len(facets) == len(executions) else Complex(facets)
-    return TimeTComplex(T, complex_, CarrierMap(images))
-
-
-def connecting_map_fST(PT: TimeTComplex, PS: TimeTComplex) -> SimplicialMap:
-    """Ball coarsening from time T to time S <= T: truncate the view."""
-    if PS.T > PT.T:
-        raise BadIndices(f"need S <= T, got S={PS.T}, T={PT.T}")
-    ps_vertices = set(PS.complex.vertices())
-    mapping = {}
-    for ball in PT.complex.vertices():
-        target = view_chain(ball)[PS.T]
-        if target not in ps_vertices:
-            raise ChrotopError(f"truncated ball {target!r} missing at time {PS.T}")
-        mapping[ball] = target
-    f = SimplicialMap(mapping)
-    report = check_simplicial_chromatic(f, PT.complex, PS.complex)
-    if not report.ok:
-        raise ChrotopError("connecting map failed verification")
-    return f
 
 
 # -- decision-map search -------------------------------------------------------

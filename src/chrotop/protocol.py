@@ -1,11 +1,20 @@
-"""Full-information views, decision protocols, bounded simulation, and
-the translations between protocols and decision maps.
+"""Full-information views, the executions and time-T protocol complexes
+built from them, decision protocols, bounded simulation, and the
+translations between protocols and decision maps.
 
 A view after k rounds is a subdivision vertex: its label is the simplex
 of round-(k-1) views the process saw in round k, recursively down to
 the input vertex.  Two executions are indistinguishable to a process
 exactly when they produce the same view vertex, so view vertices double
-as canonical ball representatives of the view ultrametric.
+as canonical ball representatives of the view ultrametric: a ball of
+radius 2**-T is exactly a depth-T view vertex.
+
+The time-T complex P_T, built here by `build_time_T`, quotients view
+sequences by their first T+1 entries.  `build_time_T` and `run` take
+their executions from one walk, `execution_cells`, which interns its
+views: within one P_T or one simulation a ball, and every view below it,
+is one object and equal balls compare by identity.  Views of two walks
+are equal by value, and compare in time linear in their depth.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .errors import (
+    BadIndices,
+    ChrotopError,
     IncompleteMap,
     InvalidOutput,
     IrrevocabilityViolation,
@@ -20,8 +31,8 @@ from .errors import (
     Unsupported,
 )
 from .models import ModelSpec, Word, enumerate_prefixes, schedule_text
-from .simplicial import Complex, Frozen, Record, Simplex, SimplicialMap, Vertex, label_string, parse_label
-from .simplicial import vertex_string, vertex_strings
+from .simplicial import CarrierMap, Complex, Frozen, Record, Simplex, SimplicialMap, Vertex, label_string, parse_label
+from .simplicial import check_simplicial_chromatic, vertex_string, vertex_strings
 from .subdivision import Schedule, apply_schedule, coordinates, diameter_Dk, stable_ball, walk_cells
 from .tasks import Task, check_arity
 
@@ -114,6 +125,58 @@ def execution_cells(model: ModelSpec, faces: Sequence[Simplex], depth: int) -> l
     return walk_cells([f for f in faces if model.allowed_prefix(f.colors(), ())], depth, letters)
 
 
+# -- time-T complexes --------------------------------------------------------
+
+
+class TimeTComplex:
+    __slots__ = ("T", "complex", "xi")
+
+    def __init__(self, T: int, complex: Complex, xi: CarrierMap):
+        self.T, self.complex, self.xi = T, complex, xi
+
+
+def build_time_T(model: ModelSpec, task: Task, T: int) -> TimeTComplex:
+    """Vertices are depth-T views over all allowed executions; a set of
+    views is a simplex when one execution produces all of them.  The
+    execution map sends each input simplex to the views of executions
+    whose participation and inputs are compatible with it.  When every
+    execution is compatible, as with the input facet of a one-facet input
+    complex, that image is P_T itself, the same `Complex` object, so its
+    facets and vertices are sorted once.
+
+    The executions are `execution_cells` over the input faces, so equal
+    views of different executions are one object."""
+    if T < 0:
+        raise Unsupported("time must be nonnegative")
+    faces = task.inputs.simplexes()
+    executions = execution_cells(model, faces, T)
+    complex_ = Complex([cell for _, _, cell in executions])
+    images: dict[Simplex, Complex] = {}
+    for sigma in faces:
+        compatible_faces = set(sigma.faces())
+        facets = [cell for face, _, cell in executions if face in compatible_faces]
+        images[sigma] = complex_ if len(facets) == len(executions) else Complex(facets)
+    return TimeTComplex(T, complex_, CarrierMap(images))
+
+
+def connecting_map_fST(PT: TimeTComplex, PS: TimeTComplex) -> SimplicialMap:
+    """Ball coarsening from time T to time S <= T: truncate the view."""
+    if PS.T > PT.T:
+        raise BadIndices(f"need S <= T, got S={PS.T}, T={PT.T}")
+    ps_vertices = set(PS.complex.vertices())
+    mapping = {}
+    for ball in PT.complex.vertices():
+        target = view_chain(ball)[PS.T]
+        if target not in ps_vertices:
+            raise ChrotopError(f"truncated ball {target!r} missing at time {PS.T}")
+        mapping[ball] = target
+    f = SimplicialMap(mapping)
+    report = check_simplicial_chromatic(f, PT.complex, PS.complex)
+    if not report.ok:
+        raise ChrotopError("connecting map failed verification")
+    return f
+
+
 # -- protocols ---------------------------------------------------------------
 
 
@@ -189,14 +252,6 @@ class RunResult(Record):
     def __init__(self, outcomes: list[ExecutionOutcome]):
         self.outcomes = outcomes
 
-    def undecided(self) -> list[tuple[Execution, int]]:
-        out = []
-        for oc in self.outcomes:
-            for color, rec in sorted(oc.decisions.items()):
-                if rec is None:
-                    out.append((oc.execution, color))
-        return out
-
 
 def run(protocol: DecisionProtocol, model: ModelSpec, inputs: Complex, depth: int) -> RunResult:
     """Evaluate the protocol along every execution shadow of the given
@@ -261,8 +316,10 @@ def check_solves(protocol: DecisionProtocol, task: Task, model: ModelSpec, depth
     # (face, decisions) -> None if the decision simplex lies in delta(face), else the simplex
     verdicts: dict[tuple, Optional[Simplex]] = {}
     failures = []
+    undecided = False
     for outcome in result.outcomes:
         if not outcome.all_decided():
+            undecided = True
             continue
         face = outcome.execution.face
         decided = tuple((color, rec.value) for color, rec in outcome.decisions.items())
@@ -275,12 +332,7 @@ def check_solves(protocol: DecisionProtocol, task: Task, model: ModelSpec, depth
             verdicts[key] = None if decision_simplex in task.delta(face) else decision_simplex
         if verdicts[key] is not None:
             failures.append((outcome.execution, verdicts[key]))
-    if failures:
-        status = "FAIL"
-    elif result.undecided():
-        status = "UNDECIDED"
-    else:
-        status = "PASS"
+    status = "FAIL" if failures else "UNDECIDED" if undecided else "PASS"
     return SolveReport(status, failures, result)
 
 
@@ -391,8 +443,6 @@ def extract_map(protocol: DecisionProtocol, model: ModelSpec, task: Task, T: int
     resulting vertex map is chromatic by construction; simpliciality is
     for the caller to check against the output complex.
     """
-    from .checker import build_time_T
-
     time_complex = build_time_T(model, task, T)
     outputs = set(task.outputs.vertices())
     mapping = {}
@@ -418,8 +468,6 @@ def extract_map(protocol: DecisionProtocol, model: ModelSpec, task: Task, T: int
 def table_protocol(table: dict[str, object], model: ModelSpec, task: Task, T: int) -> DecisionProtocol:
     """Decision-table protocol: ball id -> output label, applied via the
     time-T prefix rule."""
-    from .checker import build_time_T
-
     time_complex = build_time_T(model, task, T)
     balls = time_complex.complex.vertices()
     mapping = {}

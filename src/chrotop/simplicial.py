@@ -552,39 +552,16 @@ def check_carrier_map(phi: CarrierMap, K: Complex, L: Complex) -> CarrierReport:
     without being chromatic.
     """
     simplexes = K.simplexes()
-    total = True
-    for s in simplexes:
-        if s not in phi.images:
-            total = False
-    for s in simplexes:
-        if s in phi.images and not phi(s).is_subcomplex_of(L):
+    defined = [s for s in simplexes if s in phi.images]
+    for s in defined:
+        if not phi(s).is_subcomplex_of(L):
             raise InvalidCarrier(f"image of {s!r} is not a subcomplex of the codomain")
-    monotone = True
-    witness = None
-    for tau in simplexes:
-        if tau not in phi.images:
-            continue
-        for tau2 in simplexes:
-            if tau2 not in phi.images or not tau.issubset(tau2):
-                continue
-            if not phi(tau).is_subcomplex_of(phi(tau2)):
-                monotone = False
-                witness = (tau, tau2)
-                break
-        if witness:
-            break
-    chromatic = True
-    color_inclusion = True
-    for s in simplexes:
-        if s not in phi.images:
-            continue
-        img = phi(s)
-        if not img.colors() <= s.colors():
-            color_inclusion = False
-        if not (img.is_pure() and img.dim == s.dim
-                and all(f.colors() == s.colors() for f in img.facets)):
-            chromatic = False
-    return CarrierReport(total, monotone, chromatic, color_inclusion, witness)
+    witness = next(((tau, tau2) for tau in defined for tau2 in defined
+                    if tau.issubset(tau2) and not phi(tau).is_subcomplex_of(phi(tau2))), None)
+    chromatic = all(phi(s).is_pure() and phi(s).dim == s.dim
+                    and all(f.colors() == s.colors() for f in phi(s).facets) for s in defined)
+    color_inclusion = all(phi(s).colors() <= s.colors() for s in defined)
+    return CarrierReport(len(defined) == len(simplexes), witness is None, chromatic, color_inclusion, witness)
 
 
 class CarriedReport(Record):

@@ -24,6 +24,7 @@ from chrotop.subdivision import (
 from chrotop.protocol import (
     all_executions,
     check_solves,
+    connecting_map_fST,
     execution_configurations,
     extract_map,
     synthesize_from_time_map,
@@ -32,7 +33,6 @@ from chrotop.tasks import inputless_consensus
 from chrotop.checker import (
     build_time_T,
     certify_consensus_impossible,
-    connecting_map_fST,
     search_decision_map,
     solve,
     sperner_evidence,

@@ -39,6 +39,7 @@ from chrotop.subdivision import (
 from chrotop.protocol import (
     all_executions,
     check_solves,
+    connecting_map_fST,
     execution_configurations,
     synthesize_from_stable_map,
     synthesize_from_time_map,
@@ -56,7 +57,6 @@ from chrotop.checker import (
     _search_order,
     build_time_T,
     certify_consensus_impossible,
-    connecting_map_fST,
     limit_position,
     search_decision_map,
     solve,
@@ -403,7 +403,7 @@ def test_time_T_complexes_keep_exactly_the_maximal_facets(monkeypatch, model, ta
         built.append(facets)
         return Complex(facets)
 
-    monkeypatch.setattr(chrotop.checker, "Complex", recording)
+    monkeypatch.setattr(chrotop.protocol, "Complex", recording)
     for T in range(depth + 1):
         build_time_T(model, task, T)
     # P_T and one xi image per input simplex but the facet, whose image is

@@ -663,6 +663,31 @@ def test_run_rejects_malformed_protocol_files(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+DUPLICATED_OUTPUT = inputless_consensus(2).to_json_obj()
+DUPLICATED_OUTPUT["outputs"][0].append(DUPLICATED_OUTPUT["outputs"][0][0])
+
+
+@pytest.mark.parametrize("argv, files, err", [
+    (["subdivide", "--simplex", "0", "--k", "1"], {}, "--simplex must be between 1 and 3"),
+    (["subdivide", "--simplex", "4", "--k", "1"], {}, "--simplex must be between 1 and 3"),
+    (["run", "--model", "m1", "--task", "consensus", "--protocol", "bogus"], {}, "unknown protocol 'bogus'"),
+    (["check", "--model", "MODEL", "--task", "consensus"],
+     {"MODEL": {"n": 2, "excluded": [{"stem": [], "cycle": []}]}}, "malformed model: cycle must be nonempty"),
+    (["check", "--model", "m1", "--task", "TASK"], {"TASK": DUPLICATED_OUTPUT},
+     f"duplicate vertex in facet listing: {DUPLICATED_OUTPUT['outputs'][0]!r}"),
+    (["run", "--model", "m1", "--task", "consensus", "--protocol", "PROTOCOL", "--depth", "1"],
+     {"PROTOCOL": {"T": 1, "table": {}}}, "decision table missing ball 0:{0:0}"),
+], ids=["simplex-0", "simplex-4", "unknown-protocol", "empty-cycle", "duplicate-output-vertex", "empty-table"])
+def test_refusals_exit_two_with_one_stderr_line(argv, files, err, tmp_path, capsys):
+    """Each refusal exits 2 with its message as the one line on stderr and
+    prints nothing on stdout.  A capital argument names a JSON file."""
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    assert run_cli(*(str(tmp_path / f"{a}.json") if a in files else a for a in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {err}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "--model", "DEEP", "--task", "consensus"),
     ("check", "--model", "m1", "--task", "DEEP"),

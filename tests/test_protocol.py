@@ -91,7 +91,7 @@ def test_winner_decides_by_round_two_on_m1():
 def test_never_protocol_undecided():
     result = run(never_protocol(), M1, CONS.inputs, 2)
     assert not any(oc.all_decided() for oc in result.outcomes)
-    assert len(result.undecided()) > 0
+    assert any(rec is None for oc in result.outcomes for rec in oc.decisions.values())
 
 
 def test_irrevocability_violation_detected():
@@ -170,6 +170,24 @@ def test_ball_rule_builds_one_point_per_view_it_tries(monkeypatch):
     assert check_solves(proto, CONS, M1, 7).status == "PASS"
     assert sum(tried.values()) == 6
     assert max(tried.values()) == 1
+
+
+def test_ball_rule_memo_bound_changes_no_decision(monkeypatch):
+    """The tsub-ball-rule-m1-d7 simulation with the protocol's memo bounded
+    at 4 answers, so that it is cleared over and over: the status, and each
+    color's (value, round) in each outcome, are those of the default bound."""
+    ts = TerminatingSubdivision(CONS.inputs, M1_POLICY)
+    delta = split_delta(ts.stable_complex(2), CONS.inputs)
+
+    def solved():
+        report = check_solves(synthesize_from_stable_map(delta, ts, 2), CONS, M1, 7)
+        return report.status, [{color: (rec.value, rec.round) for color, rec in oc.decisions.items()}
+                                for oc in report.run_result.outcomes]
+
+    expected = solved()
+    monkeypatch.setattr(chrotop.protocol, "_BALL_ATTEMPTS_MAXSIZE", 4)
+    assert solved() == expected
+    assert expected[0] == "PASS" and len(expected[1]) == 1460
 
 
 def reference_ball_rule(delta, ts, max_depth):
