@@ -146,8 +146,6 @@ def build_time_T(model: ModelSpec, task: Task, T: int) -> TimeTComplex:
 
     The executions are `execution_cells` over the input faces, so equal
     views of different executions are one object."""
-    if T < 0:
-        raise Unsupported("time must be nonnegative")
     faces = task.inputs.simplexes()
     executions = execution_cells(model, faces, T)
     complex_ = Complex([cell for _, _, cell in executions])
@@ -338,6 +336,13 @@ def check_solves(protocol: DecisionProtocol, task: Task, model: ModelSpec, depth
 
 # -- protocol from a decision map ---------------------------------------------
 
+
+def _unanimous(labels: set):
+    """The one label of a set that holds exactly one, else None: the
+    decision both the ball rule and the prefix rule take."""
+    return next(iter(labels)) if len(labels) == 1 else None
+
+
 # Bounds the ball-rule answers one protocol keeps, one per (color, view):
 # every view of the two-process models up to depth 7 fits.
 _BALL_ATTEMPTS_MAXSIZE = 1 << 15
@@ -367,16 +372,7 @@ def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> De
 
     def attempt(color: int, view: Vertex):
         ball = ball_of(color, coordinates(view, base), diameter_Dk(base, min(view_depth(view), max_depth)))
-        if not ball:
-            return None
-        values = set()
-        for w in ball:
-            if not delta.defined_on(w):
-                raise IncompleteMap(f"decision map undefined on stable vertex {w!r}")
-            values.add(delta(w).label)
-        if len(values) == 1:
-            return next(iter(values))
-        return None
+        return _unanimous({delta(w).label for w in ball})
 
     def decide(color: int, view: Vertex):
         # decisions are irrevocable: the first round whose ball is
@@ -405,30 +401,28 @@ def synthesize_from_stable_map(delta: SimplicialMap, tsub, max_depth: int) -> De
 
 def synthesize_from_time_map(delta_T: SimplicialMap, time_complex) -> DecisionProtocol:
     """Prefix rule over a time-T complex: at step t, decide o if every
-    ball extending the current t-round view maps to o."""
+    ball extending the current t-round view maps to o.
+
+    Each ball's label is read once, here, into the label sets of the
+    prefixes on its `view_chain`; a map that lacks a ball is refused
+    here, with `IncompleteMap`, before any view is asked about."""
     T = time_complex.T
     # a view's depth is part of its identity, so views key the prefixes
-    by_prefix: dict[Vertex, set] = {}
+    labels: dict[Vertex, set] = {}
     for ball in time_complex.complex.vertices():
+        label = delta_T(ball).label
         for prefix in view_chain(ball):
-            by_prefix.setdefault(prefix, set()).add(ball)
+            labels.setdefault(prefix, set()).add(label)
 
     def decide(color: int, view: Vertex):
         # entry min(T, depth) of the view's chain, walked down to
         prefix = view
         for _ in range(view_depth(view) - T):
             prefix = prefix.label.vertex_of_color(prefix.color)
-        group = by_prefix.get(prefix)
+        group = labels.get(prefix)
         if not group:
             raise IncompleteMap(f"view {view!r} is outside the time complex")
-        values = set()
-        for ball in group:
-            if not delta_T.defined_on(ball):
-                raise IncompleteMap(f"decision map undefined on ball {ball!r}")
-            values.add(delta_T(ball).label)
-        if len(values) == 1:
-            return next(iter(values))
-        return None
+        return _unanimous(group)
 
     return DecisionProtocol(f"table@{T}", decide)
 

@@ -9,6 +9,7 @@ are enumerated on demand.
 
 from __future__ import annotations
 
+import json
 import re
 from itertools import chain, combinations
 from operator import attrgetter
@@ -413,7 +414,7 @@ class Complex:
         for entry in obj["facets"]:
             verts = [Vertex(_parse_color(d["color"]), parse_label(d["label"])) for d in entry]
             if len({(v.color, v.label) for v in verts}) != len(verts):
-                raise InvalidVertex(f"duplicate vertex in facet listing: {entry}")
+                raise InvalidVertex(f"duplicate vertex in facet listing: {json.dumps(entry)}")
             facets.append(Simplex(verts))
         return cls(facets)
 
@@ -428,7 +429,8 @@ def _parse_color(raw) -> int:
 
 
 class SimplicialMap:
-    """A vertex assignment between two complexes, applied pointwise."""
+    """A vertex assignment between two complexes, applied pointwise.
+    Looking up a vertex the map lacks raises `IncompleteMap`."""
 
     __slots__ = ("mapping",)
 
@@ -440,9 +442,6 @@ class SimplicialMap:
             return self.mapping[v]
         except KeyError:
             raise IncompleteMap(f"map undefined on {v!r}") from None
-
-    def defined_on(self, v: Vertex) -> bool:
-        return v in self.mapping
 
     def image(self, simplex: Simplex) -> Simplex:
         return Simplex(self(v) for v in simplex)

@@ -370,6 +370,28 @@ def test_search_matches_simplex_membership_reference(model, task, depth):
         assert found == [False, False, True, True, True]
 
 
+HORIZON_MODELS = [IIS2, M1, M2] + [
+    load_model_json_obj({"n": 2, "kind": "firstRoundRestricted", "name": "first:" + ",".join(rounds),
+                         "allowedFirstRounds": rounds})
+    for rounds in (["->", "<-"], ["->"], ["<-"], ["->", "<->"], ["<-", "<->"])
+]
+
+
+@pytest.mark.parametrize("model", HORIZON_MODELS, ids=lambda m: m.name)
+def test_synthesized_protocols_solve_past_their_horizon(model):
+    """Each protocol `solve` synthesizes by the prefix rule at T solves
+    its task when simulated to depths T, T+1 and T+2: a view past T
+    decides as its depth-T prefix does.  Every task here has a map by
+    T=3, except consensus on iis2 and m2."""
+    for task in [CONS] + [approximate_agreement(top) for top in (2, 3, 4, 6, 9)]:
+        verdict = solve(model, task, 3)
+        if verdict.kind != "solvable_bounded":
+            assert task is CONS and model.name in ("iis2", "m2")
+            continue
+        for depth in range(verdict.T, verdict.T + 3):
+            assert check_solves(verdict.protocol, task, model, depth).status == "PASS", (task.name, depth)
+
+
 def test_approximate_agreement_delta_differs_from_the_outputs():
     edge = APPROX.inputs.facets[0]
     assert APPROX.delta(edge) != APPROX.outputs

@@ -674,7 +674,7 @@ DUPLICATED_OUTPUT["outputs"][0].append(DUPLICATED_OUTPUT["outputs"][0][0])
     (["check", "--model", "MODEL", "--task", "consensus"],
      {"MODEL": {"n": 2, "excluded": [{"stem": [], "cycle": []}]}}, "malformed model: cycle must be nonempty"),
     (["check", "--model", "m1", "--task", "TASK"], {"TASK": DUPLICATED_OUTPUT},
-     f"duplicate vertex in facet listing: {DUPLICATED_OUTPUT['outputs'][0]!r}"),
+     f"duplicate vertex in facet listing: {json.dumps(DUPLICATED_OUTPUT['outputs'][0])}"),
     (["run", "--model", "m1", "--task", "consensus", "--protocol", "PROTOCOL", "--depth", "1"],
      {"PROTOCOL": {"T": 1, "table": {}}}, "decision table missing ball 0:{0:0}"),
 ], ids=["simplex-0", "simplex-4", "unknown-protocol", "empty-cycle", "duplicate-output-vertex", "empty-table"])

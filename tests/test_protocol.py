@@ -7,6 +7,7 @@ import chrotop.protocol
 from chrotop.errors import (
     BadArity,
     ChrotopError,
+    IncompleteMap,
     InvalidOutput,
     IrrevocabilityViolation,
     NotBoundedBy,
@@ -262,6 +263,23 @@ def test_time_rule_decides_by_T():
     for outcome in result.outcomes:
         for rec in outcome.decisions.values():
             assert rec is not None and rec.round <= 2
+
+
+def test_time_rule_refuses_a_map_that_lacks_a_ball_at_synthesis():
+    P2 = build_time_T(M1, CONS, 2)
+    mapping = dict(extract_map(winner_protocol(), M1, CONS, 2).mapping)
+    del mapping[P2.complex.vertices()[0]]
+    with pytest.raises(IncompleteMap):
+        synthesize_from_time_map(SimplicialMap(mapping), P2)
+
+
+def test_ball_rule_refuses_a_map_that_lacks_a_stable_vertex():
+    ts = TerminatingSubdivision(CONS.inputs, M1_POLICY)
+    stable = ts.stable_complex(2)
+    mapping = dict(split_delta(stable, CONS.inputs).mapping)
+    del mapping[stable.vertices()[0]]
+    with pytest.raises(IncompleteMap):
+        check_solves(synthesize_from_stable_map(SimplicialMap(mapping), ts, 2), CONS, M1, 4)
 
 
 def test_extract_map_winner_is_valid():
