@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import heapq
 import random
-import re
 from fractions import Fraction
-from itertools import groupby, islice, product
+from itertools import islice, product
 from typing import Iterator, Optional, Sequence
 
 from .errors import Unsupported
@@ -488,53 +487,35 @@ class SpernerReport(Record):
 
 
 def _sampled_rows(choices: list[list[int]], seed: int, count: int) -> Iterator[bytearray]:
-    """The rows `bytes(rng.choice(c) for c in choices)` of
-    `rng = random.Random(seed)`, `count` of them, drawn in bulk.
+    """`count` rows of seeded values, value i of a row drawn uniformly from
+    `choices[i]`, independently, by `rng = random.Random(seed)`.
 
-    For a list c of 1 to 255 values, `choice` draws 32-bit words w until
-    w >> (32 - k) < len(c), with k = len(c).bit_length(), and takes that
-    index; `getrandbits(32 * m)` is the next m words, little-endian.  So
-    only a word's top byte b matters: the list takes it when
-    b < len(c) << (8 - k), as the value c[b >> (8 - k)].  Every list
-    rejects the bytes from the largest such threshold `top` up, so each
-    refill deletes them, and a list whose threshold is `top` then takes
-    the next byte whatever it is.  One match is one row of taken bytes:
-    a group `(.{r})` per run of r such lists, and for every other list
-    one group after the bytes it rejects.  A table per distinct list turns
-    a column into values.
+    Rows come in blocks of up to 512, each from one `rng.randbytes` of a
+    block's bytes, row-major.  For a list c of m values a byte b below
+    256 - 256 % m, the largest multiple of m that fits a byte, is the value
+    c[b % m]; any other byte is redrawn after the block, in row-major order,
+    as `rng.choice(c)`.  A list must hold 1 to 255 values, each in 0..254:
+    255 marks a byte to redraw.
     """
     rng = random.Random(seed)
     width = len(choices)
-    thresholds = [len(c) << (8 - len(c).bit_length()) for c in choices]
-    top = max(thresholds)
-    rejected = bytes(range(top, 256))
-    groups = []
-    for taken, run in groupby(thresholds):
-        repeat = len(list(run))
-        if taken == top:
-            groups.append(b"(.{%d})" % repeat)
-        else:
-            groups += [b"[%c-%c]*([\0-%c])" % (taken, top - 1, taken - 1)] * repeat
-    match = re.compile(b"".join(groups), re.DOTALL).match
     tables = {}
     for c in set(map(tuple, choices)):
-        shift = 8 - len(c).bit_length()
-        tables[c] = bytes(c[b >> shift] for b in range(len(c) << shift)).ljust(256, b"\0")
+        if not 1 <= len(c) <= 255 or not all(0 <= v <= 254 for v in c):
+            raise ValueError(f"cannot draw bytes from the values {list(c)}")
+        tables[c] = bytes(c[b % len(c)] for b in range(256 - 256 % len(c))).ljust(256, b"\xff")
     columns = [tables[tuple(c)] for c in choices]
-    buf, pos = b"", 0
     while count > 0:
-        block = bytearray()
-        for _ in range(min(count, 128)):
-            while (m := match(buf, pos)) is None:
-                words = rng.getrandbits(8192 * width).to_bytes(1024 * width, "little")
-                buf, pos = buf[pos:] + words[3::4].translate(None, rejected), 0
-            block += b"".join(m.groups())
-            pos = m.end()
+        block = bytearray(rng.randbytes(min(count, 512) * width))
         for i, table in enumerate(columns):
             block[i::width] = block[i::width].translate(table)
+        redraw = block.find(255)
+        while redraw >= 0:
+            block[redraw] = rng.choice(choices[redraw % width])
+            redraw = block.find(255, redraw + 1)
         for start in range(0, len(block), width):
             yield block[start : start + width]
-        count -= 128
+        count -= 512
 
 
 def sperner_evidence(n: int, k: int, seed: int = 0, sample_size: int = 2000) -> SpernerReport:
@@ -545,9 +526,9 @@ def sperner_evidence(n: int, k: int, seed: int = 0, sample_size: int = 2000) -> 
     it lies in; corners are forced to their own value.  For every such
     assignment, up to the first even count, the number of facets showing
     all n values is counted.  Exhaustive when the assignment space is
-    small, seeded sampling otherwise: the draws of
-    `random.Random(seed).choice` per vertex per assignment, made in bulk
-    by `_sampled_rows`.
+    small, otherwise `sample_size` assignments drawn from `seed` by
+    `_sampled_rows`: each vertex's value uniform over its allowed values,
+    independently.
 
     Counts are taken 512 assignments at a time, one byte lane each: a
     vertex's column holds value c as the byte 1 << c, and a facet is

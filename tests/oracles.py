@@ -307,6 +307,32 @@ def reference_svg(base: Complex, cells, points: dict) -> str:
     return ET.tostring(svg, encoding="unicode")
 
 
+def reference_sampled_rows(choices, seed, count):
+    """`count` rows drawn from `Random(seed)` by the sampling rule, byte by
+    byte: per block of up to 512 rows one `randbytes` of the block, row
+    major; a byte b is value c[b % len(c)] of its list c if the multiples of
+    len(c) below 256 reach past b, and is otherwise left open; then each
+    open value of the block, row by row, is `choice(c)`."""
+    rng = random.Random(seed)
+    rows = []
+    while len(rows) < count:
+        size = min(count - len(rows), 512)
+        data = rng.randbytes(size * len(choices))
+        block = []
+        for r in range(size):
+            row = []
+            for i, c in enumerate(choices):
+                b = data[r * len(choices) + i]
+                row.append(c[b % len(c)] if b // len(c) < 256 // len(c) else None)
+            block.append(row)
+        for row in block:
+            for i, c in enumerate(choices):
+                if row[i] is None:
+                    row[i] = rng.choice(c)
+        rows += block
+    return rows
+
+
 def reference_sperner(n, k, seed=0, sample_size=2000):
     """Rainbow counts that build one value set per facet per coloring,
     drawing the same seeded samples, and stop at the first even count."""
@@ -325,9 +351,7 @@ def reference_sperner(n, k, seed=0, sample_size=2000):
     if total <= 20000:
         mode, combos = "exhaustive", product(*choices)
     else:
-        rng = random.Random(seed)
-        mode = "sampled"
-        combos = ([rng.choice(c) for c in choices] for _ in range(sample_size))
+        mode, combos = "sampled", reference_sampled_rows(choices, seed, sample_size)
     colorings, min_rainbow, counterexample = 0, None, None
     for combo in combos:
         colorings += 1

@@ -4,7 +4,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from types import SimpleNamespace
 
 import pytest
 
@@ -48,6 +47,7 @@ from chrotop.protocol import (
 from chrotop.tasks import Task, inputless_consensus, set_agreement
 import chrotop.checker
 import chrotop.subdivision
+import oracles
 from chrotop.checker import (
     TerminationCertificateReport,
     Verdict,
@@ -73,6 +73,7 @@ from oracles import (
     reference_distance,
     reference_limit_position,
     reference_points,
+    reference_sampled_rows,
     reference_simplex_key,
     reference_sperner,
     reference_vertex_key,
@@ -1259,23 +1260,63 @@ def random_choices(seed, most):
 
 @pytest.mark.parametrize("seed, choices", [
     *(pytest.param(seed, random_choices(seed, 3), id=str(seed)) for seed in range(50)),
-    # thresholds 128, 160, 192 and 224
+    # lists of 5, 6 and 7 values reject 1, 4 and 4 bytes
     *(pytest.param(seed, random_choices(seed, 8), id=f"up-to-8-values-{seed}") for seed in range(50, 70)),
-    # one threshold for every list: the whole row is one group
+    # one list length for the whole row: one table, or none that rejects
     pytest.param(1, [[v] for v in range(3)] * 33, id="all-singletons"),
     pytest.param(2, [[0, 1], [1, 2], [0, 2]] * 33, id="all-pairs"),
     pytest.param(3, [[0, 1, 2]] * 40, id="all-triples"),
     pytest.param(4, [[0], [0, 1], list(range(255)), [1, 2], [2], [0, 1, 2]], id="255-values"),
 ])
 def test_sampled_rows_are_the_seeded_choices(seed, choices):
-    """The bulk draws are `Random(seed).choice` per list per row, on this
-    interpreter, for lists of 1 to 8 values, for shapes whose lists share
-    one threshold, for a list of 255 values, and for row counts on both
-    sides of a refill."""
-    for count in (1, 127, 128, 129, 2000):
-        rng = random.Random(seed)
-        expected = [[rng.choice(c) for c in choices] for _ in range(count)]
-        assert [list(row) for row in chrotop.checker._sampled_rows(choices, seed, count)] == expected
+    """The bulk draws are the byte-by-byte rule of `reference_sampled_rows`,
+    for lists of 1 to 8 values, for rows of one list length, for a list of
+    255 values, and for row counts on both sides of a 512-row block."""
+    for count in (1, 511, 512, 513, 2000):
+        rows = chrotop.checker._sampled_rows(choices, seed, count)
+        assert [list(row) for row in rows] == reference_sampled_rows(choices, seed, count)
+
+
+@pytest.mark.parametrize("choices", [
+    pytest.param([[0, 1, 2]] * 40, id="triples"),
+    pytest.param([list(range(255)), [3, 5, 7, 9, 11, 13, 17]], id="255-and-7-values"),
+])
+def test_sampled_rows_redraw_the_rejected_bytes(choices):
+    """Some bytes of the first block are rejected, so the redraws run, and
+    no row holds the sentinel 255."""
+    seed, width = 6, len(choices)
+    raw = random.Random(seed).randbytes(512 * width)
+    assert sum(b >= 256 - 256 % len(choices[i % width]) for i, b in enumerate(raw)) > 0
+    rows = [list(row) for row in chrotop.checker._sampled_rows(choices, seed, 1000)]
+    assert not any(255 in row for row in rows)
+    assert rows == reference_sampled_rows(choices, seed, 1000)
+
+
+def test_sampled_values_of_the_interior_are_uniform():
+    """Over 2000 colorings of Chr^2 of the triangle at a fixed seed, each
+    value of the 72 three-value lists is drawn within 5 sigma of a third."""
+    base = Complex([Simplex(Vertex(i, i) for i in range(3))])
+    choices = [
+        sorted(c.color for c in reference_coordinates(v, base).weights) for v in chr_iterate(base, 2).vertices()
+    ]
+    triples = [i for i, c in enumerate(choices) if len(c) == 3]
+    assert len(triples) == 72
+    tally = Counter(row[i] for row in chrotop.checker._sampled_rows(choices, 11, 2000) for i in triples)
+    draws = 2000 * 72
+    sigma = (draws * (1 / 3) * (2 / 3)) ** 0.5
+    assert set(tally) == {0, 1, 2}
+    assert all(abs(tally[v] - draws / 3) <= 5 * sigma for v in range(3))
+
+
+@pytest.mark.parametrize("choices", [
+    pytest.param([[0, 1], []], id="empty"),
+    pytest.param([list(range(255)) + [0]], id="256-values"),
+    pytest.param([[0, 255]], id="value-255"),
+    pytest.param([[-1, 0]], id="negative-value"),
+])
+def test_sampled_rows_refuse_lists_they_cannot_draw_from(choices):
+    with pytest.raises(ValueError):
+        next(chrotop.checker._sampled_rows(choices, 0, 1))
 
 
 def scripted_rows(j, vertices, drawn):
@@ -1306,6 +1347,11 @@ def scripted_rows(j, vertices, drawn):
 def test_sperner_stops_at_the_first_even_coloring(monkeypatch, j):
     base = Complex([Simplex(Vertex(i, i) for i in range(3))])
     vertices = list(chr_iterate(base, 2).vertices())
+    # rows are drawn in blocks, so the first j - 1 colorings of the 1500
+    # asked for below are read from a draw of 1500, not of j - 1
+    seeded_rows = oracles.reference_sampled_rows
+    monkeypatch.setattr(oracles, "reference_sampled_rows",
+                        lambda choices, seed, count: seeded_rows(choices, seed, 1500)[:count])
     earlier = reference_sperner(3, 2, seed=5, sample_size=j - 1)
     assert (earlier.colorings, earlier.all_odd) == (j - 1, True)
     drawn = []
@@ -1320,9 +1366,8 @@ def test_sperner_stops_at_the_first_even_coloring(monkeypatch, j):
     assert report.counterexample == {"assignment": assignment, "count": 160}
     # the minimum is over colorings 1..j only: the all-0 colorings after j count 0
     assert report.min_rainbow == (min(earlier.min_rainbow, 160) if j > 1 else 160)
-    # the oracle counts the same colorings: its `choice` replays the drawn values in order
-    values = iter(b"".join(drawn))
-    monkeypatch.setattr(random, "Random", lambda seed: SimpleNamespace(choice=lambda c: next(values)))
+    # the oracle counts the same colorings: its sampled rows are the drawn rows
+    monkeypatch.setattr(oracles, "reference_sampled_rows", lambda choices, seed, count: drawn)
     assert report == reference_sperner(3, 2, seed=5, sample_size=1500)
 
 

@@ -474,16 +474,18 @@ def test_run_stdout_matches_golden_hash(model, protocol, depth, code, capsys):
 # sha256 of `check` verdicts as written before xi of the input facet became
 # P_T itself and the search's constraints were precompiled to face sets
 # (the seed-20261018 entry: before rainbow facets were counted in byte
-# lanes); stdout and the --out file hold the same bytes
+# lanes; the seed-7 set-agreement entries: after colorings were drawn as
+# seeded bytes, which changed only their minRainbow); stdout and the --out
+# file hold the same bytes
 GOLDEN_CHECK_SHA256 = {
     "m1 consensus 3 0": (0, "33b84cdc209d20d6fdb6025887ea0f012bebca61113cf3709754abac15f3d507"),
     "iis2 consensus 5 0": (10, "67de51ca859fbbcf79a1c0c052f37b5e5fc6115d7493579e876c555ee4211341"),
     "iis2 consensus 7 0": (10, "728b6a2fa0668c553176d4306e92f3c323ec0d3c70bec40ebf02560f71f1b8dd"),
     "m2 consensus 6 0": (10, "22a53b779d6387df4f9f46442067369bb8ccf6aacbc4e0ba3fb5e0e8237564b1"),
     "iis3 set-agreement:3 2 0": (11, "1a4d5ec84e15b10f42135001bd6c39eeec95503e87fa39fe56c172eafe64b50a"),
-    "iis3 set-agreement:3 2 7": (11, "2933b7f511e23c1a28c3bf66c36adde7174ae78866ad7bec1bf9d7aba52f8ae4"),
+    "iis3 set-agreement:3 2 7": (11, "b8ab604db3be14a18be1685735b16535aa669ed389362af63a7f7d5dfbe9f673"),
     "iis3 set-agreement:3 3 0": (11, "2c6eef34301100de08e54979541ceeed905e6b4ae8d477325003091494882132"),
-    "iis3 set-agreement:3 3 7": (11, "bd57a4f33db22de8234b7c540fbc67050852d2bfe8d0181fed086d030a8eee06"),
+    "iis3 set-agreement:3 3 7": (11, "c6bdb20fd952871e1c9364728ff26872d912744afbc2297c48e44f28afddc43f"),
     "iis3 set-agreement:3 2 20261018": (11, "b1c870eb37145396ca26337a5e3170a9306dff7b201d4760669f262771b88454"),
 }
 
