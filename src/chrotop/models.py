@@ -287,6 +287,8 @@ def load_model_json_obj(obj: dict) -> ModelSpec:
     name = obj.get("name", kind)
     if not isinstance(kind, str) or not isinstance(name, str):
         raise Unsupported(f"model kind and name must be strings, not {kind!r} and {name!r}")
+    if first_rounds == ():  # no execution of all the processes would have a first round
+        raise Unsupported("allowedFirstRounds must name at least one round")
     for letter in (first_rounds or ()) + tuple(s for e in excluded for s in e.stem + e.cycle):
         if set().union(*letter) != set(range(n)):  # blocks are already disjoint
             raise Unsupported(f"round {schedule_text(letter)} is not an ordered partition of 0..{n - 1}")

@@ -1,7 +1,11 @@
 """Decision tasks: input complex, output complex, and the output
-specification carrier map, with the two built-in benchmark tasks."""
+specification carrier map.  The two built-in tasks are input-less, with
+process i's input i, and each is one rule giving the image of a face of
+the input facet; the outputs are the image of the input facet."""
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .errors import BadArity, Unsupported
 from .simplicial import (
@@ -48,54 +52,34 @@ def check_arity(task: Task, model) -> None:
         raise BadArity(f"task has {task.n} processes but model {model.name} has {model.n}")
 
 
-def inputless_consensus(n: int) -> Task:
-    """Consensus where process i has fixed input i.
+def _inputless(name: str, n: int, allowed: Callable[[Simplex], list[Simplex]]) -> Task:
+    """The task `name` on n processes where process i has fixed input i.
 
-    Outputs are one monochromatic-value facet per value: all processes
-    decide that value.  The specification maps each input face to the
-    output simplexes on the same colors whose common value is one of
-    the face's inputs.
-    """
+    `allowed(face)` lists the output simplexes that a face of the input
+    facet may decide; each face's image is the complex they span, and the
+    outputs are the image of the input facet."""
     if n < 2:
-        raise BadArity("consensus needs at least two processes")
-    input_facet = Simplex(Vertex(i, i) for i in range(n))
-    inputs = Complex([input_facet])
-    out_facets = [Simplex(Vertex(i, v) for i in range(n)) for v in range(n)]
-    outputs = Complex(out_facets)
-    images = {}
-    for face in input_facet.faces():
-        colors = face.colors()
-        values = sorted(v.label for v in face)
-        images[face] = Complex(
-            [Simplex(Vertex(c, val) for c in sorted(colors)) for val in values]
-        )
-    return Task("consensus", inputs, outputs, CarrierMap(images))
+        raise BadArity(f"{name} needs at least two processes")
+    facet = Simplex(Vertex(i, i) for i in range(n))
+    images = {face: Complex(allowed(face)) for face in facet.faces()}
+    return Task(name, Complex([facet]), images[facet], CarrierMap(images))
+
+
+def inputless_consensus(n: int) -> Task:
+    """Consensus with inputs the process ids: a face decides one of its
+    inputs, the same on all its colors."""
+    return _inputless("consensus", n, lambda face: [
+        Simplex(Vertex(c, v.label) for c in face.colors()) for v in face
+    ])
 
 
 def set_agreement(n: int) -> Task:
-    """Inputless (n-1)-set agreement.
-
-    The output complex is the boundary of the input simplex: vertex j
-    (color j, label j) for each value, and every proper subset of the
-    values is a simplex.  Proper input faces must stay inside their own
-    values; the full input simplex maps to the whole boundary.
-    """
-    if n < 2:
-        raise BadArity("set agreement needs at least two processes")
-    input_facet = Simplex(Vertex(i, i) for i in range(n))
-    inputs = Complex([input_facet])
-    out_vertices = [Vertex(i, i) for i in range(n)]
-    boundary_facets = [
-        Simplex(out_vertices[:i] + out_vertices[i + 1:]) for i in range(n)
-    ]
-    outputs = Complex(boundary_facets)
-    images = {}
-    for face in input_facet.faces():
-        if len(face) == n:
-            images[face] = outputs
-        else:
-            images[face] = Complex([Simplex(out_vertices[v.color] for v in face)])
-    return Task("set-agreement", inputs, outputs, CarrierMap(images))
+    """Inputless (n-1)-set agreement on the boundary of the input simplex:
+    a proper face decides itself, and the facet decides any proper face
+    of itself."""
+    return _inputless("set-agreement", n, lambda face: [face] if len(face) < n else [
+        f for f in face.faces() if len(f) == n - 1
+    ])
 
 
 class TaskReport:

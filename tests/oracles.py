@@ -512,3 +512,19 @@ def reference_consensus(n: int) -> tuple[Complex, Complex, dict]:
                      if len(set(values)) == 1 and values[0] in colors]
         images[face] = Complex(simplexes)
     return Complex([facet]), images[facet], images
+
+
+def reference_boundary_set_agreement(n: int) -> tuple[Complex, Complex, dict]:
+    """Set agreement as `tasks.set_agreement` defines it now, on the
+    boundary of the input simplex: process i has input i and decides only
+    i, a proper face's image is the one simplex on its colors, and the
+    facet's is the n simplexes that each leave one color out.  Returns
+    the inputs, the outputs (the input facet's image) and the images of
+    the faces."""
+    facet = Simplex(Vertex(i, i) for i in range(n))
+    images = {}
+    for face in facet.faces():
+        colors = sorted(face.colors())
+        kept = [colors] if len(colors) < n else [[c for c in colors if c != left] for left in colors]
+        images[face] = Complex([Simplex(Vertex(c, c) for c in cs) for cs in kept])
+    return Complex([facet]), images[facet], images

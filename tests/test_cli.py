@@ -679,7 +679,12 @@ DUPLICATED_OUTPUT["outputs"][0].append(DUPLICATED_OUTPUT["outputs"][0][0])
      f"duplicate vertex in facet listing: {json.dumps(DUPLICATED_OUTPUT['outputs'][0])}"),
     (["run", "--model", "m1", "--task", "consensus", "--protocol", "PROTOCOL", "--depth", "1"],
      {"PROTOCOL": {"T": 1, "table": {}}}, "decision table missing ball 0:{0:0}"),
-], ids=["simplex-0", "simplex-4", "unknown-protocol", "empty-cycle", "duplicate-output-vertex", "empty-table"])
+    (["check", "--model", "MODEL", "--task", "consensus", "--max-depth", "2"],
+     {"MODEL": {"n": 2, "allowedFirstRounds": []}}, "allowedFirstRounds must name at least one round"),
+    (["run", "--model", "MODEL", "--task", "consensus", "--protocol", "winner", "--depth", "2"],
+     {"MODEL": {"n": 2, "allowedFirstRounds": []}}, "allowedFirstRounds must name at least one round"),
+], ids=["simplex-0", "simplex-4", "unknown-protocol", "empty-cycle", "duplicate-output-vertex", "empty-table",
+        "empty-first-rounds-check", "empty-first-rounds-run"])
 def test_refusals_exit_two_with_one_stderr_line(argv, files, err, tmp_path, capsys):
     """Each refusal exits 2 with its message as the one line on stderr and
     prints nothing on stdout.  A capital argument names a JSON file."""

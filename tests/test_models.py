@@ -139,10 +139,11 @@ def test_model_json_round_trip():
     {"n": 2, "excluded": [{"stem": "<-", "cycle": ["<-"]}]},
     {"n": 2, "excluded": [{"cycle": ["<-"]}]},
     {"n": 2, "allowedFirstRounds": ["0,x"]},
+    {"n": 2, "allowedFirstRounds": []},
 ], ids=["array", "n0", "n9", "first-round-short", "first-round-foreign", "cycle-short", "stem-foreign",
         "n-list", "first-rounds-int", "first-round-flat", "excluded-int", "excluded-list",
         "n-float", "n-bool", "n-string", "name-int", "kind-list", "round-object", "round-strings",
-        "round-bools", "stem-string", "stem-missing", "round-bad-string"])
+        "round-bools", "stem-string", "stem-missing", "round-bad-string", "first-rounds-empty"])
 def test_load_rejects_malformed_models(obj):
     with pytest.raises(Unsupported):
         load_model_json_obj(obj)

@@ -11,7 +11,7 @@ from chrotop.tasks import (
     set_agreement,
     validate_task,
 )
-from oracles import reference_consensus
+from oracles import reference_boundary_set_agreement, reference_consensus
 
 
 def test_consensus_two_processes():
@@ -49,6 +49,13 @@ def test_consensus_agreement_and_validity_invariant():
 def test_consensus_matches_its_definition(n):
     task = inputless_consensus(n)
     inputs, outputs, images = reference_consensus(n)
+    assert (task.inputs, task.outputs, task.delta.images) == (inputs, outputs, images)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_set_agreement_matches_the_boundary_definition(n):
+    task = set_agreement(n)
+    inputs, outputs, images = reference_boundary_set_agreement(n)
     assert (task.inputs, task.outputs, task.delta.images) == (inputs, outputs, images)
 
 
